@@ -197,6 +197,10 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_servers < 1:
             raise ValueError("num_servers must be >= 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if self.service_mean_s <= 0:
+            raise ValueError("service_mean_s must be positive")
         if self.offered_qps <= 0:
             raise ValueError("offered_qps must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -29,14 +30,6 @@ class CacheStats:
         if self.accesses == 0:
             return 0.0
         return self.hits / self.accesses
-
-
-@dataclass
-class CacheLine:
-    """State of one resident cache line."""
-
-    tag: int
-    dirty: bool = False
 
 
 class SetAssociativeCache:
@@ -72,10 +65,9 @@ class SetAssociativeCache:
         self.name = name
         lines = max(1, capacity_bytes // line_bytes)
         self.num_sets = max(1, lines // associativity)
-        # Each set is an OrderedDict tag -> CacheLine in LRU order (last = MRU).
-        self._sets: "list[OrderedDict[int, CacheLine]]" = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # Each set is an insertion-ordered dict tag -> dirty in LRU order
+        # (first = LRU, last = MRU); a hit re-inserts its tag at the end.
+        self._sets: "list[dict[int, bool]]" = [{} for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
     # --------------------------------------------------------------- indexing
@@ -102,13 +94,11 @@ class SetAssociativeCache:
         self.stats.accesses += 1
         index, tag = self._index_and_tag(address)
         cache_set = self._sets[index]
-        line = cache_set.get(tag)
-        if line is None:
+        dirty = cache_set.pop(tag, None)
+        if dirty is None:
             self.stats.misses += 1
             return False
-        cache_set.move_to_end(tag)
-        if is_write:
-            line.dirty = True
+        cache_set[tag] = dirty or is_write
         self.stats.hits += 1
         return True
 
@@ -118,19 +108,54 @@ class SetAssociativeCache:
         index, tag = self._index_and_tag(address)
         cache_set = self._sets[index]
         if tag in cache_set:
-            cache_set.move_to_end(tag)
-            if dirty:
-                cache_set[tag].dirty = True
+            cache_set[tag] = cache_set.pop(tag) or dirty
             return None
         evicted_address: "int | None" = None
         if len(cache_set) >= self.associativity:
-            victim_tag, victim = cache_set.popitem(last=False)
+            victim_tag = next(iter(cache_set))
             self.stats.evictions += 1
-            if victim.dirty:
+            if cache_set.pop(victim_tag):
                 self.stats.writebacks += 1
             evicted_address = (victim_tag * self.num_sets + index) * self.line_bytes
-        cache_set[tag] = CacheLine(tag=tag, dirty=dirty)
+        cache_set[tag] = dirty
         return evicted_address
+
+    def fill_lines(self, addresses: "np.ndarray | list[int]") -> None:
+        """Install the lines holding ``addresses`` clean, in order.
+
+        Leaves the same sets and :class:`CacheStats` as ``fill(a)`` for each
+        address in turn, from any starting state.  Sets are independent, so
+        each is built on its own: an empty set that receives distinct tags
+        ends up holding the last ``associativity`` of them, in fill order and
+        clean, and every earlier tag is one eviction of a clean line (no
+        writeback).  A set that is already occupied, or that receives a tag
+        twice, replays its own addresses through :meth:`fill`.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size == 0:
+            return
+        line_addrs = addresses // self.line_bytes
+        set_indices = line_addrs % self.num_sets
+        order = np.argsort(set_indices, kind="stable")
+        indices = set_indices[order]
+        starts = np.flatnonzero(np.diff(indices, prepend=-1))
+        ends = np.append(starts[1:], indices.size)
+        sorted_lines = np.sort(line_addrs)
+        repeated = sorted_lines[1:][sorted_lines[1:] == sorted_lines[:-1]]
+        repeated_sets = set((repeated % self.num_sets).tolist())
+        tags = (line_addrs[order] // self.num_sets).tolist()
+        # Only the last ``associativity`` tags of a set survive its fills.
+        kept_from = np.maximum(starts, ends - self.associativity)
+        sets = self._sets
+        for index, start, kept, end in zip(
+            indices[starts].tolist(), starts.tolist(), kept_from.tolist(), ends.tolist()
+        ):
+            if sets[index] or index in repeated_sets:
+                for position in order[start:end].tolist():
+                    self.fill(int(addresses[position]))
+                continue
+            sets[index] = dict.fromkeys(tags[kept:end], False)
+            self.stats.evictions += kept - start
 
     def invalidate(self, address: int) -> bool:
         """Remove the line holding ``address``; returns True if it was resident."""

@@ -12,6 +12,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import core_model
 from repro.memory.dram import channel_for_standard
@@ -140,22 +142,30 @@ class SimulatedSystem:
         window would see compulsory misses for the entire instruction footprint and
         secondary working set.  Regions are installed in criticality order
         (instructions, shared OS data, hot shared lines, secondary working set)
-        until the LLC is nearly full, so smaller LLCs naturally hold less of the
-        capturable content.
+        until 95% of the LLC's lines have been filled, so smaller LLCs naturally
+        hold less of the capturable content.
+
+        The result equals one clean :meth:`SetAssociativeCache.fill` per line
+        in that order: the lines are built as one array, split by bank, and
+        installed with one :meth:`SetAssociativeCache.fill_lines` per bank.
         """
         total_lines = sum(bank.num_sets * bank.associativity for bank in self.banks)
-        budget = int(total_lines * 0.95)
-        filled = 0
+        remaining = int(total_lines * 0.95)
+        chunks = []
         for region_name in ("instructions", "shared_small", "shared_hot", "capturable"):
+            if remaining <= 0:
+                break
             region = generator.regions[region_name]
-            lines_in_region = max(1, region.size_bytes // self._line_bytes)
-            for i in range(lines_in_region):
-                if filled >= budget:
-                    return
-                address = region.base + i * self._line_bytes
-                bank = self.banks[self._bank_for(address)]
-                bank.fill(self._bank_local_address(address))
-                filled += 1
+            count = min(remaining, max(1, region.size_bytes // self._line_bytes))
+            chunks.append(region.base // self._line_bytes + np.arange(count, dtype=np.int64))
+            remaining -= count
+        if not chunks:
+            return
+        lines = np.concatenate(chunks)
+        bank_of_line = lines % self.num_banks
+        local_addresses = (lines // self.num_banks) * self._line_bytes
+        for bank_id, bank in enumerate(self.banks):
+            bank.fill_lines(local_addresses[bank_of_line == bank_id])
 
     # -------------------------------------------------------------------- run
     def run(self, instructions_per_core: int = 20_000, warmup: bool = True) -> SimulationStats:

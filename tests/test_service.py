@@ -216,6 +216,23 @@ class TestClusterSimulation:
         with pytest.raises(ValueError, match="engine must be"):
             ClusterSimulation(small_cluster(0.5), engine="warp")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("parallelism", 0, "parallelism must be >= 1"),
+            ("parallelism", -1, "parallelism must be >= 1"),
+            ("service_mean_s", 0.0, "service_mean_s must be positive"),
+            ("service_mean_s", -0.002, "service_mean_s must be positive"),
+        ],
+    )
+    def test_config_rejects_empty_servers_at_construction(self, field, value, message):
+        # Regression: these used to fail deep in the kernel (IndexError) or the
+        # service sampler instead of at the config boundary.
+        fields = dict(num_servers=4, parallelism=4, service_mean_s=0.002, offered_qps=100.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            ClusterConfig(**fields)
+
     def test_p99_rises_with_offered_load(self):
         p99s = []
         for utilization in (0.5, 0.7, 0.9, 1.1):

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.sim_warmup import warm_caches_per_line
 
 from repro.cores.models import OOO
 from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
@@ -13,7 +14,17 @@ from repro.sim.memctrl import MemoryChannelSim
 from repro.sim.system import SimulatedSystem, simulate_system
 from repro.technology.node import NODE_40NM
 from repro.workloads import get_workload
-from repro.workloads.traces import TraceEvent
+from repro.workloads.suite import default_suite
+from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
+
+
+def _lru_state(cache):
+    """Every set's ``(tag, dirty)`` pairs, LRU first."""
+    return [list(cache_set.items()) for cache_set in cache._sets]
+
+
+def _bank_states(system):
+    return [(_lru_state(bank), bank.stats) for bank in system.banks]
 
 
 class TestSimulationStats:
@@ -159,6 +170,99 @@ class TestSetAssociativeCache:
                 cache.fill(address)
         for address in addresses:
             assert cache.access(address)
+
+    def test_access_write_marks_line_dirty(self):
+        cache = SetAssociativeCache(capacity_bytes=2 * 64, associativity=2)
+        cache.fill(0)
+        assert cache.access(0, is_write=True)
+        assert cache.access(0)  # a later read keeps the line dirty
+        cache.fill(64 * cache.num_sets)
+        cache.fill(2 * 64 * cache.num_sets)
+        assert cache.stats.writebacks == 1
+
+    def test_fill_lines_keeps_last_ways_and_counts_evictions(self):
+        cache = SetAssociativeCache(capacity_bytes=2 * 64, associativity=2)
+        stride = 64 * cache.num_sets
+        cache.fill_lines([0, stride, 2 * stride, 3 * stride])
+        assert _lru_state(cache) == [[(2, False), (3, False)]]
+        assert cache.stats.evictions == 2 and cache.stats.writebacks == 0
+        assert cache.stats.accesses == 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        prior=st.lists(
+            st.tuples(
+                st.sampled_from(("fill", "fill_dirty", "read", "write")),
+                st.integers(min_value=0, max_value=63),
+            ),
+            max_size=60,
+        ),
+        lines=st.lists(st.integers(min_value=0, max_value=63), max_size=80),
+    )
+    def test_fill_lines_equals_fill_loop(self, prior, lines):
+        # From any prior state (fills, hits, dirty writes), a bulk install of
+        # any address list -- duplicates included -- leaves the same LRU order,
+        # dirty bits and statistics as one fill per address.
+        bulk, loop = (
+            SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
+        )
+        for cache in (bulk, loop):
+            for op, line in prior:
+                address = line * 64
+                if op == "fill":
+                    cache.fill(address)
+                elif op == "fill_dirty":
+                    cache.fill(address, dirty=True)
+                else:
+                    cache.access(address, is_write=op == "write")
+        addresses = [line * 64 + 5 for line in lines]
+        bulk.fill_lines(addresses)
+        for address in addresses:
+            loop.fill(address)
+        assert _lru_state(bulk) == _lru_state(loop)
+        assert bulk.stats == loop.stats
+
+
+class TestWarmCaches:
+    """The bulk warm-up against the per-line oracle in ``tests/oracles``."""
+
+    @pytest.mark.parametrize("cores, llc_mb", [(1, 1), (2, 4), (8, 8), (32, 0.25)])
+    @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
+    def test_matches_per_line_oracle(self, workload, cores, llc_mb):
+        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb)
+        bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
+        generator = SyntheticTraceGenerator(workload, cores=cores, seed=7, core_type=bulk.core.name)
+        bulk.warm_caches(generator)
+        warm_caches_per_line(oracle, generator)
+        assert _bank_states(bulk) == _bank_states(oracle)
+
+    def test_warm_up_that_evicts_matches_oracle(self):
+        # Set conflicts between regions make this warm-up evict lines.
+        workload = get_workload("SAT Solver")
+        config = SystemConfig(cores=8, llc_capacity_mb=8)
+        bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
+        generator = SyntheticTraceGenerator(workload, cores=8, seed=7, core_type=bulk.core.name)
+        bulk.warm_caches(generator)
+        warm_caches_per_line(oracle, generator)
+        assert sum(bank.stats.evictions for bank in bulk.banks) == 1638
+        assert _bank_states(bulk) == _bank_states(oracle)
+
+    @pytest.mark.parametrize("cores, llc_mb", [(2, 4), (32, 0.25)])
+    def test_second_run_warms_occupied_banks_like_oracle(self, monkeypatch, cores, llc_mb):
+        # A second run() warms banks the first run left occupied (some lines
+        # dirty), so every set replays through fill.
+        workload = get_workload("Data Serving")
+        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb)
+        bulk = SimulatedSystem(workload, config, seed=5)
+        for _ in range(2):
+            bulk.run(1500)
+        monkeypatch.setattr(SimulatedSystem, "warm_caches", warm_caches_per_line)
+        oracle = SimulatedSystem(workload, config, seed=5)
+        for _ in range(2):
+            oracle.run(1500)
+        assert bulk.stats == oracle.stats
+        assert _bank_states(bulk) == _bank_states(oracle)
+        assert any(bank.stats.writebacks for bank in bulk.banks)
 
 
 class TestDirectory:
