@@ -48,7 +48,6 @@ from repro.fleet.routing import (
 )
 from repro.fleet.traffic import TrafficChunk, generate_chunk, routing_seed
 from repro.service.cluster import (
-    FAST_POLICIES,
     STATE_FREE_POLICIES,
     balanced_completion_times,
     fcfs_completion_times,
@@ -112,10 +111,6 @@ class FleetConfig:
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {self.routing!r}; known: {ROUTING_POLICIES}"
-            )
-        if any(dc.policy not in FAST_POLICIES for dc in self.datacenters):
-            raise ValueError(
-                f"datacenter policies must be fast-capable: {FAST_POLICIES}"
             )
         if self.origin_weights is not None:
             if len(self.origin_weights) != len(self.datacenters):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.service.balancer import BALANCER_POLICIES
+
 #: Fixed per-request network overhead between any two distinct regions (s).
 DEFAULT_BASE_LATENCY_S = 0.0005
 
@@ -109,6 +111,10 @@ class Datacenter:
             raise ValueError("max_servers must be >= min_servers")
         if self.num_servers < self.min_servers:
             raise ValueError("num_servers must be >= min_servers")
+        if self.policy not in BALANCER_POLICIES:
+            raise ValueError(
+                f"policy must be one of {sorted(BALANCER_POLICIES)}, got {self.policy!r}"
+            )
 
     def capacity_qps(self, servers: "int | None" = None) -> float:
         """Saturation throughput with ``servers`` deployed (default current)."""

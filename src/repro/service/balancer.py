@@ -23,7 +23,8 @@ from typing import Protocol, Sequence
 
 class _HasBacklog(Protocol):
     @property
-    def backlog(self) -> int: ...
+    def backlog(self) -> int:
+        """Requests queued at or in service on the server."""
 
 
 class RandomBalancer:
@@ -32,6 +33,7 @@ class RandomBalancer:
     name = "random"
 
     def select(self, servers: "Sequence[_HasBacklog]", rng: random.Random) -> int:
+        """One uniform draw from ``rng`` over the server indices."""
         return rng.randrange(len(servers))
 
 
@@ -44,9 +46,11 @@ class RoundRobinBalancer:
         self._next = 0
 
     def select(self, servers: "Sequence[_HasBacklog]", rng: random.Random) -> int:
+        """The next index in rotation; ``rng`` is never drawn from."""
         index = self._next % len(servers)
         self._next += 1
         return index
+
 
 class JoinShortestQueue:
     """Send the request to the server with the smallest backlog (ties: lowest id)."""
@@ -54,7 +58,12 @@ class JoinShortestQueue:
     name = "jsq"
 
     def select(self, servers: "Sequence[_HasBacklog]", rng: random.Random) -> int:
-        return min(range(len(servers)), key=lambda i: (servers[i].backlog, i))
+        """Index of the first server holding the minimum backlog.
+
+        ``list.index`` stops at the first match, so ties go to the lowest id.
+        """
+        backlogs = [server.backlog for server in servers]
+        return backlogs.index(min(backlogs))
 
 
 class PowerOfTwoChoices:
@@ -63,6 +72,7 @@ class PowerOfTwoChoices:
     name = "po2"
 
     def select(self, servers: "Sequence[_HasBacklog]", rng: random.Random) -> int:
+        """Two draws from ``rng`` (none for one server); ties keep the first."""
         if len(servers) == 1:
             return 0
         first = rng.randrange(len(servers))

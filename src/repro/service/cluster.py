@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.service.arrivals import make_arrivals
-from repro.service.balancer import make_balancer
+from repro.service.balancer import BALANCER_POLICIES, make_balancer
 from repro.service.latency import LatencyCollector, LatencyStats
 from repro.service.queueing import Request, RequestServer
 from repro.service.servicetime import make_service_time
@@ -45,7 +45,9 @@ STATE_FREE_POLICIES = ("random", "round_robin")
 
 #: Every policy the fast engine reproduces bit-identically to the event
 #: engine: the state-free pair plus the queue-state-aware ``jsq``/``po2``,
-#: which :func:`balanced_completion_times` replays with lazy heaps.
+#: which :func:`balanced_completion_times` replays with an in-flight heap and
+#: (for ``jsq``) a count histogram.  It covers every policy
+#: :class:`ClusterConfig` accepts.
 FAST_POLICIES = ("random", "round_robin", "jsq", "po2")
 
 _ENGINES = ("auto", "fast", "event")
@@ -94,18 +96,22 @@ def balanced_completion_times(
 
     ``jsq`` and ``po2`` route on live backlogs, so the FCFS recurrence alone
     is not enough: the kernel additionally tracks each server's in-system
-    count (queued plus in service) at every arrival instant.  Two lazy heaps
-    make that O(log n) per request:
+    count (queued plus in service) at every arrival instant.
 
-    * a global ``(completion, server)`` heap drains finished requests -- with
+    * A global ``(completion, server)`` heap drains finished requests -- with
       the *strict* ``< t`` comparison, because the event engine schedules all
       arrivals before any completion and its tie-break is insertion order, so
       an arrival at exactly a completion's timestamp still sees that request
-      in the system;
-    * for ``jsq``, a ``(count, server)`` heap with stale-entry invalidation
-      yields the minimum-backlog server with the lowest-id tie-break --
-      exactly :class:`~repro.service.balancer.JoinShortestQueue`'s
-      ``min(..., key=(backlog, i))``.
+      in the system.
+    * For ``jsq``, a count histogram keeps ``low == min(counts)`` at every
+      arrival: ``at[c]`` is how many servers hold count ``c`` (the list grows
+      by one slot when a count first reaches a new high).  A departure from
+      a server that held ``c`` lowers ``low`` to at most ``c - 1``; an
+      arrival at a ``low`` server raises ``low`` by one once ``at[low]`` hits
+      zero.  ``counts.index(low)`` then scans at C speed and stops at the
+      first minimum-count server -- exactly
+      :class:`~repro.service.balancer.JoinShortestQueue`'s lowest-id
+      tie-break, with no branch on the cluster width.
 
     ``po2`` replays :class:`~repro.service.balancer.PowerOfTwoChoices`'s draw
     sequence from ``routing_rng`` verbatim (first uniform over ``n``, second
@@ -125,8 +131,9 @@ def balanced_completion_times(
 
     unit_free = [[0.0] * parallelism for _ in range(num_servers)]
     counts = [0] * num_servers
+    at = [num_servers]
+    low = 0
     in_system: "list[tuple[float, int]]" = []
-    count_heap: "list[tuple[int, int]]" = [(0, s) for s in range(num_servers)]
     completions = [0.0] * len(arrivals)
     assignment = [0] * len(arrivals)
     for index in range(len(arrivals)):
@@ -136,21 +143,30 @@ def balanced_completion_times(
             count = counts[server] - 1
             counts[server] = count
             if jsq:
-                heappush(count_heap, (count, server))
+                at[count + 1] -= 1
+                at[count] += 1
+                if count < low:
+                    low = count
         if jsq:
-            while True:
-                count, server = count_heap[0]
-                if counts[server] == count:
-                    break
-                heappop(count_heap)
-        elif num_servers == 1:
-            server = 0
+            server = counts.index(low)
+            count = low + 1
+            counts[server] = count
+            at[low] -= 1
+            if count < len(at):
+                at[count] += 1
+            else:
+                at.append(1)
+            if not at[low]:
+                low = count
         else:
-            first = randrange(num_servers)
-            second = randrange(num_servers - 1)
-            if second >= first:
-                second += 1
-            server = second if counts[second] < counts[first] else first
+            server = 0
+            if num_servers > 1:
+                first = randrange(num_servers)
+                second = randrange(num_servers - 1)
+                if second >= first:
+                    second += 1
+                server = second if counts[second] < counts[first] else first
+            counts[server] += 1
         heap = unit_free[server]
         free = heap[0]
         start = arrival if arrival >= free else free
@@ -158,10 +174,6 @@ def balanced_completion_times(
         heapreplace(heap, completion)
         completions[index] = completion
         assignment[index] = server
-        count = counts[server] + 1
-        counts[server] = count
-        if jsq:
-            heappush(count_heap, (count, server))
         heappush(in_system, (completion, server))
     return completions, assignment
 
@@ -205,6 +217,10 @@ class ClusterConfig:
             raise ValueError("offered_qps must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if self.policy not in BALANCER_POLICIES:
+            raise ValueError(
+                f"policy must be one of {sorted(BALANCER_POLICIES)}, got {self.policy!r}"
+            )
 
     @property
     def capacity_qps(self) -> float:
@@ -249,18 +265,19 @@ class ClusterSimulation:
     Two engines produce the same per-request latencies:
 
     * the **event engine** drives :class:`RequestServer` stations on a shared
-      :class:`EventQueue` and supports every policy (it is required for the
-      state-aware ``jsq`` and ``po2`` balancers);
+      :class:`EventQueue`; it is the reference, and the fault injector
+      builds on it;
     * the **fast engine** replays routing without event objects or callbacks:
       state-free policies (``random``/``round_robin``) fix the routing up
       front and reduce each server to an isolated FCFS G/G/k recurrence
       (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
-      run the lazy-heap kernel (:func:`balanced_completion_times`) that
-      tracks in-system counts exactly as the event engine's backlogs evolve.
+      run :func:`balanced_completion_times`, which tracks in-system counts
+      exactly as the event engine's backlogs evolve (``jsq`` picks its
+      server from a count histogram and one ``list.index`` scan).
 
     ``engine="auto"`` (default) picks the fast engine for every policy in
-    :data:`FAST_POLICIES` (currently all of them); ``engine="event"`` is the
-    reference escape hatch.
+    :data:`FAST_POLICIES` (every policy a config accepts); ``engine="event"``
+    is the reference escape hatch.
 
     A non-empty ``faults`` schedule routes the run through the fault-injected
     event engine (:mod:`repro.faults.inject`); crashes and stragglers need
@@ -278,11 +295,6 @@ class ClusterSimulation:
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if engine == "fast" and config.policy not in FAST_POLICIES:
-            raise ValueError(
-                f"policy {config.policy!r} has no fast-engine replay; "
-                "use engine='auto' or 'event'"
-            )
         if faults is not None and faults.is_empty():
             faults = None
         if faults is not None and engine == "fast":

@@ -74,6 +74,8 @@ class TestGeo:
         with pytest.raises(ValueError):
             Datacenter("bad", Region("bad"), num_servers=2, parallelism=1,
                        service_mean_s=0.01, min_servers=3)
+        with pytest.raises(ValueError, match="policy must be one of"):
+            _datacenter(policy="bogus")
 
 
 # ------------------------------------------------------------- load shapes

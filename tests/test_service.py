@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import repro.service.cluster as cluster_module
 from repro.service import (
     ClusterConfig,
     ClusterSizer,
@@ -43,6 +45,48 @@ def small_cluster(
         policy=policy,
         **overrides,
     )
+
+
+class GridArrivals:
+    """Arrivals exactly every ``1 / rate_rps`` seconds (test-only process).
+
+    With a power-of-two rate and a deterministic service time that is a whole
+    number of gaps, every completion lands exactly on a later arrival's
+    timestamp, which exercises the fast engine's strict ``<`` drain.
+    """
+
+    def __init__(self, rate_rps):
+        self.rate_rps = rate_rps
+
+    def sample_times(self, rng, count):
+        return np.arange(1, count + 1) / self.rate_rps
+
+
+#: (policy, ``small_cluster`` overrides, requests, grid arrivals) per
+#: fast==event case.  The plain cases keep the bare policy as their id; the
+#: others reach widths, loads and ties the hypothesis suite never draws.
+FAST_EVENT_CASES = [
+    pytest.param(policy, {}, 2_500, False, id=policy)
+    for policy in ("random", "round_robin", "po2", "jsq")
+] + [
+    pytest.param(policy, shape, requests, grid, id=f"{policy}-{name}")
+    for policy in ("jsq", "po2")
+    for name, shape, requests, grid in (
+        ("128x8", dict(utilization=0.9, num_servers=128, parallelism=8), 20_000, False),
+        ("1x1", dict(num_servers=1, parallelism=1), 2_500, False),
+        ("4x1", dict(num_servers=4, parallelism=1), 2_500, False),
+        ("saturated-4x2", dict(utilization=1.5, num_servers=4, parallelism=2), 2_500, False),
+        (
+            "deterministic-ties",
+            dict(
+                utilization=0.75, num_servers=4, parallelism=1,
+                service_mean_s=3 / 512, service_distribution="deterministic",
+            ),
+            2_500,
+            True,
+        ),
+    )
+]
 
 
 class TestArrivals:
@@ -178,15 +222,21 @@ class TestClusterSimulation:
             )
             assert jsq.latency.mean_s <= rnd.latency.mean_s
 
-    @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
-    def test_fast_engine_matches_event_engine(self, policy):
-        """The heap-recurrence fast engine reproduces the event engine exactly
-        for every policy: same sorted latencies, counts, and duration."""
-        import numpy as np
-
-        config = small_cluster(0.85, policy=policy)
-        fast = simulate_cluster(config, num_requests=2_500, seed=11, engine="fast")
-        event = simulate_cluster(config, num_requests=2_500, seed=11, engine="event")
+    @pytest.mark.parametrize("policy, shape, num_requests, grid", FAST_EVENT_CASES)
+    def test_fast_engine_matches_event_engine(
+        self, policy, shape, num_requests, grid, monkeypatch
+    ):
+        """The fast engine reproduces the event engine exactly for every
+        policy and cluster width: same sorted latencies, counts, and duration.
+        The balanced kernel also leaves its inputs untouched and repeats."""
+        if grid:
+            monkeypatch.setattr(
+                cluster_module, "make_arrivals", lambda name, rate, **_: GridArrivals(rate)
+            )
+        overrides = dict(shape)
+        config = small_cluster(overrides.pop("utilization", 0.85), policy=policy, **overrides)
+        fast = simulate_cluster(config, num_requests=num_requests, seed=11, engine="fast")
+        event = simulate_cluster(config, num_requests=num_requests, seed=11, engine="event")
         assert np.array_equal(
             np.sort(np.array(fast.latency.samples)),
             np.sort(np.array(event.latency.samples)),
@@ -196,11 +246,28 @@ class TestClusterSimulation:
         assert fast.latency.p99_s == event.latency.p99_s
         assert fast.mean_utilization == pytest.approx(event.mean_utilization)
 
+        if policy in ("jsq", "po2"):
+            simulation = cluster_module.ClusterSimulation(config, seed=11)
+            arrivals, services = (
+                array.tolist()
+                for array in simulation._generate_request_arrays(num_requests)
+            )
+            inputs = (list(arrivals), list(services))
+            runs = [
+                cluster_module.balanced_completion_times(
+                    arrivals, services, policy, config.num_servers,
+                    config.parallelism, random.Random(13),
+                )
+                for _ in range(2)
+            ]
+            assert (arrivals, services) == inputs
+            assert runs[0] == runs[1]
+
     def test_auto_engine_selection(self):
         from repro.service.cluster import ClusterSimulation
 
         assert ClusterSimulation(small_cluster(0.5, policy="random")).resolved_engine() == "fast"
-        # Since the balanced lazy-heap kernel landed, jsq/po2 run fast too.
+        # jsq/po2 run fast too, on the balanced kernel.
         assert ClusterSimulation(small_cluster(0.5, policy="jsq")).resolved_engine() == "fast"
         assert ClusterSimulation(small_cluster(0.5, policy="po2")).resolved_engine() == "fast"
         assert (
@@ -223,11 +290,15 @@ class TestClusterSimulation:
             ("parallelism", -1, "parallelism must be >= 1"),
             ("service_mean_s", 0.0, "service_mean_s must be positive"),
             ("service_mean_s", -0.002, "service_mean_s must be positive"),
+            ("policy", "bogus", "policy must be one of"),
+            ("policy", "JSQ", "policy must be one of"),
         ],
     )
     def test_config_rejects_empty_servers_at_construction(self, field, value, message):
-        # Regression: these used to fail deep in the kernel (IndexError) or the
-        # service sampler instead of at the config boundary.
+        # Regression: these used to fail deep in the kernel (IndexError), the
+        # service sampler or the balancer factory instead of at the config
+        # boundary; "JSQ" used to slip past the fast-engine check onto the
+        # event engine.
         fields = dict(num_servers=4, parallelism=4, service_mean_s=0.002, offered_qps=100.0)
         fields[field] = value
         with pytest.raises(ValueError, match=message):
