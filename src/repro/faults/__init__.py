@@ -11,8 +11,8 @@ peers.  This package makes those events first-class, reproducible inputs:
   faulted run can be traced back to its exact fault load;
 * :mod:`repro.faults.generator` -- the seeded :class:`FaultLoadGenerator`
   turning a :class:`FaultLoadConfig` into a deterministic schedule;
-* :mod:`repro.faults.inject` -- the event-engine injection path for the
-  service cluster simulation (crash-aware servers, fault-masking routing);
+* :mod:`repro.faults.inject` -- dependability accounting over the service
+  cluster's event engine, which takes the schedule directly;
 * :mod:`repro.faults.noc` -- link-fault injection for the NoC simulation as
   a pure topology transform (both NoC engines stay bit-identical);
 * :mod:`repro.faults.metrics` -- :class:`DependabilityStats` (availability,

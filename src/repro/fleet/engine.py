@@ -12,21 +12,18 @@ epoch is a fluid-then-discrete step:
    datacenter's merged request stream with seeded vectorized draws;
 4. the service kernels simulate each datacenter-epoch chunk to completion.
 
-**Determinism contract.** Both engines consume identical generated arrays and
-compute completion times with identical float expressions, so results are
-bitwise equal: the fast path runs the :func:`~repro.service.cluster.
-fcfs_completion_times` / :func:`~repro.service.cluster.
-balanced_completion_times` kernels, the event path replays the same chunks
-through :class:`~repro.sim.engine.EventQueue`-driven servers.  Epochs are
-*stateless*: each chunk starts from an empty cluster and runs to completion,
-so overload shows up as intra-epoch queueing (utilization above 1.0) rather
-than cross-epoch backlog -- the approximation is documented in
-``docs/fleet.md``.
+**Determinism contract.** A chunk runs on the same two entries as a single
+cluster: the fast path is :func:`~repro.service.cluster.simulate_chunk` and
+the event path is :func:`~repro.service.queueing.run_events`.  Both consume
+identical generated arrays and compute completion times with identical
+float expressions, so results are bitwise equal.  Epochs are *stateless*:
+each chunk starts from an empty cluster and runs to completion, so overload
+shows up as intra-epoch queueing (utilization above 1.0) rather than
+cross-epoch backlog -- the approximation is documented in ``docs/fleet.md``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +44,8 @@ from repro.fleet.routing import (
     route_demand,
 )
 from repro.fleet.traffic import TrafficChunk, generate_chunk, routing_seed
-from repro.service.cluster import (
-    STATE_FREE_POLICIES,
-    balanced_completion_times,
-    fcfs_completion_times,
-)
-from repro.service.queueing import Request, RequestServer
-from repro.sim.engine import EventQueue
+from repro.service.cluster import simulate_chunk
+from repro.service.queueing import run_events
 
 _ENGINES = ("auto", "fast", "event")
 
@@ -157,9 +149,11 @@ class FleetConfig:
 class FleetSimulation:
     """One simulated fleet day, runnable on the fast or the event engine.
 
-    ``engine="auto"`` (default) always resolves to the fast kernels -- every
-    datacenter policy is fast-capable by construction; ``engine="event"`` is
-    the reference escape hatch the equivalence suite compares against.
+    ``engine="auto"`` (default) and ``engine="fast"`` run each
+    datacenter-epoch chunk through :func:`~repro.service.cluster.
+    simulate_chunk`, which covers every datacenter policy;
+    ``engine="event"`` runs it through :func:`~repro.service.queueing.
+    run_events`, the reference the equivalence suite compares against.
     ``collect_samples=True`` additionally keeps exact per-class latency
     sample tuples (small runs only; the day-scale path sticks to histograms).
     """
@@ -222,68 +216,22 @@ class FleetSimulation:
         return shares
 
     # ------------------------------------------------------------- kernels
-    def _fast_chunk(
-        self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
-    ) -> np.ndarray:
-        """Completion times of one chunk on the fast kernels."""
-        arrivals = chunk.arrivals.tolist()
-        services = chunk.services.tolist()
-        if datacenter.policy in STATE_FREE_POLICIES:
-            if datacenter.policy == "round_robin":
-                assignment = [i % servers for i in range(len(arrivals))]
-            else:
-                rng = random.Random(rseed)
-                assignment = [rng.randrange(servers) for _ in arrivals]
-            completions = fcfs_completion_times(
-                arrivals, services, assignment, servers, datacenter.parallelism
-            )
-        else:
-            completions, _ = balanced_completion_times(
-                arrivals,
-                services,
-                datacenter.policy,
-                servers,
-                datacenter.parallelism,
-                random.Random(rseed),
-            )
-        return np.array(completions, dtype=np.float64)
-
     def _event_chunk(
         self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
     ) -> np.ndarray:
-        """Completion-derived latencies of one chunk on the event engine.
+        """Per-request latencies of one chunk on the event engine.
 
-        Returns completion times reconstructed as ``arrival + latency`` would
-        be circular; instead the recorder captures the event engine's
-        ``now - arrival`` at each completion, and the caller treats the
-        returned array exactly like ``completions - arrivals`` -- the two are
-        bitwise equal because the event engine's ``now`` at a completion *is*
-        the fast recurrence's ``start + service`` float.
+        The recorder captures the event engine's ``now - arrival`` at each
+        completion, and the caller treats the returned array exactly like
+        the fast path's ``completions - arrivals`` -- the two are bitwise
+        equal because the event engine's ``now`` at a completion *is* the
+        fast recurrence's ``start + service`` float.
         """
-        from repro.service.balancer import make_balancer
-
-        engine = EventQueue()
         recorder = _ChunkRecorder(chunk.count)
-        stations = [
-            RequestServer(i, datacenter.parallelism, engine, recorder)
-            for i in range(servers)
-        ]
-        balancer = make_balancer(datacenter.policy)
-        routing_rng = random.Random(rseed)
-        requests = [
-            Request(index=index, arrival_s=arrival, service_s=service)
-            for index, (arrival, service) in enumerate(
-                zip(chunk.arrivals.tolist(), chunk.services.tolist())
-            )
-        ]
-        for request in requests:
-            engine.schedule_at(
-                request.arrival_s,
-                lambda request=request: stations[
-                    balancer.select(stations, routing_rng)
-                ].offer(request),
-            )
-        engine.run()
+        run_events(
+            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
+            servers, datacenter.parallelism, rseed, recorder,
+        )
         return np.array(recorder.latencies, dtype=np.float64)
 
     # ------------------------------------------------------------------ run
@@ -393,10 +341,12 @@ class FleetSimulation:
                 if chunk.count:
                     rseed = routing_seed(self.seed, epoch, index)
                     if engine == "fast":
-                        completions = self._fast_chunk(
-                            chunk, datacenter, servers[index], rseed
+                        completions, _ = simulate_chunk(
+                            chunk.arrivals.tolist(), chunk.services.tolist(),
+                            datacenter.policy, servers[index],
+                            datacenter.parallelism, rseed,
                         )
-                        latencies = completions - chunk.arrivals
+                        latencies = np.array(completions) - chunk.arrivals
                     else:
                         latencies = self._event_chunk(
                             chunk, datacenter, servers[index], rseed

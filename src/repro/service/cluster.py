@@ -1,10 +1,12 @@
 """Cluster-level service simulation: arrivals -> balancer -> servers.
 
-:class:`ClusterSimulation` wires an open-loop arrival process, a load-balancing
-policy, and ``num_servers`` identical :class:`~repro.service.queueing.RequestServer`
-stations onto one :class:`~repro.sim.engine.EventQueue` and runs a fixed number
-of requests to completion.  Three independent seeded random streams keep the
-simulation deterministic *and* comparable across configurations:
+:class:`ClusterSimulation` offers an open-loop arrival stream to
+``num_servers`` identical G/G/k stations behind one load-balancing policy and
+runs a fixed number of requests to completion, on the event path
+(:func:`~repro.service.queueing.run_events`) or the bitwise-equal fast path
+(:func:`simulate_chunk`); the fleet layer runs its chunks through the same
+two entries.  Three independent seeded random streams keep the simulation
+deterministic *and* comparable across configurations:
 
 * the **arrival** stream draws interarrival gaps -- with Poisson arrivals one
   uniform per request, so two runs with equal seeds and different rates see
@@ -28,27 +30,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.service.arrivals import make_arrivals
-from repro.service.balancer import BALANCER_POLICIES, make_balancer
+from repro.service.balancer import BALANCER_POLICIES
 from repro.service.latency import LatencyCollector, LatencyStats
-from repro.service.queueing import Request, RequestServer
+from repro.service.queueing import RequestServer, run_events
 from repro.service.servicetime import make_service_time
-from repro.sim.engine import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
     from repro.faults.events import FaultSchedule
     from repro.faults.metrics import DependabilityStats
-
-#: Policies whose routing decisions never read queue state; their simulations
-#: decompose into independent per-server FCFS recurrences and run on the
-#: vectorized fast engine.
-STATE_FREE_POLICIES = ("random", "round_robin")
-
-#: Every policy the fast engine reproduces bit-identically to the event
-#: engine: the state-free pair plus the queue-state-aware ``jsq``/``po2``,
-#: which :func:`balanced_completion_times` replays with an in-flight heap and
-#: (for ``jsq``) a count histogram.  It covers every policy
-#: :class:`ClusterConfig` accepts.
-FAST_POLICIES = ("random", "round_robin", "jsq", "po2")
 
 _ENGINES = ("auto", "fast", "event")
 
@@ -178,6 +167,42 @@ def balanced_completion_times(
     return completions, assignment
 
 
+def simulate_chunk(
+    arrivals: "list[float]",
+    services: "list[float]",
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    rseed: int,
+) -> "tuple[list[float], list[int]]":
+    """Completion times and routing of one request stream on the fast path.
+
+    The routing replays the event path's balancer draw for draw:
+    ``round_robin`` routes request ``i`` to server ``i % num_servers`` and
+    ``random`` draws one ``randrange`` per request from
+    ``random.Random(rseed)``; both then run :func:`fcfs_completion_times`.
+    ``jsq`` and ``po2`` read live backlogs and run
+    :func:`balanced_completion_times` on the same seeded stream.
+
+    Returns:
+        ``(completions, assignment)`` lists, bitwise equal to
+        :func:`~repro.service.queueing.run_events` on the same inputs.
+    """
+    if policy == "round_robin":
+        assignment = [index % num_servers for index in range(len(arrivals))]
+    elif policy == "random":
+        randrange = random.Random(rseed).randrange
+        assignment = [randrange(num_servers) for _ in arrivals]
+    else:
+        return balanced_completion_times(
+            arrivals, services, policy, num_servers, parallelism, random.Random(rseed)
+        )
+    completions = fcfs_completion_times(
+        arrivals, services, assignment, num_servers, parallelism
+    )
+    return completions, assignment
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Configuration of one service-cluster simulation.
@@ -264,26 +289,26 @@ class ClusterSimulation:
 
     Two engines produce the same per-request latencies:
 
-    * the **event engine** drives :class:`RequestServer` stations on a shared
-      :class:`EventQueue`; it is the reference, and the fault injector
-      builds on it;
-    * the **fast engine** replays routing without event objects or callbacks:
-      state-free policies (``random``/``round_robin``) fix the routing up
-      front and reduce each server to an isolated FCFS G/G/k recurrence
+    * the **event engine** (:func:`~repro.service.queueing.run_events`)
+      drives :class:`~repro.service.queueing.RequestServer` stations on an
+      :class:`~repro.sim.engine.EventQueue`; it is the reference, and the
+      only engine that takes a fault schedule;
+    * the **fast engine** (:func:`simulate_chunk`) replays routing without
+      event objects or callbacks: ``random``/``round_robin`` fix the routing
+      up front and reduce each server to an isolated FCFS G/G/k recurrence
       (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
       run :func:`balanced_completion_times`, which tracks in-system counts
-      exactly as the event engine's backlogs evolve (``jsq`` picks its
-      server from a count histogram and one ``list.index`` scan).
+      exactly as the event engine's backlogs evolve.
 
-    ``engine="auto"`` (default) picks the fast engine for every policy in
-    :data:`FAST_POLICIES` (every policy a config accepts); ``engine="event"``
-    is the reference escape hatch.
+    ``engine="auto"`` (default) and ``engine="fast"`` run the fast engine,
+    which covers every policy a config accepts; ``engine="event"`` is the
+    reference escape hatch.
 
-    A non-empty ``faults`` schedule routes the run through the fault-injected
-    event engine (:mod:`repro.faults.inject`); crashes and stragglers need
-    live queue state, so ``engine="fast"`` rejects faults.  An empty (or
-    ``None``) schedule takes exactly the un-faulted code path -- zero-fault
-    results are byte-identical to runs that never heard of faults.
+    A non-empty ``faults`` schedule runs on the event engine, with the
+    dependability accounting of :func:`repro.faults.inject.run_faulted`
+    (so ``engine="fast"`` rejects it, as does a schedule naming a server
+    the cluster lacks).  An empty (or ``None``) schedule is the un-faulted
+    run, byte-identical to one that never heard of faults.
     """
 
     def __init__(
@@ -301,6 +326,11 @@ class ClusterSimulation:
             raise ValueError(
                 "fault injection needs live queue state; use engine='auto' or 'event'"
             )
+        if faults is not None and any(
+            event.server >= config.num_servers
+            for event in (*faults.crashes, *faults.stragglers)
+        ):
+            raise ValueError(f"faults name a server outside 0..{config.num_servers - 1}")
         self.config = config
         self.seed = seed
         self.engine = engine
@@ -308,11 +338,9 @@ class ClusterSimulation:
 
     def resolved_engine(self) -> str:
         """The engine ("fast" or "event") this simulation will run on."""
-        if self.faults is not None:
+        if self.faults is not None or self.engine == "event":
             return "event"
-        if self.engine == "auto":
-            return "fast" if self.config.policy in FAST_POLICIES else "event"
-        return self.engine
+        return "fast"
 
     def _generate_request_arrays(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """(arrival times, service times) -- the shared deterministic streams.
@@ -334,16 +362,6 @@ class ClusterSimulation:
         arrivals = process.sample_times(arrival_rng, count)
         services = distribution.sample_batch(service_rng, count)
         return arrivals, services
-
-    def _generate_requests(self, count: int) -> "list[Request]":
-        """The request list for the event engine (object view of the arrays)."""
-        arrivals, services = self._generate_request_arrays(count)
-        return [
-            Request(index=index, arrival_s=arrival, service_s=service)
-            for index, (arrival, service) in enumerate(
-                zip(arrivals.tolist(), services.tolist())
-            )
-        ]
 
     def run(self, num_requests: int = 5_000) -> ClusterResult:
         """Simulate ``num_requests`` requests to completion."""
@@ -370,38 +388,20 @@ class ClusterSimulation:
                 return run_faulted(self, num_requests, self.faults)
             if engine == "fast":
                 return self._run_fast(num_requests)
-            return self._run_event(num_requests)
+            return self._run_event(num_requests)[0]
 
-    # ------------------------------------------------------------ event engine
-    def _run_event(self, num_requests: int) -> ClusterResult:
+    def _run_event(
+        self, num_requests: int, schedule: "FaultSchedule | None" = None
+    ) -> "tuple[ClusterResult, list[RequestServer], int]":
+        """The event engine: ``(result, stations, unrouted requests)``."""
         config = self.config
-        engine = EventQueue()
+        arrivals, services = self._generate_request_arrays(num_requests)
         warmup = int(num_requests * config.warmup_fraction)
         collector = LatencyCollector(warmup_requests=warmup)
-        servers = [
-            RequestServer(i, config.parallelism, engine, collector)
-            for i in range(config.num_servers)
-        ]
-        balancer = make_balancer(config.policy)
-        routing_rng = random.Random(self.seed + 2)
-
-        for request in self._generate_requests(num_requests):
-            engine.schedule_at(
-                request.arrival_s,
-                # Bind loop variable; selection happens at arrival time so
-                # state-aware policies see live backlogs.
-                lambda request=request: servers[
-                    balancer.select(servers, routing_rng)
-                ].offer(request),
-            )
-        engine.run()
-        from repro.obs.tracer import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter("service.events").add(engine.processed)
-
-        duration = engine.now
+        servers, duration, unrouted = run_events(
+            arrivals.tolist(), services.tolist(), config.policy, config.num_servers,
+            config.parallelism, self.seed + 2, collector, schedule,
+        )
         utilizations = [server.utilization(duration) for server in servers]
         return ClusterResult(
             config=config,
@@ -411,43 +411,16 @@ class ClusterSimulation:
             duration_s=duration,
             mean_utilization=sum(utilizations) / len(utilizations),
             per_server_counts=collector.per_server_counts(),
-        )
-
-    # ------------------------------------------------------------- fast engine
-    def _routing_sequence(self, count: int) -> "list[int]":
-        """Per-request server choices, identical to the event engine's stream.
-
-        The event engine draws routing decisions in arrival (index) order, so
-        replaying the same seeded stream up front yields the same assignment.
-        """
-        num_servers = self.config.num_servers
-        if self.config.policy == "round_robin":
-            return [index % num_servers for index in range(count)]
-        if self.config.policy == "random":
-            routing_rng = random.Random(self.seed + 2)
-            return [routing_rng.randrange(num_servers) for _ in range(count)]
-        raise ValueError(  # pragma: no cover - guarded by resolved_engine
-            f"no fast-engine routing replay for policy {self.config.policy!r}"
-        )
+        ), servers, unrouted
 
     def _run_fast(self, num_requests: int) -> ClusterResult:
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         parallelism = config.parallelism
-
-        arrival_list = arrivals.tolist()
-        service_list = services.tolist()
-        if config.policy in STATE_FREE_POLICIES:
-            assignment = self._routing_sequence(num_requests)
-            completions = fcfs_completion_times(
-                arrival_list, service_list, assignment,
-                config.num_servers, parallelism,
-            )
-        else:
-            completions, assignment = balanced_completion_times(
-                arrival_list, service_list, config.policy,
-                config.num_servers, parallelism, random.Random(self.seed + 2),
-            )
+        completions, assignment = simulate_chunk(
+            arrivals.tolist(), services.tolist(), config.policy,
+            config.num_servers, parallelism, self.seed + 2,
+        )
 
         completion_arr = np.array(completions, dtype=np.float64)
         latencies = completion_arr - arrivals

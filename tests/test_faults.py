@@ -113,14 +113,35 @@ class TestFaultedCluster:
         two = simulate_cluster(config, num_requests=3_000, seed=42, faults=schedule)
         assert one == two
 
-    def test_empty_schedule_byte_identical_to_unfaulted(self):
+    @pytest.mark.parametrize("engine", ["auto", "event"])
+    def test_empty_schedule_byte_identical_to_unfaulted(self, engine):
         config = faulty_cluster()
-        base = simulate_cluster(config, num_requests=2_000, seed=42)
+        base = simulate_cluster(config, num_requests=2_000, seed=42, engine=engine)
         faulted = simulate_cluster(
-            config, num_requests=2_000, seed=42, faults=EMPTY_SCHEDULE
+            config, num_requests=2_000, seed=42, engine=engine, faults=EMPTY_SCHEDULE
         )
         assert faulted == base
         assert faulted.dependability is None
+
+    @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
+    def test_inert_schedule_does_not_perturb_the_run(self, policy):
+        """A non-empty schedule whose every window is a 1.0x straggler takes
+        the fault machinery yet computes exactly the un-faulted event run."""
+        config = faulty_cluster(policy=policy)
+        horizon_s = 10 * 2_000 / config.offered_qps
+        inert = FaultSchedule(
+            stragglers=tuple(
+                Straggler(server=s, at_s=0.0, until_s=horizon_s, slowdown=1.0)
+                for s in range(config.num_servers)
+            )
+        )
+        base = simulate_cluster(config, num_requests=2_000, seed=42, engine="event")
+        faulted = simulate_cluster(config, num_requests=2_000, seed=42, faults=inert)
+        assert faulted.dependability is not None
+        assert faulted.latency.samples == base.latency.samples
+        assert faulted.per_server_counts == base.per_server_counts
+        assert faulted.duration_s == base.duration_s
+        assert faulted.mean_utilization == base.mean_utilization
 
     def test_crashes_cut_availability_and_goodput(self):
         config = faulty_cluster()
@@ -154,6 +175,21 @@ class TestFaultedCluster:
         schedule = crash_schedule(config)
         with pytest.raises(ValueError, match="live queue state"):
             ClusterSimulation(config, engine="fast", faults=schedule)
+
+    def test_schedule_naming_a_missing_server_rejected(self):
+        # Regression: crashes on servers >= num_servers used to be skipped and
+        # such stragglers dropped, so a 16-server schedule silently ran on 8
+        # servers with part of its fault load missing.
+        config = faulty_cluster(num_servers=8)
+        wide = crash_schedule(faulty_cluster(num_servers=16), intensity=2.0)
+        assert any(crash.server >= 8 for crash in wide.crashes)
+        with pytest.raises(ValueError, match=r"faults .* 0\.\.7"):
+            ClusterSimulation(config, faults=wide)
+        straggler = FaultSchedule(
+            stragglers=(Straggler(server=8, at_s=0.0, until_s=1.0, slowdown=2.0),)
+        )
+        with pytest.raises(ValueError, match=r"faults .* 0\.\.7"):
+            ClusterSimulation(config, faults=straggler)
 
     def test_faults_force_event_engine(self):
         config = faulty_cluster(policy="random")

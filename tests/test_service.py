@@ -1,5 +1,6 @@
 """Tests for the datacenter service simulation subsystem."""
 
+import copy
 import math
 import random
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import repro.service.cluster as cluster_module
+from repro.faults import FaultLoadConfig, FaultLoadGenerator
 from repro.service import (
     ClusterConfig,
     ClusterSizer,
+    LatencyCollector,
     LatencyStats,
     MmkQueue,
     MmppArrivals,
@@ -24,6 +27,7 @@ from repro.service import (
     saturation_qps,
     simulate_cluster,
 )
+from repro.service.queueing import run_events
 from repro.tco.datacenter import DatacenterDesign
 from repro.workloads.cloudsuite import WEB_SEARCH
 from repro.workloads.suite import WorkloadSuite
@@ -227,8 +231,7 @@ class TestClusterSimulation:
         self, policy, shape, num_requests, grid, monkeypatch
     ):
         """The fast engine reproduces the event engine exactly for every
-        policy and cluster width: same sorted latencies, counts, and duration.
-        The balanced kernel also leaves its inputs untouched and repeats."""
+        policy and cluster width: same sorted latencies, counts, and duration."""
         if grid:
             monkeypatch.setattr(
                 cluster_module, "make_arrivals", lambda name, rate, **_: GridArrivals(rate)
@@ -246,22 +249,49 @@ class TestClusterSimulation:
         assert fast.latency.p99_s == event.latency.p99_s
         assert fast.mean_utilization == pytest.approx(event.mean_utilization)
 
-        if policy in ("jsq", "po2"):
-            simulation = cluster_module.ClusterSimulation(config, seed=11)
-            arrivals, services = (
-                array.tolist()
-                for array in simulation._generate_request_arrays(num_requests)
+    @pytest.mark.parametrize("faulted", [False, True], ids=["unfaulted", "crashes"])
+    @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
+    def test_runners_leave_inputs_unmodified_and_repeat(self, policy, faulted):
+        """``simulate_chunk`` and ``run_events`` never mutate their arrival and
+        service lists or the fault schedule, and two fresh runs compare equal."""
+        config = small_cluster(0.85, policy=policy)
+        arrivals, services = (
+            array.tolist()
+            for array in cluster_module.ClusterSimulation(
+                config, seed=11
+            )._generate_request_arrays(2_000)
+        )
+        schedule = None
+        if faulted:
+            load = FaultLoadConfig(crash_intensity=2.0, straggler_intensity=1.0)
+            schedule = FaultLoadGenerator(load, seed=7).schedule(
+                config.num_servers, 2_000 / config.offered_qps
             )
-            inputs = (list(arrivals), list(services))
-            runs = [
-                cluster_module.balanced_completion_times(
-                    arrivals, services, policy, config.num_servers,
-                    config.parallelism, random.Random(13),
-                )
-                for _ in range(2)
+            assert schedule.crashes and schedule.stragglers
+        snapshot = (list(arrivals), list(services), copy.deepcopy(schedule))
+        shape = (policy, config.num_servers, config.parallelism, 13)
+
+        def fresh_runs():
+            collector = LatencyCollector()
+            servers, duration, unrouted = run_events(
+                arrivals, services, *shape, collector, schedule
+            )
+            stations = [
+                (s.completed, s.lost, s.busy_time_s, s.recovery_times_s)
+                for s in servers
             ]
-            assert (arrivals, services) == inputs
-            assert runs[0] == runs[1]
+            return (
+                cluster_module.simulate_chunk(arrivals, services, *shape),
+                collector.stats().samples,
+                collector.per_server_counts(),
+                stations,
+                duration,
+                unrouted,
+            )
+
+        first, second = fresh_runs(), fresh_runs()
+        assert (arrivals, services, schedule) == snapshot
+        assert first == second
 
     def test_auto_engine_selection(self):
         from repro.service.cluster import ClusterSimulation
