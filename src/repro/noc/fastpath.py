@@ -16,23 +16,37 @@ the *representation*:
   (injection time, source, destination, message class, flits, packet id)
   instead of a list of ``Packet`` objects, with a lazy adapter back to objects
   for callers that want them.
-* :func:`process_batch` replays the batch in injection-time order through a
-  tight loop over preallocated link-state arrays and returns per-packet arrival
-  times plus per-link occupancy counters.
+* :func:`process_batch` delivers the batch with a **link-ordered wavefront**
+  when the channel dependency graph (CDG) of the compiled routes is acyclic --
+  as it is for XY mesh routing, the flattened butterfly's row/column routing
+  and NOC-Out's trees.  Every (packet, hop) becomes one entry; the entries are
+  grouped by link, links ordered by CDG level, and each level's links solve
+  their whole contention history in numpy once the levels upstream are done.
+  A cyclic CDG (a faulted mesh's weighted shortest paths) falls back to the
+  per-packet hop loop.  Both return per-packet arrival times and update the
+  per-link occupancy counters.
 
-Bit-exactness contract: the kernel performs *the same floating-point
-operations in the same order* as ``NocNetwork.send`` -- per-hop pipeline add,
-``max`` against the link's next-free time, link-latency add, then destination
-pipeline and serialization adds as two separate additions.  Statistics that sum
-floats use ``np.cumsum(...)[-1]``, whose strictly sequential accumulation
-matches a left-to-right Python ``sum`` bit for bit (``np.sum`` does not: it
-sums pairwise).  The equivalence suite in ``tests/test_noc_fastpath.py`` holds
-both paths to exact equality.
+Bit-exactness contract: the kernels perform *the same floating-point
+operations* as ``NocNetwork.send`` -- per-hop pipeline add, ``max`` against
+the link's next-free time, link-latency add, then destination pipeline and
+serialization adds as two separate additions.  The hop loop does them in the
+same order.  The wavefront serves each link's packets in delivery order, as
+the loop does, under ``s_k = max(a_k, s_{k-1} + flits_{k-1})``: a busy
+period's head starts at its arrival and every later member at the previous
+start plus its flits, filled with sequential float adds.  The heads are
+guessed, then recomputed from the exact starts until the set no longer
+changes; a self-consistent head set makes every ``max`` decide as the loop's
+does, so the starts equal the loop's bit for bit.  Statistics that sum floats
+use ``np.cumsum(...)[-1]``, whose strictly sequential accumulation matches a
+left-to-right Python ``sum`` bit for bit (``np.sum`` does not: it sums
+pairwise).  The equivalence suite in ``tests/test_noc_fastpath.py`` holds
+both kernels to exact equality with the reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -157,6 +171,12 @@ class CompiledTopology:
     lazily per (source, destination) pair -- only the pairs a traffic pattern
     actually uses pay the routing cost, and the underlying topology's own route
     cache keeps recompilation across networks cheap.
+
+    :meth:`compile_pairs` keeps the routes in dense tables for the wavefront:
+    ``route_offset`` / ``route_length`` / ``route_tail`` per
+    ``source * num_nodes + destination`` pair, and ``hop_pipeline`` /
+    ``hop_link`` / ``hop_latency`` per flat hop.  It also keeps the CDG of
+    those routes: each link's ``link_level`` and the ``acyclic`` flag.
     """
 
     def __init__(self, topology: NocTopology):
@@ -165,7 +185,43 @@ class CompiledTopology:
             (a, b): i for i, (a, b) in enumerate(topology.graph.edges)
         }
         self.num_links = len(self.edge_index)
+        self.num_nodes = topology.graph.number_of_nodes()
         self._routes: "dict[tuple[int, int], CompiledRoute]" = {}
+        # Dense route tables, indexed by ``source * num_nodes + destination``
+        # (a length of -1 marks a pair not compiled yet) and by flat hop
+        # position ``route_offset + hop``.
+        pairs = self.num_nodes * self.num_nodes
+        graph = topology.graph
+        self._link_of = np.full(pairs, -1, dtype=np.int32)
+        self._link_of[[a * self.num_nodes + b for a, b in self.edge_index]] = np.arange(
+            self.num_links
+        )
+        self._link_latency = np.array(
+            [attrs.latency_cycles for _, _, attrs in graph.edges(data="attrs")], dtype=np.int16
+        )
+        pipelines = topology.router_pipeline_cycles
+        self._node_pipeline = np.array(
+            [pipelines.get(node, 1) for node in range(self.num_nodes)], dtype=np.int16
+        )
+        self.route_offset = np.zeros(pairs, dtype=np.int32)
+        self.route_length = np.full(pairs, -1, dtype=np.int16)
+        self.route_tail = np.zeros(pairs, dtype=np.int16)
+        self.hop_pipeline = np.empty(0, dtype=np.int16)
+        self.hop_link = np.empty(0, dtype=np.int32)
+        self.hop_latency = np.empty(0, dtype=np.int16)
+        # Channel dependency graph (CDG) of the compiled routes: an edge
+        # ``(l1, l2)`` means some route leaves link l1 onto link l2.
+        self._dependencies: "set[int]" = set()
+        self.acyclic = True
+        self.link_level = np.zeros(self.num_links, dtype=np.int16)
+        self.num_levels = 1
+        key_type = np.int16 if self.num_links <= np.iinfo(np.int16).max else np.int32
+        #: each link's rank in (level, link) order -- a narrow sort key -- and
+        #: its inverse, the link holding each rank.
+        self.link_key = np.arange(self.num_links, dtype=key_type)
+        self.links_by_key = np.arange(self.num_links, dtype=np.int32)
+        #: the first rank of each level, then ``num_links``.
+        self.level_start_key = np.array([0, self.num_links], dtype=np.int32)
 
     def route_for(self, source: int, destination: int) -> CompiledRoute:
         """The compiled route for one pair (compiled on first use)."""
@@ -186,6 +242,80 @@ class CompiledTopology:
             route = CompiledRoute(hops=hops, tail_pipeline=pipelines.get(path[-1], 1))
             self._routes[key] = route
         return route
+
+    def compile_pairs(self, pair_keys: np.ndarray) -> None:
+        """Add the routes of ``pair_keys`` (``source * num_nodes + destination``)
+        to the dense tables, skipping pairs already there.
+
+        The CDG levels are recomputed only when a new route adds a link-to-link
+        dependency the tables did not have.
+        """
+        wanted = np.zeros(len(self.route_length), dtype=bool)
+        wanted[pair_keys] = True
+        missing = np.flatnonzero(wanted & (self.route_length < 0))
+        if not len(missing):
+            return
+        num_nodes = self.num_nodes
+        paths = [self.topology.route(*divmod(pair, num_nodes)) for pair in missing.tolist()]
+        sizes = np.fromiter(map(len, paths), dtype=np.int32, count=len(paths))
+        nodes = np.fromiter(chain.from_iterable(paths), dtype=np.int32, count=int(sizes.sum()))
+        ends = np.cumsum(sizes)
+        # Every node but a path's last one starts a hop.
+        departs = np.ones(len(nodes), dtype=bool)
+        departs[ends - 1] = False
+        departs = np.flatnonzero(departs)
+        links = self._link_of[nodes[departs] * num_nodes + nodes[departs + 1]]
+        if len(links) and links.min() < 0:
+            bad = departs[np.argmax(links < 0)]
+            raise KeyError((int(nodes[bad]), int(nodes[bad + 1])))
+        lengths = sizes - 1
+        self.route_offset[missing] = len(self.hop_link) + ends - sizes - np.arange(len(paths))
+        self.route_length[missing] = lengths
+        self.route_tail[missing] = self._node_pipeline[nodes[ends - 1]]
+        pipelines = self._node_pipeline[nodes[departs]]
+        self.hop_pipeline = np.concatenate((self.hop_pipeline, pipelines))
+        self.hop_link = np.concatenate((self.hop_link, links))
+        self.hop_latency = np.concatenate((self.hop_latency, self._link_latency[links]))
+        # Consecutive hops of one route form a CDG edge, keyed l1 * links + l2:
+        # hop i and i + 1 belong to one route when their path nodes are adjacent.
+        within = departs[1:] == departs[:-1] + 1
+        edges = links[:-1].astype(np.int64) * self.num_links + links[1:]
+        known = len(self._dependencies)
+        self._dependencies.update(edges[within].tolist())
+        if self.acyclic and len(self._dependencies) > known:
+            self._relevel()
+
+    def _relevel(self) -> None:
+        """Recompute each link's CDG level and the ``acyclic`` flag.
+
+        Kahn's algorithm, one generation at a time: a link's level is the
+        length of the longest dependency chain ending at it, so every CDG edge
+        points to a higher level.  The CDG is acyclic exactly when every link
+        gets a level.
+        """
+        edges = np.fromiter(self._dependencies, dtype=np.int64, count=len(self._dependencies))
+        source, target = np.divmod(edges, self.num_links)
+        waiting = np.bincount(target, minlength=self.num_links)
+        level = np.zeros(self.num_links, dtype=np.int16)
+        frontier = np.flatnonzero(waiting == 0)
+        depth = placed = 0
+        while len(frontier):
+            level[frontier] = depth
+            placed += len(frontier)
+            depth += 1
+            leaving = np.zeros(self.num_links, dtype=bool)
+            leaving[frontier] = True
+            released = np.bincount(target[leaving[source]], minlength=self.num_links)
+            waiting -= released
+            frontier = np.flatnonzero((released > 0) & (waiting == 0))
+        self.acyclic = placed == self.num_links
+        self.link_level = level
+        self.num_levels = max(depth, 1)
+        self.links_by_key = np.argsort(level, kind="stable").astype(np.int32)
+        self.link_key[self.links_by_key] = np.arange(self.num_links, dtype=self.link_key.dtype)
+        self.level_start_key = np.searchsorted(
+            level[self.links_by_key], np.arange(self.num_levels + 1)
+        ).astype(np.int32)
 
 
 def compile_topology(topology: NocTopology) -> CompiledTopology:
@@ -237,8 +367,18 @@ def process_batch(
     occupancy state (one slot per link, ``compiled.edge_index`` order); they
     are updated in place so repeated batches see earlier traffic, exactly like
     repeated ``send`` calls on the reference path.
+
+    Raises:
+        ValueError: a source or destination is not a node id of the topology.
     """
     n = len(batch)
+    num_nodes = compiled.num_nodes
+    for name in ("source", "destination"):
+        column = getattr(batch, name)
+        if n and (column.min() < 0 or column.max() >= num_nodes):
+            raise ValueError(
+                f"PacketBatch column {name!r} holds node ids outside 0..{num_nodes - 1}"
+            )
     resolved = np.where(
         batch.flits > 0, batch.flits, flit_table(config)[batch.class_code]
     )
@@ -246,12 +386,37 @@ def process_batch(
     # are significance-last, and both sorts are stable) -- identical to the
     # reference path's sorted(key=(injection_time, packet_id)).
     order = np.lexsort((batch.packet_id, batch.injection_time))
-
-    # Compile each unique (source, destination) pair once, then address routes
-    # by a small per-batch integer code so the packet loop never touches a
-    # dict or builds a tuple key.
-    num_nodes = max(compiled.topology.graph.number_of_nodes(), 1)
     pair_key = batch.source * num_nodes + batch.destination
+    compiled.compile_pairs(pair_key)
+    if compiled.acyclic:
+        arrivals = _wavefront(compiled, batch, resolved, order, pair_key, next_free, flits_carried)
+    else:
+        arrivals = _hop_loop(compiled, batch, resolved, order, pair_key, next_free, flits_carried)
+    return BatchResult(
+        arrival_time=arrivals,
+        latency=arrivals - batch.injection_time,
+        hops=compiled.route_length[pair_key].astype(np.int64),
+        flits=resolved,
+        class_code=batch.class_code,
+        order=order,
+    )
+
+
+def _hop_loop(
+    compiled: CompiledTopology,
+    batch: PacketBatch,
+    resolved: np.ndarray,
+    order: np.ndarray,
+    pair_key: np.ndarray,
+    next_free: "list[float]",
+    flits_carried: "list[int]",
+) -> np.ndarray:
+    """Arrival times by replaying every hop of every packet in delivery order
+    (the kernel for topologies whose compiled-route CDG is cyclic)."""
+    n = len(batch)
+    num_nodes = compiled.num_nodes
+    # Address routes by a small per-batch integer code so the packet loop
+    # never touches a dict or builds a tuple key.
     unique_pairs, pair_code = np.unique(pair_key, return_inverse=True)
     routes = [
         compiled.route_for(int(pair) // num_nodes, int(pair) % num_nodes)
@@ -281,16 +446,187 @@ def process_batch(
         time += tail_by_code[code]
         time += flits - 1
         arrivals[index] = time
+    return np.array(arrivals, dtype=np.float64)
 
-    arrival_time = np.array(arrivals, dtype=np.float64)
-    return BatchResult(
-        arrival_time=arrival_time,
-        latency=arrival_time - batch.injection_time,
-        hops=np.array([route.num_hops for route in routes], dtype=np.int64)[pair_code],
-        flits=resolved,
-        class_code=batch.class_code,
-        order=order,
-    )
+
+def _wavefront(
+    compiled: CompiledTopology,
+    batch: PacketBatch,
+    resolved: np.ndarray,
+    order: np.ndarray,
+    pair_key: np.ndarray,
+    next_free: "list[float]",
+    flits_carried: "list[int]",
+) -> np.ndarray:
+    """Arrival times by solving each link's contention history at once, link
+    level by link level (the kernel for acyclic CDGs).
+
+    One entry per (packet, hop) is laid out packet-major in delivery order,
+    then stably grouped by (level, link), so each link's entries stay in
+    delivery order -- the order the hop loop would have served them in.  A
+    level's arrivals depend only on starts at lower levels, which are final.
+    """
+    pair_o = pair_key[order]
+    injection_o = batch.injection_time[order]
+    length_o = compiled.route_length[pair_o].astype(np.int32)
+    first_o = np.cumsum(length_o, dtype=np.int32) - length_o
+    total = int(length_o.sum())
+    # Flat hop position of every entry: its route's offset plus the hop.
+    hop = np.repeat(compiled.route_offset[pair_o] - first_o, length_o)
+    hop += np.arange(total, dtype=np.int32)
+    key = compiled.link_key[compiled.hop_link[hop]]
+    per_key = np.bincount(key, minlength=compiled.num_links)
+    perm = np.argsort(key, kind="stable").astype(np.int32)
+    del key
+    hop = hop[perm]
+    pipeline = compiled.hop_pipeline[hop]
+    routed = length_o > 0
+    hop_zero = int(routed.sum())
+    # Hop 0 reads its upstream "start" from a slot past the entries holding
+    # the injection time, with latency 0: (injection + 0) + pipeline is
+    # exactly injection + pipeline.
+    latency = np.zeros(total + hop_zero, dtype=np.int16)
+    latency[:total] = compiled.hop_latency[hop]
+    del hop
+    narrow = np.int16 if resolved.max(initial=0) <= np.iinfo(np.int16).max else np.int32
+    flits = np.repeat(resolved[order].astype(narrow), length_o)[perm]
+    # position[e]: where packet-major entry e landed in the grouped layout.
+    position = np.empty(total, dtype=np.int32)
+    position[perm] = np.arange(total, dtype=np.int32)
+    upstream = position[perm - 1]
+    del perm
+    upstream[position[first_o[routed]]] = np.arange(total, total + hop_zero, dtype=np.int32)
+    last_hop = position[(first_o + length_o - 1)[routed]]
+    del position, first_o
+    start = np.empty(total + hop_zero, dtype=np.float64)
+    start[total:] = injection_o[routed]
+
+    # One segment per link that carries traffic, in grouped order.
+    key_end = np.cumsum(per_key)
+    used = per_key > 0
+    segment_link = compiled.links_by_key[used]
+    segment_size = per_key[used]
+    segment_first = (key_end - per_key)[used]
+    level_bounds = np.concatenate(([0], key_end))[compiled.level_start_key].tolist()
+    segment_bounds = np.searchsorted(segment_first, level_bounds).tolist()
+    # Flits queued ahead of each entry on its link (this batch only).
+    queued = np.cumsum(flits, dtype=np.int64) - flits
+    queued -= np.repeat(queued[segment_first], segment_size)
+    free = np.array(next_free, dtype=np.float64)
+    for level in range(compiled.num_levels):
+        lo, hi = level_bounds[level], level_bounds[level + 1]
+        if lo == hi:
+            continue
+        up = upstream[lo:hi]
+        arrive = (start[up] + latency[up]) + pipeline[lo:hi]
+        first, last = segment_bounds[level], segment_bounds[level + 1]
+        start[lo:hi] = _serve(
+            arrive,
+            flits[lo:hi],
+            queued[lo:hi],
+            segment_first[first:last] - lo,
+            segment_size[first:last],
+            free[segment_link[first:last]],
+        )
+
+    if total:
+        ends = segment_first + segment_size - 1
+        free[segment_link] = start[ends] + flits[ends]
+        next_free[:] = free.tolist()
+        carried = np.add.reduceat(flits, segment_first, dtype=np.int64)
+        for link, count in zip(segment_link.tolist(), carried.tolist()):
+            flits_carried[link] += count
+
+    # Arrival: (last start + latency) + tail pipeline, then the serialization
+    # add -- the same separate additions as the hop loop.  A zero-hop packet
+    # starts from its injection time.
+    arrivals_o = injection_o
+    arrivals_o[routed] = start[last_hop] + latency[last_hop]
+    arrivals_o += compiled.route_tail[pair_o]
+    arrivals_o += resolved[order] - 1
+    arrivals = np.empty(len(batch), dtype=np.float64)
+    arrivals[order] = arrivals_o
+    return arrivals
+
+
+def _serve(
+    arrive: np.ndarray,
+    flits: np.ndarray,
+    queued: np.ndarray,
+    firsts: np.ndarray,
+    sizes: np.ndarray,
+    free: np.ndarray,
+) -> np.ndarray:
+    """Start times of one level's entries under ``s_k = max(a_k, s_{k-1} +
+    flits_{k-1})`` on each link.
+
+    The level holds one segment per link (first index ``firsts``, length
+    ``sizes``), seeded with the link's ``free`` time.  A busy period's head
+    starts at its arrival; every later entry of the period starts where the
+    previous one's flits end.  The heads are guessed from a segmented running
+    max, the periods filled with sequential float adds, and the heads
+    recomputed from those exact starts until they agree.  A self-consistent
+    head set reproduces the per-hop loop bit for bit, and each round fixes at
+    least the first wrong head, so the loop terminates.
+    """
+    count = len(arrive)
+    base = arrive.copy()
+    # The loop's ``time if time >= free else free``, NaN and signed zero alike.
+    base[firsts] = np.where(arrive[firsts] >= free, arrive[firsts], free)
+    # Guess: entry k heads a period iff base_k - queued_k >= max_{j<k}(base_j
+    # - queued_j) on its link.  Segments are lifted apart by a multiple of the
+    # slack's range so one running max serves them all.
+    slack = base - queued
+    spread = float(slack.max() - slack.min()) + 1.0
+    slack += np.repeat(np.arange(len(firsts)) * spread, sizes)
+    running = np.maximum.accumulate(slack)
+    # head[count] is a sentinel closing the last period.
+    head = np.ones(count + 1, dtype=bool)
+    head[1:count] = slack[1:] >= running[:-1]
+    head[firsts] = True
+    del slack, running
+    start = np.empty(count, dtype=np.float64)
+    while True:
+        heads = np.flatnonzero(head)
+        lengths = np.diff(heads)
+        heads = heads[:-1]
+        start[heads] = base[heads]
+        _fill_periods(start, flits, heads[lengths > 1], lengths[lengths > 1])
+        consistent = np.ones(count + 1, dtype=bool)
+        consistent[1:count] = arrive[1:] >= start[:-1] + flits[:-1]
+        consistent[firsts] = True
+        if np.array_equal(consistent, head):
+            return start
+        head = consistent
+
+
+def _fill_periods(
+    start: np.ndarray, flits: np.ndarray, heads: np.ndarray, lengths: np.ndarray
+) -> None:
+    """Fill busy periods after their heads: ``start[h + j] = start[h + j - 1]
+    + flits[h + j - 1]``, as sequential float adds.
+
+    Periods are bucketed by length rounded up to a power of two, so each
+    bucket is one padded matrix whose rows ``np.cumsum`` scans left to right
+    -- the same adds in the same order as the hop loop, in a number of vector
+    steps logarithmic in the longest period.
+    """
+    if not len(heads):
+        return
+    bucket = np.ceil(np.log2(lengths)).astype(np.int8)
+    for width_log in np.flatnonzero(np.bincount(bucket)).tolist():
+        chosen = bucket == width_log
+        rows = heads[chosen]
+        width = 1 << width_log
+        # Clipped positions past a short period read (and later drop) values
+        # of the periods after it.
+        index = np.minimum(rows[:, None] + np.arange(width), len(start) - 1)
+        scan = np.empty((len(rows), width), dtype=np.float64)
+        scan[:, 0] = start[rows]
+        scan[:, 1:] = flits[index[:, :-1]]
+        np.cumsum(scan, axis=1, out=scan)
+        inside = np.arange(width) < lengths[chosen][:, None]
+        start[index[inside]] = scan[inside]
 
 
 def sequential_sum(values: np.ndarray, initial: float = 0.0) -> float:

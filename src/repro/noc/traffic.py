@@ -169,9 +169,11 @@ def generate_bilateral_batch(
         snoops = rng.random(count) < snoop_fraction
         num_snoops = int(snoops.sum())
         # Victims draw one at a time, in arrival order, matching the
-        # historical per-packet stream consumption.
+        # historical per-packet stream consumption.  ``rng.integers(n)`` is
+        # the draw ``rng.choice(cores)`` makes, without converting the list
+        # to an array on every call.
         victims = np.array(
-            [int(rng.choice(cores)) for _ in range(num_snoops)], dtype=np.int64
+            [cores[rng.integers(len(cores))] for _ in range(num_snoops)], dtype=np.int64
         )
         if count == 0:
             continue

@@ -21,7 +21,7 @@ ENFORCED = [
     REPO / "src" / "repro" / "service" / "cluster.py",
     REPO / "src" / "repro" / "service" / "balancer.py",
     REPO / "src" / "repro" / "service" / "queueing.py",
-    REPO / "src" / "repro" / "noc" / "fastpath.py",
+    REPO / "src" / "repro" / "noc",
     REPO / "src" / "repro" / "sim",
 ]
 

@@ -4,13 +4,22 @@ topologies and across link widths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.noc.fastpath import PacketBatch, sequential_sum
+from repro.faults.events import LinkFault
+from repro.faults.noc import apply_link_faults
+from repro.noc import fastpath
+from repro.noc.fastpath import CLASS_CODES, PacketBatch, compile_topology, sequential_sum
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.packet import MessageClass, Packet
 from repro.noc.simulation import PodNocStudy
-from repro.noc.topology import build_flattened_butterfly, build_mesh, build_nocout
-from repro.noc.traffic import BilateralTrafficGenerator
+from repro.noc.topology import (
+    TOPOLOGY_BUILDERS,
+    build_flattened_butterfly,
+    build_mesh,
+    build_nocout,
+)
+from repro.noc.traffic import BilateralTrafficGenerator, generate_bilateral_batch
 from repro.workloads import WorkloadSuite, get_workload
 
 TOPOLOGY_BUILDERS = {
@@ -188,3 +197,203 @@ class TestMixedUsage:
         network.run_batch(PacketBatch.from_packets([first]))
         network.send(second)
         assert second.latency > mesh.zero_load_latency(0, 3, flits=second.flits)
+
+
+COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
+DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _faulted_mesh():
+    """A 4x4 mesh with one link down: weighted shortest-path routes whose
+    channel dependency graph is cyclic once every pair is compiled."""
+    faulted = apply_link_faults(build_mesh(16), (LinkFault(link=(5, 6), severity="down"),))
+    nodes = faulted.graph.number_of_nodes()
+    compile_topology(faulted).compile_pairs(np.arange(nodes * nodes))
+    return faulted
+
+
+#: One shared instance each, so compiled routes grow across examples the way
+#: they do across sweep points.
+EQUIVALENCE_TOPOLOGIES = {
+    "mesh": build_mesh(16),
+    "fbfly": build_flattened_butterfly(16),
+    "nocout": build_nocout(64),
+    "mesh+faults": _faulted_mesh(),
+}
+
+
+@st.composite
+def packet_batches(draw, num_nodes, first_id=0):
+    """Small batches dense enough to contend: tied injection times, zero-hop
+    packets, explicit and config-sized flits, shuffled packet ids."""
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    time = st.sampled_from([0.0, 1.0, 2.5, 7.25]) | st.floats(min_value=0.0, max_value=40.0)
+    packet = st.tuples(
+        node,
+        node,
+        st.sampled_from([False, False, False, True]),  # zero-hop (source == destination)
+        time,
+        st.integers(min_value=0, max_value=2),
+        # 0: sized by the network config; 40,000 does not fit in int16.
+        st.sampled_from([0, 0, 0, 1, 3, 9, 9, 40_000]),
+    )
+    rows = draw(st.lists(packet, max_size=60))
+    ids = draw(st.permutations(range(first_id, first_id + len(rows))))
+    return PacketBatch(
+        injection_time=np.array([row[3] for row in rows], dtype=np.float64),
+        source=np.array([row[0] for row in rows], dtype=np.int64),
+        destination=np.array([row[0] if row[2] else row[1] for row in rows], dtype=np.int64),
+        class_code=np.array([row[4] for row in rows], dtype=np.int64),
+        flits=np.array([row[5] for row in rows], dtype=np.int64),
+        packet_id=np.array(ids, dtype=np.int64),
+    )
+
+
+def _copy(batch):
+    return PacketBatch(*(getattr(batch, column).copy() for column in COLUMNS))
+
+
+class TestWavefrontEquivalence:
+    """``run_batch`` against the reference path on random contended batches:
+    the wavefront on the three builders, the hop loop on the faulted mesh."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TOPOLOGIES))
+    @pytest.mark.parametrize("link_width_bits", [128, 16])
+    @DETERMINISTIC
+    @given(data=st.data())
+    def test_batches_match_reference(self, name, link_width_bits, data):
+        topology = EQUIVALENCE_TOPOLOGIES[name]
+        nodes = topology.graph.number_of_nodes()
+        first = data.draw(packet_batches(nodes))
+        second = data.draw(packet_batches(nodes, first_id=len(first)))
+        warmup = data.draw(st.booleans())
+        config = NocConfig(link_width_bits=link_width_bits)
+        fast = NocNetwork(topology, config)
+        reference = NocNetwork(topology, config, use_fastpath=False)
+        for network in (fast, reference):
+            if warmup:  # non-zero next-free times before the first batch
+                network.send(
+                    Packet(0, nodes - 1, MessageClass.RESPONSE, injection_time=1.0, packet_id=-1)
+                )
+        for batch in (first, second):
+            got = fast.run_batch(batch)
+            want = reference.run_batch(batch)
+            assert got.arrival_time.tolist() == want.arrival_time.tolist()
+            assert got.hops.tolist() == want.hops.tolist()
+            assert got.flits.tolist() == want.flits.tolist()
+            assert got.order.tolist() == want.order.tolist()
+        assert fast.average_latency() == reference.average_latency()
+        assert fast.average_latency_by_class() == reference.average_latency_by_class()
+        assert fast.average_hops() == reference.average_hops()
+        assert fast.total_flit_hops() == reference.total_flit_hops()
+        assert fast.max_link_utilization(50.0) == reference.max_link_utilization(50.0)
+
+    @pytest.mark.parametrize("far", [(0, 1), (4, 5)])
+    def test_far_apart_times_in_one_level(self, far):
+        """Two level-0 links of the 4x4 mesh, one busy at 1e17 cycles and one
+        with a queue near 0: lifting the link segments apart by the time span
+        rounds the running-max guess of the busy-period heads (each packet
+        arrives a cycle before the previous one's 5 flits end), so only the
+        consistency rounds make the queue come out right."""
+        near = (4, 5) if far == (0, 1) else (0, 1)
+        rows = [(far, 1e17), (near, 0.5), (near, 4.5), (near, 8.0)]
+        batch = PacketBatch(
+            injection_time=np.array([t for _, t in rows]),
+            source=np.array([link[0] for link, _ in rows]),
+            destination=np.array([link[1] for link, _ in rows]),
+            class_code=np.full(len(rows), CLASS_CODES[MessageClass.RESPONSE]),
+            flits=np.zeros(len(rows), dtype=np.int64),
+            packet_id=np.arange(len(rows)),
+        )
+        got = NocNetwork(build_mesh(16)).run_batch(batch)
+        want = NocNetwork(build_mesh(16), use_fastpath=False).run_batch(batch)
+        assert got.arrival_time.tolist() == want.arrival_time.tolist()
+
+    @DETERMINISTIC
+    @given(data=st.data())
+    def test_batch_columns_unchanged_and_runs_repeat(self, data):
+        """Batches are shared between networks (``_cached_traffic_batch``), so
+        ``run_batch`` must not write to them; two fresh networks agree."""
+        name = data.draw(st.sampled_from(sorted(EQUIVALENCE_TOPOLOGIES)))
+        topology = EQUIVALENCE_TOPOLOGIES[name]
+        batch = data.draw(packet_batches(topology.graph.number_of_nodes()))
+        pristine = _copy(batch)
+        one = NocNetwork(topology).run_batch(batch)
+        two = NocNetwork(topology).run_batch(batch)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(batch, column), getattr(pristine, column)), column
+        assert one.arrival_time.tolist() == two.arrival_time.tolist()
+        assert one.hops.tolist() == two.hops.tolist()
+
+
+class TestKernelDispatch:
+    """The wavefront serves every acyclic CDG; only a cyclic one takes the loop."""
+
+    def _kernels_used(self, monkeypatch, topology):
+        used = []
+        for name in ("_wavefront", "_hop_loop"):
+            kernel = getattr(fastpath, name)
+
+            def spy(*args, _kernel=kernel, _name=name):
+                used.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(fastpath, name, spy)
+        batch = BilateralTrafficGenerator(
+            topology, get_workload("Web Search"), per_core_ipc=0.5, seed=3
+        ).generate_batch(400)
+        NocNetwork(topology).run_batch(batch)
+        return used
+
+    @pytest.mark.parametrize("name", ["mesh", "fbfly", "nocout"])
+    def test_builders_take_the_wavefront(self, monkeypatch, name):
+        topology = TOPOLOGY_BUILDERS[name](64)
+        assert self._kernels_used(monkeypatch, topology) == ["_wavefront"]
+        compiled = compile_topology(topology)
+        assert compiled.acyclic
+        assert compiled.num_levels == {"mesh": 14, "fbfly": 2, "nocout": 9}[name]
+
+    def test_faulted_mesh_takes_the_loop(self, monkeypatch):
+        topology = _faulted_mesh()
+        assert not compile_topology(topology).acyclic
+        assert self._kernels_used(monkeypatch, topology) == ["_hop_loop"]
+
+
+class TestNodeRange:
+    @pytest.mark.parametrize("column", ["source", "destination"])
+    @pytest.mark.parametrize("node", [64, -1])
+    def test_out_of_range_node_rejected(self, column, node):
+        """Regression: 0 -> 64 on a 64-node mesh decoded as pair (1, 0) and
+        was delivered over a wrong one-hop route."""
+        packet = Packet(0, 5, MessageClass.DATA_REQUEST, injection_time=0.0, packet_id=0)
+        setattr(packet, column, node)
+        network = NocNetwork(build_mesh(64))
+        with pytest.raises(ValueError, match=rf"{column}.*0\.\.63"):
+            network.run_batch(PacketBatch.from_packets([packet]))
+
+
+class TestSnoopVictims:
+    def test_victims_match_rng_choice_replay(self):
+        """Victim draws consume the stream exactly as ``rng.choice(cores)``."""
+        cores, llcs = list(range(64)), list(range(64, 72))
+        batch = generate_bilateral_batch(
+            core_nodes=cores,
+            llc_nodes=llcs,
+            injection_rate=0.05,
+            snoop_fraction=0.3,
+            seed=4,
+            duration_cycles=500,
+            active_cores=24,
+        )
+        rng = np.random.default_rng((4, 0xABCD, 500))
+        active = cores[:24]
+        expected = []
+        for _ in active:
+            count = int(rng.poisson(0.05 * 500))
+            rng.uniform(0, 500, size=count)
+            rng.choice(llcs, size=count)
+            snoops = int((rng.random(count) < 0.3).sum())
+            expected.extend(int(rng.choice(active)) for _ in range(snoops))
+        snooped = batch.destination[batch.class_code == CLASS_CODES[MessageClass.SNOOP_REQUEST]]
+        assert len(expected) > 20
+        assert snooped.tolist() == expected
