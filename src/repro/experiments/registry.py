@@ -30,6 +30,7 @@ from repro.runtime import (
     SpecCatalog,
     result_key,
 )
+from repro.runtime.cache import code_fingerprint
 
 
 def _spec(
@@ -247,6 +248,7 @@ def run_experiment(
     provenance: "dict[str, object]" = {
         "function": spec.cache_token,
         "cache_key": key,
+        "code_fingerprint": code_fingerprint(),
         "kwargs": {name: repr(value) for name, value in sorted(merged.items())},
     }
     # Node-parameterized runs pin which family nodes produced the data and

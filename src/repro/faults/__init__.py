@@ -12,7 +12,8 @@ peers.  This package makes those events first-class, reproducible inputs:
 * :mod:`repro.faults.generator` -- the seeded :class:`FaultLoadGenerator`
   turning a :class:`FaultLoadConfig` into a deterministic schedule;
 * :mod:`repro.faults.inject` -- dependability accounting over the service
-  cluster's event engine, which takes the schedule directly;
+  cluster's engine (fast kernel or event reference, bit-identical), which
+  takes the schedule directly;
 * :mod:`repro.faults.noc` -- link-fault injection for the NoC simulation as
   a pure topology transform (both NoC engines stay bit-identical);
 * :mod:`repro.faults.metrics` -- :class:`DependabilityStats` (availability,

@@ -1,11 +1,16 @@
 """Dependability accounting for fault-injected service-cluster runs.
 
-A faulted cluster run is the cluster's own event engine,
-:func:`repro.service.queueing.run_events`, handed the
+A faulted cluster run is the cluster's own engine handed the
 :class:`~repro.faults.events.FaultSchedule` (never a live RNG, so determinism
-is inherited from the schedule): stations crash (losing queued and in-flight
-work), restart empty and straggle, and the balancer routes among up servers
-only.  :func:`run_faulted` adds the accounting: the usual
+is inherited from the schedule): the fast kernel
+(:func:`repro.service.cluster.faulted_completion_times`) by default, or the
+reference event engine (:func:`repro.service.queueing.run_events`) with
+``engine="event"``, bit for bit alike.  Stations crash (losing queued and
+in-flight work), restart empty once every open crash window has closed, and
+straggle; the balancer routes among up servers only.  Either engine leaves a
+:class:`~repro.service.queueing.FaultTally` -- one
+:class:`~repro.service.queueing.StationTally` per server -- and
+:func:`run_faulted` turns it into the accounting: the usual
 :class:`~repro.service.cluster.ClusterResult` with its ``dependability``
 field filled -- availability, goodput, loss accounting, and time-to-recover
 (crash to first post-restart completion) alongside the latency percentiles,
@@ -29,12 +34,12 @@ def run_faulted(
     num_requests: int,
     schedule: FaultSchedule,
 ) -> "ClusterResult":
-    """Run one cluster simulation under a fault schedule (event engine).
+    """Run one cluster simulation under a fault schedule (on its engine).
 
     Args:
-        simulation: the configured simulation (policy, seed, config); its
-            request/routing streams are consumed exactly as in the un-faulted
-            event engine.
+        simulation: the configured simulation (policy, seed, config, engine);
+            its request/routing streams are consumed exactly as in an
+            un-faulted run.
         num_requests: requests to offer.
         schedule: the fault load; must be non-empty (empty schedules take the
             un-faulted path in :meth:`ClusterSimulation.run` so zero-fault
@@ -57,14 +62,15 @@ def run_faulted(
     ):
         if tracer.enabled and schedule.stragglers:
             tracer.counter("faults.straggler_windows").add(len(schedule.stragglers))
-        result, servers, unrouted = simulation._run_event(num_requests, schedule)
+        result, tally = simulation._simulate(num_requests, schedule)
 
         duration = result.duration_s
-        completed = sum(server.completed for server in servers)
+        stations = tally.stations
+        completed = sum(station.completed for station in stations)
         recoveries: "list[float]" = []
-        for server in servers:
-            recoveries.extend(server.recovery_times_s)
-            recoveries.extend(server.unresolved_recoveries(duration))
+        for station in stations:
+            recoveries.extend(station.recovery_times_s)
+            recoveries.extend(duration - crash_s for crash_s in station.unresolved_crashes_s)
         downtime = schedule.downtime_s(config.num_servers, duration)
         dependability = DependabilityStats(
             availability=availability_from_downtime(
@@ -73,8 +79,8 @@ def run_faulted(
             goodput_qps=completed / duration if duration > 0 else 0.0,
             offered_requests=num_requests,
             completed_requests=completed,
-            lost_requests=sum(server.lost for server in servers),
-            unrouted_requests=unrouted,
+            lost_requests=sum(station.lost for station in stations),
+            unrouted_requests=tally.unrouted,
             crashes=len(schedule.crashes),
             downtime_s=downtime,
             mean_time_to_recover_s=(

@@ -15,6 +15,7 @@ Record schema (``schema: 1``)::
       "argv": ["explore", "explore_pod_40nm", "--strategy", "ga"],
       "host": "buildbox",
       "git_rev": "17bb30e",
+      "code_fingerprint": "9f2c...",         # SHA-256 of the repro sources
       "experiments": ["explore_pod_40nm"],
       "strategy": "ga",                      # search strategy, when any
       "runs": [                              # one entry per experiment run
@@ -108,10 +109,14 @@ def invocation_record(
         strategy: search strategy override; defaults to the first per-run
             strategy found.
 
-    The envelope-level cache statuses and the explorations' internal
+    ``code_fingerprint`` ties the record to the exact sources that ran (the
+    same digest that salts the result-cache keys), uncommitted edits
+    included.  The envelope-level cache statuses and the explorations' internal
     evaluation-cache accounting both roll into the record's
     ``cache_hits``/``cache_misses``/``cache_hit_ratio``.
     """
+    from repro.runtime.cache import code_fingerprint
+
     hits = misses = 0
     for run in runs:
         status = run.get("cache_status")
@@ -129,6 +134,7 @@ def invocation_record(
         "argv": list(argv or []),
         "host": platform.node() or "unknown",
         "git_rev": git_revision(),
+        "code_fingerprint": code_fingerprint(),
         "experiments": sorted({str(run.get("experiment", "?")) for run in runs}),
         "strategy": strategy,
         "runs": [dict(run) for run in runs],

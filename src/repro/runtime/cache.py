@@ -1,10 +1,12 @@
 """Content-addressed result cache: in-memory tier plus optional on-disk tier.
 
 Cache keys are a SHA-256 digest of the computation identity (the experiment
-function's qualified name) and a canonical JSON rendering of its keyword
-arguments.  Dataclasses (workload suites, system configs, technology nodes...)
-canonicalize structurally, so two calls with equal-valued configuration objects
-share a cache entry.  Executors are excluded from the key -- how a sweep is
+function's qualified name), a canonical JSON rendering of its keyword
+arguments, and the :func:`code_fingerprint` of the ``repro`` sources, so a
+disk cache never serves a result computed by different code.  Dataclasses
+(workload suites, system configs, technology nodes...) canonicalize
+structurally, so two calls with equal-valued configuration objects share a
+cache entry.  Executors are excluded from the key -- how a sweep is
 scheduled never changes its rows.
 
 The on-disk tier stores JSON when the payload allows it and falls back to
@@ -17,10 +19,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
 import pickle
+from pathlib import Path
 from typing import Mapping
 
 #: Environment variable adding a disk tier to the default cache.
@@ -56,8 +60,24 @@ def canonicalize(value: object) -> object:
         return repr(value)
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over every ``.py`` source of the ``repro`` package.
+
+    Hashes relative paths and contents in path order.  Computed on first use
+    (never at import) and once per process; a changed, added or removed
+    source file changes it.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def result_key(cache_token: str, kwargs: "Mapping[str, object]") -> str:
-    """Content address for (computation, canonicalized kwargs).
+    """Content address for (computation, canonicalized kwargs, source code).
 
     Scheduling- and storage-only arguments (``SweepExecutor`` and
     ``ResultCache`` instances) are dropped: they change how points are fanned
@@ -71,7 +91,11 @@ def result_key(cache_token: str, kwargs: "Mapping[str, object]") -> str:
         if not isinstance(value, (SweepExecutor, ResultCache))
     }
     payload = json.dumps(
-        {"fn": cache_token, "kwargs": canonicalize(meaningful)},
+        {
+            "fn": cache_token,
+            "kwargs": canonicalize(meaningful),
+            "code": code_fingerprint(),
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

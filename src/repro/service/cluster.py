@@ -23,6 +23,7 @@ policies -- the load-latency sweeps inherit that cleanliness.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -32,7 +33,7 @@ import numpy as np
 from repro.service.arrivals import make_arrivals
 from repro.service.balancer import BALANCER_POLICIES
 from repro.service.latency import LatencyCollector, LatencyStats
-from repro.service.queueing import RequestServer, run_events
+from repro.service.queueing import FaultTally, StationTally, run_events
 from repro.service.servicetime import make_service_time
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
@@ -167,6 +168,207 @@ def balanced_completion_times(
     return completions, assignment
 
 
+def faulted_completion_times(
+    arrivals: "list[float]",
+    services: "list[float]",
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    routing_rng: "random.Random",
+    schedule: "FaultSchedule",
+) -> "tuple[list[float], list[int], FaultTally]":
+    """Completion times, routing and fault tally of one faulted request stream.
+
+    The un-faulted kernels' recurrences, with the event engine's fault rules
+    replayed between arrivals:
+
+    * **Order.** Crashes and restarts fire in ``(time, schedule order)``
+      before any arrival at the same time, and arrivals before completions,
+      so only completions strictly before a crash or arrival drain ahead of
+      it.
+    * **Crash at** ``c``. Every request still on the server is lost (its
+      in-system count).  One that started before ``c`` was in service: its
+      stale completion still ends the run no earlier than its completion
+      time.  One that would start at or after ``c`` was queued and never
+      fires.  The server's unit heap and in-system entries reset.  A server
+      stays down until every crash window that opened on it has closed.
+    * **Routing** over the up servers in id order: ``jsq`` takes the
+      lowest-id minimum count, ``po2`` and ``random`` draw over the up list
+      (``po2`` makes no draw for one up server), ``round_robin`` steps only
+      on routed requests.  With no server up the request is unrouted.
+    * **Stragglers.** A request's service is multiplied by the largest
+      slowdown among its server's windows open at its start.
+    * **Recovery.** A server's pending crashes resolve at its first
+      completion after them, in crash order.
+
+    The ``faults.*`` tracer counters match the event engine's.
+
+    Returns:
+        ``(completions, assignment, tally)``: ``nan`` completes a lost or
+        unrouted request, ``-1`` routes an unrouted one, and ``tally`` is the
+        :class:`~repro.service.queueing.FaultTally` of the run.
+    """
+    from repro.obs.tracer import get_tracer
+
+    if policy not in BALANCER_POLICIES:
+        raise ValueError(f"no faulted-kernel replay for policy {policy!r}")
+    tracer = get_tracer()
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    randrange = routing_rng.randrange
+    jsq = policy == "jsq"
+    po2 = policy == "po2"
+    round_robin = policy == "round_robin"
+
+    faults: "list[tuple[float, int, int]]" = []
+    for order, crash in enumerate(schedule.crashes):
+        faults.append((crash.at_s, 2 * order, crash.server))
+        faults.append((crash.restart_s, 2 * order + 1, crash.server))
+    faults.sort()
+    windows: "list[list[tuple[float, float, float]]]" = [[] for _ in range(num_servers)]
+    for window in schedule.stragglers:
+        windows[window.server].append((window.at_s, window.until_s, window.slowdown))
+
+    count = len(arrivals)
+    unit_free = [[0.0] * parallelism for _ in range(num_servers)]
+    # A down server's count never wins jsq's minimum.
+    down_count = count + 1
+    counts = [0] * num_servers
+    open_crashes = [0] * num_servers
+    up = list(range(num_servers))
+    in_system: "list[tuple[float, int]]" = []
+    completions = [math.nan] * count
+    assignment = [-1] * count
+    starts = [0.0] * count
+    scaled = list(services)
+    completed = [0] * num_servers
+    busy = [0.0] * num_servers
+    lost = [0] * num_servers
+    pending: "list[list[float]]" = [[] for _ in range(num_servers)]
+    recovered: "list[list[float]]" = [[] for _ in range(num_servers)]
+    # Latest stale completion of a request lost while in service.
+    stale_end = 0.0
+
+    def fire(at_s: float, order: int, server: int) -> None:
+        """One crash (even ``order``) or restart, after the drain before ``at_s``."""
+        nonlocal stale_end
+        if order % 2:
+            open_crashes[server] -= 1
+            if not open_crashes[server]:
+                counts[server] = 0
+                up[:] = [s for s in range(num_servers) if not open_crashes[s]]
+            if tracer.enabled:
+                tracer.counter("faults.server_restart").add()
+            return
+        open_crashes[server] += 1
+        pending[server].append(at_s)
+        dropped = 0
+        if open_crashes[server] == 1:
+            kept = []
+            for entry in in_system:
+                index = entry[1]
+                if assignment[index] != server:
+                    kept.append(entry)
+                    continue
+                dropped += 1
+                completions[index] = math.nan
+                if starts[index] < at_s and entry[0] > stale_end:
+                    stale_end = entry[0]
+            in_system[:] = kept
+            heapq.heapify(in_system)
+            unit_free[server] = [0.0] * parallelism
+            counts[server] = down_count
+            up[:] = [s for s in range(num_servers) if not open_crashes[s]]
+        lost[server] += dropped
+        if tracer.enabled:
+            tracer.counter("faults.server_crash").add()
+            tracer.counter("faults.requests_lost").add(dropped)
+
+    next_fault = 0
+    fault_at = faults[0][0] if faults else math.inf
+    # Completions drain in time order, so the last one drained is the latest.
+    last = 0.0
+    routed = 0
+    unrouted = 0
+    # One pass past the last arrival (at infinity) fires the remaining faults
+    # and drains every request still in the system.
+    for index in range(count + 1):
+        arrival = arrivals[index] if index < count else math.inf
+        while True:
+            bound = fault_at if fault_at <= arrival else arrival
+            while in_system and in_system[0][0] < bound:
+                last, done = heappop(in_system)
+                server = assignment[done]
+                counts[server] -= 1
+                completed[server] += 1
+                busy[server] += scaled[done]
+                if pending[server]:
+                    recovered[server].extend(last - at_s for at_s in pending[server])
+                    pending[server].clear()
+            if fault_at > arrival or next_fault == len(faults):
+                break
+            fire(*faults[next_fault])
+            next_fault += 1
+            fault_at = faults[next_fault][0] if next_fault < len(faults) else math.inf
+        if index == count:
+            break
+        if not up:
+            unrouted += 1
+            continue
+        if jsq:
+            server = counts.index(min(counts))
+        elif po2:
+            server = up[0]
+            if len(up) > 1:
+                first = randrange(len(up))
+                second = randrange(len(up) - 1)
+                if second >= first:
+                    second += 1
+                first, second = up[first], up[second]
+                server = second if counts[second] < counts[first] else first
+        elif round_robin:
+            server = up[routed % len(up)]
+        else:
+            server = up[randrange(len(up))]
+        routed += 1
+        counts[server] += 1
+        heap = unit_free[server]
+        free = heap[0]
+        start = arrival if arrival >= free else free
+        service = services[index]
+        if windows[server]:
+            factor = 1.0
+            for at_s, until_s, slowdown in windows[server]:
+                if at_s <= start < until_s and slowdown > factor:
+                    factor = slowdown
+            service = scaled[index] = service * factor
+        completion = start + service
+        heapreplace(heap, completion)
+        completions[index] = completion
+        assignment[index] = server
+        starts[index] = start
+        heappush(in_system, (completion, index))
+
+    if unrouted and tracer.enabled:
+        tracer.counter("faults.requests_unrouted").add(unrouted)
+    # Every event fires: arrivals, crashes, restarts, real and stale completions.
+    duration = max(
+        arrivals[-1] if count else 0.0, faults[-1][0] if faults else 0.0, last, stale_end
+    )
+    stations = tuple(
+        StationTally(
+            completed=completed[server],
+            lost=lost[server],
+            busy_time_s=busy[server],
+            recovery_times_s=tuple(recovered[server]),
+            unresolved_crashes_s=tuple(pending[server]),
+        )
+        for server in range(num_servers)
+    )
+    return completions, assignment, FaultTally(stations, duration, unrouted)
+
+
 def simulate_chunk(
     arrivals: "list[float]",
     services: "list[float]",
@@ -174,7 +376,8 @@ def simulate_chunk(
     num_servers: int,
     parallelism: int,
     rseed: int,
-) -> "tuple[list[float], list[int]]":
+    schedule: "FaultSchedule | None" = None,
+) -> "tuple":
     """Completion times and routing of one request stream on the fast path.
 
     The routing replays the event path's balancer draw for draw:
@@ -182,12 +385,21 @@ def simulate_chunk(
     ``random`` draws one ``randrange`` per request from
     ``random.Random(rseed)``; both then run :func:`fcfs_completion_times`.
     ``jsq`` and ``po2`` read live backlogs and run
-    :func:`balanced_completion_times` on the same seeded stream.
+    :func:`balanced_completion_times` on the same seeded stream.  A
+    ``schedule`` runs :func:`faulted_completion_times` instead, for every
+    policy, so the un-faulted kernels carry no fault work.
 
     Returns:
         ``(completions, assignment)`` lists, bitwise equal to
-        :func:`~repro.service.queueing.run_events` on the same inputs.
+        :func:`~repro.service.queueing.run_events` on the same inputs; with a
+        ``schedule``, ``(completions, assignment, tally)`` as
+        :func:`faulted_completion_times` returns them.
     """
+    if schedule is not None:
+        return faulted_completion_times(
+            arrivals, services, policy, num_servers, parallelism,
+            random.Random(rseed), schedule,
+        )
     if policy == "round_robin":
         assignment = [index % num_servers for index in range(len(arrivals))]
     elif policy == "random":
@@ -291,24 +503,24 @@ class ClusterSimulation:
 
     * the **event engine** (:func:`~repro.service.queueing.run_events`)
       drives :class:`~repro.service.queueing.RequestServer` stations on an
-      :class:`~repro.sim.engine.EventQueue`; it is the reference, and the
-      only engine that takes a fault schedule;
+      :class:`~repro.sim.engine.EventQueue`; it is the reference;
     * the **fast engine** (:func:`simulate_chunk`) replays routing without
       event objects or callbacks: ``random``/``round_robin`` fix the routing
       up front and reduce each server to an isolated FCFS G/G/k recurrence
       (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
       run :func:`balanced_completion_times`, which tracks in-system counts
-      exactly as the event engine's backlogs evolve.
+      exactly as the event engine's backlogs evolve; a fault schedule runs
+      :func:`faulted_completion_times` for every policy.
 
     ``engine="auto"`` (default) and ``engine="fast"`` run the fast engine,
     which covers every policy a config accepts; ``engine="event"`` is the
     reference escape hatch.
 
-    A non-empty ``faults`` schedule runs on the event engine, with the
-    dependability accounting of :func:`repro.faults.inject.run_faulted`
-    (so ``engine="fast"`` rejects it, as does a schedule naming a server
-    the cluster lacks).  An empty (or ``None``) schedule is the un-faulted
-    run, byte-identical to one that never heard of faults.
+    A non-empty ``faults`` schedule runs on the same engine, with the
+    dependability accounting of :func:`repro.faults.inject.run_faulted`; a
+    schedule naming a server the cluster lacks is rejected.  An empty (or
+    ``None``) schedule is the un-faulted run, byte-identical to one that
+    never heard of faults.
     """
 
     def __init__(
@@ -322,10 +534,6 @@ class ClusterSimulation:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if faults is not None and faults.is_empty():
             faults = None
-        if faults is not None and engine == "fast":
-            raise ValueError(
-                "fault injection needs live queue state; use engine='auto' or 'event'"
-            )
         if faults is not None and any(
             event.server >= config.num_servers
             for event in (*faults.crashes, *faults.stragglers)
@@ -338,9 +546,7 @@ class ClusterSimulation:
 
     def resolved_engine(self) -> str:
         """The engine ("fast" or "event") this simulation will run on."""
-        if self.faults is not None or self.engine == "event":
-            return "event"
-        return "fast"
+        return "event" if self.engine == "event" else "fast"
 
     def _generate_request_arrays(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """(arrival times, service times) -- the shared deterministic streams.
@@ -386,14 +592,20 @@ class ClusterSimulation:
                 from repro.faults.inject import run_faulted
 
                 return run_faulted(self, num_requests, self.faults)
-            if engine == "fast":
-                return self._run_fast(num_requests)
-            return self._run_event(num_requests)[0]
+            return self._simulate(num_requests)[0]
+
+    def _simulate(
+        self, num_requests: int, schedule: "FaultSchedule | None" = None
+    ) -> "tuple[ClusterResult, FaultTally | None]":
+        """``(result, fault tally)`` on the resolved engine; no tally un-faulted."""
+        if self.resolved_engine() == "fast":
+            return self._run_fast(num_requests, schedule)
+        return self._run_event(num_requests, schedule)
 
     def _run_event(
-        self, num_requests: int, schedule: "FaultSchedule | None" = None
-    ) -> "tuple[ClusterResult, list[RequestServer], int]":
-        """The event engine: ``(result, stations, unrouted requests)``."""
+        self, num_requests: int, schedule: "FaultSchedule | None"
+    ) -> "tuple[ClusterResult, FaultTally | None]":
+        """The reference event engine, :func:`~repro.service.queueing.run_events`."""
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         warmup = int(num_requests * config.warmup_fraction)
@@ -403,6 +615,11 @@ class ClusterSimulation:
             config.parallelism, self.seed + 2, collector, schedule,
         )
         utilizations = [server.utilization(duration) for server in servers]
+        tally = None
+        if schedule is not None:
+            tally = FaultTally(
+                tuple(server.tally() for server in servers), duration, unrouted
+            )
         return ClusterResult(
             config=config,
             latency=collector.stats(),
@@ -411,29 +628,33 @@ class ClusterSimulation:
             duration_s=duration,
             mean_utilization=sum(utilizations) / len(utilizations),
             per_server_counts=collector.per_server_counts(),
-        ), servers, unrouted
+        ), tally
 
-    def _run_fast(self, num_requests: int) -> ClusterResult:
+    def _run_fast(
+        self, num_requests: int, schedule: "FaultSchedule | None"
+    ) -> "tuple[ClusterResult, FaultTally | None]":
+        """The fast engine, :func:`simulate_chunk`."""
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         parallelism = config.parallelism
-        completions, assignment = simulate_chunk(
+        chunk = simulate_chunk(
             arrivals.tolist(), services.tolist(), config.policy,
-            config.num_servers, parallelism, self.seed + 2,
+            config.num_servers, parallelism, self.seed + 2, schedule,
         )
 
-        completion_arr = np.array(completions, dtype=np.float64)
-        latencies = completion_arr - arrivals
+        completion_arr = np.array(chunk[0], dtype=np.float64)
         warmup = int(num_requests * config.warmup_fraction)
-        assignment_arr = np.array(assignment, dtype=np.int64)
+        assignment_arr = np.array(chunk[1], dtype=np.int64)
+        # Lost and unrouted requests complete at nan and are never measured.
+        measured = ~np.isnan(completion_arr)
+        measured[:warmup] = False
 
-        measured_latencies = latencies[warmup:]
         # Sample order differs from the event engine's completion order, but
         # every statistic downstream sorts or sums symmetrically.
         collector = LatencyCollector(warmup_requests=warmup)
-        counts = np.bincount(assignment_arr[warmup:], minlength=config.num_servers)
+        counts = np.bincount(assignment_arr[measured], minlength=config.num_servers)
         collector.record_batch(
-            measured_latencies,
+            (completion_arr - arrivals)[measured],
             {
                 server: int(count)
                 for server, count in enumerate(counts.tolist())
@@ -441,10 +662,16 @@ class ClusterSimulation:
             },
         )
 
-        duration = float(completion_arr.max())
-        busy = np.bincount(
-            assignment_arr, weights=services, minlength=config.num_servers
-        )
+        tally = None
+        if schedule is None:
+            duration = float(completion_arr.max())
+            busy = np.bincount(
+                assignment_arr, weights=services, minlength=config.num_servers
+            )
+        else:
+            tally = chunk[2]
+            duration = tally.duration_s
+            busy = np.array([station.busy_time_s for station in tally.stations])
         utilizations = busy / (duration * parallelism) if duration > 0 else busy * 0.0
         return ClusterResult(
             config=config,
@@ -454,7 +681,7 @@ class ClusterSimulation:
             duration_s=duration,
             mean_utilization=float(utilizations.mean()),
             per_server_counts=collector.per_server_counts(),
-        )
+        ), tally
 
 
 def simulate_cluster(

@@ -5,10 +5,13 @@ service units -- a G/G/k station.  The parallelism is derived from the chip
 organization (usable cores per server, see
 :mod:`repro.service.calibration`); requests beyond the free units wait in an
 unbounded FIFO queue, matching the open-loop arrival model.  A station can
-also crash, restart and straggle.
+also crash, restart and straggle; :class:`StationTally` is what a faulted run
+leaves of it for the dependability accounting, whichever engine ran.
 
-:func:`run_events` is the event path of the cluster simulation (faulted or
-not) and of the fleet's chunks.  It drives the stations on one
+:func:`run_events` is the reference event path of the cluster simulation
+(faulted or not) and of the fleet's chunks: ``engine="event"`` runs it, and
+the fast engine (:func:`repro.service.cluster.simulate_chunk`) reproduces it
+bit for bit.  It drives the stations on one
 :class:`repro.sim.engine.EventQueue` in *seconds* (the engine is agnostic).
 Service times are generated up front with the arrivals, so simulations at
 different loads with the same seed reuse identical per-request work -- the
@@ -45,12 +48,48 @@ class Request:
     service_s: float
 
 
+@dataclass(frozen=True)
+class StationTally:
+    """One station's totals after a faulted run, as either engine reports them.
+
+    Attributes:
+        completed: requests that finished service.
+        lost: requests dropped by this station's crashes.
+        busy_time_s: unit-seconds spent on completed requests.
+        recovery_times_s: crash-to-first-completion gaps, in resolution order.
+        unresolved_crashes_s: crash times no later completion resolved.
+    """
+
+    completed: int
+    lost: int
+    busy_time_s: float
+    recovery_times_s: "tuple[float, ...]"
+    unresolved_crashes_s: "tuple[float, ...]"
+
+
+@dataclass(frozen=True)
+class FaultTally:
+    """What a faulted run leaves for the dependability accounting.
+
+    Attributes:
+        stations: one :class:`StationTally` per server, in id order.
+        duration_s: time of the last event the run fired.
+        unrouted: requests that arrived while every server was down.
+    """
+
+    stations: "tuple[StationTally, ...]"
+    duration_s: float
+    unrouted: int
+
+
 class RequestServer:
     """FCFS queue in front of ``parallelism`` parallel service units.
 
     Crash semantics: everything queued or in service is lost, and an epoch
     counter invalidates the completion events already sitting in the engine
-    (they fire, see a stale epoch, and do nothing).  Straggler semantics: a
+    (they fire, see a stale epoch, and do nothing).  The station stays down
+    until every crash window that opened on it has closed, so overlapping
+    windows keep it down over their union.  Straggler semantics: a
     request starting service inside one of ``stragglers``' windows costs
     ``slowdown`` times its nominal service time; the multiplier is sampled
     once at start-of-service.
@@ -74,7 +113,8 @@ class RequestServer:
         self.busy_units = 0
         self.completed = 0
         self.busy_time_s = 0.0
-        self.up = True
+        #: Crash windows opened and not yet closed by their restart.
+        self.open_crashes = 0
         self.epoch = 0
         self.lost = 0
         #: (at_s, until_s, slowdown) windows, time order; few per run.
@@ -85,6 +125,11 @@ class RequestServer:
         self._pending_recoveries: "list[float]" = []
         #: Resolved crash-to-completion gaps.
         self.recovery_times_s: "list[float]" = []
+
+    @property
+    def up(self) -> bool:
+        """Whether the station serves: no crash window of it is open."""
+        return not self.open_crashes
 
     @property
     def backlog(self) -> int:
@@ -141,17 +186,23 @@ class RequestServer:
         self.queue.clear()
         self.busy_units = 0
         self.epoch += 1
-        self.up = False
+        self.open_crashes += 1
         self._pending_recoveries.append(self.engine.now)
         return lost
 
     def restart(self) -> None:
-        """Rejoin the cluster with an empty queue."""
-        self.up = True
+        """Close one crash window; rejoin, empty, once none is open."""
+        self.open_crashes -= 1
 
-    def unresolved_recoveries(self, end_s: float) -> "list[float]":
-        """Crash-to-end gaps for crashes that never saw a completion."""
-        return [end_s - crash_s for crash_s in self._pending_recoveries]
+    def tally(self) -> StationTally:
+        """This station's totals for the dependability accounting."""
+        return StationTally(
+            completed=self.completed,
+            lost=self.lost,
+            busy_time_s=self.busy_time_s,
+            recovery_times_s=tuple(self.recovery_times_s),
+            unresolved_crashes_s=tuple(self._pending_recoveries),
+        )
 
     def utilization(self, duration_s: float) -> float:
         """Fraction of unit-time spent serving over ``duration_s``."""

@@ -1,6 +1,7 @@
 """Tests for fault injection, dependability metrics, and N+k sizing."""
 
 import json
+import math
 import multiprocessing
 import os
 
@@ -20,7 +21,13 @@ from repro.faults.events import EMPTY_SCHEDULE
 from repro.faults.noc import undirected_links
 from repro.obs.tracer import Tracer, use_tracer
 from repro.runtime import ResultCache, SweepExecutor, SweepPointError
-from repro.service.cluster import ClusterConfig, ClusterSimulation, simulate_cluster
+from repro.service.cluster import (
+    ClusterConfig,
+    ClusterSimulation,
+    simulate_chunk,
+    simulate_cluster,
+)
+from repro.service.queueing import run_events
 
 
 def faulty_cluster(utilization=0.7, num_servers=4, policy="jsq"):
@@ -32,6 +39,18 @@ def faulty_cluster(utilization=0.7, num_servers=4, policy="jsq"):
         offered_qps=utilization * num_servers * parallelism / service_mean_s,
         policy=policy,
     )
+
+
+class ServedBy:
+    """Collector stand-in recording which requests one server completed."""
+
+    def __init__(self, server):
+        self.server = server
+        self.indices = []
+
+    def record(self, index, server, latency_s):
+        if server == self.server:
+            self.indices.append(index)
 
 
 def crash_schedule(config, num_requests=3_000, intensity=1.0, seed=7, **overrides):
@@ -126,7 +145,9 @@ class TestFaultedCluster:
     @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
     def test_inert_schedule_does_not_perturb_the_run(self, policy):
         """A non-empty schedule whose every window is a 1.0x straggler takes
-        the fault machinery yet computes exactly the un-faulted event run."""
+        the fault machinery yet computes exactly the un-faulted event run
+        (in completion order; the fast side is covered by the faulted
+        fast==event suite)."""
         config = faulty_cluster(policy=policy)
         horizon_s = 10 * 2_000 / config.offered_qps
         inert = FaultSchedule(
@@ -136,7 +157,9 @@ class TestFaultedCluster:
             )
         )
         base = simulate_cluster(config, num_requests=2_000, seed=42, engine="event")
-        faulted = simulate_cluster(config, num_requests=2_000, seed=42, faults=inert)
+        faulted = simulate_cluster(
+            config, num_requests=2_000, seed=42, engine="event", faults=inert
+        )
         assert faulted.dependability is not None
         assert faulted.latency.samples == base.latency.samples
         assert faulted.per_server_counts == base.per_server_counts
@@ -170,11 +193,13 @@ class TestFaultedCluster:
         slowed = simulate_cluster(config, num_requests=3_000, seed=42, faults=slow)
         assert slowed.latency.mean_s > base.latency.mean_s
 
-    def test_fast_engine_rejects_faults(self):
+    def test_fast_engine_accepts_faults(self):
         config = faulty_cluster(policy="random")
         schedule = crash_schedule(config)
-        with pytest.raises(ValueError, match="live queue state"):
-            ClusterSimulation(config, engine="fast", faults=schedule)
+        simulation = ClusterSimulation(config, engine="fast", faults=schedule)
+        assert simulation.faults is schedule
+        assert simulation.resolved_engine() == "fast"
+        assert simulation.run(3_000).dependability is not None
 
     def test_schedule_naming_a_missing_server_rejected(self):
         # Regression: crashes on servers >= num_servers used to be skipped and
@@ -191,11 +216,56 @@ class TestFaultedCluster:
         with pytest.raises(ValueError, match=r"faults .* 0\.\.7"):
             ClusterSimulation(config, faults=straggler)
 
-    def test_faults_force_event_engine(self):
+    def test_faults_run_on_the_fast_engine_by_default(self):
         config = faulty_cluster(policy="random")
         schedule = crash_schedule(config)
-        assert ClusterSimulation(config, faults=schedule).resolved_engine() == "event"
+        assert ClusterSimulation(config, faults=schedule).resolved_engine() == "fast"
+        assert (
+            ClusterSimulation(config, engine="event", faults=schedule).resolved_engine()
+            == "event"
+        )
         assert ClusterSimulation(config, faults=EMPTY_SCHEDULE).faults is None
+
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_overlapping_crash_windows_keep_the_server_down(self, engine):
+        # Regression: the first restart of two overlapping crash windows
+        # brought the server back while the second window was still open, so
+        # it served requests inside the downtime that availability counted.
+        config = faulty_cluster(num_servers=2, policy="round_robin")
+        arrivals, services = (
+            array.tolist()
+            for array in ClusterSimulation(config, seed=42)._generate_request_arrays(3_000)
+        )
+        horizon_s = arrivals[-1]
+        down_from, down_until = 0.1 * horizon_s, 0.6 * horizon_s
+        schedule = FaultSchedule(
+            crashes=(
+                ServerCrash(server=0, at_s=down_from, restart_s=0.4 * horizon_s),
+                ServerCrash(server=0, at_s=0.2 * horizon_s, restart_s=down_until),
+            )
+        )
+        shape = ("round_robin", 2, config.parallelism, 42 + 2)  # the cluster's rseed
+        if engine == "fast":
+            completions, assignment, _ = simulate_chunk(
+                arrivals, services, *shape, schedule
+            )
+            served = [
+                index
+                for index, server in enumerate(assignment)
+                if server == 0 and not math.isnan(completions[index])
+            ]
+        else:
+            recorder = ServedBy(server=0)
+            run_events(arrivals, services, *shape, recorder, schedule)
+            served = recorder.indices
+        assert served
+        assert not [i for i in served if down_from <= arrivals[i] < down_until]
+        result = ClusterSimulation(
+            config, seed=42, engine=engine, faults=schedule
+        ).run(3_000)
+        # The accounting charges the merged window the engines now honour.
+        assert schedule.downtime_intervals(0) == [(down_from, down_until)]
+        assert result.dependability.downtime_s == down_until - down_from
 
     def test_fault_counters_traced(self):
         config = faulty_cluster()

@@ -160,6 +160,40 @@ class TestCacheKeys:
         assert result_key("fn", {"seed": 1}) != result_key("fn", {"seed": 2})
         assert result_key("fn", {"seed": 1}) != result_key("other", {"seed": 1})
 
+    def test_changed_code_fingerprint_misses_a_warm_cache(self, tmp_path, monkeypatch):
+        """A disk-cached result is served only to the sources that made it."""
+        import repro.runtime.cache as cache_module
+
+        cold = run_experiment("table_4_1", cache=ResultCache(cache_dir=str(tmp_path)))
+        warm = run_experiment("table_4_1", cache=ResultCache(cache_dir=str(tmp_path)))
+        assert (cold.cache_status, warm.cache_status) == ("miss", "hit")
+        assert warm.provenance["code_fingerprint"] == cache_module.code_fingerprint()
+        assert len(warm.provenance["code_fingerprint"]) == 64
+        monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "0" * 64)
+        changed = run_experiment("table_4_1", cache=ResultCache(cache_dir=str(tmp_path)))
+        assert changed.cache_status == "miss"
+        assert changed.provenance["cache_key"] != warm.provenance["cache_key"]
+        assert changed.rows == warm.rows
+
+    def test_code_fingerprint_is_not_computed_at_import(self):
+        """Hashing the sources waits for the first cache key (import stays cheap)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import repro.experiments.registry, repro.runtime.cache as cache; "
+            "print(cache.code_fingerprint.cache_info().currsize)"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert output.strip() == "0"
+
     def test_dataclasses_canonicalize_structurally(self, small_suite):
         other = WorkloadSuite((get_workload("Web Search"), get_workload("Data Serving")))
         assert canonicalize(small_suite) == canonicalize(other)

@@ -276,12 +276,9 @@ class TestClusterSimulation:
             servers, duration, unrouted = run_events(
                 arrivals, services, *shape, collector, schedule
             )
-            stations = [
-                (s.completed, s.lost, s.busy_time_s, s.recovery_times_s)
-                for s in servers
-            ]
+            stations = [server.tally() for server in servers]
             return (
-                cluster_module.simulate_chunk(arrivals, services, *shape),
+                cluster_module.simulate_chunk(arrivals, services, *shape, schedule),
                 collector.stats().samples,
                 collector.per_server_counts(),
                 stations,
