@@ -4,25 +4,3 @@ Each function regenerates the data behind one of the paper's tables or figures
 and returns plain dictionaries/lists that the benchmark harness prints.  The
 mapping from experiment id to function is in :mod:`repro.experiments.registry`.
 """
-
-from repro.experiments import chapter2, chapter3, chapter4, chapter5, chapter6
-from repro.experiments.formatting import format_table
-from repro.experiments.registry import CATALOG, DEFAULT_CACHE, EXPERIMENTS, run_experiment
-from repro.runtime import ExperimentResult, ExperimentSpec, ResultCache, SweepExecutor
-
-__all__ = [
-    "chapter2",
-    "chapter3",
-    "chapter4",
-    "chapter5",
-    "chapter6",
-    "format_table",
-    "CATALOG",
-    "DEFAULT_CACHE",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ResultCache",
-    "SweepExecutor",
-    "run_experiment",
-]

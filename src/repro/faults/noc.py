@@ -18,22 +18,26 @@ Fault semantics:
   by ``latency_factor`` instead -- a partitioned network has no defined
   latency, so the transform refuses to create one.
 
-The faulted topology drops the builder's oblivious routing function (XY or
+The faulted topology drops the builder's closed-form route (XY or
 row/column routing would happily route straight through a missing link) and
-falls back to weighted shortest paths.  Both NoC engines consume
+routes by weighted shortest path (``networkx.shortest_path`` over the links'
+``weight``).  This module is the only place the package uses networkx, and it
+imports it on first use: healthy runs never load it.  Both NoC engines consume
 ``topology.route()``, and the fastpath compiles its tables per topology
 instance, so fastpath and reference stay bit-identical under faults.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.faults.events import LinkFault
 from repro.noc.topology import LinkAttributes, NocTopology
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported on first use
+    import networkx as nx
 
 
 def undirected_links(topology: NocTopology) -> "tuple[tuple[int, int], ...]":
@@ -43,17 +47,8 @@ def undirected_links(topology: NocTopology) -> "tuple[tuple[int, int], ...]":
     samples link faults from.
     """
     return tuple(
-        sorted({(min(a, b), max(a, b)) for a, b in topology.graph.edges})
+        sorted({(min(a, b), max(a, b)) for a, b in topology.links()})
     )
-
-
-def _cores_and_llcs_connected(graph: "nx.DiGraph", topology: NocTopology) -> bool:
-    """Whether every core and LLC node still sits in one mutual-reach SCC."""
-    required = set(topology.core_nodes) | set(topology.llc_nodes)
-    for component in nx.strongly_connected_components(graph):
-        if required <= component:
-            return True
-    return False
 
 
 def _degrade(graph: "nx.DiGraph", a: int, b: int, factor: float) -> None:
@@ -63,8 +58,9 @@ def _degrade(graph: "nx.DiGraph", a: int, b: int, factor: float) -> None:
     edge["attrs"] = LinkAttributes(
         latency_cycles=int(math.ceil(attrs.latency_cycles * factor)),
         length_mm=attrs.length_mm,
+        weight=attrs.weight * factor,
     )
-    edge["weight"] = edge["weight"] * factor
+    edge["weight"] = edge["attrs"].weight
 
 
 def apply_link_faults(
@@ -75,8 +71,8 @@ def apply_link_faults(
     Args:
         topology: the healthy topology (possibly a shared cached instance;
             it is never mutated).
-        link_faults: the faults to apply; links absent from the graph are
-            ignored.
+        link_faults: the faults to apply; links absent from the topology
+            are ignored.
 
     Returns:
         The same object when ``link_faults`` is empty; otherwise a new
@@ -87,10 +83,19 @@ def apply_link_faults(
     if not faults:
         return topology
 
+    import networkx as nx
+
     from repro.obs.tracer import get_tracer
 
     tracer = get_tracer()
-    graph = topology.graph.copy()
+    # A weighted graph in the topology's node and link order: the order fixes
+    # link ids and the shortest-path tie-breaks.
+    graph = nx.DiGraph()
+    graph.add_nodes_from(topology.successors)
+    for a, b in topology.links():
+        attrs = topology.link(a, b)
+        graph.add_edge(a, b, attrs=attrs, weight=attrs.weight)
+    required = set(topology.core_nodes) | set(topology.llc_nodes)
     for fault in faults:
         a, b = fault.link
         directed = [(x, y) for x, y in ((a, b), (b, a)) if graph.has_edge(x, y)]
@@ -99,7 +104,9 @@ def apply_link_faults(
         if fault.severity == "down":
             removed = [(x, y, dict(graph.edges[x, y])) for x, y in directed]
             graph.remove_edges_from(directed)
-            if _cores_and_llcs_connected(graph, topology):
+            # Keep the removal if every core and LLC still sits in one
+            # mutual-reach strongly connected component.
+            if any(required <= scc for scc in nx.strongly_connected_components(graph)):
                 if tracer.enabled:
                     tracer.counter("faults.link_down").add()
                 continue
@@ -113,10 +120,10 @@ def apply_link_faults(
 
     return NocTopology(
         name=f"{topology.name}+faults",
-        graph=graph,
+        successors={a: {b: data["attrs"] for b, data in graph.succ[a].items()} for a in graph},
         core_nodes=list(topology.core_nodes),
         llc_nodes=list(topology.llc_nodes),
         router_pipeline_cycles=dict(topology.router_pipeline_cycles),
         positions=dict(topology.positions),
-        routing=None,
+        routing=functools.partial(nx.shortest_path, graph, weight="weight"),
     )

@@ -2,7 +2,7 @@
 
 The reference implementation (:class:`~repro.noc.network.NocNetwork` with
 ``use_fastpath=False``) routes one ``Packet`` object at a time: every hop costs
-a networkx edge lookup, a dict probe for the router pipeline depth, and a
+a successor-table lookup, a dict probe for the router pipeline depth, and a
 ``LinkState`` attribute update.  Under sweep traffic those per-object costs
 dominate the wall clock.  This module keeps the *model* identical but changes
 the *representation*:
@@ -166,7 +166,7 @@ class CompiledRoute:
 class CompiledTopology:
     """A :class:`NocTopology` flattened into integer arrays for the kernel.
 
-    Link indices follow the graph's edge iteration order (the same order the
+    Link indices follow :meth:`NocTopology.links` (the same order the
     reference path builds its ``LinkState`` dict in), and routes are compiled
     lazily per (source, destination) pair -- only the pairs a traffic pattern
     actually uses pay the routing cost, and the underlying topology's own route
@@ -182,22 +182,21 @@ class CompiledTopology:
     def __init__(self, topology: NocTopology):
         self.topology = topology
         self.edge_index: "dict[tuple[int, int], int]" = {
-            (a, b): i for i, (a, b) in enumerate(topology.graph.edges)
+            (a, b): i for i, (a, b) in enumerate(topology.links())
         }
         self.num_links = len(self.edge_index)
-        self.num_nodes = topology.graph.number_of_nodes()
+        self.num_nodes = topology.num_nodes
         self._routes: "dict[tuple[int, int], CompiledRoute]" = {}
         # Dense route tables, indexed by ``source * num_nodes + destination``
         # (a length of -1 marks a pair not compiled yet) and by flat hop
         # position ``route_offset + hop``.
         pairs = self.num_nodes * self.num_nodes
-        graph = topology.graph
         self._link_of = np.full(pairs, -1, dtype=np.int32)
         self._link_of[[a * self.num_nodes + b for a, b in self.edge_index]] = np.arange(
             self.num_links
         )
         self._link_latency = np.array(
-            [attrs.latency_cycles for _, _, attrs in graph.edges(data="attrs")], dtype=np.int16
+            [topology.link(a, b).latency_cycles for a, b in self.edge_index], dtype=np.int16
         )
         pipelines = topology.router_pipeline_cycles
         self._node_pipeline = np.array(

@@ -62,7 +62,7 @@ class NocAreaModel:
         """Repeater area of every directed link."""
         width = self.config.link_width_bits
         total = 0.0
-        for a, b in topology.graph.edges:
+        for a, b in topology.links():
             length = topology.link(a, b).length_mm
             total += self.wires.repeater_area_mm2(length, width)
         return total
@@ -76,8 +76,8 @@ class NocAreaModel:
             else self.FLIPFLOP_MM2_PER_FLIT_128B
         )
         total = 0.0
-        for node in topology.graph.nodes:
-            in_ports = topology.graph.in_degree(node) + 1  # plus the local port
+        for node, in_degree in topology.in_degrees().items():
+            in_ports = in_degree + 1  # plus the local port
             if topology.name == "fbfly":
                 # Deep buffers cover the flight time of long links (Section 4.3.1).
                 depth = self.config.buffer_flits_per_vc * 2
@@ -95,8 +95,8 @@ class NocAreaModel:
         """Switch-fabric area of every router."""
         width_scale = (self.config.link_width_bits / 128.0) ** 2
         total = 0.0
-        for node in topology.graph.nodes:
-            ports = topology.graph.in_degree(node) + 1
+        for node, in_degree in topology.in_degrees().items():
+            ports = in_degree + 1
             if topology.name == "nocout" and node not in topology.llc_nodes:
                 # Tree nodes are two-input muxes, not crossbars.
                 total += 0.0005 * width_scale
@@ -156,7 +156,7 @@ class NocPowerModel:
         width = self.config.link_width_bits
         link_energy_pj = self.wires.energy_pj(average_link_length_mm, width) * flit_hops
         router_energy_pj = self.ROUTER_PJ_PER_FLIT_128B * (width / 128.0) * flit_hops
-        leakage_w = 0.15 + 0.01 * topology.graph.number_of_nodes() * (width / 128.0)
+        leakage_w = 0.15 + 0.01 * topology.num_nodes * (width / 128.0)
         seconds = duration_cycles / (self.node.frequency_ghz * 1e9)
         dynamic_w = (link_energy_pj + router_energy_pj) * 1e-12 / seconds
         return leakage_w + dynamic_w

@@ -16,8 +16,8 @@ Two execution paths produce bit-identical results (see
   drives packets -- individually via :meth:`NocNetwork.send` or wholesale via
   :meth:`NocNetwork.run_batch` on a :class:`~repro.noc.fastpath.PacketBatch` --
   through :mod:`repro.noc.fastpath`'s tight kernel;
-* the **reference path** (``use_fastpath=False``) walks the networkx graph per
-  packet, exactly as the original implementation did.
+* the **reference path** (``use_fastpath=False``) walks the topology's route
+  hop by hop per packet, with one ``LinkState`` object per link.
 
 Latency statistics are maintained as running (sum, count) pairs updated at
 delivery time, so collection is O(1) memory per message class on both paths.
@@ -111,7 +111,7 @@ class NocNetwork:
         else:
             self._compiled = None
             self._links: "dict[tuple[int, int], LinkState] | None" = {
-                (a, b): LinkState() for a, b in topology.graph.edges
+                (a, b): LinkState() for a, b in topology.links()
             }
 
     # ----------------------------------------------------------------- timing

@@ -1,7 +1,8 @@
 """NoC topology builders.
 
-A :class:`NocTopology` is a directed graph of router nodes plus a routing
-function.  Three builders cover the organizations of Chapter 4:
+A :class:`NocTopology` is a successor table of router nodes -- ``{node:
+{neighbour: LinkAttributes}}`` -- plus a route function.  Three builders
+cover the organizations of Chapter 4, each with a closed-form route:
 
 * :func:`build_mesh` -- an ``R x C`` grid of core+LLC tiles, dimension-ordered
   (XY) routing, 3-cycle hops;
@@ -9,28 +10,34 @@ function.  Three builders cover the organizations of Chapter 4:
   connectivity, at most two network hops, link delay proportional to span;
 * :func:`build_nocout` -- cores on either side of a central row of LLC tiles,
   reached through routing-free reduction/dispersion trees; LLC tiles are linked
-  by a one-dimensional flattened butterfly.
+  by a one-dimensional flattened butterfly, so every pair has one shortest
+  route: up the source's tree, at most one LLC-row hop, down the destination's.
 
 Every node is identified by an integer id; core nodes and LLC nodes are listed
 separately so the traffic generator can produce the bilateral core-to-cache
-pattern.
+pattern.  Nodes and each node's successors keep their insertion order, which
+fixes link ids (:meth:`NocTopology.links`) for every consumer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
-
-import networkx as nx
+from typing import Callable
 
 
 @dataclass(frozen=True)
 class LinkAttributes:
-    """Physical attributes of one directed link."""
+    """Physical attributes of one directed link, plus its routing weight.
+
+    ``weight`` is 1 on a healthy link; a degraded link's weight grows with
+    its latency factor, so weighted shortest-path routing over a faulted
+    topology steers around it (see :mod:`repro.faults.noc`).
+    """
 
     latency_cycles: int
     length_mm: float
+    weight: float = 1.0
 
 
 @dataclass
@@ -39,41 +46,63 @@ class NocTopology:
 
     Attributes:
         name: topology name ("mesh", "fbfly", "nocout").
-        graph: directed graph; edges carry :class:`LinkAttributes` under ``attrs``.
+        successors: ``{node: {neighbour: LinkAttributes}}`` -- one entry per
+            directed link; node and link order is insertion order.
         core_nodes: node ids that host cores (traffic sources/sinks).
         llc_nodes: node ids that host LLC banks (traffic destinations).
         router_pipeline_cycles: per-router pipeline depth, by node id.
         positions: (x, y) grid coordinates of each node (for link lengths).
+        routing: ``(source, destination) -> [source, ..., destination]``.
     """
 
     name: str
-    graph: "nx.DiGraph"
+    successors: "dict[int, dict[int, LinkAttributes]]"
     core_nodes: "list[int]"
     llc_nodes: "list[int]"
     router_pipeline_cycles: "dict[int, int]"
     positions: "dict[int, tuple[float, float]]"
-    #: optional deterministic routing function (e.g. XY dimension-order routing);
-    #: falls back to a shortest path when None.
-    routing: "Callable[[int, int], list[int]] | None" = None
+    routing: "Callable[[int, int], list[int]]"
 
-    #: cached shortest paths (filled lazily)
+    #: routes already computed, by (source, destination)
     _paths: "dict[tuple[int, int], list[int]]" = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if not callable(self.routing):
+            raise ValueError(f"routing must be a route function, got {self.routing!r}")
 
     def route(self, source: int, destination: int) -> "list[int]":
         """Nodes along the route from ``source`` to ``destination`` (inclusive)."""
         key = (source, destination)
         path = self._paths.get(key)
         if path is None:
-            if self.routing is not None:
-                path = self.routing(source, destination)
-            else:
-                path = nx.shortest_path(self.graph, source, destination, weight="weight")
-            self._paths[key] = path
+            path = self._paths[key] = self.routing(source, destination)
         return path
 
     def link(self, a: int, b: int) -> LinkAttributes:
         """Attributes of the directed link from ``a`` to ``b``."""
-        return self.graph.edges[a, b]["attrs"]
+        return self.successors[a][b]
+
+    def links(self) -> "list[tuple[int, int]]":
+        """Every directed link ``(a, b)``, in link-id order."""
+        return [(a, b) for a, neighbours in self.successors.items() for b in neighbours]
+
+    def in_degrees(self) -> "dict[int, int]":
+        """Number of links entering each node."""
+        degrees = dict.fromkeys(self.successors, 0)
+        for neighbours in self.successors.values():
+            for b in neighbours:
+                degrees[b] += 1
+        return degrees
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of router nodes."""
+        return len(self.successors)
+
+    @property
+    def num_links(self) -> int:
+        """Number of directed links."""
+        return sum(map(len, self.successors.values()))
 
     def zero_load_latency(self, source: int, destination: int, flits: int = 1) -> float:
         """Zero-load latency of a packet: routers + links + serialization."""
@@ -85,11 +114,6 @@ class NocTopology:
         latency += self.router_pipeline_cycles.get(path[-1], 1)
         latency += max(0, flits - 1)  # serialization of the packet body
         return latency
-
-    @property
-    def num_links(self) -> int:
-        """Number of directed links."""
-        return self.graph.number_of_edges()
 
     def average_hop_count(self) -> float:
         """Average hop count over all core -> LLC pairs."""
@@ -121,13 +145,13 @@ def build_mesh(
     3 cycles/hop.
     """
     rows, cols = _grid_dims(cores)
-    graph = nx.DiGraph()
+    successors: "dict[int, dict[int, LinkAttributes]]" = {}
     positions: "dict[int, tuple[float, float]]" = {}
     link_cycles = max(1, hop_latency_cycles - router_pipeline_cycles)
     for node in range(rows * cols):
         r, c = divmod(node, cols)
         positions[node] = (c, r)
-        graph.add_node(node)
+        successors[node] = {}
     for node in range(rows * cols):
         r, c = divmod(node, cols)
         for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
@@ -135,7 +159,7 @@ def build_mesh(
             if 0 <= nr < rows and 0 <= nc < cols:
                 neighbour = nr * cols + nc
                 attrs = LinkAttributes(latency_cycles=link_cycles, length_mm=tile_pitch_mm)
-                graph.add_edge(node, neighbour, attrs=attrs, weight=1.0)
+                successors[node][neighbour] = attrs
     nodes = list(range(rows * cols))[:cores]
 
     def xy_route(source: int, destination: int) -> "list[int]":
@@ -154,10 +178,10 @@ def build_mesh(
 
     return NocTopology(
         name="mesh",
-        graph=graph,
+        successors=successors,
         core_nodes=nodes,
         llc_nodes=nodes,  # every tile holds an LLC slice
-        router_pipeline_cycles={n: router_pipeline_cycles for n in graph.nodes},
+        router_pipeline_cycles={n: router_pipeline_cycles for n in successors},
         positions=positions,
         routing=xy_route,
     )
@@ -176,12 +200,12 @@ def build_flattened_butterfly(
     hops.
     """
     rows, cols = _grid_dims(cores)
-    graph = nx.DiGraph()
+    successors: "dict[int, dict[int, LinkAttributes]]" = {}
     positions: "dict[int, tuple[float, float]]" = {}
     for node in range(rows * cols):
         r, c = divmod(node, cols)
         positions[node] = (c, r)
-        graph.add_node(node)
+        successors[node] = {}
     for node in range(rows * cols):
         r, c = divmod(node, cols)
         for other_c in range(cols):
@@ -189,13 +213,13 @@ def build_flattened_butterfly(
                 span = abs(other_c - c)
                 latency = max(1, int(math.ceil(span / tiles_per_cycle)))
                 attrs = LinkAttributes(latency_cycles=latency, length_mm=span * tile_pitch_mm)
-                graph.add_edge(node, r * cols + other_c, attrs=attrs, weight=1.0)
+                successors[node][r * cols + other_c] = attrs
         for other_r in range(rows):
             if other_r != r:
                 span = abs(other_r - r)
                 latency = max(1, int(math.ceil(span / tiles_per_cycle)))
                 attrs = LinkAttributes(latency_cycles=latency, length_mm=span * tile_pitch_mm)
-                graph.add_edge(node, other_r * cols + c, attrs=attrs, weight=1.0)
+                successors[node][other_r * cols + c] = attrs
     nodes = list(range(rows * cols))[:cores]
 
     def row_column_route(source: int, destination: int) -> "list[int]":
@@ -211,10 +235,10 @@ def build_flattened_butterfly(
 
     return NocTopology(
         name="fbfly",
-        graph=graph,
+        successors=successors,
         core_nodes=nodes,
         llc_nodes=nodes,
-        router_pipeline_cycles={n: router_pipeline_cycles for n in graph.nodes},
+        router_pipeline_cycles={n: router_pipeline_cycles for n in successors},
         positions=positions,
         routing=row_column_route,
     )
@@ -240,16 +264,19 @@ def build_nocout(
         raise ValueError("cores must be a multiple of llc_tiles")
     cores_per_tree = cores // llc_tiles // 2  # trees above and below the LLC row
     cores_per_tree = max(1, cores_per_tree)
-    graph = nx.DiGraph()
+    successors: "dict[int, dict[int, LinkAttributes]]" = {}
     positions: "dict[int, tuple[float, float]]" = {}
     router_pipeline: "dict[int, int]" = {}
+    # each node's chain up to its LLC tile: [node, parent, ..., llc]
+    chains: "dict[int, list[int]]" = {}
 
     llc_nodes = [cores + i for i in range(llc_tiles)]
     llc_row_y = cores_per_tree
     for i, llc in enumerate(llc_nodes):
-        graph.add_node(llc)
+        successors[llc] = {}
         positions[llc] = (i, llc_row_y)
         router_pipeline[llc] = llc_router_pipeline_cycles
+        chains[llc] = [llc]
 
     # Reduction/dispersion trees: chains of cores feeding each LLC tile from
     # above and below (Figure 4.4).
@@ -262,12 +289,12 @@ def build_nocout(
                 core_id += 1
                 if core_id > cores:
                     break
-                graph.add_node(node)
                 positions[node] = (i, llc_row_y + side * depth)
                 router_pipeline[node] = tree_hop_cycles
                 attrs = LinkAttributes(latency_cycles=tree_hop_cycles, length_mm=tile_pitch_mm)
-                graph.add_edge(node, previous, attrs=attrs, weight=1.0)
-                graph.add_edge(previous, node, attrs=attrs, weight=1.0)
+                successors[node] = {previous: attrs}
+                successors[previous][node] = attrs
+                chains[node] = [node, *chains[previous]]
                 previous = node
 
     # One-dimensional flattened butterfly among the LLC tiles.
@@ -278,16 +305,29 @@ def build_nocout(
             span = abs(a_idx - b_idx)
             latency = max(1, int(math.ceil(span / tiles_per_cycle)))
             attrs = LinkAttributes(latency_cycles=latency, length_mm=span * tile_pitch_mm)
-            graph.add_edge(a, b, attrs=attrs, weight=1.0)
+            successors[a][b] = attrs
+
+    def tree_route(source: int, destination: int) -> "list[int]":
+        """Up the source's chain, across the LLC row, down the destination's."""
+        up = chains[source]
+        down = chains[destination][::-1]
+        if up[-1] != down[0]:
+            return up + down  # one hop along the LLC row
+        # One tree: turn at the deepest node both chains share.
+        shared = 1
+        while shared < min(len(up), len(down)) and up[-1 - shared] == down[shared]:
+            shared += 1
+        return up[: len(up) - shared + 1] + down[shared:]
 
     core_nodes = list(range(cores))
     return NocTopology(
         name="nocout",
-        graph=graph,
+        successors=successors,
         core_nodes=core_nodes,
         llc_nodes=llc_nodes,
         router_pipeline_cycles=router_pipeline,
         positions=positions,
+        routing=tree_route,
     )
 
 

@@ -77,7 +77,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Typed envelope returned by :func:`repro.experiments.run_experiment`.
+    """Typed envelope returned by :func:`repro.experiments.registry.run_experiment`.
 
     Attributes:
         experiment_id: id of the spec that produced the data.

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from oracles.noc_routes import shortest_route, weighted_digraph
 from repro.faults import (
     FaultLoadConfig,
     FaultLoadGenerator,
@@ -359,13 +360,22 @@ class TestNocLinkFaults:
 
     def test_down_link_removed_and_original_untouched(self):
         mesh = self._mesh()
-        edges_before = mesh.graph.number_of_edges()
+        edges_before = mesh.num_links
         link = undirected_links(mesh)[0]
         faulted = apply_link_faults(mesh, (LinkFault(link=link, severity="down"),))
-        assert mesh.graph.number_of_edges() == edges_before
-        assert faulted.graph.number_of_edges() == edges_before - 2
+        assert mesh.num_links == edges_before
+        a, b = link
+        assert b in mesh.successors[a] and a in mesh.successors[b]
+        assert faulted.num_links == edges_before - 2
+        assert b not in faulted.successors[a] and a not in faulted.successors[b]
         assert faulted.name.endswith("+faults")
-        assert faulted.routing is None
+        # The faulted topology routes by weighted shortest path around the hole.
+        graph = weighted_digraph(faulted)
+        for source in faulted.core_nodes:
+            for destination in faulted.llc_nodes:
+                assert faulted.route(source, destination) == shortest_route(
+                    graph, source, destination
+                )
 
     def test_degraded_link_keeps_edges_but_slows_them(self):
         mesh = self._mesh()
@@ -373,10 +383,8 @@ class TestNocLinkFaults:
         faulted = apply_link_faults(
             mesh, (LinkFault(link=(a, b), severity="degraded", latency_factor=4.0),)
         )
-        healthy_latency = mesh.graph.edges[a, b]["attrs"].latency_cycles
-        assert (
-            faulted.graph.edges[a, b]["attrs"].latency_cycles == 4 * healthy_latency
-        )
+        healthy_latency = mesh.link(a, b).latency_cycles
+        assert faulted.link(a, b).latency_cycles == 4 * healthy_latency
 
     def test_partitioning_removal_degrades_instead(self):
         import networkx as nx
@@ -391,11 +399,11 @@ class TestNocLinkFaults:
         # Taking every link "down" must not partition the network: removals
         # that would cut a core off from an LLC bank fall back to degradation,
         # so cores and LLCs stay mutually reachable (some edges survive).
-        assert faulted.graph.number_of_edges() > 0
+        assert faulted.num_links > 0
         required = set(faulted.core_nodes) | set(faulted.llc_nodes)
         assert any(
             required <= component
-            for component in nx.strongly_connected_components(faulted.graph)
+            for component in nx.strongly_connected_components(weighted_digraph(faulted))
         )
 
     def test_generator_samples_links_deterministically(self):

@@ -4,12 +4,13 @@ import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.noc_routes import shortest_route, weighted_digraph
 
 from repro.noc.metrics import NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.packet import MessageClass, Packet
 from repro.noc.simulation import PodNocStudy
-from repro.noc.topology import build_flattened_butterfly, build_mesh, build_nocout
+from repro.noc.topology import NocTopology, build_flattened_butterfly, build_mesh, build_nocout
 from repro.noc.traffic import BilateralTrafficGenerator
 from repro.workloads import WorkloadSuite, get_workload
 
@@ -18,9 +19,9 @@ class TestTopologies:
     def test_mesh_structure(self):
         mesh = build_mesh(cores=64)
         assert len(mesh.core_nodes) == 64
-        assert mesh.graph.number_of_nodes() == 64
+        assert mesh.num_nodes == 64
         # Interior routers have 4 neighbours, corners 2.
-        degrees = [mesh.graph.out_degree(n) for n in mesh.graph.nodes]
+        degrees = [len(neighbours) for neighbours in mesh.successors.values()]
         assert max(degrees) == 4 and min(degrees) == 2
 
     def test_mesh_xy_routing_hop_count(self):
@@ -59,12 +60,36 @@ class TestTopologies:
         with pytest.raises(ValueError):
             build_nocout(cores=60, llc_tiles=8)
 
+    @pytest.mark.parametrize("cores,llc_tiles", [(64, 8), (32, 8), (16, 4), (64, 4), (8, 8)])
+    def test_nocout_tree_route_is_the_weighted_shortest_path(self, cores, llc_tiles):
+        """The closed-form tree route against networkx on every ordered pair."""
+        nocout = build_nocout(cores=cores, llc_tiles=llc_tiles)
+        graph = weighted_digraph(nocout)
+        for source in nocout.successors:
+            for destination in nocout.successors:
+                assert nocout.route(source, destination) == shortest_route(
+                    graph, source, destination
+                ), (source, destination)
+
+    def test_topology_without_routes_is_rejected(self):
+        mesh = build_mesh(cores=16)
+        with pytest.raises(ValueError, match="routing"):
+            NocTopology(
+                name="mesh",
+                successors=mesh.successors,
+                core_nodes=mesh.core_nodes,
+                llc_nodes=mesh.llc_nodes,
+                router_pipeline_cycles=mesh.router_pipeline_cycles,
+                positions=mesh.positions,
+                routing=None,
+            )
+
     @given(st.sampled_from([16, 32, 64]))
     def test_routes_are_connected_paths(self, cores):
         mesh = build_mesh(cores=cores)
         path = mesh.route(0, cores - 1)
         for a, b in zip(path[:-1], path[1:]):
-            assert mesh.graph.has_edge(a, b)
+            assert b in mesh.successors[a]
 
 
 class TestNocNetwork:

@@ -207,7 +207,7 @@ def _faulted_mesh():
     """A 4x4 mesh with one link down: weighted shortest-path routes whose
     channel dependency graph is cyclic once every pair is compiled."""
     faulted = apply_link_faults(build_mesh(16), (LinkFault(link=(5, 6), severity="down"),))
-    nodes = faulted.graph.number_of_nodes()
+    nodes = faulted.num_nodes
     compile_topology(faulted).compile_pairs(np.arange(nodes * nodes))
     return faulted
 
@@ -263,7 +263,7 @@ class TestWavefrontEquivalence:
     @given(data=st.data())
     def test_batches_match_reference(self, name, link_width_bits, data):
         topology = EQUIVALENCE_TOPOLOGIES[name]
-        nodes = topology.graph.number_of_nodes()
+        nodes = topology.num_nodes
         first = data.draw(packet_batches(nodes))
         second = data.draw(packet_batches(nodes, first_id=len(first)))
         warmup = data.draw(st.booleans())
@@ -316,7 +316,7 @@ class TestWavefrontEquivalence:
         ``run_batch`` must not write to them; two fresh networks agree."""
         name = data.draw(st.sampled_from(sorted(EQUIVALENCE_TOPOLOGIES)))
         topology = EQUIVALENCE_TOPOLOGIES[name]
-        batch = data.draw(packet_batches(topology.graph.number_of_nodes()))
+        batch = data.draw(packet_batches(topology.num_nodes))
         pristine = _copy(batch)
         one = NocNetwork(topology).run_batch(batch)
         two = NocNetwork(topology).run_batch(batch)
