@@ -12,7 +12,11 @@ from dataclasses import dataclass, replace
 
 from repro.cores.models import CoreModel, core_model
 from repro.interconnect import interconnect_model
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import (
+    AnalyticPerformanceModel,
+    SystemConfig,
+    require_positive_finite,
+)
 from repro.perfmodel.density import AreaBudget, performance_density
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_40NM, TechnologyNode
@@ -48,8 +52,11 @@ class Pod:
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
-        if self.llc_capacity_mb <= 0:
-            raise ValueError("llc_capacity_mb must be positive")
+        require_positive_finite(
+            llc_capacity_mb=self.llc_capacity_mb,
+            effective_capacity_factor=self.effective_capacity_factor,
+            offchip_traffic_factor=self.offchip_traffic_factor,
+        )
         core_model(self.core_type)  # validates the core type
         interconnect_model(self.interconnect)  # validates the interconnect
 

@@ -18,6 +18,7 @@ the workload/core MLP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -31,6 +32,13 @@ from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_40NM, TechnologyNode
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.suite import WorkloadSuite, default_suite
+
+
+def require_positive_finite(**fields: float) -> None:
+    """Raise ``ValueError`` naming the first field that is not a positive, finite number."""
+    for name, value in fields.items():
+        if not (0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,13 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
-        if self.llc_capacity_mb <= 0:
-            raise ValueError("llc_capacity_mb must be positive")
-        if self.effective_capacity_factor <= 0:
-            raise ValueError("effective_capacity_factor must be positive")
-        if self.offchip_traffic_factor <= 0:
-            raise ValueError("offchip_traffic_factor must be positive")
+        require_positive_finite(
+            llc_capacity_mb=self.llc_capacity_mb,
+            effective_capacity_factor=self.effective_capacity_factor,
+            offchip_traffic_factor=self.offchip_traffic_factor,
+        )
+        if self.llc_banks is not None and self.llc_banks < 1:
+            raise ValueError("llc_banks must be >= 1")
 
     @property
     def effective_llc_capacity_mb(self) -> float:
@@ -93,8 +102,6 @@ class SystemConfig:
     def resolved_banks(self) -> int:
         """Number of LLC banks (defaults to the paper's organization rules)."""
         if self.llc_banks is not None:
-            if self.llc_banks < 1:
-                raise ValueError("llc_banks must be >= 1")
             return self.llc_banks
         name = self.resolved_interconnect().name
         if name in ("mesh", "fbfly"):

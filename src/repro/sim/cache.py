@@ -32,6 +32,46 @@ class CacheStats:
         return self.hits / self.accesses
 
 
+class _LazySets(dict):
+    """Set index -> LRU ``dict[tag, dirty]``, each set built on first access.
+
+    A set that the last :meth:`SetAssociativeCache.fill_lines` planned is
+    built from its slice of the plan's tags; any other set starts empty.
+
+    Attributes:
+        tags: the planned tags, grouped by set, each group in fill order.
+        lo: per set index, where the set's kept tags start in ``tags``.
+        hi: per set index, where they end; ``lo == hi`` for an unplanned set.
+        pending_lines: lines held by the planned sets not yet built.
+    """
+
+    __slots__ = ("tags", "lo", "hi", "pending_lines")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tags: "np.ndarray | None" = None
+        self.lo: "list[int]" = []
+        self.hi: "list[int]" = []
+        self.pending_lines = 0
+
+    def __missing__(self, index: int) -> "dict[int, bool]":
+        cache_set: "dict[int, bool]" = {}
+        if self.pending_lines:
+            lo, hi = self.lo[index], self.hi[index]
+            if lo < hi:
+                self.pending_lines -= hi - lo
+                cache_set = dict.fromkeys(self.tags[lo:hi].tolist(), False)
+        self[index] = cache_set
+        return cache_set
+
+    def build_pending(self) -> None:
+        """Build every planned set not built yet."""
+        if self.pending_lines:
+            for index, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+                if lo < hi and index not in self:
+                    self[index]
+
+
 class SetAssociativeCache:
     """A set-associative, LRU-replacement cache.
 
@@ -40,7 +80,8 @@ class SetAssociativeCache:
     studies.
 
     Args:
-        capacity_bytes: total cache capacity in bytes.
+        capacity_bytes: total cache capacity in bytes; at least one set
+            (``associativity * line_bytes``).
         associativity: ways per set.
         line_bytes: cache line size.
         name: human-readable name used in debugging output.
@@ -59,15 +100,21 @@ class SetAssociativeCache:
             raise ValueError("associativity must be >= 1")
         if line_bytes <= 0 or line_bytes & (line_bytes - 1):
             raise ValueError("line_bytes must be a positive power of two")
+        if capacity_bytes < associativity * line_bytes:
+            raise ValueError(
+                f"capacity_bytes must hold at least one set "
+                f"({associativity} ways x {line_bytes} B = {associativity * line_bytes} B), "
+                f"got {capacity_bytes}"
+            )
         self.capacity_bytes = capacity_bytes
         self.associativity = associativity
         self.line_bytes = line_bytes
         self.name = name
-        lines = max(1, capacity_bytes // line_bytes)
-        self.num_sets = max(1, lines // associativity)
+        self.num_sets = capacity_bytes // line_bytes // associativity
         # Each set is an insertion-ordered dict tag -> dirty in LRU order
         # (first = LRU, last = MRU); a hit re-inserts its tag at the end.
-        self._sets: "list[dict[int, bool]]" = [{} for _ in range(self.num_sets)]
+        # Sets are built on first access (see fill_lines).
+        self._sets = _LazySets()
         self.stats = CacheStats()
 
     # --------------------------------------------------------------- indexing
@@ -125,37 +172,45 @@ class SetAssociativeCache:
 
         Leaves the same sets and :class:`CacheStats` as ``fill(a)`` for each
         address in turn, from any starting state.  Sets are independent, so
-        each is built on its own: an empty set that receives distinct tags
+        each is handled on its own: an empty set that receives distinct tags
         ends up holding the last ``associativity`` of them, in fill order and
         clean, and every earlier tag is one eviction of a clean line (no
-        writeback).  A set that is already occupied, or that receives a tag
-        twice, replays its own addresses through :meth:`fill`.
+        writeback).  Such a set is not built here: its evictions are counted
+        now, and it keeps a plan -- its slice of the tags grouped by set --
+        from which its LRU dict is built the first time anything reads it.
+        A set that is already occupied, or that receives a tag twice,
+        replays its own addresses through :meth:`fill`.  Sets still pending
+        from an earlier call are built first.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         if addresses.size == 0:
             return
-        line_addrs = addresses // self.line_bytes
-        set_indices = line_addrs % self.num_sets
-        order = np.argsort(set_indices, kind="stable")
-        indices = set_indices[order]
-        starts = np.flatnonzero(np.diff(indices, prepend=-1))
-        ends = np.append(starts[1:], indices.size)
-        sorted_lines = np.sort(line_addrs)
-        repeated = sorted_lines[1:][sorted_lines[1:] == sorted_lines[:-1]]
-        repeated_sets = set((repeated % self.num_sets).tolist())
-        tags = (line_addrs[order] // self.num_sets).tolist()
-        # Only the last ``associativity`` tags of a set survive its fills.
-        kept_from = np.maximum(starts, ends - self.associativity)
         sets = self._sets
-        for index, start, kept, end in zip(
-            indices[starts].tolist(), starts.tolist(), kept_from.tolist(), ends.tolist()
-        ):
-            if sets[index] or index in repeated_sets:
-                for position in order[start:end].tolist():
-                    self.fill(int(addresses[position]))
-                continue
-            sets[index] = dict.fromkeys(tags[kept:end], False)
-            self.stats.evictions += kept - start
+        sets.build_pending()
+        line_addrs = addresses // self.line_bytes
+        tags, set_indices = np.divmod(line_addrs, self.num_sets)
+        order = np.argsort(set_indices, kind="stable")
+        # Set s receives addresses[order[ends[s] - counts[s]:ends[s]]], in order.
+        counts = np.bincount(set_indices, minlength=self.num_sets)
+        ends = np.cumsum(counts)
+        replay = np.zeros(self.num_sets, dtype=bool)
+        # A stable sort merges ascending runs, such as a warm-up's regions, in
+        # linear time.
+        ordered = np.sort(line_addrs, kind="stable")
+        replay[ordered[1:][ordered[1:] == ordered[:-1]] % self.num_sets] = True
+        replay[[index for index, cache_set in sets.items() if cache_set]] = True
+        # Only the last ``associativity`` tags of a set survive its fills.
+        kept = np.where(replay, 0, np.minimum(counts, self.associativity))
+        lo = ends - kept
+        for index in np.flatnonzero(kept).tolist() if sets else ():
+            sets.pop(index, None)  # an empty set built by an earlier read
+        sets.tags = tags[order]
+        sets.lo, sets.hi = lo.tolist(), ends.tolist()
+        sets.pending_lines = int(kept.sum())
+        self.stats.evictions += int((counts - kept)[~replay].sum())
+        for index in np.flatnonzero(replay & (counts > 0)).tolist():
+            for position in order[ends[index] - counts[index] : ends[index]].tolist():
+                self.fill(int(addresses[position]))
 
     def invalidate(self, address: int) -> bool:
         """Remove the line holding ``address``; returns True if it was resident."""
@@ -166,4 +221,4 @@ class SetAssociativeCache:
     @property
     def resident_lines(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets.values())) + self._sets.pending_lines

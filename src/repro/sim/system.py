@@ -47,6 +47,8 @@ class SimulatedSystem:
         memory_channels: "int | None" = None,
         seed: int = 1,
     ):
+        if memory_channels is not None and memory_channels < 1:
+            raise ValueError(f"memory_channels must be >= 1, got {memory_channels}")
         self.workload = workload
         self.config = config
         self.seed = seed
@@ -146,26 +148,35 @@ class SimulatedSystem:
         hold less of the capturable content.
 
         The result equals one clean :meth:`SetAssociativeCache.fill` per line
-        in that order: the lines are built as one array, split by bank, and
-        installed with one :meth:`SetAssociativeCache.fill_lines` per bank.
+        in that order: each bank's lines are computed from the regions' line
+        ranges and installed with one :meth:`SetAssociativeCache.fill_lines`
+        per bank.  That call counts the evictions and resident lines at once
+        but builds a set only when the measured window first reads it, so the
+        sets the window never touches are never built.
         """
         total_lines = sum(bank.num_sets * bank.associativity for bank in self.banks)
         remaining = int(total_lines * 0.95)
-        chunks = []
+        regions = []  # (first line, line count)
         for region_name in ("instructions", "shared_small", "shared_hot", "capturable"):
             if remaining <= 0:
                 break
             region = generator.regions[region_name]
             count = min(remaining, max(1, region.size_bytes // self._line_bytes))
-            chunks.append(region.base // self._line_bytes + np.arange(count, dtype=np.int64))
+            regions.append((region.base // self._line_bytes, count))
             remaining -= count
-        if not chunks:
+        if not regions:
             return
-        lines = np.concatenate(chunks)
-        bank_of_line = lines % self.num_banks
-        local_addresses = (lines // self.num_banks) * self._line_bytes
         for bank_id, bank in enumerate(self.banks):
-            bank.fill_lines(local_addresses[bank_of_line == bank_id])
+            # A region's lines in this bank are every num_banks-th line from
+            # its first line ``l`` with ``l % num_banks == bank_id``.
+            local_lines = []
+            for first, count in regions:
+                skip = (bank_id - first) % self.num_banks
+                local_lines.append(
+                    (first + skip) // self.num_banks
+                    + np.arange(len(range(skip, count, self.num_banks)), dtype=np.int64)
+                )
+            bank.fill_lines(np.concatenate(local_lines) * self._line_bytes)
 
     # -------------------------------------------------------------------- run
     def run(self, instructions_per_core: int = 20_000, warmup: bool = True) -> SimulationStats:

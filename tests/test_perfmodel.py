@@ -1,8 +1,11 @@
 """Tests for the analytic performance model and performance density."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.pod import Pod
 from repro.perfmodel import (
     AnalyticPerformanceModel,
     AreaBudget,
@@ -45,6 +48,22 @@ class TestSystemConfig:
             SystemConfig(cores=1, llc_capacity_mb=0)
         with pytest.raises(ValueError):
             SystemConfig(cores=1, effective_capacity_factor=0)
+
+    @pytest.mark.parametrize("cls", [SystemConfig, Pod], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "field", ["llc_capacity_mb", "effective_capacity_factor", "offchip_traffic_factor"]
+    )
+    def test_rejects_non_finite_or_non_positive(self, cls, field, value):
+        # NaN passed the old ``<= 0`` checks: a NaN factor gave a NaN IPC and a
+        # NaN or infinite capacity failed deep inside the LLC model.
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite") as caught:
+            cls(cores=2, **{field: value})
+        assert "\n" not in str(caught.value)
+
+    def test_rejects_llc_banks_below_one_at_construction(self):
+        with pytest.raises(ValueError, match="llc_banks"):
+            SystemConfig(cores=4, llc_banks=0)
 
     def test_effective_capacity(self):
         config = SystemConfig(cores=4, llc_capacity_mb=8, effective_capacity_factor=0.5)

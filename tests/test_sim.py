@@ -19,8 +19,8 @@ from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
 
 
 def _lru_state(cache):
-    """Every set's ``(tag, dirty)`` pairs, LRU first."""
-    return [list(cache_set.items()) for cache_set in cache._sets]
+    """Every set's ``(tag, dirty)`` pairs, LRU first, in set-index order."""
+    return [list(cache._sets[index].items()) for index in range(cache.num_sets)]
 
 
 def _bank_states(system):
@@ -150,6 +150,13 @@ class TestSetAssociativeCache:
         with pytest.raises(ValueError):
             SetAssociativeCache(capacity_bytes=1024, line_bytes=48)
 
+    def test_rejects_capacity_below_one_set(self):
+        # 16 ways x 64 B need 1,024 bytes; 192 bytes used to hold a whole set.
+        with pytest.raises(ValueError, match="capacity_bytes") as caught:
+            SetAssociativeCache(capacity_bytes=192, associativity=16)
+        assert "\n" not in str(caught.value)
+        assert SetAssociativeCache(capacity_bytes=1024, associativity=16).num_sets == 1
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=200))
     def test_resident_lines_never_exceed_capacity(self, addresses):
@@ -219,6 +226,114 @@ class TestSetAssociativeCache:
         bulk.fill_lines(addresses)
         for address in addresses:
             loop.fill(address)
+        assert _lru_state(bulk) == _lru_state(loop)
+        assert bulk.stats == loop.stats
+
+
+def _apply(cache, ops):
+    """Run ``(op, line)`` pairs on ``cache``; returns what each call returned."""
+    results = []
+    for op, line in ops:
+        address = line * 64 + 3
+        if op == "read":
+            results.append(cache.access(address))
+        elif op == "write":
+            results.append(cache.access(address, is_write=True))
+        elif op == "fill":
+            results.append(cache.fill(address))
+        elif op == "fill_dirty":
+            results.append(cache.fill(address, dirty=True))
+        elif op == "contains":
+            results.append(cache.contains(address))
+        else:
+            results.append(cache.invalidate(address))
+    return results
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("read", "write", "fill", "fill_dirty", "contains", "invalidate")),
+        st.integers(min_value=0, max_value=63),
+    ),
+    max_size=60,
+)
+
+
+class TestDeferredInstall:
+    """``fill_lines`` defers building a set until something reads it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        prior=_CACHE_OPS,
+        lines=st.lists(st.integers(min_value=0, max_value=63), max_size=80),
+        after=_CACHE_OPS,
+    )
+    def test_operations_after_fill_lines_equal_fill_loop(self, prior, lines, after):
+        # Sets left pending by the bulk install are built by whichever of
+        # access, fill, contains or invalidate reads them first; every call
+        # must return, and leave, what it would after a fill loop.
+        bulk, loop = (
+            SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
+        )
+        assert _apply(bulk, prior) == _apply(loop, prior)
+        addresses = [line * 64 + 5 for line in lines]
+        bulk.fill_lines(addresses)
+        for address in addresses:
+            loop.fill(address)
+        assert bulk.resident_lines == loop.resident_lines
+        assert bulk.stats == loop.stats
+        assert _apply(bulk, after) == _apply(loop, after)
+        assert bulk.resident_lines == loop.resident_lines
+        assert _lru_state(bulk) == _lru_state(loop)
+        assert bulk.stats == loop.stats
+
+    @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
+    def test_counts_match_oracle_before_any_set_is_built(self, workload):
+        config = SystemConfig(cores=8, llc_capacity_mb=8)
+        bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
+        generator = SyntheticTraceGenerator(workload, cores=8, seed=7, core_type=bulk.core.name)
+        bulk.warm_caches(generator)
+        warm_caches_per_line(oracle, generator)
+        for bank, expected in zip(bulk.banks, oracle.banks):
+            assert bank.resident_lines == expected.resident_lines
+            assert bank.stats == expected.stats
+            assert len(bank._sets) == 0
+
+    def test_warm_caches_builds_no_set(self):
+        # The catalog-default Figure 3.3 system: 2 cores, mesh, 4 MB LLC.
+        workload = get_workload("Data Serving")
+        system = SimulatedSystem(workload, SystemConfig(cores=2, interconnect="mesh"), seed=7)
+        generator = SyntheticTraceGenerator(workload, cores=2, seed=7, core_type=system.core.name)
+        system.warm_caches(generator)
+        for bank in system.banks:
+            assert len(bank._sets) == 0
+            assert bank._sets.pending_lines == bank.resident_lines > 0
+        # Reading one warmed line builds its set and no other.
+        first = generator.regions["instructions"].base
+        bank = system.banks[system._bank_for(first)]
+        resident = bank.resident_lines
+        assert bank.contains(system._bank_local_address(first))
+        assert len(bank._sets) == 1 and bank.resident_lines == resident
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        first=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=60),
+        touched=st.lists(st.integers(min_value=0, max_value=63), max_size=10),
+        second=st.lists(st.integers(min_value=0, max_value=63), max_size=60),
+    )
+    def test_second_fill_lines_onto_pending_sets_equals_fill_loop(self, first, touched, second):
+        bulk, loop = (
+            SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
+        )
+        bulk.fill_lines([line * 64 for line in first])
+        for line in first:
+            loop.fill(line * 64)
+        reads = [("contains", line) for line in touched]
+        assert _apply(bulk, reads) == _apply(loop, reads)
+        bulk.fill_lines([line * 64 for line in second])
+        for line in second:
+            loop.fill(line * 64)
+        assert bulk.resident_lines == loop.resident_lines
         assert _lru_state(bulk) == _lru_state(loop)
         assert bulk.stats == loop.stats
 
@@ -421,6 +536,16 @@ class TestSimulatedSystem:
         config = SystemConfig(cores=2, llc_capacity_mb=2)
         with pytest.raises(ValueError):
             SimulatedSystem(workload, config).run(0)
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_rejects_memory_channels_below_one(self, channels):
+        # memory_channels=0 used to build the system and then die with a
+        # ZeroDivisionError in _channel_for on the first LLC miss.
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=2, llc_capacity_mb=2)
+        with pytest.raises(ValueError, match="memory_channels") as caught:
+            simulate_system(workload, config, 1000, memory_channels=channels)
+        assert "\n" not in str(caught.value)
 
     def test_channel_interleaving_decorrelated_from_banks(self):
         # Regression: channel selection used the same low line-address bits as

@@ -7,6 +7,9 @@ fails when the documented fraction is below the threshold.  Stdlib-only, so it r
 
     python tools/check_docstrings.py --fail-under 100 \
         src/repro/runtime src/repro/service/cluster.py src/repro/noc/fastpath.py
+
+With no targets it audits :data:`ENFORCED`, the public entry points that CI
+and the tier-1 suite both hold to 100%.
 """
 
 from __future__ import annotations
@@ -15,6 +18,34 @@ import argparse
 import ast
 import sys
 from pathlib import Path
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Public entry points held to 100% docstring coverage, relative to the
+#: repository root.  The CI step and ``tests/test_docstrings.py`` both audit
+#: exactly this list.
+ENFORCED = (
+    "src/repro/runtime",
+    "src/repro/obs",
+    "src/repro/dse",
+    "src/repro/report",
+    "src/repro/faults",
+    "src/repro/fleet",
+    "src/repro/technology/family.py",
+    "src/repro/technology/node.py",
+    "src/repro/experiments/technology.py",
+    "src/repro/service/cluster.py",
+    "src/repro/service/balancer.py",
+    "src/repro/service/queueing.py",
+    "src/repro/noc",
+    "src/repro/sim",
+    "src/repro/perfmodel",
+    "src/repro/caches",
+    "src/repro/workloads",
+    "src/repro/cores",
+    "src/repro/memory",
+)
 
 
 def _is_public(name: str) -> bool:
@@ -59,7 +90,8 @@ def audit_file(path: Path) -> "tuple[int, int, list[str]]":
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("targets", nargs="+", help="files or directories to audit")
+    parser.add_argument("targets", nargs="*",
+                        help="files or directories to audit (default: ENFORCED)")
     parser.add_argument("--fail-under", type=float, default=100.0, metavar="PCT",
                         help="minimum documented percentage (default 100)")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
@@ -67,7 +99,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     documented = total = 0
     missing: "list[str]" = []
-    for path in iter_python_files(args.targets):
+    targets = args.targets or [str(REPO / target) for target in ENFORCED]
+    for path in iter_python_files(targets):
         file_documented, file_total, file_missing = audit_file(path)
         documented += file_documented
         total += file_total
