@@ -44,6 +44,7 @@ from repro.fleet.routing import (
     route_demand,
 )
 from repro.fleet.traffic import TrafficChunk, generate_chunk, routing_seed
+from repro.perfmodel.analytic import require_positive_finite
 from repro.service.cluster import simulate_chunk
 from repro.service.queueing import run_events
 
@@ -94,8 +95,7 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if not self.datacenters:
             raise ValueError("a fleet needs at least one datacenter")
-        if self.offered_qps <= 0:
-            raise ValueError("offered_qps must be positive")
+        require_positive_finite(offered_qps=self.offered_qps)
         if not self.classes:
             raise ValueError("a fleet needs at least one request class")
         if abs(sum(cls.fraction for cls in self.classes) - 1.0) > 1e-6:

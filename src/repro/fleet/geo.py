@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.perfmodel.analytic import require_positive_finite
 from repro.service.balancer import BALANCER_POLICIES
 
 #: Fixed per-request network overhead between any two distinct regions (s).
@@ -101,8 +102,7 @@ class Datacenter:
             raise ValueError("num_servers must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.service_mean_s <= 0:
-            raise ValueError("service_mean_s must be positive")
+        require_positive_finite(service_mean_s=self.service_mean_s)
         if self.server_cost_monthly_usd < 0:
             raise ValueError("server_cost_monthly_usd must be >= 0")
         if self.min_servers < 1:

@@ -26,6 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.service.draws import uniform_batch
+
 
 @dataclass(frozen=True)
 class PoissonArrivals:
@@ -51,12 +53,14 @@ class PoissonArrivals:
     def sample_times(self, rng: random.Random, count: int) -> np.ndarray:
         """``count`` absolute arrival times, generated as one batch.
 
-        Consumes one uniform per request from ``rng`` (the same budget as
-        :meth:`gaps`), vectorizing the log transform and the running-time
-        accumulation; the common-random-numbers scaling property is preserved
-        exactly because the uniforms are shared across rates.
+        Consumes one uniform per request from ``rng`` (the same values as
+        :meth:`gaps` draws, taken in bulk by
+        :func:`~repro.service.draws.uniform_batch`), vectorizing the log
+        transform and the running-time accumulation; the
+        common-random-numbers scaling property is preserved exactly because
+        the uniforms are shared across rates.
         """
-        uniforms = np.array([rng.random() for _ in range(count)], dtype=np.float64)
+        uniforms = uniform_batch(rng, count)
         gaps = -np.log1p(-uniforms) / self.rate_rps
         return np.cumsum(gaps)
 

@@ -25,15 +25,23 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.perfmodel.analytic import require_positive_finite
 from repro.service.arrivals import make_arrivals
 from repro.service.balancer import BALANCER_POLICIES
+from repro.service.draws import randrange_batch
 from repro.service.latency import LatencyCollector, LatencyStats
-from repro.service.queueing import FaultTally, StationTally, run_events
+from repro.service.queueing import (
+    FaultTally,
+    StationTally,
+    check_request_stream,
+    run_events,
+)
 from repro.service.servicetime import make_service_time
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
@@ -74,6 +82,11 @@ def fcfs_completion_times(
     return completions
 
 
+#: Requests per block of the balanced kernel: it lists drain slots and keeps
+#: drain chains one block at a time, so its side tables stay this size.
+_SLOT_BLOCK = 4096
+
+
 def balanced_completion_times(
     arrivals: "list[float]",
     services: "list[float]",
@@ -88,83 +101,125 @@ def balanced_completion_times(
     is not enough: the kernel additionally tracks each server's in-system
     count (queued plus in service) at every arrival instant.
 
-    * A global ``(completion, server)`` heap drains finished requests -- with
-      the *strict* ``< t`` comparison, because the event engine schedules all
-      arrivals before any completion and its tie-break is insertion order, so
-      an arrival at exactly a completion's timestamp still sees that request
-      in the system.
-    * For ``jsq``, a count histogram keeps ``low == min(counts)`` at every
-      arrival: ``at[c]`` is how many servers hold count ``c`` (the list grows
-      by one slot when a count first reaches a new high).  A departure from
-      a server that held ``c`` lowers ``low`` to at most ``c - 1``; an
-      arrival at a ``low`` server raises ``low`` by one once ``at[low]`` hits
-      zero.  ``counts.index(low)`` then scans at C speed and stops at the
-      first minimum-count server -- exactly
-      :class:`~repro.service.balancer.JoinShortestQueue`'s lowest-id
-      tie-break, with no branch on the cluster width.
+    * **Drain by arrival slot.** The event engine schedules all arrivals
+      before any completion and breaks time ties by insertion order, so an
+      arrival at exactly a completion's timestamp still sees that request in
+      the system: a completion ``c`` of request ``i`` drains just before
+      arrival ``bisect_right(arrivals, c, i + 1)``, its *slot*.  Each routed
+      request is chained onto its slot, and its server's count falls when
+      the loop reaches that slot.  The departures drained before one arrival
+      commute -- the counts and ``low`` they leave do not depend on their
+      order -- so no completion heap is needed.  A request that finds a free
+      unit completes at ``arrival + service``; those completions and their
+      slots (``np.searchsorted(..., side="right")``) are computed up front,
+      and a queued request overwrites its entry and bisects for its slot.
+    * **Bounded side tables.** Slots are listed one block of
+      ``_SLOT_BLOCK`` requests at a time.  A chain is one int: the ids of
+      the servers draining at a slot, ``shift`` bits each, under a leading 1
+      (ints, unlike tuples, cost the garbage collector nothing).  Chains
+      draining in the current block sit in a block-sized list; later ones
+      wait in per-block buckets.  Memory follows the block size and the
+      in-system count, not the stream length.
+    * **Bitmask levels for** ``jsq``. ``level[c]`` has bit ``s`` set when
+      server ``s`` holds count ``c``, and ``low == min(counts)`` at every
+      arrival: a departure from count ``c`` lowers ``low`` to at most
+      ``c - 1``, and an arrival at the last ``low`` server raises it by one.
+      The lowest set bit of ``level[low]`` is the lowest-id shortest queue --
+      exactly :class:`~repro.service.balancer.JoinShortestQueue`'s
+      tie-break -- and every move between counts is two bit operations.
 
     ``po2`` replays :class:`~repro.service.balancer.PowerOfTwoChoices`'s draw
     sequence from ``routing_rng`` verbatim (first uniform over ``n``, second
     over ``n - 1`` with the shift), so the routing stream is bit-identical to
-    the event engine's.
+    the event engine's.  The kernel rejects a stream that fails
+    :func:`~repro.service.queueing.check_request_stream`, checked on the
+    arrays it builds anyway.
 
     Returns:
         ``(completions, assignment)`` lists, bitwise equal to an event run.
     """
     if policy not in ("jsq", "po2"):
         raise ValueError(f"no balanced-kernel replay for policy {policy!r}")
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    count = len(arrivals)
+    times = np.fromiter(arrivals, np.float64, count)
+    work = np.fromiter(services, np.float64, len(services))
+    check_request_stream(times, work)
     heapreplace = heapq.heapreplace
     randrange = routing_rng.randrange
     jsq = policy == "jsq"
+    block_size = _SLOT_BLOCK
+    shift = max(1, (num_servers - 1).bit_length())
+    mask = (1 << shift) - 1
 
+    # Each request's completion if it finds a free unit (reusing ``work``).
+    unqueued = np.add(times, work, out=work)
+    completions = unqueued.tolist()
+    assignment = [0] * count
     unit_free = [[0.0] * parallelism for _ in range(num_servers)]
     counts = [0] * num_servers
-    at = [num_servers]
+    bits = [1 << server for server in range(num_servers)]
+    level = [(1 << num_servers) - 1]
     low = 0
-    in_system: "list[tuple[float, int]]" = []
-    completions = [0.0] * len(arrivals)
-    assignment = [0] * len(arrivals)
-    for index in range(len(arrivals)):
-        arrival = arrivals[index]
-        while in_system and in_system[0][0] < arrival:
-            server = heappop(in_system)[1]
-            count = counts[server] - 1
-            counts[server] = count
+    # Block number -> (slot, server) pairs draining in that (later) block.
+    later: "dict[int, list[tuple[int, int]]]" = {}
+    for first in range(0, count, block_size):
+        last = min(first + block_size, count)
+        offsets = np.searchsorted(times, unqueued[first:last], side="right") - first
+        # chains[k]: the servers whose requests drain before arrival first + k.
+        chains = [1] * block_size
+        for slot, server in later.pop(first // block_size, ()):
+            chains[slot - first] = chains[slot - first] << shift | server
+        index = first
+        for arrival, offset, chain in zip(arrivals[first:last], offsets.tolist(), chains):
+            while chain > 1:
+                server = chain & mask
+                chain >>= shift
+                held = counts[server]
+                counts[server] = held - 1
+                if jsq:
+                    bit = bits[server]
+                    level[held] ^= bit
+                    level[held - 1] |= bit
+                    if held <= low:
+                        low = held - 1
             if jsq:
-                at[count + 1] -= 1
-                at[count] += 1
-                if count < low:
-                    low = count
-        if jsq:
-            server = counts.index(low)
-            count = low + 1
-            counts[server] = count
-            at[low] -= 1
-            if count < len(at):
-                at[count] += 1
+                lowest = level[low]
+                bit = lowest & -lowest
+                server = bit.bit_length() - 1
+                level[low] = lowest ^ bit
+                held = low + 1
+                counts[server] = held
+                try:
+                    level[held] |= bit
+                except IndexError:
+                    level.append(bit)
+                if lowest == bit:
+                    low = held
             else:
-                at.append(1)
-            if not at[low]:
-                low = count
-        else:
-            server = 0
-            if num_servers > 1:
-                first = randrange(num_servers)
-                second = randrange(num_servers - 1)
-                if second >= first:
-                    second += 1
-                server = second if counts[second] < counts[first] else first
-            counts[server] += 1
-        heap = unit_free[server]
-        free = heap[0]
-        start = arrival if arrival >= free else free
-        completion = start + services[index]
-        heapreplace(heap, completion)
-        completions[index] = completion
-        assignment[index] = server
-        heappush(in_system, (completion, server))
+                server = 0
+                if num_servers > 1:
+                    pick = randrange(num_servers)
+                    other = randrange(num_servers - 1)
+                    if other >= pick:
+                        other += 1
+                    server = other if counts[other] < counts[pick] else pick
+                counts[server] += 1
+            heap = unit_free[server]
+            free = heap[0]
+            if arrival >= free:
+                heapreplace(heap, completions[index])
+            else:
+                completion = free + services[index]
+                heapreplace(heap, completion)
+                completions[index] = completion
+                offset = bisect_right(arrivals, completion, index + 1) - first
+            assignment[index] = server
+            index += 1
+            if offset < block_size:
+                chains[offset] = chains[offset] << shift | server
+            else:
+                slot = first + offset
+                later.setdefault(slot // block_size, []).append((slot, server))
     return completions, assignment
 
 
@@ -382,12 +437,15 @@ def simulate_chunk(
 
     The routing replays the event path's balancer draw for draw:
     ``round_robin`` routes request ``i`` to server ``i % num_servers`` and
-    ``random`` draws one ``randrange`` per request from
-    ``random.Random(rseed)``; both then run :func:`fcfs_completion_times`.
+    ``random`` takes one ``randrange`` per request from
+    ``random.Random(rseed)``, drawn in bulk by
+    :func:`~repro.service.draws.randrange_batch`; both then run
+    :func:`fcfs_completion_times`.
     ``jsq`` and ``po2`` read live backlogs and run
     :func:`balanced_completion_times` on the same seeded stream.  A
     ``schedule`` runs :func:`faulted_completion_times` instead, for every
-    policy, so the un-faulted kernels carry no fault work.
+    policy, so the un-faulted kernels carry no fault work.  A stream that
+    fails :func:`~repro.service.queueing.check_request_stream` is rejected.
 
     Returns:
         ``(completions, assignment)`` lists, bitwise equal to
@@ -395,6 +453,12 @@ def simulate_chunk(
         ``schedule``, ``(completions, assignment, tally)`` as
         :func:`faulted_completion_times` returns them.
     """
+    if schedule is None and policy not in ("random", "round_robin"):
+        # The balanced kernel checks the stream on the arrays it builds.
+        return balanced_completion_times(
+            arrivals, services, policy, num_servers, parallelism, random.Random(rseed)
+        )
+    check_request_stream(arrivals, services)
     if schedule is not None:
         return faulted_completion_times(
             arrivals, services, policy, num_servers, parallelism,
@@ -402,13 +466,8 @@ def simulate_chunk(
         )
     if policy == "round_robin":
         assignment = [index % num_servers for index in range(len(arrivals))]
-    elif policy == "random":
-        randrange = random.Random(rseed).randrange
-        assignment = [randrange(num_servers) for _ in arrivals]
     else:
-        return balanced_completion_times(
-            arrivals, services, policy, num_servers, parallelism, random.Random(rseed)
-        )
+        assignment = randrange_batch(random.Random(rseed), num_servers, len(arrivals))
     completions = fcfs_completion_times(
         arrivals, services, assignment, num_servers, parallelism
     )
@@ -448,10 +507,9 @@ class ClusterConfig:
             raise ValueError("num_servers must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.service_mean_s <= 0:
-            raise ValueError("service_mean_s must be positive")
-        if self.offered_qps <= 0:
-            raise ValueError("offered_qps must be positive")
+        require_positive_finite(
+            service_mean_s=self.service_mean_s, offered_qps=self.offered_qps
+        )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.policy not in BALANCER_POLICIES:

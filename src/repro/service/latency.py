@@ -40,6 +40,7 @@ class LatencyStats:
 
     @classmethod
     def from_iterable(cls, samples) -> "LatencyStats":
+        """Build from any iterable of latencies in seconds."""
         return cls(samples=tuple(samples))
 
     @classmethod
@@ -52,16 +53,19 @@ class LatencyStats:
 
     @property
     def count(self) -> int:
+        """Number of samples."""
         return len(self.samples)
 
     @property
     def mean_s(self) -> float:
+        """Mean latency; ``nan`` with no samples."""
         if self._ordered.size == 0:
             return float("nan")
         return float(self._ordered.mean())
 
     @property
     def max_s(self) -> float:
+        """Largest latency; ``nan`` with no samples."""
         if self._ordered.size == 0:
             return float("nan")
         return float(self._ordered[-1])
@@ -91,14 +95,17 @@ class LatencyStats:
 
     @property
     def p50_s(self) -> float:
+        """Median latency."""
         return self.percentile(0.50)
 
     @property
     def p95_s(self) -> float:
+        """95th-percentile latency."""
         return self.percentile(0.95)
 
     @property
     def p99_s(self) -> float:
+        """99th-percentile latency, the SLA metric."""
         return self.percentile(0.99)
 
     def meets_sla(self, p99_target_s: float) -> bool:

@@ -25,6 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from repro.service.balancer import make_balancer
 from repro.service.latency import LatencyCollector
 from repro.sim.engine import EventQueue
@@ -211,6 +213,36 @@ class RequestServer:
         return self.busy_time_s / (duration_s * self.parallelism)
 
 
+def check_request_stream(
+    arrivals: "list[float] | np.ndarray", services: "list[float] | np.ndarray"
+) -> None:
+    """Reject a request stream that the two engines would replay differently.
+
+    Both engines take request ``i`` to arrive at ``arrivals[i]`` in index
+    order; the fast engine also finds each completion's drain point by
+    bisecting ``arrivals``.  So arrivals must be finite, non-negative and
+    non-decreasing, and services finite and non-negative, one per arrival.
+    Float64 arrays are checked in place, lists are converted.
+
+    Raises:
+        ValueError: one line naming ``arrivals`` or ``services``.
+    """
+    if len(arrivals) != len(services):
+        raise ValueError(
+            f"services must give one time per arrival: {len(services)} services "
+            f"for {len(arrivals)} arrivals"
+        )
+    times = np.asarray(arrivals, dtype=np.float64)
+    # Non-decreasing (so nan-free), from >= 0 up to a finite last arrival.
+    if times.size and not (
+        (times[1:] >= times[:-1]).all() and times[0] >= 0.0 and times[-1] < np.inf
+    ):
+        raise ValueError("arrivals must be finite, non-negative and non-decreasing")
+    work = np.asarray(services, dtype=np.float64)
+    if not (np.isfinite(work).all() and (work >= 0.0).all()):
+        raise ValueError("services must be finite and non-negative")
+
+
 def run_events(
     arrivals: "list[float]",
     services: "list[float]",
@@ -233,12 +265,15 @@ def run_events(
     arriving while every server is down is *unrouted*.  ``None`` is the
     un-faulted run.
 
+    A stream that fails :func:`check_request_stream` is rejected.
+
     Returns:
         ``(stations, duration_s, unrouted)``: the stations, the time of the
         last event, and the number of requests that found no up server.
     """
     from repro.obs.tracer import get_tracer
 
+    check_request_stream(arrivals, services)
     tracer = get_tracer()
     engine = EventQueue()
     stragglers = schedule.stragglers if schedule is not None else ()

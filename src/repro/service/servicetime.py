@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.service.draws import uniform_batch
+
 
 @dataclass(frozen=True)
 class DeterministicService:
@@ -33,6 +35,7 @@ class DeterministicService:
             raise ValueError("mean_s must be positive")
 
     def sample(self, rng: random.Random) -> float:
+        """The mean; ``rng`` is not drawn from."""
         return self.mean_s
 
     def sample_batch(self, rng: random.Random, count: int) -> np.ndarray:
@@ -51,11 +54,12 @@ class ExponentialService:
             raise ValueError("mean_s must be positive")
 
     def sample(self, rng: random.Random) -> float:
+        """One sample by inverse transform of one ``rng.random()`` uniform."""
         return -math.log(1.0 - rng.random()) * self.mean_s
 
     def sample_batch(self, rng: random.Random, count: int) -> np.ndarray:
-        """``count`` samples, one uniform each, with a vectorized transform."""
-        uniforms = np.array([rng.random() for _ in range(count)], dtype=np.float64)
+        """``count`` samples, one bulk-drawn uniform each, transformed at once."""
+        uniforms = uniform_batch(rng, count)
         return -np.log1p(-uniforms) * self.mean_s
 
 
@@ -79,6 +83,7 @@ class LogNormalService:
             raise ValueError("cv must be positive")
 
     def sample(self, rng: random.Random) -> float:
+        """One sample from ``rng.lognormvariate`` with the matching mu and sigma."""
         sigma2 = math.log(1.0 + self.cv * self.cv)
         mu = math.log(self.mean_s) - 0.5 * sigma2
         return rng.lognormvariate(mu, math.sqrt(sigma2))

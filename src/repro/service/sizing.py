@@ -309,6 +309,7 @@ class ClusterSizer:
             )
 
         def p99(n: int) -> float:
+            """Per-server p99 latency with the load split over ``n`` servers."""
             return self.server_queue(capacity, sockets, target_qps / n).latency_quantile(0.99)
 
         units = capacity.units_per_chip * sockets

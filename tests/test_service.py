@@ -3,12 +3,15 @@
 import copy
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.service.cluster as cluster_module
 from repro.faults import FaultLoadConfig, FaultLoadGenerator
+from repro.fleet import Datacenter, FleetConfig, Region
 from repro.service import (
     ClusterConfig,
     ClusterSizer,
@@ -27,6 +30,7 @@ from repro.service import (
     saturation_qps,
     simulate_cluster,
 )
+from repro.service.draws import randrange_batch, uniform_batch
 from repro.service.queueing import run_events
 from repro.tco.datacenter import DatacenterDesign
 from repro.workloads.cloudsuite import WEB_SEARCH
@@ -343,6 +347,169 @@ class TestClusterSimulation:
         assert all(later >= earlier for earlier, later in zip(p99s, p99s[1:]))
         # Past saturation the open-loop queue grows without bound.
         assert p99s[-1] > 3.0 * p99s[0]
+
+
+#: Grid tick of the balanced-kernel streams: a power of two keeps every
+#: arrival and every completion an exact float, so they coincide on ties.
+TICK_S = 1.0 / 1024.0
+
+balanced_streams = st.fixed_dictionaries(
+    {
+        "policy": st.sampled_from(["jsq", "po2"]),
+        # Any width up to 130, plus those that end a 64-bit word of the level
+        # masks or need one more bit per server in a drain chain.
+        "num_servers": st.one_of(
+            st.integers(min_value=1, max_value=130),
+            st.sampled_from([2, 3, 5, 9, 17, 33, 63, 64, 65, 129]),
+        ),
+        "parallelism": st.integers(min_value=1, max_value=8),
+        "utilization": st.sampled_from([0.3, 0.8, 1.0, 1.3]),
+        "requests": st.integers(min_value=1, max_value=1_500),
+        # Simultaneous arrivals at one instant, queueing several deep.
+        "burst": st.sampled_from([0, 0, 40, 600]),
+        # Small slot blocks send drains across block boundaries.
+        "block": st.sampled_from([1, 2, 7, 64, 4096]),
+        "seed": st.integers(min_value=0, max_value=2**20),
+    }
+)
+
+
+def balanced_stream(params) -> "tuple[list[float], list[float]]":
+    """Arrivals 0-4 ticks apart and one whole-tick service time at the drawn
+    load, so completions land exactly on arrivals, plus the drawn burst."""
+    rng = np.random.default_rng(params["seed"])
+    ticks = np.cumsum(rng.integers(0, 5, params["requests"]))
+    at = rng.integers(0, len(ticks))
+    ticks = np.insert(ticks, at, np.full(params["burst"], ticks[at]))
+    units = params["num_servers"] * params["parallelism"]
+    service_ticks = round(2 * params["utilization"] * units)
+    return (ticks * TICK_S).tolist(), [service_ticks * TICK_S] * len(ticks)
+
+
+class _Recorder:
+    """A ``run_events`` collector keeping each request's server and latency."""
+
+    def __init__(self, count):
+        self.servers = [None] * count
+        self.latencies = [None] * count
+
+    def record(self, index, server, latency_s):
+        self.servers[index] = server
+        self.latencies[index] = latency_s
+
+
+class TestBalancedKernel:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(balanced_streams)
+    @example(
+        {
+            "policy": "jsq", "num_servers": 130, "parallelism": 1, "utilization": 1.0,
+            "requests": 300, "burst": 600, "block": 7, "seed": 0,
+        }
+    )
+    def test_fast_kernel_matches_event_engine(self, params):
+        """``jsq``/``po2`` on the fast kernel give every request the event
+        engine's server and latency, across 64-bit words of the level masks,
+        exact completion-arrival ties, bursts that queue several deep and
+        drains that cross slot blocks."""
+        arrivals, services = balanced_stream(params)
+        shape = (
+            params["policy"], params["num_servers"], params["parallelism"], params["seed"]
+        )
+        with mock.patch.object(cluster_module, "_SLOT_BLOCK", params["block"]):
+            completions, assignment = cluster_module.simulate_chunk(
+                arrivals, services, *shape
+            )
+        recorder = _Recorder(len(arrivals))
+        run_events(arrivals, services, *shape, recorder)
+        assert assignment == recorder.servers
+        assert [c - a for c, a in zip(completions, arrivals)] == recorder.latencies
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("count", [0, 1, 7, 80_000])
+    def test_uniform_batch_replays_random(self, count):
+        bulk, loop = random.Random(2024), random.Random(2024)
+        values = uniform_batch(bulk, count)
+        assert values.dtype == np.float64
+        assert values.tolist() == [loop.random() for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+
+    @pytest.mark.parametrize("count", [0, 1, 501])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 128, 1000])
+    def test_randrange_batch_replays_randrange(self, n, count):
+        bulk, loop = random.Random(n), random.Random(n)
+        assert randrange_batch(bulk, n, count) == [loop.randrange(n) for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+
+    @pytest.mark.parametrize("n", [0, -3, 2**32])
+    def test_randrange_batch_rejects_ranges_it_cannot_replay(self, n):
+        with pytest.raises(ValueError, match="n must be in"):
+            randrange_batch(random.Random(0), n, 4)
+
+
+def _cluster_config(**fields):
+    defaults = dict(num_servers=4, parallelism=4, service_mean_s=0.002, offered_qps=100.0)
+    return ClusterConfig(**{**defaults, **fields})
+
+
+def _datacenter(**fields):
+    defaults = dict(num_servers=2, parallelism=4, service_mean_s=0.002)
+    return Datacenter("dc", Region("dc"), **{**defaults, **fields})
+
+
+def _fleet_config(**fields):
+    return FleetConfig(**{"datacenters": (_datacenter(),), "offered_qps": 100.0, **fields})
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "arrivals, services, message",
+        [
+            # The two engines used to disagree here: request 0 got 0.4 s on
+            # the fast engine and 0.6 s on the event engine.
+            ([0.3, 0.1, 0.2, 0.5], [0.4] * 4, "arrivals must be"),
+            ([0.1, math.nan, 0.3, 0.5], [0.4] * 4, "arrivals must be"),
+            ([0.1, 0.2, 0.3, math.inf], [0.4] * 4, "arrivals must be"),
+            ([-0.1, 0.2, 0.3, 0.5], [0.4] * 4, "arrivals must be"),
+            ([0.1, 0.2, 0.3, 0.5], [0.4, math.nan, 0.4, 0.4], "services must be"),
+            ([0.1, 0.2, 0.3, 0.5], [0.4, math.inf, 0.4, 0.4], "services must be"),
+            ([0.1, 0.2, 0.3, 0.5], [0.4, -0.4, 0.4, 0.4], "services must be"),
+            ([0.1, 0.2, 0.3, 0.5], [0.4] * 3, "services must give one time"),
+        ],
+    )
+    @pytest.mark.parametrize("faulted", [False, True], ids=["unfaulted", "crashes"])
+    def test_both_engines_reject_bad_streams(self, arrivals, services, message, faulted):
+        schedule = None
+        if faulted:
+            schedule = FaultLoadGenerator(
+                FaultLoadConfig(crash_intensity=2.0), seed=7
+            ).schedule(2, 1.0)
+        with pytest.raises(ValueError, match=message):
+            cluster_module.simulate_chunk(arrivals, services, "jsq", 2, 1, 0, schedule)
+        with pytest.raises(ValueError, match=message):
+            run_events(arrivals, services, "jsq", 2, 1, 0, LatencyCollector(), schedule)
+
+    def test_ties_and_zero_service_are_accepted(self):
+        arrivals, services = [0.0, 0.25, 0.25, 0.5], [0.25, 0.0, 0.25, 0.25]
+        completions, _ = cluster_module.simulate_chunk(arrivals, services, "jsq", 2, 1, 0)
+        assert completions == [0.25, 0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (_cluster_config, "service_mean_s"),
+            (_cluster_config, "offered_qps"),
+            (_datacenter, "service_mean_s"),
+            (_fleet_config, "offered_qps"),
+        ],
+        ids=["cluster-service", "cluster-qps", "datacenter-service", "fleet-qps"],
+    )
+    def test_configs_reject_non_finite_fields(self, build, field, value):
+        build()
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            build(**{field: value})
 
 
 class TestErlang:

@@ -6,7 +6,7 @@ this codebase documents constructor arguments in the class docstring), and
 fails when the documented fraction is below the threshold.  Stdlib-only, so it runs both as a CI step and from the test suite:
 
     python tools/check_docstrings.py --fail-under 100 \
-        src/repro/runtime src/repro/service/cluster.py src/repro/noc/fastpath.py
+        src/repro/runtime src/repro/service src/repro/noc/fastpath.py
 
 With no targets it audits :data:`ENFORCED`, the public entry points that CI
 and the tier-1 suite both hold to 100%.
@@ -35,9 +35,7 @@ ENFORCED = (
     "src/repro/technology/family.py",
     "src/repro/technology/node.py",
     "src/repro/experiments/technology.py",
-    "src/repro/service/cluster.py",
-    "src/repro/service/balancer.py",
-    "src/repro/service/queueing.py",
+    "src/repro/service",
     "src/repro/noc",
     "src/repro/sim",
     "src/repro/perfmodel",
