@@ -6,7 +6,7 @@ docs/performance.md the recorded ``BENCH_dse.json`` baseline.
 
 import random
 
-from repro.dse.pareto import Objective, pareto_frontier
+from repro.dse.pareto import Objective, pareto_numpy
 from repro.dse.studies import explore_pod_40nm
 
 KERNEL_ROWS = 20_000
@@ -34,7 +34,7 @@ def test_pareto_kernel(benchmark):
         Objective.minimize("cost"),
     )
     frontier = benchmark.pedantic(
-        lambda: pareto_frontier(rows, objectives, group_by="group", method="numpy"),
+        lambda: pareto_numpy(rows, objectives, group_by="group"),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     assert 0 < len(frontier) < KERNEL_ROWS

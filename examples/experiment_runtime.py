@@ -10,7 +10,7 @@ The same operations are available from the command line::
     python -m repro list --chapter 4
     python -m repro run figure_4_6 --parallel
     python -m repro sweep figure_2_2 --set "llc_sizes_mb=(1,4),(1,8)"
-    python -m repro bench
+    python -m repro run figure_4_6 --no-cache   # prints wall= per experiment
 
 Run with ``python examples/experiment_runtime.py``.
 """

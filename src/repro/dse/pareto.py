@@ -18,14 +18,13 @@ All functions operate on plain row dictionaries (``{metric: value, ...}``) and
 preserve input order, so serial and parallel exploration produce identical
 frontiers.
 
-Frontier extraction has two interchangeable engines: the historical pure-Python
-O(n^2) dominance loop (:func:`pareto_frontier_reference`, kept as the
-equality-checked reference) and a vectorized numpy kernel
-(:func:`pareto_numpy` over :func:`pareto_mask_numpy`) that reduces the
-objective matrix with broadcast comparisons and handles million-point fronts.
-:func:`pareto_frontier` dispatches between them (``method="auto"`` uses the
-kernel wherever the objective values are finite floats) and both engines are
-held to identical outputs by ``tests/test_dse_search.py``.
+Frontier extraction runs a vectorized numpy kernel (:func:`pareto_mask_numpy`)
+that reduces the objective matrix with broadcast comparisons and handles
+million-point fronts.  :func:`pareto_frontier` uses it for every group whose
+objective values are finite floats and the pairwise dominance loop for a group
+holding NaN or infinity; :func:`pareto_numpy` is the finite-only entry.
+``tests/test_dse_search.py`` holds both to the pure-Python O(n^2) loop kept in
+``tests/oracles/pareto.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 _SENSES = ("max", "min")
-
-_METHODS = ("auto", "numpy", "reference")
 
 
 @dataclass(frozen=True)
@@ -118,40 +115,11 @@ def group_label(row: "Mapping[str, object]", group_by: "str | Sequence[str] | No
     return str(key)
 
 
-def pareto_frontier_reference(
-    rows: "Sequence[Mapping[str, object]]",
-    objectives: "Sequence[Objective]",
-    group_by: "str | Sequence[str] | None" = None,
-) -> "list[Mapping[str, object]]":
-    """The non-dominated subset via the pure-Python O(n^2) dominance loop.
-
-    This is the historical implementation, retained verbatim as the
-    equality-checked reference for the vectorized kernel: every semantic the
-    fast path must preserve (tie survival, input-order output, per-group
-    dominance, single-member groups never converting values) is defined here.
-    """
-    if not rows:
-        return []
-    groups: "dict[object, list[Mapping[str, object]]]" = {}
-    for row in rows:
-        groups.setdefault(_group_key(row, group_by), []).append(row)
-    frontier_ids = set()
-    for members in groups.values():
-        for row in members:
-            if not any(
-                dominates(other, row, objectives)
-                for other in members
-                if other is not row
-            ):
-                frontier_ids.add(id(row))
-    return [row for row in rows if id(row) in frontier_ids]
-
-
 def _reference_group_mask(
     members: "Sequence[Mapping[str, object]]",
     objectives: "Sequence[Objective]",
 ) -> "list[bool]":
-    """Per-member frontier mask of one group via the reference dominance loop."""
+    """Per-member frontier mask of one group via the pairwise dominance loop."""
     return [
         not any(
             dominates(other, row, objectives)
@@ -185,7 +153,7 @@ def pareto_mask_numpy(matrix: "np.ndarray") -> "np.ndarray":
     if not np.isfinite(matrix).all():
         raise ValueError(
             "pareto_mask_numpy requires finite objective values; "
-            "use the reference path for rows with NaN or infinity"
+            "use pareto_frontier for rows with NaN or infinity"
         )
     unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
     # Descending lexicographic order: strong candidates come first, so early
@@ -227,36 +195,34 @@ def _frontier_mask(
     rows: "Sequence[Mapping[str, object]]",
     objectives: "Sequence[Objective]",
     group_by: "str | Sequence[str] | None",
-    method: str,
+    finite_only: bool,
 ) -> "list[bool]":
-    """Per-row frontier membership, dispatching kernel vs reference per group."""
+    """Per-row frontier membership: the kernel per finite group, else the loop.
+
+    With ``finite_only`` a group holding NaN or infinity raises instead.
+    """
     groups: "dict[object, list[int]]" = {}
     for position, row in enumerate(rows):
         groups.setdefault(_group_key(row, group_by), []).append(position)
     mask = [False] * len(rows)
     for positions in groups.values():
         if len(positions) == 1:
-            # The reference loop never evaluates dominance (or converts
-            # metric values) for a lone group member; preserve that exactly.
+            # A lone group member is never compared (nor are its metric
+            # values converted), as in the pairwise loop.
             mask[positions[0]] = True
             continue
         if not objectives:
             raise ValueError("dominance needs at least one objective")
-        if method == "reference":
+        matrix = _oriented_matrix(rows, positions, objectives)
+        if np.isfinite(matrix).all():
+            group_mask = pareto_mask_numpy(matrix)
+        elif finite_only:
+            raise ValueError(
+                "pareto_numpy cannot take non-finite objective values; "
+                "use pareto_frontier"
+            )
+        else:  # NaN/inf semantics are defined by the pairwise loop
             group_mask = _reference_group_mask([rows[p] for p in positions], objectives)
-        else:
-            matrix = _oriented_matrix(rows, positions, objectives)
-            if np.isfinite(matrix).all():
-                group_mask = pareto_mask_numpy(matrix)
-            elif method == "numpy":
-                raise ValueError(
-                    "non-finite objective values cannot use method='numpy'; "
-                    "use method='auto' or 'reference'"
-                )
-            else:  # auto: NaN/inf semantics are defined by the reference loop
-                group_mask = _reference_group_mask(
-                    [rows[p] for p in positions], objectives
-                )
         for position, on_front in zip(positions, group_mask):
             mask[position] = bool(on_front)
     return mask
@@ -269,16 +235,15 @@ def pareto_numpy(
 ) -> "list[Mapping[str, object]]":
     """The non-dominated subset via the vectorized numpy kernel.
 
-    Semantically identical to :func:`pareto_frontier_reference` for finite
-    objective values (the equivalence is property-tested); raises
-    ``ValueError`` when a row carries NaN or infinity, where only the
-    reference loop's comparison semantics are defined.
+    Identical to :func:`pareto_frontier` for finite objective values;
+    raises ``ValueError`` when a row carries NaN or infinity, where only the
+    pairwise loop's comparison semantics are defined.
     """
     if not objectives:
         raise ValueError("dominance needs at least one objective")
     if not rows:
         return []
-    mask = _frontier_mask(rows, objectives, group_by, method="numpy")
+    mask = _frontier_mask(rows, objectives, group_by, finite_only=True)
     return [row for row, on_front in zip(rows, mask) if on_front]
 
 
@@ -286,7 +251,6 @@ def pareto_frontier(
     rows: "Sequence[Mapping[str, object]]",
     objectives: "Sequence[Objective]",
     group_by: "str | Sequence[str] | None" = None,
-    method: str = "auto",
 ) -> "list[Mapping[str, object]]":
     """The non-dominated subset of ``rows``, in input order.
 
@@ -297,21 +261,17 @@ def pareto_frontier(
             is then evaluated within each partition and the union of the
             per-group frontiers is returned.  The paper compares OoO and
             in-order designs separately, so the pod studies group by core type.
-        method: ``"auto"`` (default) runs the vectorized numpy kernel and
-            falls back to the pure-Python loop for any group containing
-            non-finite values; ``"numpy"`` forces the kernel (raising on
-            non-finite values); ``"reference"`` forces the O(n^2) loop.
 
-    A single-row input is its own frontier; exact duplicates on all objectives
-    all survive (no arbitrary tie-breaking).
+    Each group runs through the vectorized numpy kernel, or through the
+    pairwise dominance loop when it holds a non-finite value.  A single-row
+    input is its own frontier; exact duplicates on all objectives all survive
+    (no arbitrary tie-breaking).
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if not objectives:
         raise ValueError("dominance needs at least one objective")
     if not rows:
         return []
-    mask = _frontier_mask(rows, objectives, group_by, method)
+    mask = _frontier_mask(rows, objectives, group_by, finite_only=False)
     return [row for row, on_front in zip(rows, mask) if on_front]
 
 

@@ -82,12 +82,9 @@ def figure_4_6_noc_performance(
     suite: "WorkloadSuite | None" = None,
     seed: int = 1,
     executor: "SweepExecutor | None" = None,
-    use_fastpath: bool = True,
 ) -> "list[dict[str, object]]":
     """System performance of mesh / fbfly / NOC-Out, normalized to the mesh."""
-    study = PodNocStudy(
-        duration_cycles=duration_cycles, suite=suite, seed=seed, use_fastpath=use_fastpath
-    )
+    study = PodNocStudy(duration_cycles=duration_cycles, suite=suite, seed=seed)
     normalized = study.normalized_performance(study.evaluate(executor=executor))
     rows = []
     for topology, per_workload in normalized.items():
@@ -120,12 +117,9 @@ def figure_4_8_area_normalized(
     suite: "WorkloadSuite | None" = None,
     seed: int = 1,
     executor: "SweepExecutor | None" = None,
-    use_fastpath: bool = True,
 ) -> "list[dict[str, object]]":
     """Performance under a fixed NoC area budget (every topology at NOC-Out's area)."""
-    study = PodNocStudy(
-        duration_cycles=duration_cycles, suite=suite, seed=seed, use_fastpath=use_fastpath
-    )
+    study = PodNocStudy(duration_cycles=duration_cycles, suite=suite, seed=seed)
     widths = study.area_normalized_widths()
     normalized = study.normalized_performance(
         study.evaluate(link_width_bits_by_topology=widths, executor=executor)

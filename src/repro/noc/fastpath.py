@@ -1,9 +1,8 @@
 """Structure-of-arrays fast path for the packet-level NoC simulator.
 
-The reference implementation (:class:`~repro.noc.network.NocNetwork` with
-``use_fastpath=False``) routes one ``Packet`` object at a time: every hop costs
-a successor-table lookup, a dict probe for the router pipeline depth, and a
-``LinkState`` attribute update.  Under sweep traffic those per-object costs
+The reference implementation (``tests/oracles/noc_reference.py``) routes one
+``Packet`` object at a time: every hop costs a successor-table lookup, a dict
+probe for the router pipeline depth, and a per-link state object update.  Under sweep traffic those per-object costs
 dominate the wall clock.  This module keeps the *model* identical but changes
 the *representation*:
 
@@ -27,7 +26,7 @@ the *representation*:
   per-link occupancy counters.
 
 Bit-exactness contract: the kernels perform *the same floating-point
-operations* as ``NocNetwork.send`` -- per-hop pipeline add, ``max`` against
+operations* as the reference walk -- per-hop pipeline add, ``max`` against
 the link's next-free time, link-latency add, then destination pipeline and
 serialization adds as two separate additions.  The hop loop does them in the
 same order.  The wavefront serves each link's packets in delivery order, as
@@ -166,8 +165,7 @@ class CompiledRoute:
 class CompiledTopology:
     """A :class:`NocTopology` flattened into integer arrays for the kernel.
 
-    Link indices follow :meth:`NocTopology.links` (the same order the
-    reference path builds its ``LinkState`` dict in), and routes are compiled
+    Link indices follow :meth:`NocTopology.links`, and routes are compiled
     lazily per (source, destination) pair -- only the pairs a traffic pattern
     actually uses pay the routing cost, and the underlying topology's own route
     cache keeps recompilation across networks cheap.

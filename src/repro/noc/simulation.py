@@ -18,11 +18,7 @@ from repro.noc.metrics import NocAreaBreakdown, NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.packet import MessageClass
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
-from repro.noc.traffic import (
-    BilateralTrafficGenerator,
-    bilateral_injection_rate,
-    generate_bilateral_batch,
-)
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.perfmodel.amat import LlcAccessLatency
 from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
 from repro.runtime.executor import SweepExecutor
@@ -112,7 +108,6 @@ class NocPointSpec:
     config: NocConfig
     duration_cycles: int
     seed: int
-    use_fastpath: bool = True
 
 
 def _evaluate_noc_point(
@@ -155,7 +150,6 @@ class PodNocStudy:
         config: "NocConfig | None" = None,
         duration_cycles: int = 8_000,
         seed: int = 1,
-        use_fastpath: bool = True,
     ):
         self.cores = cores
         self.llc_mb = llc_mb
@@ -164,7 +158,6 @@ class PodNocStudy:
         self.config = config or NocConfig()
         self.duration_cycles = duration_cycles
         self.seed = seed
-        self.use_fastpath = use_fastpath
         self.model = AnalyticPerformanceModel()
 
     @property
@@ -184,7 +177,6 @@ class PodNocStudy:
             config=self.config,
             duration_cycles=self.duration_cycles,
             seed=self.seed,
-            use_fastpath=self.use_fastpath,
         )
 
     @classmethod
@@ -201,7 +193,6 @@ class PodNocStudy:
             config=spec.config,
             duration_cycles=spec.duration_cycles,
             seed=spec.seed,
-            use_fastpath=spec.use_fastpath,
         )
 
     # --------------------------------------------------------------- topology
@@ -227,16 +218,11 @@ class PodNocStudy:
                 vcs_per_port=self.config.vcs_per_port,
                 buffer_flits_per_vc=self.config.buffer_flits_per_vc,
             )
-        tracer = get_tracer()
-        engine = "fastpath" if self.use_fastpath else "reference"
-        if tracer.enabled:
-            tracer.counter(f"noc.engine.{engine}").add()
-        with tracer.span(
+        with get_tracer().span(
             "noc.measure",
             category="noc",
             topology=topology.name,
             workload=workload.name,
-            engine=engine,
         ):
             return self._measure_latency(topology, workload, config)
 
@@ -244,31 +230,19 @@ class PodNocStudy:
         self, topology: NocTopology, workload: WorkloadProfile, config: NocConfig
     ) -> "tuple[float, float, float, float]":
         """The measurement body of :meth:`measure_latency` (span-wrapped)."""
-        network = NocNetwork(topology, config, use_fastpath=self.use_fastpath)
-        if self.use_fastpath:
-            # Array path: no Packet objects are ever materialized, and the
-            # batch is shared across topologies with identical node numbering.
-            injection_rate = bilateral_injection_rate(workload, per_core_ipc=0.5)
-            batch = _cached_traffic_batch(
-                tuple(topology.core_nodes),
-                tuple(topology.llc_nodes),
-                injection_rate,
-                workload.snoop_fraction,
-                self.seed,
-                self.duration_cycles,
-                self.active_cores_for(workload),
-            )
-            network.run_batch(batch)
-        else:
-            generator = BilateralTrafficGenerator(
-                topology, workload, per_core_ipc=0.5, seed=self.seed
-            )
-            network.run(
-                generator.generate(
-                    duration_cycles=self.duration_cycles,
-                    active_cores=self.active_cores_for(workload),
-                )
-            )
+        network = NocNetwork(topology, config)
+        # No Packet objects are ever materialized, and the batch is shared
+        # across topologies with identical node numbering.
+        batch = _cached_traffic_batch(
+            tuple(topology.core_nodes),
+            tuple(topology.llc_nodes),
+            bilateral_injection_rate(workload, per_core_ipc=0.5),
+            workload.snoop_fraction,
+            self.seed,
+            self.duration_cycles,
+            self.active_cores_for(workload),
+        )
+        network.run_batch(batch)
         by_class = network.average_latency_by_class()
         request_latency = by_class.get(MessageClass.DATA_REQUEST, network.average_latency())
         response_latency = by_class.get(MessageClass.RESPONSE, request_latency)
@@ -376,15 +350,10 @@ def evaluate_topologies(
     duration_cycles: int = 6_000,
     suite: "WorkloadSuite | None" = None,
     seed: int = 1,
-    use_fastpath: bool = True,
 ) -> "dict[str, dict[str, float]]":
     """Convenience wrapper returning Figure 4.6 (performance normalized to mesh)."""
     study = PodNocStudy(
-        cores=cores,
-        duration_cycles=duration_cycles,
-        suite=suite,
-        seed=seed,
-        use_fastpath=use_fastpath,
+        cores=cores, duration_cycles=duration_cycles, suite=suite, seed=seed
     )
     results = study.evaluate()
     return study.normalized_performance(results)

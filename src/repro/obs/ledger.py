@@ -1,6 +1,6 @@
 """Append-only run ledger: one JSONL record per CLI invocation.
 
-Every ``run``/``sweep``/``explore``/``report``/``bench`` invocation appends
+Every ``run``/``sweep``/``explore``/``report`` invocation appends
 one JSON line to ``.repro/ledger.jsonl`` (override the directory with the
 ``REPRO_LEDGER_DIR`` environment variable) recording what ran, how it was
 cached, and how long it took -- the first step toward the ROADMAP's

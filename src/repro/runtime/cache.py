@@ -110,8 +110,8 @@ def evaluation_overrides(
     Cache-aware experiment functions (the explore studies) memoize their
     per-candidate model evaluations in their own cache tier and accept
     ``use_evaluation_cache`` / ``evaluation_cache`` parameters to control it.
-    This helper centralizes the forwarding rule shared by the CLI, the bench
-    harness, and the report validator:
+    This helper centralizes the forwarding rule shared by the CLI and the
+    report validator:
 
     * ``use_cache=False`` disables the internal tier too (a no-cache run
       really recomputes every evaluation);

@@ -6,16 +6,16 @@ Subcommands:
 * ``run`` -- run one or more experiments and print their tables.
 * ``sweep`` -- cross-product parameter sweep over one experiment.
 * ``explore`` -- run a design-space exploration and print its Pareto frontier.
-* ``bench`` -- time every (or selected) experiment with caching off.
 * ``report`` -- grade every registered paper claim and render the
   reproduction report (exit code 1 if any claim grades ``fail``).
 * ``stats`` -- summarize the append-only run ledger (one record per
-  ``run``/``sweep``/``explore``/``report``/``bench`` invocation).
+  ``run``/``sweep``/``explore``/``report`` invocation).
 
 ``run`` and ``sweep`` accept repeated ``--set key=value`` overrides (values are
 parsed as Python literals when possible); ``sweep`` splits comma-separated
-values into sweep axes.  Results flow through the shared result cache; pass
-``--cache-dir`` to persist them across invocations or ``--no-cache`` to
+values into sweep axes.  A key the experiment function does not take is
+rejected before anything runs.  Results flow through the shared result cache;
+pass ``--cache-dir`` to persist them across invocations or ``--no-cache`` to
 disable caching entirely.  Every running subcommand accepts
 ``--trace out.json`` to record a Chrome-trace/Perfetto span timeline of the
 invocation (see ``docs/observability.md``).
@@ -29,7 +29,7 @@ import inspect
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.runtime.cache import ResultCache, evaluation_overrides
 from repro.runtime.catalog import UnknownExperimentError
@@ -78,6 +78,25 @@ def _parse_axes(pairs: "Sequence[str]") -> "dict[str, list[object]]":
         key, _, values = pair.partition("=")
         axes[key.strip()] = [_parse_literal(v) for v in _split_axis_values(values)]
     return axes
+
+
+def _check_override_keys(experiment_id: str, keys: "Iterable[str]") -> None:
+    """Exit with one line naming the first key ``experiment_id`` does not take.
+
+    Called before any experiment starts, so a mistyped ``--set`` key never
+    costs a partial run or ends in a traceback.
+    """
+    from repro.experiments.registry import CATALOG
+
+    accepted = CATALOG.get(experiment_id).accepted_parameters()
+    if accepted is None:
+        return
+    for key in keys:
+        if key not in accepted:
+            raise SystemExit(
+                f"error: {experiment_id} takes no parameter {key!r}; "
+                f"accepted: {', '.join(accepted) or 'none'}"
+            )
 
 
 def _executor_for(args: argparse.Namespace) -> "SweepExecutor | None":
@@ -234,6 +253,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.formatting import format_table
 
+    overrides = _parse_overrides(args.set or [])
+    for experiment_id in args.ids:
+        _check_override_keys(experiment_id, overrides)
     for experiment_id in args.ids:
         result = _run_one(experiment_id, args)
         if args.json:
@@ -254,6 +276,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = _parse_axes(args.set or [])
     if not axes:
         raise SystemExit("sweep needs at least one --set key=v1,v2,... axis")
+    _check_override_keys(args.id, axes)
     names = list(axes)
     combos = list(itertools.product(*(axes[name] for name in names)))
     rows = []
@@ -287,6 +310,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             f"{args.id!r} is a {spec.kind!r} spec, not an exploration; "
             f"explorations: {explore_ids}"
         )
+    _check_override_keys(args.id, _parse_overrides(args.set or []))
     # Forward the search flags only when given, so default runs keep the
     # same cache identity (and the report's claims) they had before.
     search_overrides = {
@@ -423,60 +447,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.formatting import format_table
-    from repro.experiments.registry import CATALOG
-
-    if args.json:
-        return _cmd_bench_json(args)
-    ids = args.ids or CATALOG.ids()
-    rows = []
-    for experiment_id in ids:
-        bench_args = argparse.Namespace(**{**vars(args), "no_cache": True})
-        result = _run_one(experiment_id, bench_args)
-        rows.append(
-            {
-                "id": experiment_id,
-                "wall_s": round(result.wall_time_s, 3),
-                "rows": len(result.rows),
-            }
-        )
-    rows.sort(key=lambda row: row["wall_s"], reverse=True)
-    print(format_table(rows, title="experiment wall-clock cost (cache off)"))
-    return 0
-
-
-def _cmd_bench_json(args: argparse.Namespace) -> int:
-    """Record the perf-trajectory baseline (``BENCH_<domain>.json`` files).
-
-    Registered targets (see ``repro.runtime.bench.BENCH_TARGETS``) are timed on
-    both the fast and the reference path and written to their domain's BENCH
-    file; any other catalog id is timed fast-path-only and appears in the
-    stdout envelope but not in a file.
-    """
-    from repro.runtime.bench import (
-        BENCH_SCHEMA,
-        BENCH_TARGETS,
-        run_bench_target,
-        write_bench_files,
-    )
-
-    ids = args.ids or list(BENCH_TARGETS)
-    overrides = _parse_overrides(args.set or [])
-    entries = [run_bench_target(experiment_id, overrides) for experiment_id in ids]
-    paths = write_bench_files(entries, directory=args.bench_dir)
-    print(
-        json.dumps(
-            {
-                "schema": BENCH_SCHEMA,
-                "entries": entries,
-                "files": [str(path) for path in paths],
-            }
-        )
-    )
-    return 0
-
-
 # -------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser (all subcommands and flags)."""
@@ -514,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "this invocation's spans and counters to PATH")
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
-        """Attach the flags shared by run/sweep/explore/bench to ``p``."""
+        """Attach the flags shared by run/sweep/explore to ``p``."""
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="parameter override (repeatable)")
         add_execution_flags(p)
@@ -566,15 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_execution_flags(p_report)
     p_report.set_defaults(func=_cmd_report)
 
-    p_bench = sub.add_parser("bench", help="time experiments with caching off")
-    p_bench.add_argument("ids", nargs="*", metavar="ID",
-                         help="experiment ids (default: all; with --json: the "
-                              "registered baseline targets)")
-    p_bench.add_argument("--bench-dir", default=".", metavar="DIR",
-                         help="directory for BENCH_<domain>.json files (--json only)")
-    add_run_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_stats = sub.add_parser("stats", help="summarize the run ledger")
     p_stats.add_argument("--last", type=int, default=None, metavar="N",
                          help="only the most recent N ledger records")
@@ -589,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Subcommands whose invocations are appended to the run ledger.
-_LEDGER_COMMANDS = ("run", "sweep", "explore", "report", "bench")
+_LEDGER_COMMANDS = ("run", "sweep", "explore", "report")
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -599,7 +560,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     telemetry plumbing: a :class:`~repro.obs.Tracer` rooted at a
     ``cli.<command>`` span when ``--trace PATH`` was given (written as
     Chrome-trace JSON on success), and a run log whose entries become one
-    appended ledger record per run/sweep/explore/report/bench invocation.
+    appended ledger record per run/sweep/explore/report invocation.
     """
     global _RUN_LOG
     args = build_parser().parse_args(argv)

@@ -6,15 +6,12 @@ its data, the default parameters, and a one-line description of what it
 produces.  Running a spec yields an :class:`ExperimentResult` -- the raw data
 plus provenance (which function ran, with which arguments), the wall-clock cost,
 and whether the result came from the cache.
-
-``ExperimentResult`` behaves like a read-only sequence of row dictionaries so
-callers that used to receive the bare row list keep working unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,18 @@ class ExperimentSpec:
         """Execute the experiment function with defaults + overrides."""
         return self.function(**self.merged_kwargs(overrides))
 
+    def accepted_parameters(self) -> "tuple[str, ...] | None":
+        """Keyword names the experiment function takes, in signature order.
+
+        ``None`` when the function takes ``**kwargs`` and so accepts any name.
+        """
+        import inspect
+
+        parameters = inspect.signature(self.function).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+            return None
+        return tuple(parameters)
+
 
 @dataclass
 class ExperimentResult:
@@ -126,14 +135,3 @@ class ExperimentResult:
     def cached(self) -> bool:
         """Whether this result was served from the cache."""
         return self.cache_status == "hit"
-
-    # Sequence-style delegation so legacy callers can keep treating the result
-    # of run_experiment as the bare row list.
-    def __iter__(self) -> "Iterator[dict[str, object]]":
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index: "int | slice") -> Any:
-        return self.rows[index]

@@ -77,6 +77,33 @@ class TestRun:
         rows = json.loads(out)["rows"]
         assert set(rows[0]) == {"workload", "1MB", "4MB"}
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "table_4_1", "--set", "bogus_key=1"),
+        ("run", "figure_4_7", "--set", "bogus_key=1"),
+        ("sweep", "figure_2_2", "--set", "bogus_key=1,2"),
+    ])
+    def test_unknown_set_key_rejected_before_running(self, capsys, monkeypatch, argv):
+        from repro.experiments import registry
+
+        calls = []
+        monkeypatch.setattr(registry, "run_experiment", lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, *argv)
+        accepted = {
+            "table_4_1": "none",
+            "figure_4_7": "suite",
+            "figure_2_2": "llc_sizes_mb, cores, suite, model",
+        }[argv[1]]
+        assert str(excinfo.value) == (
+            f"error: {argv[1]} takes no parameter 'bogus_key'; accepted: {accepted}"
+        )
+        assert calls == []
+
+    def test_unknown_key_rejected_before_any_id_runs(self, capsys):
+        with pytest.raises(SystemExit, match="table_4_1 takes no parameter 'cores'"):
+            run_cli(capsys, "run", "figure_2_2", "table_4_1", "--set", "cores=2")
+        assert capsys.readouterr().out == ""
+
     def test_run_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "run", "figure_9_9")
         assert code == 2
@@ -164,73 +191,6 @@ class TestSweep:
     def test_sweep_requires_axis(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "sweep", "table_4_1")
-
-
-class TestBench:
-    def test_bench_selected(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "table_2_1", "table_5_2")
-        assert code == 0
-        assert "wall_s" in out
-        assert "table_2_1" in out and "table_5_2" in out
-
-    def test_bench_json_writes_baseline_files(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "bench",
-            "--json",
-            "--bench-dir",
-            str(tmp_path),
-            "--set",
-            "duration_cycles=600",
-            "--set",
-            "num_requests=1200",
-            "--set",
-            "rows=2000",
-            "--set",
-            "budget=24",
-            "--set",
-            "fleet_requests=20000",
-            "--set",
-            "fleet_reference_requests=20000",
-        )
-        assert code == 0
-        envelope = json.loads(out)
-        assert envelope["schema"] == 1
-        by_id = {entry["experiment"]: entry for entry in envelope["entries"]}
-        assert set(by_id) == {
-            "figure_4_6",
-            "service_latency_sweep",
-            "fleet_scale_day",
-            "pareto_kernel",
-            "dse_search_ga",
-            "dse_search_halving",
-        }
-        for entry in by_id.values():
-            assert entry["units"] > 0
-            assert entry["fastpath"]["wall_s"] > 0
-            assert entry["reference"]["wall_s"] > 0
-            assert entry["speedup"] > 0
-        for experiment in ("figure_4_6", "service_latency_sweep"):
-            assert by_id[experiment]["fastpath"]["cache_status"] == "disabled"
-        for experiment in ("dse_search_ga", "dse_search_halving"):
-            assert by_id[experiment]["fastpath"]["evaluations"] <= 24
-            assert by_id[experiment]["evaluations_saved"] > 0
-        for domain, experiment in (("noc", "figure_4_6"), ("service", "service_latency_sweep"),
-                                   ("dse", "pareto_kernel")):
-            payload = json.loads((tmp_path / f"BENCH_{domain}.json").read_text())
-            assert payload["schema"] == 1
-            assert payload["entries"][0]["experiment"] == experiment
-
-    def test_bench_json_unregistered_id_times_fastpath_only(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "bench", "--json", "--bench-dir", str(tmp_path), "table_2_1"
-        )
-        assert code == 0
-        envelope = json.loads(out)
-        (entry,) = envelope["entries"]
-        assert entry["experiment"] == "table_2_1"
-        assert "reference" not in entry
-        assert envelope["files"] == []
 
 
 class TestExplore:

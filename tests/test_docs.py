@@ -72,7 +72,7 @@ def test_running_doc_lists_every_cli_command():
     from repro.runtime.cli import build_parser
 
     text = (REPO / "docs" / "running.md").read_text(encoding="utf-8")
-    subcommands = {"list", "run", "sweep", "explore", "bench", "report", "stats"}
+    subcommands = {"list", "run", "sweep", "explore", "report", "stats"}
     # Keep this set in sync with the parser itself.
     parser_commands = set()
     for action in build_parser()._subparsers._group_actions:  # noqa: SLF001
@@ -120,7 +120,7 @@ def test_readme_mentions_catalog_and_tier1_command():
     assert "python -m pytest" in text
     assert "python -m repro" in text
     assert str(len(CATALOG)) in text, "README experiment count drifted from the catalog"
-    for command in ("list", "run", "sweep", "bench", "explore"):
+    for command in ("list", "run", "sweep", "explore"):
         assert command in text
 
 

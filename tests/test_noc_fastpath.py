@@ -1,11 +1,13 @@
-"""Fastpath/reference equivalence: the SoA kernel must match the object path
-bit for bit -- per-packet latencies and every derived statistic -- on all three
-topologies and across link widths."""
+"""Kernel/reference equivalence: the SoA kernel must match the per-packet graph
+walk in ``tests/oracles/noc_reference.py`` bit for bit -- per-packet latencies
+and every derived statistic -- on all three topologies and across link
+widths."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.noc_reference import ReferenceNocNetwork, evaluate_reference
 from repro.faults.events import LinkFault
 from repro.faults.noc import apply_link_faults
 from repro.noc import fastpath
@@ -46,13 +48,13 @@ class TestFastpathEquivalence:
         build = TOPOLOGY_BUILDERS[topology_name]
         config = NocConfig(link_width_bits=link_width_bits)
 
-        reference = NocNetwork(build(64), config, use_fastpath=False)
+        reference = ReferenceNocNetwork(build(64), config)
         packets = _traffic(reference.topology).generate(DURATION, ACTIVE_CORES)
         reference.run(packets)
         reference_arrivals = {p.packet_id: p.arrival_time for p in reference.delivered}
         reference_hops = {p.packet_id: p.hops for p in reference.delivered}
 
-        fast = NocNetwork(build(64), config, use_fastpath=True)
+        fast = NocNetwork(build(64), config)
         batch = _traffic(fast.topology).generate_batch(DURATION, ACTIVE_CORES)
         result = fast.run_batch(batch)
         fast_arrivals = dict(
@@ -71,15 +73,15 @@ class TestFastpathEquivalence:
         )
 
     def test_send_matches_batch_kernel(self, topology_name, link_width_bits):
-        """Per-packet ``send`` on the fast path equals the batch kernel."""
+        """Per-packet ``send`` equals the batch kernel."""
         build = TOPOLOGY_BUILDERS[topology_name]
         config = NocConfig(link_width_bits=link_width_bits)
 
-        batch_network = NocNetwork(build(64), config, use_fastpath=True)
+        batch_network = NocNetwork(build(64), config)
         batch = _traffic(batch_network.topology).generate_batch(DURATION, ACTIVE_CORES)
         result = batch_network.run_batch(batch)
 
-        send_network = NocNetwork(build(64), config, use_fastpath=True)
+        send_network = NocNetwork(build(64), config)
         packets = _traffic(send_network.topology).generate(DURATION, ACTIVE_CORES)
         send_network.run(packets)
 
@@ -92,19 +94,10 @@ class TestFastpathEquivalence:
 
 class TestPodStudyEquivalence:
     def test_full_study_results_identical(self):
-        """`PodNocStudy` rows are exactly equal with and without the fast path."""
+        """`PodNocStudy` rows exactly equal the object-traffic reference walk."""
         suite = WorkloadSuite((get_workload("Web Search"), get_workload("Data Serving")))
-        fast = PodNocStudy(duration_cycles=1_000, suite=suite, seed=2, use_fastpath=True)
-        reference = PodNocStudy(
-            duration_cycles=1_000, suite=suite, seed=2, use_fastpath=False
-        )
-        assert fast.evaluate() == reference.evaluate()
-
-    def test_escape_hatch_selects_reference_structures(self):
-        network = NocNetwork(build_mesh(16), use_fastpath=False)
-        assert network._links is not None and network._compiled is None
-        network = NocNetwork(build_mesh(16))
-        assert network._links is None and network._compiled is not None
+        study = PodNocStudy(duration_cycles=1_000, suite=suite, seed=2)
+        assert study.evaluate() == evaluate_reference(study)
 
 
 class TestPacketBatch:
@@ -173,11 +166,11 @@ class TestSequentialSum:
 class TestMixedUsage:
     def test_multi_batch_stats_stay_bit_identical(self):
         """Running sums seeded across batches keep exact equality with the
-        reference path's per-packet accumulation (regression: a per-batch
+        reference walk's per-packet accumulation (regression: a per-batch
         subtotal added in one float op diverged in the last ulps)."""
         config = NocConfig()
-        fast = NocNetwork(build_mesh(64), config, use_fastpath=True)
-        reference = NocNetwork(build_mesh(64), config, use_fastpath=False)
+        fast = NocNetwork(build_mesh(64), config)
+        reference = ReferenceNocNetwork(build_mesh(64), config)
         for seed in (3, 4, 5):
             batch = _traffic(fast.topology, seed=seed).generate_batch(600, ACTIVE_CORES)
             fast.run_batch(batch)
@@ -189,7 +182,7 @@ class TestMixedUsage:
         assert fast.total_flit_hops() == reference.total_flit_hops()
 
     def test_send_after_batch_sees_link_state(self):
-        """Contention persists across run_batch and send on the fast path."""
+        """Contention persists across run_batch and send."""
         mesh = build_mesh(16)
         network = NocNetwork(mesh)
         first = Packet(0, 3, MessageClass.RESPONSE, injection_time=0.0, packet_id=0)
@@ -254,7 +247,7 @@ def _copy(batch):
 
 
 class TestWavefrontEquivalence:
-    """``run_batch`` against the reference path on random contended batches:
+    """``run_batch`` against the reference walk on random contended batches:
     the wavefront on the three builders, the hop loop on the faulted mesh."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TOPOLOGIES))
@@ -269,7 +262,7 @@ class TestWavefrontEquivalence:
         warmup = data.draw(st.booleans())
         config = NocConfig(link_width_bits=link_width_bits)
         fast = NocNetwork(topology, config)
-        reference = NocNetwork(topology, config, use_fastpath=False)
+        reference = ReferenceNocNetwork(topology, config)
         for network in (fast, reference):
             if warmup:  # non-zero next-free times before the first batch
                 network.send(
@@ -306,7 +299,7 @@ class TestWavefrontEquivalence:
             packet_id=np.arange(len(rows)),
         )
         got = NocNetwork(build_mesh(16)).run_batch(batch)
-        want = NocNetwork(build_mesh(16), use_fastpath=False).run_batch(batch)
+        want = ReferenceNocNetwork(build_mesh(16)).run_batch(batch)
         assert got.arrival_time.tolist() == want.arrival_time.tolist()
 
     @DETERMINISTIC

@@ -37,6 +37,17 @@ class TestSpecCatalog:
         assert CATALOG.get("figure_4_3").cache_token.endswith("@v2")
         assert "@v" not in CATALOG.get("figure_4_6").cache_token
 
+    def test_accepted_parameters_follow_the_signature(self):
+        def takes_kwargs(seed=1, **options):
+            return []
+
+        assert CATALOG.get("figure_4_6").accepted_parameters() == (
+            "duration_cycles", "suite", "seed", "executor",
+        )
+        assert CATALOG.get("table_4_1").accepted_parameters() == ()
+        spec = ExperimentSpec("kwargs_study", 7, "study", takes_kwargs)
+        assert spec.accepted_parameters() is None
+
     def test_unknown_id_raises(self):
         with pytest.raises(UnknownExperimentError) as excinfo:
             CATALOG.get("figure_9_9")
@@ -254,7 +265,7 @@ class TestSweepExecutor:
 
 
 class TestExperimentResult:
-    def test_envelope_fields_and_sequence_behaviour(self, small_suite):
+    def test_envelope_fields(self, small_suite):
         result = run_experiment(
             "figure_2_1", cache=ResultCache(), suite=small_suite
         )
@@ -262,10 +273,6 @@ class TestExperimentResult:
         assert result.wall_time_s >= 0.0
         assert result.provenance["function"].endswith("figure_2_1_application_ipc")
         assert "cache_key" in result.provenance
-        # sequence-style backward compatibility with the bare row list
-        assert list(result) == result.rows
-        assert len(result) == len(result.rows)
-        assert result[0] == result.rows[0]
 
     def test_dict_data_normalizes_to_sweep_rows(self, small_suite):
         result = run_experiment("figure_3_5", cache=ResultCache(), suite=small_suite)
