@@ -15,8 +15,8 @@ Quick start::
     chip = design_scale_out_processor(core_type="ooo", node=NODE_40NM)
     print(chip.summary())
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-per-experiment index.
+See ``README.md`` for an overview and ``docs/architecture.md`` for the
+package layering; ``python -m repro list`` prints the per-experiment index.
 """
 
 from repro.core import (

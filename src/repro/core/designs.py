@@ -23,14 +23,13 @@ exceeding the node's area, power, and memory-bandwidth budgets (Section 2.5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
 
 from repro.core.chip import ScaleOutChip
+from repro.core.composer import PodEvaluation, compose_chip
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.memory.provisioning import channels_required
 from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
@@ -104,6 +103,7 @@ class DesignSizer:
         self.model = model or AnalyticPerformanceModel()
         self.suite = suite or default_suite()
         self.constraints = constraints or node.constraints
+        self.channel = channel_for_standard(node.memory_standard)
 
     # ----------------------------------------------------------- candidates
     def _candidate_core_counts(self, spec: DesignSpec) -> "list[int]":
@@ -124,18 +124,12 @@ class DesignSizer:
             effective_capacity_factor=spec.effective_capacity_factor,
             offchip_traffic_factor=spec.offchip_traffic_factor,
         )
-        if spec.channels_per_core is not None:
-            channels = max(1, int(math.ceil(cores * spec.channels_per_core)))
-        else:
-            demand = pod.bandwidth_demand_gbps(self.model, self.suite)
-            channel = channel_for_standard(self.node.memory_standard)
-            channels = channels_required(demand, channel)
-        return ScaleOutChip(
-            name=spec.name,
-            pod=pod,
-            num_pods=1,
-            memory_channels=channels,
-        )
+        evaluation = PodEvaluation.of(pod, self.model, self.suite)
+        chip = compose_chip(evaluation, 1, self.channel, spec.name)
+        if spec.channels_per_core is None:
+            return chip
+        channels = max(1, int(math.ceil(cores * spec.channels_per_core)))
+        return replace(chip, memory_channels=channels)
 
     # ---------------------------------------------------------------- sizing
     def size(self, spec: DesignSpec) -> ScaleOutChip:
@@ -254,14 +248,12 @@ def build_ideal(
         node=node,
     )
     sizer = DesignSizer(node, model, suite)
-    demand = pod.bandwidth_demand_gbps(sizer.model, sizer.suite)
-    channels = channels_required(demand, channel_for_standard(node.memory_standard))
-    channels = min(channels, node.constraints.max_memory_channels)
-    return ScaleOutChip(
-        name=f"Ideal ({_label(core_type)})",
-        pod=pod,
-        num_pods=1,
-        memory_channels=channels,
+    return compose_chip(
+        PodEvaluation.of(pod, sizer.model, sizer.suite),
+        1,
+        sizer.channel,
+        f"Ideal ({_label(core_type)})",
+        sizer.constraints.max_memory_channels,
     )
 
 
@@ -287,14 +279,12 @@ def build_single_pod(
     """1-pod chip: a die carrying a single PD-optimal pod (Chapter 5's "1Pod")."""
     methodology = ScaleOutDesignMethodology(node=node, model=model, suite=suite)
     point = methodology.pd_optimal_pod(core_type=core_type)
-    channels = methodology.provision_memory_channels(point.pod, 1)
-    channels = min(channels, node.constraints.max_memory_channels)
-    return ScaleOutChip(
-        name=f"1Pod ({_label(core_type)})",
-        pod=point.pod,
-        num_pods=1,
-        memory_channels=channels,
-        pod_performance=point.performance,
+    return compose_chip(
+        point.evaluation,
+        1,
+        methodology.channel,
+        f"1Pod ({_label(core_type)})",
+        methodology.constraints.max_memory_channels,
     )
 
 

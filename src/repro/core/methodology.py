@@ -16,14 +16,13 @@ The methodology has two steps:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
+from repro.core.composer import PodEvaluation, fill_die
 from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.memory.provisioning import channels_required
 from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
@@ -34,22 +33,51 @@ DEFAULT_CORE_COUNTS: "tuple[int, ...]" = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 #: LLC capacities swept when searching for the PD-optimal pod (MB).
 DEFAULT_LLC_SIZES_MB: "tuple[float, ...]" = (1.0, 2.0, 4.0, 8.0)
 
+#: Most pods a planar die is filled with.
+MAX_PODS = 64
+
 
 @dataclass(frozen=True)
 class PodSweepPoint:
     """One evaluated point of the pod design-space sweep.
 
     Attributes:
-        pod: the evaluated pod configuration.
-        performance: average aggregate IPC across the workload suite.
+        evaluation: the pod and its suite-wide performance and bandwidth.
         area_mm2: pod area.
         performance_density: performance / area.
     """
 
-    pod: Pod
-    performance: float
+    evaluation: PodEvaluation
     area_mm2: float
     performance_density: float
+
+    @property
+    def pod(self) -> Pod:
+        """The evaluated pod configuration."""
+        return self.evaluation.pod
+
+    @property
+    def performance(self) -> float:
+        """Average aggregate IPC across the workload suite."""
+        return self.evaluation.performance
+
+
+def _near_optimal(
+    points: "list[PodSweepPoint]", complexity_tolerance: float
+) -> "list[PodSweepPoint]":
+    """Points whose PD is within ``complexity_tolerance`` of the peak's."""
+    if not 0.0 <= complexity_tolerance < 1.0:
+        raise ValueError("complexity_tolerance must be in [0, 1)")
+    peak = max(points, key=lambda p: p.performance_density)
+    threshold = peak.performance_density * (1.0 - complexity_tolerance)
+    return [p for p in points if p.performance_density >= threshold]
+
+
+def _fewest_cores(points: "list[PodSweepPoint]") -> PodSweepPoint:
+    """The lowest-complexity point: fewest cores, then smaller LLC, then higher PD."""
+    return min(
+        points, key=lambda p: (p.pod.cores, p.pod.llc_capacity_mb, -p.performance_density)
+    )
 
 
 class ScaleOutDesignMethodology:
@@ -73,17 +101,17 @@ class ScaleOutDesignMethodology:
         self.model = model or AnalyticPerformanceModel()
         self.suite = suite or default_suite()
         self.constraints = constraints or node.constraints
+        self.channel = channel_for_standard(node.memory_standard)
 
     # ------------------------------------------------------------- the sweep
     def evaluate_pod(self, pod: Pod) -> PodSweepPoint:
         """Evaluate one pod configuration."""
-        performance = pod.performance(self.model, self.suite)
+        evaluation = PodEvaluation.of(pod, self.model, self.suite)
         area = pod.area_mm2
         return PodSweepPoint(
-            pod=pod,
-            performance=performance,
+            evaluation=evaluation,
             area_mm2=area,
-            performance_density=performance / area,
+            performance_density=evaluation.performance / area,
         )
 
     def sweep_pods(
@@ -129,28 +157,14 @@ class ScaleOutDesignMethodology:
             max_cores: optional hard cap on pod core count (e.g. crossbar
                 implementability limits).
         """
-        if not 0.0 <= complexity_tolerance < 1.0:
-            raise ValueError("complexity_tolerance must be in [0, 1)")
         points = self.sweep_pods(core_type, core_counts, llc_sizes_mb, (interconnect,))
         if max_cores is not None:
             points = [p for p in points if p.pod.cores <= max_cores]
             if not points:
                 raise ValueError(f"no pod configurations with <= {max_cores} cores")
-        peak = max(points, key=lambda p: p.performance_density)
-        threshold = peak.performance_density * (1.0 - complexity_tolerance)
-        near_optimal = [p for p in points if p.performance_density >= threshold]
-        return min(
-            near_optimal,
-            key=lambda p: (p.pod.cores, p.pod.llc_capacity_mb, -p.performance_density),
-        )
+        return _fewest_cores(_near_optimal(points, complexity_tolerance))
 
     # ------------------------------------------------------ chip composition
-    def provision_memory_channels(self, pod: Pod, num_pods: int) -> int:
-        """Memory channels needed for ``num_pods`` pods' worst-case demand."""
-        demand = pod.bandwidth_demand_gbps(self.model, self.suite) * num_pods
-        channel = channel_for_standard(self.node.memory_standard)
-        return channels_required(demand, channel)
-
     def compose_chip(self, pod: Pod, name: "str | None" = None) -> ScaleOutChip:
         """Integrate as many pods as the area/power/bandwidth budgets afford.
 
@@ -158,38 +172,11 @@ class ScaleOutDesignMethodology:
         cannot be supported within the budgets, a one-pod chip is returned (and
         callers can check :meth:`ScaleOutChip.satisfies`).
         """
-        pod_performance = pod.performance(self.model, self.suite)
-        best: "ScaleOutChip | None" = None
-        for num_pods in range(1, 65):
-            channels = self.provision_memory_channels(pod, num_pods)
-            if channels > self.constraints.max_memory_channels:
-                break
-            chip = ScaleOutChip(
-                name=name or f"Scale-Out ({pod.core_type})",
-                pod=pod,
-                num_pods=num_pods,
-                memory_channels=channels,
-                pod_performance=pod_performance,
-            )
-            if (
-                chip.die_area_mm2 > self.constraints.max_area_mm2
-                or chip.power_w > self.constraints.max_power_w
-            ):
-                break
-            best = chip
-        if best is None:
-            channels = min(
-                self.constraints.max_memory_channels,
-                self.provision_memory_channels(pod, 1),
-            )
-            best = ScaleOutChip(
-                name=name or f"Scale-Out ({pod.core_type})",
-                pod=pod,
-                num_pods=1,
-                memory_channels=channels,
-                pod_performance=pod_performance,
-            )
-        return best
+        evaluation = PodEvaluation.of(pod, self.model, self.suite)
+        return self._fill_die(evaluation, name or f"Scale-Out ({pod.core_type})")
+
+    def _fill_die(self, evaluation: PodEvaluation, name: str) -> ScaleOutChip:
+        return fill_die(evaluation, self.constraints, self.channel, name, MAX_PODS)
 
     # ------------------------------------------------------------ end-to-end
     def candidate_pods(
@@ -200,9 +187,7 @@ class ScaleOutDesignMethodology:
     ) -> "list[PodSweepPoint]":
         """Pods whose PD is within ``complexity_tolerance`` of the sweep's peak."""
         points = self.sweep_pods(core_type, interconnects=(interconnect,))
-        peak = max(points, key=lambda p: p.performance_density)
-        threshold = peak.performance_density * (1.0 - complexity_tolerance)
-        return [p for p in points if p.performance_density >= threshold]
+        return _near_optimal(points, complexity_tolerance)
 
     def design(
         self,
@@ -226,7 +211,7 @@ class ScaleOutDesignMethodology:
         best_chip: "ScaleOutChip | None" = None
         best_key: "tuple[float, float] | None" = None
         for point in candidates:
-            chip = self.compose_chip(point.pod, name=label)
+            chip = self._fill_die(point.evaluation, label)
             if not chip.satisfies(self.constraints):
                 continue
             chip_pd = chip.performance(self.model, self.suite) / chip.die_area_mm2
@@ -239,13 +224,9 @@ class ScaleOutDesignMethodology:
                 best_key = key
                 best_chip = chip
         if best_chip is None:
-            # Fall back to the pure pod-PD selection if nothing fits the budgets.
-            point = self.pd_optimal_pod(
-                core_type=core_type,
-                interconnect=interconnect,
-                complexity_tolerance=complexity_tolerance,
-            )
-            best_chip = self.compose_chip(point.pod, name=label)
+            # Fall back to the pure pod-PD selection if nothing fits the budgets:
+            # the fewest-cores pod among the same near-peak candidates.
+            best_chip = self._fill_die(_fewest_cores(candidates).evaluation, label)
         return best_chip
 
 

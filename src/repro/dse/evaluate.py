@@ -23,9 +23,9 @@ import math
 from typing import Mapping
 
 from repro.core.chip import ScaleOutChip
+from repro.core.composer import PodEvaluation, compose_chip
 from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.memory.provisioning import channels_required
 from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.service.calibration import calibrate_chip
 from repro.service.sizing import ClusterSizer, MmkQueue, SlaInfeasibleError
@@ -88,15 +88,11 @@ def _build_chip(params: "Mapping[str, object]", suite: WorkloadSuite,
         interconnect=str(params.get("interconnect", "crossbar")),
         node=node,
     )
-    num_pods = int(params.get("pods_per_chip", 1))  # type: ignore[arg-type]
-    demand = pod.bandwidth_demand_gbps(model, suite) * num_pods
-    channels = channels_required(demand, channel_for_standard(node.memory_standard))
-    return ScaleOutChip(
-        name=_design_label(params),
-        pod=pod,
-        num_pods=num_pods,
-        memory_channels=channels,
-        pod_performance=pod.performance(model, suite),
+    return compose_chip(
+        PodEvaluation.of(pod, model, suite),
+        int(params.get("pods_per_chip", 1)),  # type: ignore[arg-type]
+        channel_for_standard(node.memory_standard),
+        _design_label(params),
     )
 
 

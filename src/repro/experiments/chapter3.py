@@ -16,7 +16,7 @@ from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
 from repro.perfmodel.validation import validate_against
 from repro.runtime.executor import SweepExecutor
 from repro.sim.system import simulate_system
-from repro.technology.node import NODE_20NM, NODE_40NM, TechnologyNode, coerce_node
+from repro.technology.node import NODE_40NM, TechnologyNode, coerce_node
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.suite import WorkloadSuite, default_suite
 
@@ -161,10 +161,3 @@ def table_3_2_design_comparison(
     model = AnalyticPerformanceModel()
     designs = standard_designs(coerce_node(node), model, suite)
     return compare_designs(designs, model, suite).as_dicts()
-
-
-def table_3_2_both_nodes(suite: "WorkloadSuite | None" = None) -> "list[dict[str, object]]":
-    """Table 3.2 at both 40nm and 20nm."""
-    return table_3_2_design_comparison(NODE_40NM, suite) + table_3_2_design_comparison(
-        NODE_20NM, suite
-    )

@@ -7,10 +7,8 @@ by kind (``CATALOG.by_kind("table")``), or drive everything from the
 ``python -m repro`` command line.
 
 :func:`run_experiment` executes one spec through the shared result cache and
-returns an :class:`~repro.runtime.ExperimentResult` envelope.  The envelope
-iterates/indexes as the bare row list, so existing callers keep working; new
-callers read ``.rows``, ``.wall_time_s``, ``.cache_status``, and
-``.provenance``.
+returns an :class:`~repro.runtime.ExperimentResult` envelope; callers read
+its ``.rows``, ``.wall_time_s``, ``.cache_status``, and ``.provenance``.
 """
 
 from __future__ import annotations

@@ -75,20 +75,3 @@ class DependabilityStats:
         if self.offered_requests == 0:
             return 1.0
         return self.completed_requests / self.offered_requests
-
-    def as_row(self) -> "dict[str, float | int]":
-        """Flat dict of the headline metrics, for sweep rows and envelopes."""
-        return {
-            "availability": self.availability,
-            "goodput_qps": self.goodput_qps,
-            "goodput_fraction": self.goodput_fraction,
-            "offered_requests": self.offered_requests,
-            "completed_requests": self.completed_requests,
-            "lost_requests": self.lost_requests,
-            "unrouted_requests": self.unrouted_requests,
-            "failed_requests": self.failed_requests,
-            "crashes": self.crashes,
-            "downtime_s": self.downtime_s,
-            "mean_time_to_recover_s": self.mean_time_to_recover_s,
-            "max_time_to_recover_s": self.max_time_to_recover_s,
-        }

@@ -76,14 +76,3 @@ class Floorplan:
         """
         rows, cols = self.grid_dims
         return (rows + cols) / 3.0
-
-    def average_distance_to_center_mm(self) -> float:
-        """Average wire distance from a tile to the centre of the region."""
-        rows, cols = self.grid_dims
-        pitch = self.tile_pitch_mm
-        avg_tiles = (rows + cols) / 4.0
-        return avg_tiles * pitch
-
-    def average_tile_distance_mm(self) -> float:
-        """Average point-to-point wire distance between two tiles."""
-        return self.average_mesh_hops() * self.tile_pitch_mm

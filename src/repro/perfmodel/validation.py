@@ -61,19 +61,6 @@ class ValidationReport:
             return float("inf")
         return sum(finite) / len(finite)
 
-    @property
-    def worst_error(self) -> float:
-        """Largest absolute relative error across all points."""
-        finite = [abs(p.relative_error) for p in self.points if p.simulated_ipc > 0]
-        return max(finite) if finite else float("inf")
-
-    def by_core_count(self, max_cores: int) -> "ValidationReport":
-        """Sub-report restricted to configurations with at most ``max_cores`` cores."""
-        selected = tuple(p for p in self.points if p.cores <= max_cores)
-        if not selected:
-            raise ValueError(f"no validation points with cores <= {max_cores}")
-        return ValidationReport(selected)
-
 
 SimulatorFn = Callable[[WorkloadProfile, SystemConfig], float]
 

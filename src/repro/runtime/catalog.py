@@ -96,11 +96,6 @@ class SpecCatalog:
         for claim in staged:
             self._claims.setdefault(claim.experiment_id, []).append(claim)
 
-    def claims_for(self, experiment_id: str) -> "list[object]":
-        """The claims attached to one spec (empty if none)."""
-        self.get(experiment_id)
-        return list(self._claims.get(experiment_id, ()))
-
     def claims(self) -> "list[object]":
         """Every attached claim, grouped by spec in registration order."""
         return [
@@ -108,10 +103,6 @@ class SpecCatalog:
             for spec_id in self._specs
             for claim in self._claims.get(spec_id, ())
         ]
-
-    def claimed_ids(self) -> "list[str]":
-        """Ids of the specs that carry at least one claim, in catalog order."""
-        return [spec_id for spec_id in self._specs if self._claims.get(spec_id)]
 
     def chapters(self) -> "list[int]":
         """Sorted chapter numbers present in the catalog."""

@@ -99,11 +99,6 @@ class LatencyStats:
         return self.percentile(0.50)
 
     @property
-    def p95_s(self) -> float:
-        """95th-percentile latency."""
-        return self.percentile(0.95)
-
-    @property
     def p99_s(self) -> float:
         """99th-percentile latency, the SLA metric."""
         return self.percentile(0.99)

@@ -1,8 +1,8 @@
 """Reduced-fidelity cycle-level simulation substrate.
 
 The original study used Flexus (cycle-accurate, full-system SPARC simulation).
-This package provides the substitution described in DESIGN.md: a discrete-event,
-trace-driven multi-core simulator with
+This package provides the substitution described in ``docs/architecture.md``:
+a discrete-event, trace-driven multi-core simulator with
 
 * trace-driven cores with a bounded outstanding-miss window (emergent
   memory-level parallelism),

@@ -122,10 +122,6 @@ class SetAssociativeCache:
         line_addr = address // self.line_bytes
         return line_addr % self.num_sets, line_addr // self.num_sets
 
-    def line_address(self, address: int) -> int:
-        """Line-aligned address for ``address``."""
-        return (address // self.line_bytes) * self.line_bytes
-
     # ----------------------------------------------------------------- lookup
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident (no LRU update, no stats)."""

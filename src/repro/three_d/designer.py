@@ -8,21 +8,24 @@ budgets (250-280 mm^2 per logic die, 250 W, up to six DDR4 channels), evaluates
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
+from repro.core.composer import PodEvaluation, fill_die
 from repro.core.pod import Pod
 from repro.memory.dram import DDR4_2133
 from repro.memory.provisioning import channels_required
 from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
-from repro.three_d.stacking import StackedPod, StackingStrategy, stack_fixed_distance, stack_fixed_pod
+from repro.three_d.stacking import StackedPod, stack_fixed_distance, stack_fixed_pod
 from repro.workloads.suite import WorkloadSuite, default_suite
 
 #: Chapter 6 chip budgets: liquid-cooled 3D stacks allow 250 W; DDR4 interfaces.
 CONSTRAINTS_3D = ChipConstraints(max_area_mm2=280.0, max_power_w=250.0, max_memory_channels=6)
+
+#: Most stacked pods one logic-die footprint is filled with.
+MAX_PODS_3D = 32
 
 
 @dataclass(frozen=True)
@@ -126,52 +129,14 @@ class ThreeDDesignStudy:
     # ----------------------------------------------------------- chip assembly
     def compose_chip(self, stacked_pod: StackedPod, name: "str | None" = None) -> ScaleOutChip:
         """Fill one logic-die footprint with as many stacked pods as the budgets allow."""
-        from repro.technology.components import ComponentCatalog
-
-        catalog = ComponentCatalog(self.node)
         label = name or f"3D Scale-Out ({stacked_pod.base_pod.core_type}, L={stacked_pod.num_dies})"
-        pod_performance = stacked_pod.performance(self.model, self.suite) / max(
-            1, stacked_pod.num_dies
+        evaluation = PodEvaluation(
+            pod=stacked_pod.pod,
+            performance=stacked_pod.performance(self.model, self.suite),
+            bandwidth_gbps=stacked_pod.bandwidth_demand_gbps(self.model, self.suite),
+            num_dies=stacked_pod.num_dies,
         )
-        best: "ScaleOutChip | None" = None
-        demand_per_pod = stacked_pod.bandwidth_demand_gbps(self.model, self.suite)
-        for num_pods in range(1, 33):
-            channels = channels_required(demand_per_pod * num_pods, DDR4_2133)
-            if channels > self.constraints.max_memory_channels:
-                break
-            footprint = (
-                stacked_pod.footprint_mm2 * num_pods
-                + catalog.memory_interface_area_mm2(channels)
-                + catalog.soc_misc.area_mm2
-            )
-            power = (
-                stacked_pod.pod.power_w * num_pods
-                + catalog.memory_interface_power_w(channels)
-                + catalog.soc_misc.power_w
-            )
-            if footprint > self.constraints.max_area_mm2 or power > self.constraints.max_power_w:
-                break
-            best = ScaleOutChip(
-                name=label,
-                pod=stacked_pod.pod,
-                num_pods=num_pods,
-                memory_channels=channels,
-                num_dies=stacked_pod.num_dies,
-                pod_performance=stacked_pod.performance(self.model, self.suite),
-            )
-        if best is None:
-            best = ScaleOutChip(
-                name=label,
-                pod=stacked_pod.pod,
-                num_pods=1,
-                memory_channels=min(
-                    self.constraints.max_memory_channels,
-                    channels_required(demand_per_pod, DDR4_2133),
-                ),
-                num_dies=stacked_pod.num_dies,
-                pod_performance=stacked_pod.performance(self.model, self.suite),
-            )
-        return best
+        return fill_die(evaluation, self.constraints, DDR4_2133, label, MAX_PODS_3D)
 
     def specification_table(
         self,

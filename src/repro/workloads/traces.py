@@ -99,7 +99,6 @@ class SyntheticTraceGenerator:
     _SHARED_SMALL_BASE = 0x0000_0001_0000_0000
     _CAPTURABLE_BASE = 0x0000_0002_0000_0000
     _DATASET_BASE = 0x0000_0010_0000_0000
-    _HOT_BASE = 0x0000_0100_0000_0000
     _SHARED_HOT_BASE = 0x0000_0200_0000_0000
 
     def __init__(
@@ -145,10 +144,6 @@ class SyntheticTraceGenerator:
         }
 
     # ------------------------------------------------------------------ util
-    def _hot_region(self, core_id: int) -> _Region:
-        """Per-core private hot region (8 KB, always L1-resident)."""
-        return _Region("hot", self._HOT_BASE + core_id * (1 << 20), 8 * 1024)
-
     def expected_llc_accesses_per_instruction(self) -> float:
         """Expected LLC accesses per instruction encoded in the trace."""
         return self.l1i_miss_per_instr + self.l1d_miss_per_instr
@@ -160,7 +155,7 @@ class SyntheticTraceGenerator:
         Only references that reach the LLC (L1 misses) are emitted, plus a small
         stream of actively-shared references; L1-resident traffic is summarized by
         the instruction gaps.  This is the reduced-fidelity substitution for
-        full-system tracing described in DESIGN.md.
+        full-system tracing described in ``docs/architecture.md``.
         """
         if core_id < 0 or core_id >= self.cores:
             raise ValueError(f"core_id {core_id} out of range for {self.cores} cores")
