@@ -172,9 +172,11 @@ class CompiledTopology:
 
     :meth:`compile_pairs` keeps the routes in dense tables for the wavefront:
     ``route_offset`` / ``route_length`` / ``route_tail`` per
-    ``source * num_nodes + destination`` pair, and ``hop_pipeline`` /
-    ``hop_link`` / ``hop_latency`` per flat hop.  It also keeps the CDG of
-    those routes: each link's ``link_level`` and the ``acyclic`` flag.
+    ``source * num_nodes + destination`` pair, and ``hop_link`` / ``hop_key``
+    (the link's ``link_key``) per flat hop.  A hop's router pipeline and
+    latency are its link's ``link_pipeline`` and ``link_latency``.  It also
+    keeps the CDG of those routes: each link's ``link_level`` and the
+    ``acyclic`` flag.
     """
 
     def __init__(self, topology: NocTopology):
@@ -193,19 +195,19 @@ class CompiledTopology:
         self._link_of[[a * self.num_nodes + b for a, b in self.edge_index]] = np.arange(
             self.num_links
         )
-        self._link_latency = np.array(
+        self.link_latency = np.array(
             [topology.link(a, b).latency_cycles for a, b in self.edge_index], dtype=np.int16
         )
         pipelines = topology.router_pipeline_cycles
         self._node_pipeline = np.array(
             [pipelines.get(node, 1) for node in range(self.num_nodes)], dtype=np.int16
         )
+        #: the pipeline of the router each link leaves.
+        self.link_pipeline = self._node_pipeline[[a for a, _ in self.edge_index]]
         self.route_offset = np.zeros(pairs, dtype=np.int32)
         self.route_length = np.full(pairs, -1, dtype=np.int16)
         self.route_tail = np.zeros(pairs, dtype=np.int16)
-        self.hop_pipeline = np.empty(0, dtype=np.int16)
         self.hop_link = np.empty(0, dtype=np.int32)
-        self.hop_latency = np.empty(0, dtype=np.int16)
         # Channel dependency graph (CDG) of the compiled routes: an edge
         # ``(l1, l2)`` means some route leaves link l1 onto link l2.
         self._dependencies: "set[int]" = set()
@@ -217,6 +219,7 @@ class CompiledTopology:
         #: its inverse, the link holding each rank.
         self.link_key = np.arange(self.num_links, dtype=key_type)
         self.links_by_key = np.arange(self.num_links, dtype=np.int32)
+        self.hop_key = self.link_key[self.hop_link]
         #: the first rank of each level, then ``num_links``.
         self.level_start_key = np.array([0, self.num_links], dtype=np.int32)
 
@@ -269,10 +272,7 @@ class CompiledTopology:
         self.route_offset[missing] = len(self.hop_link) + ends - sizes - np.arange(len(paths))
         self.route_length[missing] = lengths
         self.route_tail[missing] = self._node_pipeline[nodes[ends - 1]]
-        pipelines = self._node_pipeline[nodes[departs]]
-        self.hop_pipeline = np.concatenate((self.hop_pipeline, pipelines))
         self.hop_link = np.concatenate((self.hop_link, links))
-        self.hop_latency = np.concatenate((self.hop_latency, self._link_latency[links]))
         # Consecutive hops of one route form a CDG edge, keyed l1 * links + l2:
         # hop i and i + 1 belong to one route when their path nodes are adjacent.
         within = departs[1:] == departs[:-1] + 1
@@ -281,6 +281,7 @@ class CompiledTopology:
         self._dependencies.update(edges[within].tolist())
         if self.acyclic and len(self._dependencies) > known:
             self._relevel()
+        self.hop_key = self.link_key[self.hop_link]
 
     def _relevel(self) -> None:
         """Recompute each link's CDG level and the ``acyclic`` flag.
@@ -461,88 +462,78 @@ def _wavefront(
     One entry per (packet, hop) is laid out packet-major in delivery order,
     then stably grouped by (level, link), so each link's entries stay in
     delivery order -- the order the hop loop would have served them in.  A
-    level's arrivals depend only on starts at lower levels, which are final.
+    route's hops climb strictly in level, so a level holds at most one hop of
+    each packet, and the packet's clock ``now`` (its injection time, then the
+    last hop's ``start + latency``) is final when the level is served.
     """
     pair_o = pair_key[order]
-    injection_o = batch.injection_time[order]
     length_o = compiled.route_length[pair_o].astype(np.int32)
     first_o = np.cumsum(length_o, dtype=np.int32) - length_o
     total = int(length_o.sum())
     # Flat hop position of every entry: its route's offset plus the hop.
     hop = np.repeat(compiled.route_offset[pair_o] - first_o, length_o)
     hop += np.arange(total, dtype=np.int32)
-    key = compiled.link_key[compiled.hop_link[hop]]
+    key = compiled.hop_key[hop]
+    del hop, first_o
     per_key = np.bincount(key, minlength=compiled.num_links)
     perm = np.argsort(key, kind="stable").astype(np.int32)
     del key
-    hop = hop[perm]
-    pipeline = compiled.hop_pipeline[hop]
-    routed = length_o > 0
-    hop_zero = int(routed.sum())
-    # Hop 0 reads its upstream "start" from a slot past the entries holding
-    # the injection time, with latency 0: (injection + 0) + pipeline is
-    # exactly injection + pipeline.
-    latency = np.zeros(total + hop_zero, dtype=np.int16)
-    latency[:total] = compiled.hop_latency[hop]
-    del hop
-    narrow = np.int16 if resolved.max(initial=0) <= np.iinfo(np.int16).max else np.int32
-    flits = np.repeat(resolved[order].astype(narrow), length_o)[perm]
-    # position[e]: where packet-major entry e landed in the grouped layout.
-    position = np.empty(total, dtype=np.int32)
-    position[perm] = np.arange(total, dtype=np.int32)
-    upstream = position[perm - 1]
+    # The packet (delivery-order index) of every entry.
+    who = np.repeat(np.arange(len(batch), dtype=np.int32), length_o)[perm]
     del perm
-    upstream[position[first_o[routed]]] = np.arange(total, total + hop_zero, dtype=np.int32)
-    last_hop = position[(first_o + length_o - 1)[routed]]
-    del position, first_o
-    start = np.empty(total + hop_zero, dtype=np.float64)
-    start[total:] = injection_o[routed]
+    narrow = np.int16 if resolved.max(initial=0) <= np.iinfo(np.int16).max else np.int32
+    flits_o = resolved[order]
+    flits = flits_o.astype(narrow)[who]
+    now = batch.injection_time[order]
 
-    # One segment per link that carries traffic, in grouped order.
+    # One segment per link that carries traffic, in grouped order; a hop's
+    # pipeline and latency are its link's.
     key_end = np.cumsum(per_key)
     used = per_key > 0
     segment_link = compiled.links_by_key[used]
     segment_size = per_key[used]
     segment_first = (key_end - per_key)[used]
+    pipeline = np.repeat(compiled.link_pipeline[segment_link], segment_size)
+    latency = np.repeat(compiled.link_latency[segment_link], segment_size)
+    segment_last = segment_first + segment_size - 1
     level_bounds = np.concatenate(([0], key_end))[compiled.level_start_key].tolist()
     segment_bounds = np.searchsorted(segment_first, level_bounds).tolist()
     # Flits queued ahead of each entry on its link (this batch only).
     queued = np.cumsum(flits, dtype=np.int64) - flits
     queued -= np.repeat(queued[segment_first], segment_size)
     free = np.array(next_free, dtype=np.float64)
+    last_start = np.empty(len(segment_link), dtype=np.float64)
     for level in range(compiled.num_levels):
         lo, hi = level_bounds[level], level_bounds[level + 1]
         if lo == hi:
             continue
-        up = upstream[lo:hi]
-        arrive = (start[up] + latency[up]) + pipeline[lo:hi]
+        packets = who[lo:hi]
         first, last = segment_bounds[level], segment_bounds[level + 1]
-        start[lo:hi] = _serve(
-            arrive,
+        start = _serve(
+            now[packets] + pipeline[lo:hi],
             flits[lo:hi],
             queued[lo:hi],
             segment_first[first:last] - lo,
             segment_size[first:last],
             free[segment_link[first:last]],
         )
+        last_start[first:last] = start[segment_last[first:last] - lo]
+        now[packets] = start + latency[lo:hi]
 
     if total:
-        ends = segment_first + segment_size - 1
-        free[segment_link] = start[ends] + flits[ends]
+        free[segment_link] = last_start + flits[segment_last]
         next_free[:] = free.tolist()
         carried = np.add.reduceat(flits, segment_first, dtype=np.int64)
         for link, count in zip(segment_link.tolist(), carried.tolist()):
             flits_carried[link] += count
 
-    # Arrival: (last start + latency) + tail pipeline, then the serialization
-    # add -- the same separate additions as the hop loop.  A zero-hop packet
-    # starts from its injection time.
-    arrivals_o = injection_o
-    arrivals_o[routed] = start[last_hop] + latency[last_hop]
-    arrivals_o += compiled.route_tail[pair_o]
-    arrivals_o += resolved[order] - 1
+    # Arrival: the clock after the last hop (or the injection time of a
+    # zero-hop packet) plus the tail pipeline, then the serialization add --
+    # the same separate additions as the hop loop.
+    now += compiled.route_tail[pair_o]
+    now += flits_o - 1
     arrivals = np.empty(len(batch), dtype=np.float64)
-    arrivals[order] = arrivals_o
+    arrivals[order] = now
     return arrivals
 
 

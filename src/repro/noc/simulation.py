@@ -18,7 +18,7 @@ from repro.noc.metrics import NocAreaBreakdown, NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.packet import MessageClass
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
-from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch, require_count
 from repro.perfmodel.amat import LlcAccessLatency
 from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
 from repro.runtime.executor import SweepExecutor
@@ -151,6 +151,9 @@ class PodNocStudy:
         duration_cycles: int = 8_000,
         seed: int = 1,
     ):
+        require_count("cores", cores, 1)
+        require_count("duration_cycles", duration_cycles, 1)
+        require_count("seed", seed, 0)
         self.cores = cores
         self.llc_mb = llc_mb
         self.node = node

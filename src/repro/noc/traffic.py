@@ -9,6 +9,8 @@ stream of request/response (and occasional snoop) packets for the NoC simulator.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +69,8 @@ class BilateralTrafficGenerator:
         core_type: str = "ooo",
         seed: int = 1,
     ):
-        if per_core_ipc <= 0:
-            raise ValueError("per_core_ipc must be positive")
+        if not 0 < per_core_ipc < math.inf:
+            raise ValueError(f"per_core_ipc must be positive and finite, got {per_core_ipc!r}")
         self.topology = topology
         self.workload = workload
         self.per_core_ipc = per_core_ipc
@@ -136,6 +138,12 @@ class BilateralTrafficGenerator:
         )
 
 
+def require_count(name: str, value: object, minimum: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def generate_bilateral_batch(
     core_nodes: "list[int]",
     llc_nodes: "list[int]",
@@ -149,74 +157,63 @@ def generate_bilateral_batch(
 
     Module-level so callers that know the scalar inputs (rate, fraction, seed)
     can generate -- and memoize -- batches without building a topology-bound
-    generator object.
+    generator object.  Each core draws, in turn, its access count (Poisson),
+    sorted injection times, LLC targets, snoop flags and one victim per snoop;
+    the packets of every core are then laid out in one pass.
+
+    Raises:
+        ValueError: an argument is out of range (the message names it).
     """
-    if duration_cycles <= 0:
-        raise ValueError("duration_cycles must be positive")
-    rng = np.random.default_rng((seed, 0xABCD, duration_cycles))
-    cores = core_nodes
+    require_count("duration_cycles", duration_cycles, 1)
     if active_cores is not None:
-        cores = cores[:active_cores]
-    llcs = llc_nodes
+        require_count("active_cores", active_cores, 0)
+    if not 0 <= injection_rate < math.inf:
+        raise ValueError(f"injection_rate must be finite and >= 0, got {injection_rate!r}")
+    if not 0 <= snoop_fraction <= 1:
+        raise ValueError(f"snoop_fraction must be in [0, 1], got {snoop_fraction!r}")
+    if not len(llc_nodes):
+        raise ValueError("llc_nodes must not be empty")
+    rng = np.random.default_rng((seed, 0xABCD, duration_cycles))
+    cores = np.array(core_nodes[:active_cores], dtype=np.int64)
+    llcs = np.asarray(llc_nodes)
+    expected = injection_rate * duration_cycles
     bank_service = 4.0
-    blocks: "list[PacketBatch]" = []
-    packet_base = 0
-    for core in cores:
-        expected = injection_rate * duration_cycles
-        count = int(rng.poisson(expected))
-        times = np.sort(rng.uniform(0, duration_cycles, size=count))
-        targets = rng.choice(llcs, size=count).astype(np.int64)
-        snoops = rng.random(count) < snoop_fraction
-        num_snoops = int(snoops.sum())
-        # Victims draw one at a time, in arrival order, matching the
-        # historical per-packet stream consumption.  ``rng.integers(n)`` is
-        # the draw ``rng.choice(cores)`` makes, without converting the list
-        # to an array on every call.
-        victims = np.array(
-            [cores[rng.integers(len(cores))] for _ in range(num_snoops)], dtype=np.int64
-        )
-        if count == 0:
-            continue
-
-        # Interleaved emission positions: access j emits its request at
-        # slot 2*j + (snoops before j), its response right after, and its
-        # snoop (if any) right after that.
-        snoops_before = np.cumsum(snoops) - snoops
-        request_pos = 2 * np.arange(count, dtype=np.int64) + snoops_before
-        snoop_pos = request_pos[snoops] + 2
-        block_len = 2 * count + num_snoops
-
-        injection = np.empty(block_len, dtype=np.float64)
-        source = np.empty(block_len, dtype=np.int64)
-        destination = np.empty(block_len, dtype=np.int64)
-        class_code = np.empty(block_len, dtype=np.int64)
-
-        responses_at = times + bank_service
-        injection[request_pos] = times
-        injection[request_pos + 1] = responses_at
-        source[request_pos] = core
-        source[request_pos + 1] = targets
-        destination[request_pos] = targets
-        destination[request_pos + 1] = core
-        class_code[request_pos] = _REQUEST
-        class_code[request_pos + 1] = _RESPONSE
-        if num_snoops:
-            injection[snoop_pos] = responses_at[snoops]
-            source[snoop_pos] = targets[snoops]
-            destination[snoop_pos] = victims
-            class_code[snoop_pos] = _SNOOP
-
-        blocks.append(
-            PacketBatch(
-                injection_time=injection,
-                source=source,
-                destination=destination,
-                class_code=class_code,
-                # Left at 0 so the network sizes packets from its own link
-                # width, exactly like the object stream.
-                flits=np.zeros(block_len, dtype=np.int64),
-                packet_id=packet_base + np.arange(block_len, dtype=np.int64),
-            )
-        )
-        packet_base += block_len
-    return PacketBatch.concatenate(blocks)
+    counts = np.empty(len(cores), dtype=np.int64)
+    # Each list starts with an empty part so that zero cores concatenate.
+    times, targets, snoops, victims = [np.empty(0)], [cores[:0]], [np.empty(0, bool)], [cores[:0]]
+    for index in range(len(cores)):
+        count = counts[index] = rng.poisson(expected)
+        times.append(np.sort(rng.uniform(0, duration_cycles, size=count)))
+        # ``rng.integers(n, size=k)`` is the draw ``rng.choice`` of an
+        # n-element array makes, so the stream advances as with choice.
+        targets.append(llcs[rng.integers(len(llcs), size=count)])
+        snoops.append(rng.random(count) < snoop_fraction)
+        # One victim per snoop, in arrival order, in one bulk draw.
+        victims.append(rng.integers(len(cores), size=np.count_nonzero(snoops[-1])))
+    times, targets, snoops = map(np.concatenate, (times, targets, snoops))
+    requester = np.repeat(cores, counts)
+    # Access j emits its request at slot 2*j + (snoops before j), its response
+    # right after, and its snoop (if any) right after that.
+    request_pos = 2 * np.arange(len(times), dtype=np.int64) + (np.cumsum(snoops) - snoops)
+    snoop_pos = request_pos[snoops] + 2
+    size = 2 * len(times) + len(snoop_pos)
+    responses_at = times + bank_service
+    injection = np.empty(size, dtype=np.float64)
+    source, destination, class_code = (np.empty(size, dtype=np.int64) for _ in range(3))
+    for column, request, response, snoop in (
+        (injection, times, responses_at, responses_at[snoops]),
+        (source, requester, targets, targets[snoops]),
+        (destination, targets, requester, cores[np.concatenate(victims)]),
+        (class_code, _REQUEST, _RESPONSE, _SNOOP),
+    ):
+        column[request_pos], column[request_pos + 1], column[snoop_pos] = request, response, snoop
+    return PacketBatch(
+        injection_time=injection,
+        source=source,
+        destination=destination,
+        class_code=class_code,
+        # Left at 0 so the network sizes packets from its own link width,
+        # exactly like the object stream.
+        flits=np.zeros(size, dtype=np.int64),
+        packet_id=np.arange(size, dtype=np.int64),
+    )

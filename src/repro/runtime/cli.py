@@ -257,7 +257,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for experiment_id in args.ids:
         _check_override_keys(experiment_id, overrides)
     for experiment_id in args.ids:
-        result = _run_one(experiment_id, args)
+        try:
+            result = _run_one(experiment_id, args)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         if args.json:
             print(json.dumps(_envelope(result)))
         else:

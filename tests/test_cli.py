@@ -104,6 +104,24 @@ class TestRun:
             run_cli(capsys, "run", "figure_2_2", "table_4_1", "--set", "cores=2")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("override, name", [
+        ("duration_cycles=-5", "duration_cycles"),
+        ("duration_cycles=12.5", "duration_cycles"),
+        ("seed=-1", "seed"),
+    ])
+    def test_bad_noc_override_is_one_line_error(self, capsys, monkeypatch, override, name):
+        """Regression: ``duration_cycles=-5`` ran the bad point twice and ended
+        in a ``SweepPointError`` traceback; ``12.5`` blamed ``seed``."""
+        from repro.noc import simulation
+
+        evaluated = []
+        monkeypatch.setattr(simulation, "_evaluate_noc_point", lambda *a: evaluated.append(a))
+        code, out, err = run_cli(capsys, "run", "figure_4_6", "--no-cache", "--set", override)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+        assert evaluated == []
+
     def test_run_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "run", "figure_9_9")
         assert code == 2

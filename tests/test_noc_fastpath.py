@@ -212,15 +212,19 @@ EQUIVALENCE_TOPOLOGIES = {
     "fbfly": build_flattened_butterfly(16),
     "nocout": build_nocout(64),
     "mesh+faults": _faulted_mesh(),
+    # Hop 0 adds the pipeline straight to the injection time: with a zero
+    # pipeline a -0.0 injection must come out as the reference's sum does.
+    "mesh+pipeline0": build_mesh(16, router_pipeline_cycles=0),
 }
 
 
 @st.composite
 def packet_batches(draw, num_nodes, first_id=0):
-    """Small batches dense enough to contend: tied injection times, zero-hop
-    packets, explicit and config-sized flits, shuffled packet ids."""
+    """Small batches dense enough to contend: tied injection times (0.0 and
+    -0.0 among them), zero-hop packets, explicit and config-sized flits,
+    shuffled packet ids."""
     node = st.integers(min_value=0, max_value=num_nodes - 1)
-    time = st.sampled_from([0.0, 1.0, 2.5, 7.25]) | st.floats(min_value=0.0, max_value=40.0)
+    time = st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.25]) | st.floats(min_value=0.0, max_value=40.0)
     packet = st.tuples(
         node,
         node,
@@ -248,7 +252,8 @@ def _copy(batch):
 
 class TestWavefrontEquivalence:
     """``run_batch`` against the reference walk on random contended batches:
-    the wavefront on the three builders, the hop loop on the faulted mesh."""
+    the wavefront on the three builders (and a zero-pipeline mesh), the hop
+    loop on the faulted mesh."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TOPOLOGIES))
     @pytest.mark.parametrize("link_width_bits", [128, 16])
@@ -271,7 +276,8 @@ class TestWavefrontEquivalence:
         for batch in (first, second):
             got = fast.run_batch(batch)
             want = reference.run_batch(batch)
-            assert got.arrival_time.tolist() == want.arrival_time.tolist()
+            # Bytes, not floats: ``-0.0 == 0.0`` would hide a signed-zero drift.
+            assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
             assert got.hops.tolist() == want.hops.tolist()
             assert got.flits.tolist() == want.flits.tolist()
             assert got.order.tolist() == want.order.tolist()
@@ -300,7 +306,7 @@ class TestWavefrontEquivalence:
         )
         got = NocNetwork(build_mesh(16)).run_batch(batch)
         want = ReferenceNocNetwork(build_mesh(16)).run_batch(batch)
-        assert got.arrival_time.tolist() == want.arrival_time.tolist()
+        assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
 
     @DETERMINISTIC
     @given(data=st.data())
@@ -315,7 +321,7 @@ class TestWavefrontEquivalence:
         two = NocNetwork(topology).run_batch(batch)
         for column in COLUMNS:
             assert np.array_equal(getattr(batch, column), getattr(pristine, column)), column
-        assert one.arrival_time.tolist() == two.arrival_time.tolist()
+        assert one.arrival_time.tobytes() == two.arrival_time.tobytes()
         assert one.hops.tolist() == two.hops.tolist()
 
 
