@@ -10,7 +10,7 @@ organization unit spans the whole die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.pod import Pod
 from repro.memory.dram import DramChannel, channel_for_standard
@@ -192,7 +192,3 @@ class ScaleOutChip:
             "performance_density": round(performance_density(perf, self.die_area_mm2, self.num_dies), 4),
             "performance_per_watt": round(perf / self.power_w, 3),
         }
-
-    def with_pod_performance(self, value: float) -> "ScaleOutChip":
-        """Copy of this chip with a cached per-pod performance value."""
-        return replace(self, pod_performance=value)

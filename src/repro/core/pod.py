@@ -135,10 +135,6 @@ class Pod:
         return model.worst_case_bandwidth_gbps(self.config(), suite or default_suite())
 
     # ---------------------------------------------------------------- update
-    def with_node(self, node: TechnologyNode) -> "Pod":
-        """The same pod organization re-targeted to another technology node."""
-        return replace(self, node=node)
-
     def scaled(self, core_factor: int, llc_factor: float) -> "Pod":
         """Pod with core count and LLC capacity multiplied (used by 3D studies)."""
         if core_factor < 1:

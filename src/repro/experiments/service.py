@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.core.chip import ScaleOutChip
 from repro.core.designs import build_conventional, build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, require_positive_finite
 from repro.runtime.executor import SweepExecutor
 from repro.service.calibration import ServiceCapacity, calibrate_chip
 from repro.service.cluster import ClusterConfig, simulate_cluster
@@ -145,6 +145,15 @@ def service_latency_sweep(
     reference escape hatch; ``"auto"`` uses the vectorized fast engine for
     state-free policies).
     """
+    if isinstance(utilizations, str) or not isinstance(utilizations, Sequence) or not utilizations:
+        raise ValueError(
+            "utilizations must be a non-empty sequence of positive, finite numbers, "
+            f"got {utilizations!r}"
+        )
+    # Loads above 1 stay legal: the sweep deliberately runs past saturation.
+    require_positive_finite(
+        **{f"utilizations[{index}]": value for index, value in enumerate(utilizations)}
+    )
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     capacity, parallelism = _server_capacity(design, workload, suite)
@@ -221,6 +230,7 @@ def service_policy_comparison(
     executor: "SweepExecutor | None" = None,
 ) -> "list[dict[str, object]]":
     """Load-balancing policies head-to-head at equal offered load."""
+    require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     capacity, parallelism = _server_capacity(design, workload, suite)

@@ -37,7 +37,11 @@ from repro.workloads.suite import WorkloadSuite, default_suite
 def require_positive_finite(**fields: float) -> None:
     """Raise ``ValueError`` naming the first field that is not a positive, finite number."""
     for name, value in fields.items():
-        if not (0 < value < math.inf):
+        try:
+            valid = 0 < value < math.inf
+        except TypeError:  # a string or None from the command line
+            valid = False
+        if not valid:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -15,7 +15,6 @@ from repro.runtime.executor import (
     MAX_WORKERS_ENV,
     SERIAL_EXECUTOR,
     SweepExecutor,
-    SweepPointError,
 )
 from repro.runtime.spec import ExperimentResult, ExperimentSpec
 
@@ -29,7 +28,6 @@ __all__ = [
     "ResultCache",
     "SpecCatalog",
     "SweepExecutor",
-    "SweepPointError",
     "UnknownExperimentError",
     "canonicalize",
     "result_key",

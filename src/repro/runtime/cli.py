@@ -14,7 +14,9 @@ Subcommands:
 ``run`` and ``sweep`` accept repeated ``--set key=value`` overrides (values are
 parsed as Python literals when possible); ``sweep`` splits comma-separated
 values into sweep axes.  A key the experiment function does not take is
-rejected before anything runs.  Results flow through the shared result cache;
+rejected before anything runs.  Every rejection -- a malformed ``--set``, an
+unknown id or key, a value an experiment refuses -- prints one ``error: ...``
+line and exits 2.  Results flow through the shared result cache;
 pass ``--cache-dir`` to persist them across invocations or ``--no-cache`` to
 disable caching entirely.  Every running subcommand accepts
 ``--trace out.json`` to record a Chrome-trace/Perfetto span timeline of the
@@ -47,7 +49,7 @@ def _parse_overrides(pairs: "Sequence[str]") -> "dict[str, object]":
     overrides: "dict[str, object]" = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         overrides[key.strip()] = _parse_literal(value.strip())
     return overrides
@@ -74,14 +76,14 @@ def _parse_axes(pairs: "Sequence[str]") -> "dict[str, list[object]]":
     axes: "dict[str, list[object]]" = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=v1,v2,..., got {pair!r}")
+            raise ValueError(f"--set expects key=v1,v2,..., got {pair!r}")
         key, _, values = pair.partition("=")
         axes[key.strip()] = [_parse_literal(v) for v in _split_axis_values(values)]
     return axes
 
 
 def _check_override_keys(experiment_id: str, keys: "Iterable[str]") -> None:
-    """Exit with one line naming the first key ``experiment_id`` does not take.
+    """Reject the first key ``experiment_id`` does not take, naming it.
 
     Called before any experiment starts, so a mistyped ``--set`` key never
     costs a partial run or ends in a traceback.
@@ -93,8 +95,8 @@ def _check_override_keys(experiment_id: str, keys: "Iterable[str]") -> None:
         return
     for key in keys:
         if key not in accepted:
-            raise SystemExit(
-                f"error: {experiment_id} takes no parameter {key!r}; "
+            raise ValueError(
+                f"{experiment_id} takes no parameter {key!r}; "
                 f"accepted: {', '.join(accepted) or 'none'}"
             )
 
@@ -151,7 +153,7 @@ def _run_one(
         elif "nodes" in parameters:
             overrides.setdefault("nodes", (node,))
         else:
-            raise SystemExit(
+            raise ValueError(
                 f"{experiment_id!r} is not node-parameterized; "
                 "--node needs an experiment with a `node` or `nodes` parameter"
             )
@@ -257,11 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for experiment_id in args.ids:
         _check_override_keys(experiment_id, overrides)
     for experiment_id in args.ids:
-        try:
-            result = _run_one(experiment_id, args)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        result = _run_one(experiment_id, args)
         if args.json:
             print(json.dumps(_envelope(result)))
         else:
@@ -279,7 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     axes = _parse_axes(args.set or [])
     if not axes:
-        raise SystemExit("sweep needs at least one --set key=v1,v2,... axis")
+        raise ValueError("sweep needs at least one --set key=v1,v2,... axis")
     _check_override_keys(args.id, axes)
     names = list(axes)
     combos = list(itertools.product(*(axes[name] for name in names)))
@@ -310,7 +308,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     spec = CATALOG.get(args.id)
     if spec.kind != "explore":
         explore_ids = sorted(s.experiment_id for s in CATALOG.by_kind("explore"))
-        raise SystemExit(
+        raise ValueError(
             f"{args.id!r} is a {spec.kind!r} spec, not an exploration; "
             f"explorations: {explore_ids}"
         )
@@ -371,11 +369,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         executor=_executor_for(args),
     )
-    try:
-        run = validator.validate(only=args.only or None)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    run = validator.validate(only=args.only or None)
     if not run.graded:
         print("no claims selected", file=sys.stderr)
         return 1
@@ -588,6 +582,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             status = args.func(args)
     except UnknownExperimentError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
+    except ValueError as error:
+        # A rejected argument or design point: one line, not a traceback.
+        print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
         _RUN_LOG = saved_log

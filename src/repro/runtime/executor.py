@@ -14,16 +14,21 @@ Mode selection:
 * ``mode="serial"`` / ``mode="process"`` force the backend.
 * ``mode="auto"`` (default) consults the ``REPRO_EXECUTOR`` environment
   variable if set, otherwise uses a process pool only when the sweep has at
-  least ``min_parallel_points`` points and more than one CPU is available --
+  least ``_MIN_PARALLEL_POINTS`` points and more than one CPU is available --
   small or cheap sweeps are not worth the pool startup.
 * Pool creation failures (restricted sandboxes without working semaphores)
   fall back to the serial path, which always works.
+
+Failures: a point's own exception reaches the caller unchanged from the one
+run it had, whichever backend ran it.  Only a dead worker
+(``BrokenProcessPool``) sends its chunks back to run serially in the parent.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable
 
 #: Environment variable forcing the backend for ``mode="auto"`` executors.
@@ -33,73 +38,32 @@ MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 _MODES = ("auto", "serial", "process")
 
-
-class SweepPointError(RuntimeError):
-    """A sweep point failed even after its chunk was retried in-process.
-
-    Raised by :meth:`SweepExecutor.map` when a chunk's worker failed (point
-    exception or worker crash), the chunk was re-run serially in the parent,
-    and one of its points failed again -- so the failure is attributable to
-    the point itself, not the pool.  ``point_index`` is the zero-based
-    submission index of the failing point.
-    """
-
-    def __init__(self, message: str, point_index: int):
-        super().__init__(message)
-        self.point_index = point_index
-
-
-def _retry_chunk(
-    fn: "Callable[..., object]", chunk: "list[tuple]", first_index: int
-) -> "list[object]":
-    """Re-run a failed chunk serially, isolating which point is at fault.
-
-    A chunk future can fail for two reasons: one of its points raised, or the
-    worker process died (``BrokenProcessPool``) and took every queued chunk
-    with it.  Either way the points themselves may be fine, so each is retried
-    once in the parent process; a point that fails again raises
-    :class:`SweepPointError` naming its submission index.
-    """
-    from repro.obs.tracer import get_tracer
-
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.counter("executor.chunk_retries").add(1)
-    results: "list[object]" = []
-    for offset, args in enumerate(chunk):
-        try:
-            results.append(fn(*args))
-        except Exception as exc:
-            index = first_index + offset
-            raise SweepPointError(
-                f"sweep point {index} failed after chunk retry: {exc!r}",
-                point_index=index,
-            ) from exc
-    return results
-
-#: Chunks submitted per worker when ``chunksize`` is unset: enough slack for
-#: load balancing across uneven points without per-point IPC overhead.
+#: Chunks submitted per worker: enough slack for load balancing across uneven
+#: points without per-point IPC overhead.
 _CHUNKS_PER_WORKER = 4
+#: Smallest sweep ``mode="auto"`` sends to a process pool.
+_MIN_PARALLEL_POINTS = 4
 
 
 def _run_chunk(
     fn: "Callable[..., object]",
     chunk: "list[tuple]",
-    trace: bool = False,
-    first_index: int = 0,
-    chunk_index: int = 0,
-) -> "list[object] | tuple[list[object], list, dict[str, int]]":
-    """Run one chunk of sweep points in a worker (module-level: picklable).
+    trace: bool,
+    first_index: int,
+    chunk_index: int,
+) -> "tuple[list[object], list, dict[str, int]]":
+    """Run one chunk of sweep points (module-level: picklable).
 
-    With ``trace=True`` the chunk runs under a fresh chunk-local
+    Returns ``(results, span_roots, counter_totals)``.  With ``trace=True``
+    the chunk runs under a fresh chunk-local
     :class:`~repro.obs.tracer.Tracer` -- one ``executor.chunk`` span wrapping
-    one ``executor.point`` span per point -- and returns
-    ``(results, span_roots, counter_totals)`` for the parent to
-    :meth:`~repro.obs.tracer.Tracer.adopt`.  The traced serial path runs this
-    same function inline, so serial and parallel traces share one structure.
+    one ``executor.point`` span per point -- whose spans and counters the
+    parent :meth:`~repro.obs.tracer.Tracer.adopt`\\ s; untraced, both are
+    empty.  Serial runs call this same function inline, so serial and
+    parallel runs (and traces) share one structure.
     """
     if not trace:
-        return [fn(*args) for args in chunk]
+        return [fn(*args) for args in chunk], [], {}
     from repro.obs.tracer import Tracer, use_tracer
 
     tracer = Tracer()
@@ -123,26 +87,16 @@ def _run_chunk(
 class SweepExecutor:
     """Runs a list of independent sweep points, serially or in parallel.
 
-    Parallel sweeps ship points to workers in contiguous chunks (one future
-    per chunk instead of one per point), amortizing pickling and process-pool
-    IPC; results still come back flattened in submission order.
+    Sweeps run in contiguous chunks (one pool future per chunk instead of one
+    per point), amortizing pickling and process-pool IPC; results come back
+    flattened in submission order.
     """
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        max_workers: "int | None" = None,
-        min_parallel_points: int = 4,
-        chunksize: "int | None" = None,
-    ):
+    def __init__(self, mode: str = "auto", max_workers: "int | None" = None):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         self.mode = mode
         self.max_workers = max_workers
-        self.min_parallel_points = min_parallel_points
-        self.chunksize = chunksize
 
     # ---------------------------------------------------------------- planning
     def resolved_mode(self, num_points: int) -> str:
@@ -154,7 +108,7 @@ class SweepExecutor:
                 mode = forced
         if mode == "auto":
             parallel_worthwhile = (
-                num_points >= self.min_parallel_points and (os.cpu_count() or 1) > 1
+                num_points >= _MIN_PARALLEL_POINTS and (os.cpu_count() or 1) > 1
             )
             mode = "process" if parallel_worthwhile else "serial"
         if mode == "process" and num_points <= 1:
@@ -180,7 +134,10 @@ class SweepExecutor:
         Each point is an argument tuple (bare values are treated as 1-tuples).
         Results come back in submission order regardless of backend, so serial
         and parallel execution of a deterministic ``fn`` produce identical
-        lists.
+        lists.  Under an enabled tracer the sweep is one ``executor.map`` span
+        over per-chunk and per-point spans, adopted in submission order --
+        never arrival order -- so the trace structure does not depend on the
+        backend either.
         """
         arglists: "list[tuple]" = [
             point if isinstance(point, tuple) else (point,) for point in points
@@ -188,65 +145,29 @@ class SweepExecutor:
         from repro.obs.tracer import get_tracer
 
         tracer = get_tracer()
-        if tracer.enabled:
-            return self._map_traced(fn, arglists, tracer)
-        if self.resolved_mode(len(arglists)) == "serial":
-            return [fn(*args) for args in arglists]
-        workers = self._pool_size(len(arglists))
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError):
-            # No usable multiprocessing primitives in this environment; point
-            # failures inside a working pool still propagate normally.
-            return [fn(*args) for args in arglists]
-        chunksize = self._chunksize_for(len(arglists), workers)
-        chunks = [
-            arglists[start : start + chunksize]
-            for start in range(0, len(arglists), chunksize)
-        ]
-        with pool:
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            results: "list[object]" = []
-            for index, future in enumerate(futures):
-                try:
-                    results.extend(future.result())
-                except Exception:
-                    results.extend(
-                        _retry_chunk(fn, chunks[index], index * chunksize)
-                    )
-            return results
-
-    def _chunksize_for(self, num_points: int, workers: int) -> int:
-        """The chunk length used for ``num_points`` across ``workers``."""
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, -(-num_points // (workers * _CHUNKS_PER_WORKER)))  # ceil division
-
-    def _map_traced(
-        self, fn: "Callable[..., object]", arglists: "list[tuple]", tracer
-    ) -> "list[object]":
-        """Traced fan-out: one ``executor.map`` span over per-chunk/point spans.
-
-        Both backends compute the same chunk plan and run the same traced
-        :func:`_run_chunk` body (inline when serial, in workers when
-        parallel), and worker span trees are adopted in submission (point
-        index) order -- never arrival order -- so the trace *structure* is
-        identical whichever backend ran the sweep.
-        """
+        trace = tracer.enabled
         mode = self.resolved_mode(len(arglists))
         workers = self._pool_size(len(arglists))
-        chunksize = self._chunksize_for(len(arglists), workers)
-        chunks = [
-            arglists[start : start + chunksize]
-            for start in range(0, len(arglists), chunksize)
+        size = max(1, -(-len(arglists) // (workers * _CHUNKS_PER_WORKER)))  # ceil
+        plan = [
+            (index, start, arglists[start : start + size])
+            for index, start in enumerate(range(0, len(arglists), size))
         ]
+
+        def run_inline(index: int, start: int, chunk: "list[tuple]") -> "list[object]":
+            """Run one chunk in this process and adopt its spans."""
+            handoff = tracer.now() if trace else None
+            chunk_results, spans, counters = _run_chunk(fn, chunk, trace, start, index)
+            tracer.adopt(spans, counters, offset_s=handoff)
+            return chunk_results
+
         results: "list[object]" = []
         with tracer.span(
             "executor.map",
             category="executor",
             points=len(arglists),
-            chunks=len(chunks),
-            chunksize=chunksize,
+            chunks=len(plan),
+            chunksize=size,
             mode=mode,
         ) as map_span:
             pool = None
@@ -254,42 +175,41 @@ class SweepExecutor:
                 try:
                     pool = ProcessPoolExecutor(max_workers=workers)
                 except (OSError, PermissionError):
+                    # No usable multiprocessing primitives in this environment.
                     map_span.annotate(mode="serial-fallback")
-            if pool is not None:
-                with pool:
-                    handoff = tracer.now()
-                    futures = [
-                        pool.submit(_run_chunk, fn, chunk, True, index * chunksize, index)
-                        for index, chunk in enumerate(chunks)
-                    ]
-                    for index, future in enumerate(futures):
-                        try:
-                            chunk_results, spans, counters = future.result()
-                        except Exception:
-                            first = index * chunksize
-                            with tracer.span(
-                                "executor.chunk_retry",
-                                category="executor",
-                                index=index,
-                                first_point=first,
-                                points=len(chunks[index]),
-                            ):
-                                results.extend(
-                                    _retry_chunk(fn, chunks[index], first)
-                                )
-                            continue
-                        for span in spans:
-                            span.attributes.setdefault("worker", index)
-                        tracer.adopt(spans, counters, offset_s=handoff)
-                        results.extend(chunk_results)
+            if pool is None:
+                for index, start, chunk in plan:
+                    results.extend(run_inline(index, start, chunk))
                 return results
-            for index, chunk in enumerate(chunks):
-                handoff = tracer.now()
-                chunk_results, spans, counters = _run_chunk(
-                    fn, chunk, True, index * chunksize, index
-                )
-                tracer.adopt(spans, counters, offset_s=handoff)
-                results.extend(chunk_results)
+            try:
+                handoff = tracer.now() if trace else None
+                futures = [
+                    pool.submit(_run_chunk, fn, chunk, trace, start, index)
+                    for index, start, chunk in plan
+                ]
+                for (index, start, chunk), future in zip(plan, futures):
+                    try:
+                        chunk_results, spans, counters = future.result()
+                    except BrokenProcessPool:
+                        # A worker died and took its queued chunks with it; the
+                        # points themselves may be fine, so run them here.
+                        tracer.counter("executor.chunk_retries").add(1)
+                        with tracer.span(
+                            "executor.chunk_retry",
+                            category="executor",
+                            index=index,
+                            first_point=start,
+                            points=len(chunk),
+                        ):
+                            results.extend(run_inline(index, start, chunk))
+                        continue
+                    for span in spans:
+                        span.attributes.setdefault("worker", index)
+                    tracer.adopt(spans, counters, offset_s=handoff)
+                    results.extend(chunk_results)
+            finally:
+                # On a point's failure, drop the chunks no worker has started.
+                pool.shutdown(cancel_futures=True)
         return results
 
 

@@ -87,10 +87,6 @@ class WorkloadSuite:
         """Evaluate ``metric`` for every workload, keyed by workload name."""
         return {w.name: metric(w) for w in self.workloads}
 
-    def worst_case(self, metric: Callable[[WorkloadProfile], float]) -> float:
-        """Maximum of ``metric`` across the suite (used for bandwidth provisioning)."""
-        return max(metric(w) for w in self.workloads)
-
 
 def default_suite() -> WorkloadSuite:
     """The paper's seven-workload CloudSuite-style evaluation suite."""

@@ -13,6 +13,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_rejected(capsys, *argv):
+    """Run ``argv``, assert it exits 2 with one ``error:`` line; return it."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err.strip()
+
+
 class TestList:
     def test_list_all(self, capsys):
         code, out, _ = run_cli(capsys, "list")
@@ -87,22 +95,24 @@ class TestRun:
 
         calls = []
         monkeypatch.setattr(registry, "run_experiment", lambda *a, **k: calls.append(a))
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(capsys, *argv)
+        err = assert_rejected(capsys, *argv)
         accepted = {
             "table_4_1": "none",
             "figure_4_7": "suite",
             "figure_2_2": "llc_sizes_mb, cores, suite, model",
         }[argv[1]]
-        assert str(excinfo.value) == (
+        assert err == (
             f"error: {argv[1]} takes no parameter 'bogus_key'; accepted: {accepted}"
         )
         assert calls == []
 
     def test_unknown_key_rejected_before_any_id_runs(self, capsys):
-        with pytest.raises(SystemExit, match="table_4_1 takes no parameter 'cores'"):
-            run_cli(capsys, "run", "figure_2_2", "table_4_1", "--set", "cores=2")
-        assert capsys.readouterr().out == ""
+        code, out, err = run_cli(
+            capsys, "run", "figure_2_2", "table_4_1", "--set", "cores=2"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: table_4_1 takes no parameter 'cores'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("override, name", [
         ("duration_cycles=-5", "duration_cycles"),
@@ -121,6 +131,54 @@ class TestRun:
         assert out == ""
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
         assert evaluated == []
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (("run", "table_4_1", "--set", "cores"), "--set expects key=value, got 'cores'"),
+        (("sweep", "figure_2_2", "--set", "cores"), "--set expects key=v1,v2,..., got 'cores'"),
+    ])
+    def test_malformed_set_is_one_line_error(self, capsys, argv, fragment):
+        assert assert_rejected(capsys, *argv) == f"error: {fragment}"
+
+    @pytest.mark.parametrize("experiment, override, message", [
+        ("service_latency_sweep", "utilizations=0.5",
+         "utilizations must be a non-empty sequence of positive, finite numbers, got 0.5"),
+        ("service_latency_sweep", "utilizations=()",
+         "utilizations must be a non-empty sequence of positive, finite numbers, got ()"),
+        ("service_latency_sweep", "utilizations=(0.5,-0.2,0.7)",
+         "utilizations[1] must be positive and finite, got -0.2"),
+        ("service_policy_comparison", "utilization=nan",
+         "utilization must be positive and finite, got 'nan'"),
+        ("service_policy_comparison", "utilization=0",
+         "utilization must be positive and finite, got 0"),
+    ])
+    def test_bad_service_load_is_one_line_error(self, capsys, monkeypatch,
+                                                experiment, override, message):
+        """Regression: a scalar ended in a ``TypeError``, ``()`` printed an
+        empty table, a negative entry blamed ``offered_qps`` and ``nan`` ended
+        in a ``TypeError`` on a string."""
+        from repro.experiments import service
+
+        built = []
+        monkeypatch.setattr(service, "_server_capacity", lambda *a: built.append(a))
+        err = assert_rejected(capsys, "run", experiment, "--no-cache", "--set", override)
+        assert err == f"error: {message}"
+        assert built == []
+
+    def test_bad_sweep_value_is_one_line_error(self, capsys):
+        """Regression: ``sweep`` ended in a ``ValueError`` traceback, exit 1."""
+        err = assert_rejected(capsys, "sweep", "figure_4_6", "--no-cache",
+                              "--set", "duration_cycles=-5,10")
+        assert err == "error: duration_cycles must be an integer >= 1, got -5"
+
+    def test_point_failing_in_a_worker_is_one_line_error(self, capsys):
+        """Regression: a point failing in a pool worker ran twice and ended in
+        a ``SweepPointError`` traceback."""
+        err = assert_rejected(capsys, "run", "service_policy_comparison", "--no-cache",
+                              "--parallel", "--workers", "2",
+                              "--set", "policies=('random','bogus','jsq','po2')",
+                              "--set", "num_requests=500")
+        assert err.startswith("error: policy must be one of ")
+        assert err.endswith("got 'bogus'")
 
     def test_run_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "run", "figure_9_9")
@@ -152,8 +210,8 @@ class TestRun:
         assert payload["provenance"]["nodes"][0]["calibrated"] is True
 
     def test_run_node_flag_rejects_non_node_experiment(self, capsys):
-        with pytest.raises(SystemExit, match="not node-parameterized"):
-            run_cli(capsys, "run", "fleet_diurnal_day", "--node", "7nm")
+        err = assert_rejected(capsys, "run", "fleet_diurnal_day", "--node", "7nm")
+        assert "not node-parameterized" in err
 
     def test_run_disk_cache_hits_across_invocations(self, capsys, tmp_path):
         argv = ("run", "table_5_2", "--cache-dir", str(tmp_path))
@@ -207,8 +265,8 @@ class TestSweep:
             assert "cache_key" in point["provenance"]
 
     def test_sweep_requires_axis(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "sweep", "table_4_1")
+        err = assert_rejected(capsys, "sweep", "table_4_1")
+        assert "at least one --set" in err
 
 
 class TestExplore:
@@ -261,8 +319,8 @@ class TestExplore:
             assert stats["cache_hits"] == 0
 
     def test_explore_rejects_non_explore_specs(self, capsys):
-        with pytest.raises(SystemExit, match="not an exploration"):
-            run_cli(capsys, "explore", "figure_4_6")
+        err = assert_rejected(capsys, "explore", "figure_4_6")
+        assert "not an exploration" in err
 
     def test_explore_strategy_flags_bound_the_search(self, capsys):
         code, out, _ = run_cli(capsys, "explore", "explore_pod_40nm",
@@ -296,9 +354,9 @@ class TestExplore:
         assert outs[0] == outs[1]
 
     def test_explore_pod_scale_rejects_exhaustive(self, capsys):
-        with pytest.raises(ValueError, match="exhaustive"):
-            run_cli(capsys, "explore", "explore_pod_scale",
-                    "--strategy", "exhaustive", "--no-cache", "--json")
+        err = assert_rejected(capsys, "explore", "explore_pod_scale",
+                              "--strategy", "exhaustive", "--no-cache", "--json")
+        assert "exhaustive" in err
 
     def test_explore_rejects_unknown_strategy(self, capsys):
         with pytest.raises(SystemExit):

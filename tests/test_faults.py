@@ -2,7 +2,6 @@
 
 import json
 import math
-import multiprocessing
 import os
 
 import pytest
@@ -21,7 +20,7 @@ from repro.faults import (
 from repro.faults.events import EMPTY_SCHEDULE
 from repro.faults.noc import undirected_links
 from repro.obs.tracer import Tracer, use_tracer
-from repro.runtime import ResultCache, SweepExecutor, SweepPointError
+from repro.runtime import ResultCache, SweepExecutor
 from repro.service.cluster import (
     ClusterConfig,
     ClusterSimulation,
@@ -468,39 +467,45 @@ class TestNkSizing:
 
 
 # ------------------------------------------------------------ executor retry
-def _fails_on_three(value):
+def _fails_on_three(value, log_path):
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write(f"{value}\n")
     if value == 3:
         raise ValueError("point three always fails")
     return value * 10
 
 
-def _fails_in_worker(value):
-    if multiprocessing.current_process().name != "MainProcess":
-        raise RuntimeError("worker-only failure")
+def _dies_in_worker(value, parent_pid):
+    if os.getpid() != parent_pid:
+        os._exit(1)
     return value * 10
 
 
-class TestExecutorRetry:
-    def test_retry_recovers_worker_only_failures(self):
-        executor = SweepExecutor(mode="process", max_workers=2, chunksize=2)
-        results = executor.map(_fails_in_worker, [(i,) for i in range(6)])
-        assert results == [i * 10 for i in range(6)]
+class TestExecutorFailures:
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_point_error_propagates_unchanged_from_one_run(self, mode, tmp_path):
+        log = tmp_path / "runs.txt"
+        executor = SweepExecutor(mode=mode, max_workers=2)
+        with pytest.raises(ValueError, match="^point three always fails$") as excinfo:
+            executor.map(_fails_on_three, [(i, str(log)) for i in range(6)])
+        assert type(excinfo.value) is ValueError
+        runs = log.read_text().split()
+        assert runs.count("3") == 1
 
-    def test_persistent_point_failure_names_its_index(self):
-        executor = SweepExecutor(mode="process", max_workers=2, chunksize=2)
-        with pytest.raises(SweepPointError) as excinfo:
-            executor.map(_fails_on_three, [(i,) for i in range(6)])
-        assert excinfo.value.point_index == 3
-        assert "3" in str(excinfo.value)
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
-    def test_retry_counter_traced(self):
-        executor = SweepExecutor(mode="process", max_workers=2, chunksize=3)
+    def test_dead_worker_chunks_rerun_in_parent(self):
+        executor = SweepExecutor(mode="process", max_workers=2)
         tracer = Tracer()
         with use_tracer(tracer):
-            results = executor.map(_fails_in_worker, [(i,) for i in range(6)])
+            results = executor.map(_dies_in_worker, [(i, os.getpid()) for i in range(6)])
         assert results == [i * 10 for i in range(6)]
-        assert tracer.counters()["executor.chunk_retries"] == 2
+        assert tracer.counters()["executor.chunk_retries"] >= 1
+        retries = tracer.find_spans(name="executor.chunk_retry")
+        assert len(retries) == tracer.counters()["executor.chunk_retries"]
+
+    def test_dead_worker_rerun_untraced(self):
+        executor = SweepExecutor(mode="process", max_workers=2)
+        results = executor.map(_dies_in_worker, [(i, os.getpid()) for i in range(6)])
+        assert results == [i * 10 for i in range(6)]
 
 
 # ------------------------------------------------------------- corrupt cache

@@ -32,7 +32,7 @@ from repro.obs.ledger import (
     rotate,
     summarize,
 )
-from repro.runtime.executor import SweepExecutor
+from repro.runtime.executor import _CHUNKS_PER_WORKER, SweepExecutor
 
 
 def _square(value):
@@ -125,7 +125,7 @@ class TestNullTracer:
 class TestExecutorTraceStructure:
     def _traced_map(self, mode):
         tracer = Tracer()
-        executor = SweepExecutor(mode=mode, max_workers=2, chunksize=3)
+        executor = SweepExecutor(mode=mode, max_workers=2)
         with use_tracer(tracer):
             results = executor.map(_square, [(i,) for i in range(10)])
         tracer.finalize()
@@ -149,11 +149,14 @@ class TestExecutorTraceStructure:
         _, tracer = self._traced_map("process")
         points = tracer.find_spans(name="executor.point")
         assert [span.attributes["index"] for span in points] == list(range(10))
+        size = -(-10 // (2 * _CHUNKS_PER_WORKER))  # 10 points over 2 workers
+        starts = list(range(0, 10, size))
         chunks = tracer.find_spans(name="executor.chunk")
-        assert [span.attributes["first_point"] for span in chunks] == [0, 3, 6, 9]
+        assert [span.attributes["first_point"] for span in chunks] == starts
         (map_span,) = tracer.find_spans(name="executor.map")
         assert map_span.attributes["points"] == 10
-        assert map_span.attributes["chunks"] == 4
+        assert map_span.attributes["chunks"] == len(starts)
+        assert map_span.attributes["chunksize"] == size
 
 
 # ------------------------------------------------------------- chrome export

@@ -50,7 +50,7 @@ class TestSystemConfig:
             SystemConfig(cores=1, effective_capacity_factor=0)
 
     @pytest.mark.parametrize("cls", [SystemConfig, Pod], ids=lambda c: c.__name__)
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, "4", None])
     @pytest.mark.parametrize(
         "field", ["llc_capacity_mb", "effective_capacity_factor", "offchip_traffic_factor"]
     )

@@ -15,6 +15,7 @@ from repro.runtime import (
     canonicalize,
     result_key,
 )
+from repro.runtime.executor import _MIN_PARALLEL_POINTS
 from repro.workloads import WorkloadSuite, get_workload
 
 
@@ -231,25 +232,18 @@ class TestSweepExecutor:
 
     def test_chunked_map_matches_serial(self):
         """Chunked process-pool fan-out returns the same ordered results."""
-        points = [(-n,) for n in range(23)]
-        serial = SweepExecutor(mode="serial").map(abs, points)
-        for chunksize in (1, 4, 7, 50):
-            chunked = SweepExecutor(
-                mode="process", max_workers=2, chunksize=chunksize
-            ).map(abs, points)
-            assert chunked == serial
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(chunksize=0)
+        executor = SweepExecutor(mode="process", max_workers=2)
+        for count in (2, 7, 8, 9, 23):
+            points = [(-n,) for n in range(count)]
+            serial = SweepExecutor(mode="serial").map(abs, points)
+            assert executor.map(abs, points) == serial
 
     def test_bare_values_as_points(self):
         assert SweepExecutor(mode="serial").map(abs, [-1, -2]) == [1, 2]
 
     def test_auto_mode_thresholds(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        executor = SweepExecutor(min_parallel_points=4)
-        assert executor.resolved_mode(2) == "serial"
+        assert SweepExecutor().resolved_mode(_MIN_PARALLEL_POINTS - 1) == "serial"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "serial")
