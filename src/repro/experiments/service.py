@@ -25,6 +25,7 @@ from repro.core.designs import build_conventional, build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.perfmodel.analytic import AnalyticPerformanceModel, require_positive_finite
 from repro.runtime.executor import SweepExecutor
+from repro.service.balancer import BALANCER_POLICIES
 from repro.service.calibration import ServiceCapacity, calibrate_chip
 from repro.service.cluster import ClusterConfig, simulate_cluster
 from repro.service.sizing import ClusterSizer, MmkQueue, saturation_qps
@@ -230,6 +231,15 @@ def service_policy_comparison(
     executor: "SweepExecutor | None" = None,
 ) -> "list[dict[str, object]]":
     """Load-balancing policies head-to-head at equal offered load."""
+    if isinstance(policies, str) or not isinstance(policies, Sequence) or not policies:
+        raise ValueError(
+            f"policies must be a non-empty sequence of balancer policy names, got {policies!r}"
+        )
+    for index, policy in enumerate(policies):
+        if not isinstance(policy, str) or policy not in BALANCER_POLICIES:
+            raise ValueError(
+                f"policies[{index}] must be one of {sorted(BALANCER_POLICIES)}, got {policy!r}"
+            )
     require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()

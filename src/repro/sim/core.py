@@ -12,11 +12,11 @@ memory-level parallelism emerges from the window rather than being asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.cores.models import CoreModel
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.traces import TraceEvent
+from repro.workloads.traces import Trace
 
 
 #: Signature of the system callback servicing an LLC request:
@@ -36,14 +36,19 @@ class CoreStats:
 
 
 class TraceDrivenCore:
-    """One simulated core executing a pre-generated reference trace."""
+    """One simulated core executing a pre-generated reference trace.
+
+    The trace is read by column; build one from a hand-written list of
+    :class:`~repro.workloads.traces.TraceEvent` rows with
+    :meth:`Trace.from_events`.
+    """
 
     def __init__(
         self,
         core_id: int,
         core_model: CoreModel,
         workload: WorkloadProfile,
-        trace: Sequence[TraceEvent],
+        trace: Trace,
         llc_request: LlcRequestFn,
     ):
         self.core_id = core_id
@@ -94,28 +99,30 @@ class TraceDrivenCore:
                 self.stats.cycles = self._clock
             self.stats.cycles = self._clock
             return None
-        event = self.trace[self._next_event]
-        self._next_event += 1
-        clock = self._clock
+        index = self._next_event
+        self._next_event = index + 1
+        trace = self.trace
+        gap = trace.gaps[index]
+        address = trace.addresses[index]
 
         # Retire the instructions between the previous reference and this one.
-        clock += event.instruction_gap * self.base_cpi
-        self.stats.instructions += event.instruction_gap
+        clock = self._clock + gap * self.base_cpi
+        self.stats.instructions += gap
 
         self.stats.llc_requests += 1
-        if event.is_instruction:
+        if trace.is_instruction[index]:
             # L1-I misses stall the front end until the line returns.
-            latency = self.llc_request(self.core_id, event.address, False, True, clock)
+            latency = self.llc_request(self.core_id, address, False, True, clock)
             clock += latency
             self.stats.fetch_stall_cycles += latency
         else:
-            clock = self._issue_data_request(event, clock)
+            clock = self._issue_data_request(address, trace.is_write[index], clock)
 
         self._clock = clock
         self.stats.cycles = clock
         return clock
 
-    def _issue_data_request(self, event: TraceEvent, clock: float) -> float:
+    def _issue_data_request(self, address: int, is_write: bool, clock: float) -> float:
         """Issue a data reference, stalling only when the miss window is full."""
         # Retire completed requests.
         self._outstanding = [t for t in self._outstanding if t > clock]
@@ -125,9 +132,7 @@ class TraceDrivenCore:
             self.stats.data_stall_cycles += earliest - clock
             clock = earliest
             self._outstanding = [t for t in self._outstanding if t > clock]
-        latency = self.llc_request(
-            self.core_id, event.address, event.is_write, False, clock
-        )
+        latency = self.llc_request(self.core_id, address, is_write, False, clock)
         self._outstanding.append(clock + latency)
         return clock
 

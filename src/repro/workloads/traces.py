@@ -1,8 +1,9 @@
 """Synthetic memory-reference trace generation.
 
 The cycle-level simulator (:mod:`repro.sim`) is trace-driven: each core consumes a
-stream of :class:`TraceEvent` records describing the memory references the core
-makes between committed instructions.  The original study extracted this behaviour
+:class:`Trace` -- the memory references the core makes between committed
+instructions, stored as one column per :class:`TraceEvent` field and drawn in
+one bulk pass per core.  The original study extracted this behaviour
 from full-system execution of CloudSuite; here we synthesize statistically
 equivalent traces from the workload profiles.
 
@@ -30,9 +31,8 @@ directory, reproducing Figure 4.3's low snoop rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +46,9 @@ DATA_ACCESS_RATE = 0.32
 
 #: Fraction of data references that are writes.
 WRITE_FRACTION = 0.22
+
+#: Regions of the four LLC-visible event classes, indexed by drawn class.
+_DRAWN_REGIONS = ("instructions", "dataset", "capturable", "shared_small")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,51 @@ class TraceEvent:
     shared: bool
 
 
+@dataclass(slots=True)
+class Trace:
+    """One core's reference trace, stored as columns (one list per field).
+
+    Row ``i`` is the ``i``-th :class:`TraceEvent`: indexing or iterating yields
+    rows, ``len()`` is the event count, and equality compares values.  The
+    cycle-level core reads the columns directly.
+    """
+
+    gaps: "list[int]"
+    addresses: "list[int]"
+    is_instruction: "list[bool]"
+    is_write: "list[bool]"
+    shared: "list[bool]"
+
+    @classmethod
+    def from_events(cls, events: "Iterable[TraceEvent]") -> "Trace":
+        """Build the columns of a trace from its rows."""
+        events = list(events)
+        return cls(
+            gaps=[e.instruction_gap for e in events],
+            addresses=[e.address for e in events],
+            is_instruction=[e.is_instruction for e in events],
+            is_write=[e.is_write for e in events],
+            shared=[e.shared for e in events],
+        )
+
+    def __len__(self) -> int:
+        return len(self.gaps)
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        return TraceEvent(
+            self.gaps[index],
+            self.addresses[index],
+            self.is_instruction[index],
+            self.is_write[index],
+            self.shared[index],
+        )
+
+    def __iter__(self) -> "Iterator[TraceEvent]":
+        return map(
+            TraceEvent, self.gaps, self.addresses, self.is_instruction, self.is_write, self.shared
+        )
+
+
 @dataclass(frozen=True)
 class _Region:
     """A contiguous region of the synthetic address space."""
@@ -76,11 +124,6 @@ class _Region:
     name: str
     base: int
     size_bytes: int
-
-    def pick(self, rng: np.random.Generator) -> int:
-        """Pick a random line-aligned address inside the region."""
-        lines = max(1, self.size_bytes // LINE_BYTES)
-        return self.base + int(rng.integers(0, lines)) * LINE_BYTES
 
 
 class SyntheticTraceGenerator:
@@ -149,13 +192,17 @@ class SyntheticTraceGenerator:
         return self.l1i_miss_per_instr + self.l1d_miss_per_instr
 
     # ------------------------------------------------------------- generator
-    def events_for_core(self, core_id: int, instructions: int) -> "list[TraceEvent]":
+    def events_for_core(self, core_id: int, instructions: int) -> Trace:
         """Generate the reference trace for ``core_id`` covering ``instructions``.
 
         Only references that reach the LLC (L1 misses) are emitted, plus a small
         stream of actively-shared references; L1-resident traffic is summarized by
         the instruction gaps.  This is the reduced-fidelity substitution for
         full-system tracing described in ``docs/architecture.md``.
+
+        Every draw is one bulk call on the core's stream, in a fixed order:
+        event classes, gaps, write flags, sharing flags, then one line pick per
+        event bounded by its region's line count.
         """
         if core_id < 0 or core_id >= self.cores:
             raise ValueError(f"core_id {core_id} out of range for {self.cores} cores")
@@ -163,53 +210,42 @@ class SyntheticTraceGenerator:
             raise ValueError("instructions must be positive")
 
         rng = np.random.default_rng((self.seed, core_id, self.cores, 0xC0DE))
-        workload = self.workload
 
-        # Per-instruction probabilities of each LLC-visible event class.
-        p_instr = self.l1i_miss_per_instr
-        p_dataset = self.dataset_per_instr
-        p_capturable = self.capturable_per_instr
-        p_shared_small = self.shared_small_per_instr
-        p_total = p_instr + p_dataset + p_capturable + p_shared_small
+        # Per-instruction probabilities of each LLC-visible event class, in the
+        # order of _DRAWN_REGIONS.
+        p = (
+            self.l1i_miss_per_instr,
+            self.dataset_per_instr,
+            self.capturable_per_instr,
+            self.shared_small_per_instr,
+        )
+        p_total = sum(p)
         if p_total <= 0:
-            return []
+            return Trace([], [], [], [], [])
 
         # Number of LLC-visible references in this window (expected value, made
         # deterministic to keep traces stable across runs).
         n_events = max(1, int(round(instructions * p_total)))
         gap_mean = instructions / n_events
 
-        kinds = rng.choice(
-            ["instructions", "dataset", "capturable", "shared_small"],
-            size=n_events,
-            p=[p_instr / p_total, p_dataset / p_total, p_capturable / p_total, p_shared_small / p_total],
-        )
+        kinds = rng.choice(len(p), size=n_events, p=[q / p_total for q in p])
         gaps = rng.poisson(gap_mean, size=n_events)
         writes = rng.random(n_events) < WRITE_FRACTION
-        shared_draw = rng.random(n_events) < workload.snoop_fraction
+        shared_draw = rng.random(n_events) < self.workload.snoop_fraction
 
-        events: "list[TraceEvent]" = []
-        for kind, gap, is_write, is_shared in zip(kinds, gaps, writes, shared_draw):
-            is_instruction = kind == "instructions"
-            if is_instruction:
-                region = self.regions["instructions"]
-                is_write = False
-                is_shared = False
-            elif is_shared:
-                region = self.regions["shared_hot"]
-            else:
-                region = self.regions[str(kind)]
-            events.append(
-                TraceEvent(
-                    instruction_gap=int(max(1, gap)),
-                    address=region.pick(rng),
-                    is_instruction=is_instruction,
-                    is_write=bool(is_write),
-                    shared=bool(is_shared),
-                )
-            )
-        return events
-
-    def traces(self, instructions_per_core: int) -> "list[list[TraceEvent]]":
-        """Traces for every core, indexed by core id."""
-        return [self.events_for_core(c, instructions_per_core) for c in range(self.cores)]
+        # Instruction fetches are clean private reads; a shared data reference
+        # goes to the actively-shared lines instead of its class's region.
+        is_data = kinds != 0
+        shared = shared_draw & is_data
+        region = np.where(shared, len(_DRAWN_REGIONS), kinds)
+        regions = [self.regions[name] for name in (*_DRAWN_REGIONS, "shared_hot")]
+        bases = np.array([r.base for r in regions], dtype=np.int64)
+        lines = np.array([max(1, r.size_bytes // LINE_BYTES) for r in regions], dtype=np.int64)
+        picks = rng.integers(0, lines[region])
+        return Trace(
+            gaps=np.maximum(gaps, 1).tolist(),
+            addresses=(bases[region] + picks * LINE_BYTES).tolist(),
+            is_instruction=(~is_data).tolist(),
+            is_write=(writes & is_data).tolist(),
+            shared=shared.tolist(),
+        )

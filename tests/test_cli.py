@@ -150,12 +150,19 @@ class TestRun:
          "utilization must be positive and finite, got 'nan'"),
         ("service_policy_comparison", "utilization=0",
          "utilization must be positive and finite, got 0"),
+        ("service_policy_comparison", "policies=jsq",
+         "policies must be a non-empty sequence of balancer policy names, got 'jsq'"),
+        ("service_policy_comparison", "policies=()",
+         "policies must be a non-empty sequence of balancer policy names, got ()"),
+        ("service_policy_comparison", "policies=('random','bogus')",
+         "policies[1] must be one of ['jsq', 'po2', 'random', 'round_robin'], got 'bogus'"),
     ])
     def test_bad_service_load_is_one_line_error(self, capsys, monkeypatch,
                                                 experiment, override, message):
-        """Regression: a scalar ended in a ``TypeError``, ``()`` printed an
-        empty table, a negative entry blamed ``offered_qps`` and ``nan`` ended
-        in a ``TypeError`` on a string."""
+        """Regression: a scalar ended in a ``TypeError`` (``policies=jsq``
+        blamed ``'j'``), ``()`` printed an empty table, a negative entry blamed
+        ``offered_qps``, ``nan`` ended in a ``TypeError`` on a string and an
+        unknown policy was rejected only after calibration."""
         from repro.experiments import service
 
         built = []
@@ -175,10 +182,9 @@ class TestRun:
         a ``SweepPointError`` traceback."""
         err = assert_rejected(capsys, "run", "service_policy_comparison", "--no-cache",
                               "--parallel", "--workers", "2",
-                              "--set", "policies=('random','bogus','jsq','po2')",
+                              "--set", "arrival='bogus'",
                               "--set", "num_requests=500")
-        assert err.startswith("error: policy must be one of ")
-        assert err.endswith("got 'bogus'")
+        assert err == "error: unknown arrival process 'bogus'; known: ['mmpp', 'poisson']"
 
     def test_run_unknown_id(self, capsys):
         code, _, err = run_cli(capsys, "run", "figure_9_9")

@@ -8,6 +8,7 @@ Event Format, and the JSONL ledger tolerates rotation and corruption.
 """
 
 import json
+import statistics
 
 import pytest
 
@@ -279,12 +280,19 @@ TRACER_OVERHEAD_LIMIT_PCT = 5.0
 class TestTracerOverhead:
     """Instrumentation stays under its 5% budget on the two traced hot loops.
 
-    Each attempt times one uncached run with the tracer disabled, then one
-    under a throwaway :class:`Tracer`.  Timing noise on sub-second runs can
-    exceed the budget spuriously, so up to three attempts run and the best
-    (lowest-overhead) sample is judged.
+    Each pair times one uncached run with the tracer disabled and one under a
+    throwaway :class:`Tracer`; every other pair runs the traced side first, so
+    an effect of run order lands on both sides.  A single sub-second pair can
+    exceed the budget on timing noise alone (on a shared 2-core host, per-pair
+    overheads swing by +-20% at busy times), so the median overhead of many
+    pairs is judged.  Both backends are timed: the process pool also ships
+    each chunk's spans and counters back to the parent, and the pool it starts
+    per run adds jitter of its own, so it gets more pairs.
     """
 
+    PAIRS = {"serial": 101, "process": 151}
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize(
         "experiment_id, overrides",
         [
@@ -292,31 +300,43 @@ class TestTracerOverhead:
             ("service_latency_sweep", {"num_requests": 1200}),
         ],
     )
-    def test_tracer_overhead_within_budget(self, experiment_id, overrides):
+    def test_tracer_overhead_within_budget(self, experiment_id, overrides, backend, monkeypatch):
         from repro.experiments.registry import run_experiment
+        from repro.runtime.executor import EXECUTOR_ENV
+
+        monkeypatch.setenv(EXECUTOR_ENV, backend)
 
         def wall():
             return round(
                 run_experiment(experiment_id, use_cache=False, **overrides).wall_time_s, 6
             )
 
+        def traced_wall():
+            tracer = Tracer()
+            with use_tracer(tracer):
+                seconds = wall()
+            # A host without multiprocessing primitives falls back to serial.
+            modes = {span.attributes["mode"] for span in tracer.find_spans("executor.map")}
+            assert modes <= {backend, "serial-fallback"}, modes
+            return seconds
+
         # One untimed run first, so process-level memos (built topologies,
-        # traffic batches) are warm for both sides of every attempt.
+        # traffic batches) are warm for both sides of every pair.
         wall()
+        pairs = self.PAIRS[backend]
         samples = []
-        for _ in range(3):
-            disabled = wall()
-            with use_tracer(Tracer()):
-                enabled = wall()
-            overhead_pct = round((enabled - disabled) / max(disabled, 1e-9) * 100.0, 2)
-            samples.append((overhead_pct, disabled, enabled))
-            if overhead_pct < TRACER_OVERHEAD_LIMIT_PCT:
-                break
-        overhead_pct, disabled, enabled = min(samples)
+        for index in range(pairs):
+            if index % 2:
+                enabled = traced_wall()
+                disabled = wall()
+            else:
+                disabled = wall()
+                enabled = traced_wall()
+            samples.append(round((enabled - disabled) / max(disabled, 1e-9) * 100.0, 2))
+        overhead_pct = statistics.median(samples)
         assert overhead_pct < TRACER_OVERHEAD_LIMIT_PCT, (
-            f"{experiment_id}: tracer overhead {overhead_pct}% exceeds the "
-            f"{TRACER_OVERHEAD_LIMIT_PCT}% budget after {len(samples)} attempts "
-            f"(disabled={disabled}s enabled={enabled}s)"
+            f"{experiment_id} ({backend}): median tracer overhead {overhead_pct}% exceeds "
+            f"the {TRACER_OVERHEAD_LIMIT_PCT}% budget over {pairs} pairs {samples}"
         )
 
 

@@ -15,7 +15,7 @@ from repro.sim.system import SimulatedSystem, simulate_system
 from repro.technology.node import NODE_40NM
 from repro.workloads import get_workload
 from repro.workloads.suite import default_suite
-from repro.workloads.traces import SyntheticTraceGenerator, TraceEvent
+from repro.workloads.traces import SyntheticTraceGenerator, Trace, TraceEvent
 
 
 def _lru_state(cache):
@@ -442,11 +442,11 @@ class TestMemoryChannel:
 
 class TestTraceDrivenCore:
     def _trace(self):
-        return [
+        return Trace.from_events([
             TraceEvent(instruction_gap=10, address=0x1000, is_instruction=True, is_write=False, shared=False),
             TraceEvent(instruction_gap=10, address=0x2000, is_instruction=False, is_write=False, shared=False),
             TraceEvent(instruction_gap=10, address=0x3000, is_instruction=False, is_write=True, shared=False),
-        ]
+        ])
 
     def test_instruction_fetches_stall_fully(self):
         latencies = []
@@ -463,10 +463,10 @@ class TestTraceDrivenCore:
     def test_data_requests_overlap_within_window(self):
         def llc_request(core_id, address, is_write, is_instruction, now):
             return 100.0
-        trace = [
+        trace = Trace.from_events(
             TraceEvent(instruction_gap=1, address=0x1000 * (i + 1), is_instruction=False, is_write=False, shared=False)
             for i in range(4)
-        ]
+        )
         core = TraceDrivenCore(0, OOO, get_workload("Web Search"), trace, llc_request)
         stats = core.run()
         # Four overlapping 100-cycle misses must not serialize into 400 cycles.

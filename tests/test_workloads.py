@@ -1,9 +1,14 @@
 """Tests for workload profiles, miss-ratio curves, the suite, and trace generation."""
 
+import contextlib
+import dataclasses
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.sim_traces import events_per_event
 
 from repro.workloads import (
     CLOUDSUITE,
@@ -17,7 +22,7 @@ from repro.workloads import (
 )
 from repro.workloads.cloudsuite import MEDIA_STREAMING, WEB_SEARCH
 from repro.workloads.profile import CoreBehavior, WorkloadProfile
-from repro.workloads.traces import LINE_BYTES
+from repro.workloads.traces import LINE_BYTES, Trace, TraceEvent
 
 
 class TestCaptureCurve:
@@ -254,12 +259,6 @@ class TestSyntheticTraces:
                 assert not event.is_write
                 assert not event.shared
 
-    def test_traces_for_all_cores(self):
-        generator = SyntheticTraceGenerator(WEB_SEARCH, cores=3, seed=1)
-        traces = generator.traces(1000)
-        assert len(traces) == 3
-        assert all(len(t) > 0 for t in traces)
-
     def test_invalid_arguments(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=2, seed=1)
         with pytest.raises(ValueError):
@@ -278,3 +277,87 @@ class TestSyntheticTraces:
             return
         shared = sum(1 for e in events if e.shared) / len(events)
         assert shared <= WEB_SEARCH.snoop_fraction * 4 + 0.05
+
+
+@contextlib.contextmanager
+def _recorded_streams():
+    """Collect every generator ``np.random.default_rng`` returns while active."""
+    made = []
+    make = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording):
+        yield made
+
+
+def _assert_matches_oracle(generator, core_id, instructions):
+    """The bulk trace equals the per-event oracle column by column, and both
+    leave the core's random stream at the same position."""
+    with _recorded_streams() as made:
+        trace = generator.events_for_core(core_id, instructions)
+    events, oracle_rng = events_per_event(generator, core_id, instructions)
+    assert trace.gaps == [e.instruction_gap for e in events]
+    assert trace.addresses == [e.address for e in events]
+    assert trace.is_instruction == [e.is_instruction for e in events]
+    assert trace.is_write == [e.is_write for e in events]
+    assert trace.shared == [e.shared for e in events]
+    assert len(made) == 1
+    assert made[0].random() == oracle_rng.random()
+
+
+class TestBulkTraceGeneration:
+    """``events_for_core`` draws in bulk what the per-event oracle draws one by one."""
+
+    @pytest.mark.parametrize("workload", CLOUDSUITE, ids=lambda w: w.name)
+    def test_suite_traces_match_per_event_oracle(self, workload):
+        for cores in (1, 2, 16):
+            for seed in (1, 7):
+                generator = SyntheticTraceGenerator(workload, cores=cores, seed=seed)
+                for instructions in (1_000, 6_000):
+                    for core_id in range(cores):
+                        _assert_matches_oracle(generator, core_id, instructions)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        workload=st.sampled_from(CLOUDSUITE),
+        # 0 KB / 0 MB / 1e-5 MB regions hold a single line: integers(0, 1)
+        # makes no draw.  2**20 MB of dataset is 2**34 lines, above 2**32.
+        instruction_kb=st.sampled_from([0, 1, 64, 2048]),
+        dataset_mb=st.sampled_from([0, 1, 512, 1 << 20]),
+        half_capture_mb=st.sampled_from([1e-5, 0.25, 8.0]),
+        snoop_fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        cores=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        instructions=st.integers(1, 8_000),
+    )
+    def test_synthetic_profiles_match_per_event_oracle(
+        self, workload, instruction_kb, dataset_mb, half_capture_mb, snoop_fraction,
+        cores, seed, instructions,
+    ):
+        curve = workload.llc_curve
+        profile = dataclasses.replace(
+            workload,
+            instruction_footprint_kb=instruction_kb,
+            dataset_footprint_mb=dataset_mb,
+            snoop_fraction=snoop_fraction,
+            llc_curve=dataclasses.replace(
+                curve, capture=dataclasses.replace(curve.capture, half_capture_mb=half_capture_mb)
+            ),
+        )
+        generator = SyntheticTraceGenerator(profile, cores=cores, seed=seed)
+        _assert_matches_oracle(generator, seed % cores, instructions)
+
+    def test_trace_rows(self):
+        events = [
+            TraceEvent(instruction_gap=3, address=0x40, is_instruction=True, is_write=False, shared=False),
+            TraceEvent(instruction_gap=1, address=0x80, is_instruction=False, is_write=True, shared=True),
+        ]
+        trace = Trace.from_events(events)
+        assert len(trace) == 2
+        assert trace[1] == events[1]
+        assert list(trace) == events
+        assert trace == Trace.from_events(iter(events))
+        assert trace != Trace.from_events(events[:1])
