@@ -32,6 +32,8 @@ from repro.faults.events import FaultSchedule
 from repro.faults.generator import FaultLoadConfig, FaultLoadGenerator
 from repro.faults.noc import apply_link_faults, undirected_links
 from repro.noc.simulation import PodNocStudy, _cached_topology
+from repro.noc.traffic import require_count
+from repro.perfmodel.analytic import require_positive_finite
 from repro.runtime.executor import SweepExecutor
 from repro.service.cluster import ClusterConfig, simulate_cluster
 from repro.service.sizing import ClusterSizer
@@ -151,6 +153,9 @@ def service_fault_sweep(
     point carries an empty schedule and is byte-identical to the un-faulted
     engine's result.
     """
+    # Both scale offered_qps, whose inverse sets the fault horizon.
+    require_count("num_servers", num_servers, 1)
+    require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     capacity, parallelism = _server_capacity(design, workload, suite)
@@ -215,6 +220,9 @@ def service_mttr_sweep(
     while a server is down, so crash *counts* shrink slightly -- downtime
     still wins).
     """
+    # Both scale offered_qps, whose inverse sets the fault horizon.
+    require_count("num_servers", num_servers, 1)
+    require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     capacity, parallelism = _server_capacity(design, workload, suite)

@@ -16,8 +16,9 @@ designs from one cluster to a multi-datacenter fleet:
 Every datacenter runs servers calibrated from the paper's Scale-Out (OoO)
 chip (same convention as the chapter-7 service studies), so fleet capacities
 inherit the analytic performance model.  Fleet days run on the vectorized
-fast kernels; ``engine="event"`` reproduces any row bit-identically (the
-contract ``tests/test_fleet_equivalence.py`` enforces).
+service kernels; the discrete-event oracle in ``tests/oracles`` reproduces
+any row bit-identically (the contract ``tests/test_fleet_equivalence.py``
+enforces).
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def fleet_diurnal_day(
     routing: str = "nearest",
     seed: int = 42,
     suite: "WorkloadSuite | None" = None,
-    engine: str = "auto",
 ) -> "list[dict[str, object]]":
     """One compressed diurnal day: per-(epoch, datacenter) load and latency.
 
@@ -130,7 +130,7 @@ def fleet_diurnal_day(
         routing=routing,
         load_shape=shape,
     )
-    result = FleetSimulation(config, seed=seed, engine=engine).run()
+    result = FleetSimulation(config, seed=seed).run()
     parallelism = {dc.name: dc.parallelism for dc in datacenters}
     rows: "list[dict[str, object]]" = []
     for epoch in range(config.epochs):
@@ -184,7 +184,6 @@ def _autoscale_point(
     offered_qps: float,
     epoch_s: float,
     seed: int,
-    engine: str,
 ) -> "dict[str, object]":
     """One autoscaling policy's full fleet day (module-level: picklable)."""
     config = FleetConfig(
@@ -193,7 +192,7 @@ def _autoscale_point(
         load_shape=_day_shape(epoch_s),
         autoscale=autoscale,
     )
-    result = FleetSimulation(config, seed=seed, engine=engine).run()
+    result = FleetSimulation(config, seed=seed).run()
     day_hours = config.epochs * epoch_s / 3600.0
     attainment = result.sla_attainment(config.classes)
     interactive = result.class_histograms["interactive"].summary_ms()
@@ -222,7 +221,6 @@ def fleet_autoscale_policies(
     seed: int = 42,
     suite: "WorkloadSuite | None" = None,
     executor: "SweepExecutor | None" = None,
-    engine: str = "auto",
 ) -> "list[dict[str, object]]":
     """Autoscaling policies head-to-head over the same diurnal day.
 
@@ -246,7 +244,6 @@ def fleet_autoscale_policies(
             offered_qps,
             epoch_s,
             seed,
-            engine,
         )
         for name in policies
     ]
@@ -260,7 +257,6 @@ def _routing_point(
     origin_weights: "tuple[float, ...]",
     epoch_s: float,
     seed: int,
-    engine: str,
 ) -> "dict[str, object]":
     """One geo-routing policy's fleet day (module-level: picklable)."""
     config = FleetConfig(
@@ -270,7 +266,7 @@ def _routing_point(
         load_shape=_day_shape(epoch_s),
         origin_weights=origin_weights,
     )
-    result = FleetSimulation(config, seed=seed, engine=engine).run()
+    result = FleetSimulation(config, seed=seed).run()
     fleet_hist = LatencyHistogram()
     for histogram in result.datacenter_histograms.values():
         fleet_hist.merge(histogram)
@@ -297,7 +293,6 @@ def fleet_geo_routing(
     seed: int = 42,
     suite: "WorkloadSuite | None" = None,
     executor: "SweepExecutor | None" = None,
-    engine: str = "auto",
 ) -> "list[dict[str, object]]":
     """Geo-routing policies under geographically skewed demand.
 
@@ -315,7 +310,7 @@ def fleet_geo_routing(
         policy,
     )
     points = [
-        (routing, datacenters, offered_qps, origin_weights, epoch_s, seed, engine)
+        (routing, datacenters, offered_qps, origin_weights, epoch_s, seed)
         for routing in routings
     ]
     return executor.map(_routing_point, points)
@@ -330,7 +325,6 @@ def fleet_class_priorities(
     routing: str = "spillover",
     seed: int = 42,
     suite: "WorkloadSuite | None" = None,
-    engine: str = "auto",
 ) -> "list[dict[str, object]]":
     """Per-class day-level latency under the prioritized default mix.
 
@@ -350,7 +344,7 @@ def fleet_class_priorities(
         routing=routing,
         load_shape=shape,
     )
-    result = FleetSimulation(config, seed=seed, engine=engine).run()
+    result = FleetSimulation(config, seed=seed).run()
     attainment = result.sla_attainment(config.classes)
     rows = []
     for cls in config.classes:

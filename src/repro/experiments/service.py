@@ -25,7 +25,7 @@ from repro.core.designs import build_conventional, build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.perfmodel.analytic import AnalyticPerformanceModel, require_positive_finite
 from repro.runtime.executor import SweepExecutor
-from repro.service.balancer import BALANCER_POLICIES
+from repro.service.cluster import BALANCER_POLICIES
 from repro.service.calibration import ServiceCapacity, calibrate_chip
 from repro.service.cluster import ClusterConfig, simulate_cluster
 from repro.service.sizing import ClusterSizer, MmkQueue, saturation_qps
@@ -86,7 +86,6 @@ def _latency_point(
     service_distribution: str,
     num_requests: int,
     seed: int,
-    engine: str = "auto",
 ) -> "dict[str, object]":
     """One simulated point of the load-latency curve (module-level: picklable)."""
     capacity_qps = num_servers * parallelism / service_mean_s
@@ -99,7 +98,7 @@ def _latency_point(
         arrival=arrival,
         service_distribution=service_distribution,
     )
-    result = simulate_cluster(config, num_requests=num_requests, seed=seed, engine=engine)
+    result = simulate_cluster(config, num_requests=num_requests, seed=seed)
     reference = MmkQueue(
         servers=parallelism,
         service_rate_rps=1.0 / service_mean_s,
@@ -132,7 +131,6 @@ def service_latency_sweep(
     seed: int = 42,
     suite: "WorkloadSuite | None" = None,
     executor: "SweepExecutor | None" = None,
-    engine: str = "auto",
 ) -> "list[dict[str, object]]":
     """Load-latency curve for a cluster of ``design`` servers running ``workload``.
 
@@ -142,9 +140,6 @@ def service_latency_sweep(
     directly comparable to the analytic M/M/k reference column -- and, because
     every load level replays the same seeded per-request work over a compressed
     arrival pattern, simulated p99 rises monotonically with offered load.
-    ``engine`` selects the cluster-simulation engine (``"event"`` is the
-    reference escape hatch; ``"auto"`` uses the vectorized fast engine for
-    state-free policies).
     """
     if isinstance(utilizations, str) or not isinstance(utilizations, Sequence) or not utilizations:
         raise ValueError(
@@ -169,7 +164,6 @@ def service_latency_sweep(
             service_distribution,
             num_requests,
             seed,
-            engine,
         )
         for utilization in utilizations
     ]

@@ -12,10 +12,9 @@ peers.  This package makes those events first-class, reproducible inputs:
 * :mod:`repro.faults.generator` -- the seeded :class:`FaultLoadGenerator`
   turning a :class:`FaultLoadConfig` into a deterministic schedule;
 * :mod:`repro.faults.inject` -- dependability accounting over the service
-  cluster's engine (fast kernel or event reference, bit-identical), which
-  takes the schedule directly;
+  cluster's faulted kernel, which takes the schedule directly;
 * :mod:`repro.faults.noc` -- link-fault injection for the NoC simulation as
-  a pure topology transform (both NoC engines stay bit-identical);
+  a pure topology transform;
 * :mod:`repro.faults.metrics` -- :class:`DependabilityStats` (availability,
   goodput, time-to-recover) collected alongside the latency percentiles.
 

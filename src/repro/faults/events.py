@@ -215,15 +215,6 @@ class FaultSchedule:
                 total += max(0.0, min(end, duration_s) - min(start, duration_s))
         return total
 
-    def crashes_for(self, server: int) -> "tuple[ServerCrash, ...]":
-        """This server's crashes in time order."""
-        return tuple(
-            sorted(
-                (c for c in self.crashes if c.server == server),
-                key=lambda c: c.at_s,
-            )
-        )
-
 
 #: The canonical zero-fault schedule (shared; :meth:`FaultSchedule.is_empty`).
 EMPTY_SCHEDULE = FaultSchedule()

@@ -75,15 +75,6 @@ class FaultLoadConfig:
         if self.link_degradation_factor < 1:
             raise ValueError("link_degradation_factor must be >= 1")
 
-    def is_zero(self) -> bool:
-        """Whether this config can only ever produce empty schedules."""
-        return (
-            self.crash_intensity == 0
-            and self.straggler_intensity == 0
-            and self.num_failed_links == 0
-            and self.num_degraded_links == 0
-        )
-
 
 class FaultLoadGenerator:
     """Draws deterministic :class:`FaultSchedule` objects from a seed.

@@ -1,15 +1,13 @@
 """Dependability accounting for fault-injected service-cluster runs.
 
-A faulted cluster run is the cluster's own engine handed the
+A faulted cluster run is the cluster's own kernel
+(:func:`repro.service.cluster.faulted_completion_times`) handed the
 :class:`~repro.faults.events.FaultSchedule` (never a live RNG, so determinism
-is inherited from the schedule): the fast kernel
-(:func:`repro.service.cluster.faulted_completion_times`) by default, or the
-reference event engine (:func:`repro.service.queueing.run_events`) with
-``engine="event"``, bit for bit alike.  Stations crash (losing queued and
+is inherited from the schedule).  Stations crash (losing queued and
 in-flight work), restart empty once every open crash window has closed, and
-straggle; the balancer routes among up servers only.  Either engine leaves a
-:class:`~repro.service.queueing.FaultTally` -- one
-:class:`~repro.service.queueing.StationTally` per server -- and
+straggle; the balancer routes among up servers only.  The kernel leaves a
+:class:`~repro.service.cluster.FaultTally` -- one
+:class:`~repro.service.cluster.StationTally` per server -- and
 :func:`run_faulted` turns it into the accounting: the usual
 :class:`~repro.service.cluster.ClusterResult` with its ``dependability``
 field filled -- availability, goodput, loss accounting, and time-to-recover
@@ -34,10 +32,10 @@ def run_faulted(
     num_requests: int,
     schedule: FaultSchedule,
 ) -> "ClusterResult":
-    """Run one cluster simulation under a fault schedule (on its engine).
+    """Run one cluster simulation under a fault schedule.
 
     Args:
-        simulation: the configured simulation (policy, seed, config, engine);
+        simulation: the configured simulation (policy, seed, config);
             its request/routing streams are consumed exactly as in an
             un-faulted run.
         num_requests: requests to offer.

@@ -65,11 +65,6 @@ class DependabilityStats:
     max_time_to_recover_s: float
 
     @property
-    def failed_requests(self) -> int:
-        """Requests that never completed (lost + unrouted)."""
-        return self.lost_requests + self.unrouted_requests
-
-    @property
     def goodput_fraction(self) -> float:
         """Completed / offered (1.0 for an empty run)."""
         if self.offered_requests == 0:

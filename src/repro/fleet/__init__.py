@@ -6,8 +6,9 @@ multi-datacenter simulation (chapter 10): :class:`Datacenter` sites pinned to
 splitting regional demand, :class:`LoadShape` diurnal/bursty modulation over
 the day, prioritized :class:`RequestClass` mixes, and reactive
 :mod:`autoscaling <repro.fleet.autoscale>` graded on monthly TCO vs SLA
-attainment.  The fast and event engines stay bit-identical -- the property
-suite in ``tests/test_fleet_equivalence.py`` enforces it.  Semantics and the
+attainment.  Fleet days replay bit-identically to the discrete-event oracle
+-- the property suite in ``tests/test_fleet_equivalence.py`` enforces it.
+Semantics and the
 determinism contract are documented in ``docs/fleet.md``.
 """
 

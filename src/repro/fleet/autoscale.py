@@ -17,7 +17,7 @@ production autoscalers need:
   scaling never undercuts the dependability-sized deployment.
 
 Decisions are pure functions of observations, so a fleet day is bit-for-bit
-reproducible on either simulation engine.
+reproducible.
 """
 
 from __future__ import annotations

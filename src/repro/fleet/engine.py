@@ -12,11 +12,11 @@ epoch is a fluid-then-discrete step:
    datacenter's merged request stream with seeded vectorized draws;
 4. the service kernels simulate each datacenter-epoch chunk to completion.
 
-**Determinism contract.** A chunk runs on the same two entries as a single
-cluster: the fast path is :func:`~repro.service.cluster.simulate_chunk` and
-the event path is :func:`~repro.service.queueing.run_events`.  Both consume
-identical generated arrays and compute completion times with identical
-float expressions, so results are bitwise equal.  Epochs are *stateless*:
+**Determinism contract.** A chunk runs on the same entry as a single
+cluster, :func:`~repro.service.cluster.simulate_chunk`, over arrays the
+seeded traffic generator draws the same way every run, so a fleet day is
+bitwise reproducible (``tests/test_fleet_equivalence.py`` also holds it to
+the discrete-event oracle, bit for bit).  Epochs are *stateless*:
 each chunk starts from an empty cluster and runs to completion, so overload
 shows up as intra-epoch queueing (utilization above 1.0) rather than
 cross-epoch backlog -- the approximation is documented in ``docs/fleet.md``.
@@ -43,12 +43,9 @@ from repro.fleet.routing import (
     RequestClass,
     route_demand,
 )
-from repro.fleet.traffic import TrafficChunk, generate_chunk, routing_seed
+from repro.fleet.traffic import generate_chunk, routing_seed
 from repro.perfmodel.analytic import require_positive_finite
 from repro.service.cluster import simulate_chunk
-from repro.service.queueing import run_events
-
-_ENGINES = ("auto", "fast", "event")
 
 
 @dataclass(frozen=True)
@@ -147,34 +144,29 @@ class FleetConfig:
 
 
 class FleetSimulation:
-    """One simulated fleet day, runnable on the fast or the event engine.
+    """One simulated fleet day.
 
-    ``engine="auto"`` (default) and ``engine="fast"`` run each
-    datacenter-epoch chunk through :func:`~repro.service.cluster.
-    simulate_chunk`, which covers every datacenter policy;
-    ``engine="event"`` runs it through :func:`~repro.service.queueing.
-    run_events`, the reference the equivalence suite compares against.
-    ``collect_samples=True`` additionally keeps exact per-class latency
-    sample tuples (small runs only; the day-scale path sticks to histograms).
+    Each datacenter-epoch chunk runs through
+    :func:`~repro.service.cluster.simulate_chunk`, which covers every
+    datacenter policy.  ``engine`` accepts only ``"fast"``: the fleet has one
+    engine, and the keyword stays because the benchmark harness
+    (``perfbench/``) passes ``engine="fast"``.  ``collect_samples=True``
+    additionally keeps exact per-class latency sample tuples (small runs
+    only; the day-scale path sticks to histograms).
     """
 
     def __init__(
         self,
         config: FleetConfig,
         seed: int = 1,
-        engine: str = "auto",
+        engine: str = "fast",
         collect_samples: bool = False,
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine != "fast":
+            raise ValueError(f"engine must be 'fast', the only fleet engine, got {engine!r}")
         self.config = config
         self.seed = seed
-        self.engine = engine
         self.collect_samples = collect_samples
-
-    def resolved_engine(self) -> str:
-        """The engine ("fast" or "event") this simulation will run on."""
-        return "fast" if self.engine in ("auto", "fast") else "event"
 
     # ------------------------------------------------------------ allocation
     def _allocate_epoch(
@@ -215,46 +207,23 @@ class FleetSimulation:
                     shares[dc_index].append((class_index, origin_index, qps))
         return shares
 
-    # ------------------------------------------------------------- kernels
-    def _event_chunk(
-        self, chunk: TrafficChunk, datacenter: Datacenter, servers: int, rseed: int
-    ) -> np.ndarray:
-        """Per-request latencies of one chunk on the event engine.
-
-        The recorder captures the event engine's ``now - arrival`` at each
-        completion, and the caller treats the returned array exactly like
-        the fast path's ``completions - arrivals`` -- the two are bitwise
-        equal because the event engine's ``now`` at a completion *is* the
-        fast recurrence's ``start + service`` float.
-        """
-        recorder = _ChunkRecorder(chunk.count)
-        run_events(
-            chunk.arrivals.tolist(), chunk.services.tolist(), datacenter.policy,
-            servers, datacenter.parallelism, rseed, recorder,
-        )
-        return np.array(recorder.latencies, dtype=np.float64)
-
     # ------------------------------------------------------------------ run
     def run(self) -> FleetResult:
         """Simulate the configured day and aggregate its metrics."""
         from repro.obs.tracer import get_tracer
 
         config = self.config
-        engine = self.resolved_engine()
         tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter(f"fleet.engine.{engine}").add()
         with tracer.span(
             "fleet.day",
             category="fleet",
-            engine=engine,
             datacenters=len(config.datacenters),
             epochs=config.epochs,
             routing=config.routing,
         ):
-            return self._run(engine, tracer)
+            return self._run(tracer)
 
-    def _run(self, engine: str, tracer) -> FleetResult:
+    def _run(self, tracer) -> FleetResult:
         config = self.config
         shape = config.shape
         epoch_s = config.epoch_s
@@ -268,7 +237,7 @@ class FleetSimulation:
                 floors=config.autoscale_floors,
             )
         # Network latency per (datacenter, origin), added to end-to-end
-        # latency with one vectorized gather per chunk on both engines.
+        # latency with one vectorized gather per chunk.
         net = [
             np.array(
                 [
@@ -339,18 +308,12 @@ class FleetSimulation:
                     busy_s=float(chunk.services.sum()) if chunk.count else 0.0,
                 )
                 if chunk.count:
-                    rseed = routing_seed(self.seed, epoch, index)
-                    if engine == "fast":
-                        completions, _ = simulate_chunk(
-                            chunk.arrivals.tolist(), chunk.services.tolist(),
-                            datacenter.policy, servers[index],
-                            datacenter.parallelism, rseed,
-                        )
-                        latencies = np.array(completions) - chunk.arrivals
-                    else:
-                        latencies = self._event_chunk(
-                            chunk, datacenter, servers[index], rseed
-                        )
+                    completions, _ = simulate_chunk(
+                        chunk.arrivals.tolist(), chunk.services.tolist(),
+                        datacenter.policy, servers[index],
+                        datacenter.parallelism, routing_seed(self.seed, epoch, index),
+                    )
+                    latencies = np.array(completions) - chunk.arrivals
                     network = net[index][chunk.origin_ids]
                     network_sum_s += float(network.sum())
                     latencies = latencies + network
@@ -393,28 +356,11 @@ class FleetSimulation:
             server_hours=server_hours,
             scale_events=scale_events,
             network_sum_s=network_sum_s,
-            engine=engine,
         )
 
 
-class _ChunkRecorder:
-    """Collector duck-type capturing per-request latency by request index."""
-
-    def __init__(self, count: int):
-        self.latencies = [0.0] * count
-
-    def record(self, request_index: int, server_id: int, latency_s: float) -> None:
-        """Store one completed request's latency (event-engine callback)."""
-        self.latencies[request_index] = latency_s
-
-
 def simulate_fleet(
-    config: FleetConfig,
-    seed: int = 1,
-    engine: str = "auto",
-    collect_samples: bool = False,
+    config: FleetConfig, seed: int = 1, collect_samples: bool = False
 ) -> FleetResult:
     """Convenience wrapper: build and run one fleet-day simulation."""
-    return FleetSimulation(
-        config, seed=seed, engine=engine, collect_samples=collect_samples
-    ).run()
+    return FleetSimulation(config, seed=seed, collect_samples=collect_samples).run()

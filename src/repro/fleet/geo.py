@@ -9,9 +9,9 @@ studies simulate -- to a region and prices it for the monthly-TCO accounting
 the autoscaling studies grade.
 
 Everything here is frozen and float-deterministic: network latency is computed
-once per (origin, datacenter) pair and added to request latencies with the
-same numpy expression on both simulation engines, so it never perturbs the
-fast-vs-event bit-identity contract (see ``docs/fleet.md``).
+once per (origin, datacenter) pair and added to request latencies with one
+numpy expression, so it never perturbs the bit-identity contract (see
+``docs/fleet.md``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.perfmodel.analytic import require_positive_finite
-from repro.service.balancer import BALANCER_POLICIES
+from repro.service.cluster import BALANCER_POLICIES
 
 #: Fixed per-request network overhead between any two distinct regions (s).
 DEFAULT_BASE_LATENCY_S = 0.0005
@@ -75,8 +75,8 @@ class Datacenter:
             between ``min_servers`` and ``max_servers`` at epoch boundaries).
         parallelism: service units per server (usable cores).
         service_mean_s: mean per-request service time of one unit.
-        policy: intra-datacenter load-balancing policy (any fast-engine
-            policy: ``jsq``, ``po2``, ``random``, ``round_robin``).
+        policy: intra-datacenter load-balancing policy (``jsq``, ``po2``,
+            ``random`` or ``round_robin``).
         service_distribution: per-request work distribution
             (``"exponential"`` or ``"deterministic"``).
         server_cost_monthly_usd: fully burdened monthly cost of one server

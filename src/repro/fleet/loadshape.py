@@ -86,13 +86,6 @@ class LoadShape:
             return 0
         return max(range(len(self.multipliers)), key=lambda e: (self.multipliers[e], -e))
 
-    @property
-    def trough_epoch(self) -> int:
-        """Epoch index with the smallest multiplier (0 for the empty shape)."""
-        if not self.multipliers:
-            return 0
-        return min(range(len(self.multipliers)), key=lambda e: (self.multipliers[e], e))
-
 
 #: A 24-epoch diurnal curve: quiet overnight trough, morning ramp, evening
 #: peak near 2x the mean -- the classic consumer-service daily cycle.

@@ -5,8 +5,8 @@ keep as samples.  :class:`LatencyHistogram` bins latencies on a logarithmic
 grid (64 bins per decade from 10 microseconds to 1000 seconds), which bounds
 the percentile error to under ~1.9% of the value per query while costing a
 fixed ~45 KB regardless of request count.  Histograms merge associatively,
-so per-chunk accumulation is order-independent and the fast and event engines
--- which feed identical latency arrays -- produce identical histograms.
+so per-chunk accumulation is order-independent: identical latency arrays
+produce identical histograms whatever order the chunks arrive in.
 
 :class:`FleetResult` aggregates a day: per-(epoch, datacenter) rows with
 deployed servers and tail latency, per-class SLA attainment, autoscaling
@@ -186,7 +186,6 @@ class FleetResult:
         server_hours: deployed server-hours per datacenter over the day.
         scale_events: autoscaling changes per datacenter (up + down).
         network_sum_s: summed per-request network latency over the day.
-        engine: the engine that produced the result (``fast``/``event``).
     """
 
     total_requests: int
@@ -197,7 +196,6 @@ class FleetResult:
     server_hours: "dict[str, float]"
     scale_events: "dict[str, int]"
     network_sum_s: float
-    engine: str
 
     @property
     def network_mean_ms(self) -> float:

@@ -19,8 +19,8 @@ generates those chunks with numpy end to end:
 Every chunk derives its generator from a ``numpy`` :class:`~numpy.random.
 SeedSequence` keyed on ``(seed, epoch, datacenter, class, origin)``, so
 streams are independent, reproducible, and independent of generation order.
-Both fleet engines consume the *same* generated arrays -- the generator is
-upstream of the fast/event split, which is what makes bit-identity cheap.
+The service kernels and the test suite's event oracle consume the *same*
+generated arrays, which is what makes bit-identity cheap.
 The pinned-seed regression vectors in ``tests/test_fleet.py`` freeze these
 streams against accidental RNG drift.
 """
@@ -56,9 +56,8 @@ def routing_seed(seed: int, epoch: int, datacenter: int) -> int:
     """The ``random.Random`` seed replaying one chunk's balancer draws.
 
     Derived through the same :class:`~numpy.random.SeedSequence` machinery as
-    the arrival streams, so the routing stream is independent of them and
-    identical on both engines (the fast kernel and the event adapter build
-    ``random.Random(routing_seed(...))`` from the same integer).
+    the arrival streams, so the routing stream is independent of them; the
+    chunk's kernel builds ``random.Random(routing_seed(...))`` from it.
     """
     sequence = np.random.SeedSequence(
         entropy=(int(seed), int(epoch), int(datacenter), _ROUTING_STREAM)

@@ -1,10 +1,9 @@
 """Datacenter service simulation: queueing, tail latency, SLA-driven sizing.
 
 This package turns the repo's chip-level metrics into service-level ones.  A
-discrete-event cluster simulator (:mod:`~repro.service.cluster`) pushes an
-open-loop request stream (:mod:`~repro.service.arrivals`) through a pluggable
-load balancer (:mod:`~repro.service.balancer`) onto per-server request queues
-(:mod:`~repro.service.queueing`) whose service rates are calibrated from the
+cluster simulator (:mod:`~repro.service.cluster`) pushes an open-loop request
+stream (:mod:`~repro.service.arrivals`) through a load-balancing policy onto
+per-server FCFS G/G/k stations whose service rates are calibrated from the
 analytic performance model (:mod:`~repro.service.calibration`).  On top of the
 simulator, an Erlang-C M/M/k layer (:mod:`~repro.service.sizing`) sizes and
 costs the minimum cluster that serves a QPS target within a p99 SLA, using the
@@ -17,23 +16,15 @@ from repro.service.arrivals import (
     PoissonArrivals,
     make_arrivals,
 )
-from repro.service.balancer import (
-    BALANCER_POLICIES,
-    JoinShortestQueue,
-    PowerOfTwoChoices,
-    RandomBalancer,
-    RoundRobinBalancer,
-    make_balancer,
-)
 from repro.service.calibration import ServiceCapacity, calibrate_chip
 from repro.service.cluster import (
+    BALANCER_POLICIES,
     ClusterConfig,
     ClusterResult,
     ClusterSimulation,
     simulate_cluster,
 )
 from repro.service.latency import LatencyCollector, LatencyStats
-from repro.service.queueing import Request, RequestServer
 from repro.service.servicetime import (
     SERVICE_DISTRIBUTIONS,
     DeterministicService,
@@ -61,18 +52,12 @@ __all__ = [
     "ClusterSizer",
     "DeterministicService",
     "ExponentialService",
-    "JoinShortestQueue",
     "LatencyCollector",
     "LatencyStats",
     "LogNormalService",
     "MmkQueue",
     "MmppArrivals",
     "PoissonArrivals",
-    "PowerOfTwoChoices",
-    "RandomBalancer",
-    "Request",
-    "RequestServer",
-    "RoundRobinBalancer",
     "ServiceCapacity",
     "SizingResult",
     "SlaInfeasibleError",
@@ -80,7 +65,6 @@ __all__ = [
     "erlang_b",
     "erlang_c",
     "make_arrivals",
-    "make_balancer",
     "make_service_time",
     "saturation_qps",
     "simulate_cluster",

@@ -2,11 +2,10 @@
 
 :class:`ClusterSimulation` offers an open-loop arrival stream to
 ``num_servers`` identical G/G/k stations behind one load-balancing policy and
-runs a fixed number of requests to completion, on the event path
-(:func:`~repro.service.queueing.run_events`) or the bitwise-equal fast path
-(:func:`simulate_chunk`); the fleet layer runs its chunks through the same
-two entries.  Three independent seeded random streams keep the simulation
-deterministic *and* comparable across configurations:
+runs a fixed number of requests to completion through :func:`simulate_chunk`;
+the fleet layer runs its chunks through the same entry.  Three independent
+seeded random streams keep the simulation deterministic *and* comparable
+across configurations:
 
 * the **arrival** stream draws interarrival gaps -- with Poisson arrivals one
   uniform per request, so two runs with equal seeds and different rates see
@@ -18,6 +17,12 @@ deterministic *and* comparable across configurations:
 Because higher offered load only compresses the same arrival pattern over the
 same per-request work, waiting times are monotone in load for state-free
 policies -- the load-latency sweeps inherit that cleanliness.
+
+The kernels replay a discrete-event model of the stations: arrivals, crashes
+and restarts are events ordered by time with ties broken in the order they
+were scheduled (every fault, then every arrival, then completions).  The
+test oracle ``tests/oracles/service_events.py`` runs that model on an event
+queue, and the equivalence suites hold the kernels to it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,22 +38,81 @@ import numpy as np
 
 from repro.perfmodel.analytic import require_positive_finite
 from repro.service.arrivals import make_arrivals
-from repro.service.balancer import BALANCER_POLICIES
 from repro.service.draws import randrange_batch
 from repro.service.latency import LatencyCollector, LatencyStats
-from repro.service.queueing import (
-    FaultTally,
-    StationTally,
-    check_request_stream,
-    run_events,
-)
 from repro.service.servicetime import make_service_time
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
     from repro.faults.events import FaultSchedule
     from repro.faults.metrics import DependabilityStats
 
-_ENGINES = ("auto", "fast", "event")
+#: Load-balancing policies: uniform random, rotation, join-shortest-queue
+#: (lowest id on ties) and power-of-two-choices.
+BALANCER_POLICIES = ("random", "round_robin", "jsq", "po2")
+
+
+@dataclass(frozen=True)
+class StationTally:
+    """One station's totals after a faulted run.
+
+    Attributes:
+        completed: requests that finished service.
+        lost: requests dropped by this station's crashes.
+        busy_time_s: unit-seconds spent on completed requests.
+        recovery_times_s: crash-to-first-completion gaps, in resolution order.
+        unresolved_crashes_s: crash times no later completion resolved.
+    """
+
+    completed: int
+    lost: int
+    busy_time_s: float
+    recovery_times_s: "tuple[float, ...]"
+    unresolved_crashes_s: "tuple[float, ...]"
+
+
+@dataclass(frozen=True)
+class FaultTally:
+    """What a faulted run leaves for the dependability accounting.
+
+    Attributes:
+        stations: one :class:`StationTally` per server, in id order.
+        duration_s: time of the last event the run fired.
+        unrouted: requests that arrived while every server was down.
+    """
+
+    stations: "tuple[StationTally, ...]"
+    duration_s: float
+    unrouted: int
+
+
+def check_request_stream(
+    arrivals: "list[float] | np.ndarray", services: "list[float] | np.ndarray"
+) -> None:
+    """Reject a request stream the kernels cannot replay.
+
+    Request ``i`` arrives at ``arrivals[i]`` in index order, and the balanced
+    kernel finds each completion's drain point by bisecting ``arrivals``.  So
+    arrivals must be finite, non-negative and non-decreasing, and services
+    finite and non-negative, one per arrival.  Float64 arrays are checked in
+    place, lists are converted.
+
+    Raises:
+        ValueError: one line naming ``arrivals`` or ``services``.
+    """
+    if len(arrivals) != len(services):
+        raise ValueError(
+            f"services must give one time per arrival: {len(services)} services "
+            f"for {len(arrivals)} arrivals"
+        )
+    times = np.asarray(arrivals, dtype=np.float64)
+    # Non-decreasing (so nan-free), from >= 0 up to a finite last arrival.
+    if times.size and not (
+        (times[1:] >= times[:-1]).all() and times[0] >= 0.0 and times[-1] < np.inf
+    ):
+        raise ValueError("arrivals must be finite, non-negative and non-decreasing")
+    work = np.asarray(services, dtype=np.float64)
+    if not (np.isfinite(work).all() and (work >= 0.0).all()):
+        raise ValueError("services must be finite and non-negative")
 
 
 def fcfs_completion_times(
@@ -64,9 +128,9 @@ def fcfs_completion_times(
     a replayed balancer decision), each server reduces to the classic
     earliest-free-unit recurrence over a k-slot heap of unit-free times:
     ``start = max(arrival, earliest free)``, ``completion = start + service``.
-    The float expressions mirror the event engine exactly, so the returned
-    times are bitwise equal to an :class:`~repro.sim.engine.EventQueue` run.
-    The fleet layer reuses this kernel for its per-epoch datacenter chunks.
+    The float expressions mirror the event model exactly, so the returned
+    times are bitwise equal to an event-by-event run.  The fleet layer reuses
+    this kernel for its per-epoch datacenter chunks.
     """
     unit_free = [[0.0] * parallelism for _ in range(num_servers)]
     completions = [0.0] * len(arrivals)
@@ -101,7 +165,7 @@ def balanced_completion_times(
     is not enough: the kernel additionally tracks each server's in-system
     count (queued plus in service) at every arrival instant.
 
-    * **Drain by arrival slot.** The event engine schedules all arrivals
+    * **Drain by arrival slot.** The event model schedules all arrivals
       before any completion and breaks time ties by insertion order, so an
       arrival at exactly a completion's timestamp still sees that request in
       the system: a completion ``c`` of request ``i`` drains just before
@@ -125,14 +189,13 @@ def balanced_completion_times(
       arrival: a departure from count ``c`` lowers ``low`` to at most
       ``c - 1``, and an arrival at the last ``low`` server raises it by one.
       The lowest set bit of ``level[low]`` is the lowest-id shortest queue --
-      exactly :class:`~repro.service.balancer.JoinShortestQueue`'s
-      tie-break -- and every move between counts is two bit operations.
+      ``jsq``'s tie-break -- and every move between counts is two bit
+      operations.
 
-    ``po2`` replays :class:`~repro.service.balancer.PowerOfTwoChoices`'s draw
-    sequence from ``routing_rng`` verbatim (first uniform over ``n``, second
-    over ``n - 1`` with the shift), so the routing stream is bit-identical to
-    the event engine's.  The kernel rejects a stream that fails
-    :func:`~repro.service.queueing.check_request_stream`, checked on the
+    ``po2`` probes two distinct servers and joins the one with the smaller
+    count, the first on a tie: one uniform draw from ``routing_rng`` over
+    ``n``, then one over ``n - 1`` shifted past the first.  The kernel
+    rejects a stream that fails :func:`check_request_stream`, checked on the
     arrays it builds anyway.
 
     Returns:
@@ -234,7 +297,7 @@ def faulted_completion_times(
 ) -> "tuple[list[float], list[int], FaultTally]":
     """Completion times, routing and fault tally of one faulted request stream.
 
-    The un-faulted kernels' recurrences, with the event engine's fault rules
+    The un-faulted kernels' recurrences, with the event model's fault rules
     replayed between arrivals:
 
     * **Order.** Crashes and restarts fire in ``(time, schedule order)``
@@ -256,12 +319,13 @@ def faulted_completion_times(
     * **Recovery.** A server's pending crashes resolve at its first
       completion after them, in crash order.
 
-    The ``faults.*`` tracer counters match the event engine's.
+    Tracer counters: ``faults.server_crash``, ``faults.server_restart``,
+    ``faults.requests_lost`` and ``faults.requests_unrouted``.
 
     Returns:
         ``(completions, assignment, tally)``: ``nan`` completes a lost or
         unrouted request, ``-1`` routes an unrouted one, and ``tally`` is the
-        :class:`~repro.service.queueing.FaultTally` of the run.
+        :class:`FaultTally` of the run.
     """
     from repro.obs.tracer import get_tracer
 
@@ -433,9 +497,8 @@ def simulate_chunk(
     rseed: int,
     schedule: "FaultSchedule | None" = None,
 ) -> "tuple":
-    """Completion times and routing of one request stream on the fast path.
+    """Completion times and routing of one request stream.
 
-    The routing replays the event path's balancer draw for draw:
     ``round_robin`` routes request ``i`` to server ``i % num_servers`` and
     ``random`` takes one ``randrange`` per request from
     ``random.Random(rseed)``, drawn in bulk by
@@ -445,12 +508,11 @@ def simulate_chunk(
     :func:`balanced_completion_times` on the same seeded stream.  A
     ``schedule`` runs :func:`faulted_completion_times` instead, for every
     policy, so the un-faulted kernels carry no fault work.  A stream that
-    fails :func:`~repro.service.queueing.check_request_stream` is rejected.
+    fails :func:`check_request_stream` is rejected.
 
     Returns:
-        ``(completions, assignment)`` lists, bitwise equal to
-        :func:`~repro.service.queueing.run_events` on the same inputs; with a
-        ``schedule``, ``(completions, assignment, tally)`` as
+        ``(completions, assignment)`` lists; with a ``schedule``,
+        ``(completions, assignment, tally)`` as
         :func:`faulted_completion_times` returns them.
     """
     if schedule is None and policy not in ("random", "round_robin"):
@@ -557,39 +619,26 @@ class ClusterResult:
 class ClusterSimulation:
     """Simulation of a load-balanced service cluster.
 
-    Two engines produce the same per-request latencies:
+    :func:`simulate_chunk` routes and serves the generated request stream:
+    ``random``/``round_robin`` fix the routing up front and reduce each
+    server to an isolated FCFS G/G/k recurrence
+    (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
+    run :func:`balanced_completion_times`, which tracks each server's
+    in-system count as its backlog evolves; a fault schedule runs
+    :func:`faulted_completion_times` for every policy.
 
-    * the **event engine** (:func:`~repro.service.queueing.run_events`)
-      drives :class:`~repro.service.queueing.RequestServer` stations on an
-      :class:`~repro.sim.engine.EventQueue`; it is the reference;
-    * the **fast engine** (:func:`simulate_chunk`) replays routing without
-      event objects or callbacks: ``random``/``round_robin`` fix the routing
-      up front and reduce each server to an isolated FCFS G/G/k recurrence
-      (:func:`fcfs_completion_times`); the queue-state-aware ``jsq``/``po2``
-      run :func:`balanced_completion_times`, which tracks in-system counts
-      exactly as the event engine's backlogs evolve; a fault schedule runs
-      :func:`faulted_completion_times` for every policy.
-
-    ``engine="auto"`` (default) and ``engine="fast"`` run the fast engine,
-    which covers every policy a config accepts; ``engine="event"`` is the
-    reference escape hatch.
-
-    A non-empty ``faults`` schedule runs on the same engine, with the
-    dependability accounting of :func:`repro.faults.inject.run_faulted`; a
-    schedule naming a server the cluster lacks is rejected.  An empty (or
-    ``None``) schedule is the un-faulted run, byte-identical to one that
-    never heard of faults.
+    A non-empty ``faults`` schedule adds the dependability accounting of
+    :func:`repro.faults.inject.run_faulted`; a schedule naming a server the
+    cluster lacks is rejected.  An empty (or ``None``) schedule is the
+    un-faulted run, byte-identical to one that never heard of faults.
     """
 
     def __init__(
         self,
         config: ClusterConfig,
         seed: int = 1,
-        engine: str = "auto",
         faults: "FaultSchedule | None" = None,
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if faults is not None and faults.is_empty():
             faults = None
         if faults is not None and any(
@@ -599,19 +648,13 @@ class ClusterSimulation:
             raise ValueError(f"faults name a server outside 0..{config.num_servers - 1}")
         self.config = config
         self.seed = seed
-        self.engine = engine
         self.faults = faults
-
-    def resolved_engine(self) -> str:
-        """The engine ("fast" or "event") this simulation will run on."""
-        return "event" if self.engine == "event" else "fast"
 
     def _generate_request_arrays(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """(arrival times, service times) -- the shared deterministic streams.
 
-        Both engines consume these identical arrays, so results are engine-
-        independent; arrivals and service times come from separate seeded
-        streams, preserving the common-random-numbers structure.
+        Arrivals and service times come from separate seeded streams,
+        preserving the common-random-numbers structure.
         """
         arrival_rng = random.Random(self.seed)
         service_rng = random.Random(self.seed + 1)
@@ -633,16 +676,13 @@ class ClusterSimulation:
 
         if num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        engine = self.resolved_engine()
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.counter(f"service.engine.{engine}").add()
             tracer.counter("service.requests").add(num_requests)
         with tracer.span(
             "service.cluster",
             category="service",
             policy=self.config.policy,
-            engine=engine,
             requests=num_requests,
             servers=self.config.num_servers,
         ):
@@ -655,43 +695,7 @@ class ClusterSimulation:
     def _simulate(
         self, num_requests: int, schedule: "FaultSchedule | None" = None
     ) -> "tuple[ClusterResult, FaultTally | None]":
-        """``(result, fault tally)`` on the resolved engine; no tally un-faulted."""
-        if self.resolved_engine() == "fast":
-            return self._run_fast(num_requests, schedule)
-        return self._run_event(num_requests, schedule)
-
-    def _run_event(
-        self, num_requests: int, schedule: "FaultSchedule | None"
-    ) -> "tuple[ClusterResult, FaultTally | None]":
-        """The reference event engine, :func:`~repro.service.queueing.run_events`."""
-        config = self.config
-        arrivals, services = self._generate_request_arrays(num_requests)
-        warmup = int(num_requests * config.warmup_fraction)
-        collector = LatencyCollector(warmup_requests=warmup)
-        servers, duration, unrouted = run_events(
-            arrivals.tolist(), services.tolist(), config.policy, config.num_servers,
-            config.parallelism, self.seed + 2, collector, schedule,
-        )
-        utilizations = [server.utilization(duration) for server in servers]
-        tally = None
-        if schedule is not None:
-            tally = FaultTally(
-                tuple(server.tally() for server in servers), duration, unrouted
-            )
-        return ClusterResult(
-            config=config,
-            latency=collector.stats(),
-            measured_requests=collector.measured,
-            total_requests=num_requests,
-            duration_s=duration,
-            mean_utilization=sum(utilizations) / len(utilizations),
-            per_server_counts=collector.per_server_counts(),
-        ), tally
-
-    def _run_fast(
-        self, num_requests: int, schedule: "FaultSchedule | None"
-    ) -> "tuple[ClusterResult, FaultTally | None]":
-        """The fast engine, :func:`simulate_chunk`."""
+        """``(result, fault tally)`` from :func:`simulate_chunk`; no tally un-faulted."""
         config = self.config
         arrivals, services = self._generate_request_arrays(num_requests)
         parallelism = config.parallelism
@@ -707,9 +711,9 @@ class ClusterSimulation:
         measured = ~np.isnan(completion_arr)
         measured[:warmup] = False
 
-        # Sample order differs from the event engine's completion order, but
-        # every statistic downstream sorts or sums symmetrically.
-        collector = LatencyCollector(warmup_requests=warmup)
+        # Samples are in request order; every statistic downstream sorts or
+        # sums symmetrically.
+        collector = LatencyCollector()
         counts = np.bincount(assignment_arr[measured], minlength=config.num_servers)
         collector.record_batch(
             (completion_arr - arrivals)[measured],
@@ -746,10 +750,15 @@ def simulate_cluster(
     config: ClusterConfig,
     num_requests: int = 5_000,
     seed: int = 1,
-    engine: str = "auto",
+    engine: str = "fast",
     faults: "FaultSchedule | None" = None,
 ) -> ClusterResult:
-    """Convenience wrapper: build and run one cluster simulation."""
-    return ClusterSimulation(config, seed=seed, engine=engine, faults=faults).run(
-        num_requests
-    )
+    """Convenience wrapper: build and run one cluster simulation.
+
+    ``engine`` accepts only ``"fast"``: the cluster has one engine, and the
+    keyword stays because the benchmark harness (``perfbench/``) passes
+    ``engine="fast"``.
+    """
+    if engine != "fast":
+        raise ValueError(f"engine must be 'fast', the only cluster engine, got {engine!r}")
+    return ClusterSimulation(config, seed=seed, faults=faults).run(num_requests)

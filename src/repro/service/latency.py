@@ -6,9 +6,8 @@ p99 -- plus an SLA predicate.  Percentiles use linear interpolation between
 order statistics (the same convention as ``statistics.quantiles`` with
 ``method="inclusive"``), so small sample sets behave sensibly.
 
-Sample storage is numpy throughout: the collector accumulates into a
-geometrically grown float64 buffer instead of a Python list, and every
-statistic is a vectorized reduction over the (sorted-once) sample array.  The
+Sample storage is numpy throughout: the collector accumulates batches into a
+float64 buffer instead of a Python list, and every statistic is a vectorized reduction over the (sorted-once) sample array.  The
 public ``samples`` tuple is kept for compatibility -- tests and callers compare
 result sets with ``==``.
 """
@@ -94,11 +93,6 @@ class LatencyStats:
         return ordered[low] * (1.0 - weight) + ordered[high] * weight
 
     @property
-    def p50_s(self) -> float:
-        """Median latency."""
-        return self.percentile(0.50)
-
-    @property
     def p99_s(self) -> float:
         """99th-percentile latency, the SLA metric."""
         return self.percentile(0.99)
@@ -124,33 +118,16 @@ class LatencyStats:
 
 
 class LatencyCollector:
-    """Accumulates per-request latencies during a cluster simulation.
+    """Accumulates per-request latencies of a cluster simulation.
 
-    Requests arriving during the warmup prefix are simulated but excluded from
-    the reported statistics, so the measured window starts from a loaded (not
-    empty) cluster.  Samples land in a preallocated numpy buffer that grows
-    geometrically (amortized O(1) per record).
+    The caller records batches already stripped of the warmup prefix (see
+    ``ClusterConfig.warmup_fraction``) into one numpy buffer.
     """
 
-    def __init__(self, warmup_requests: int = 0):
-        self.warmup_requests = warmup_requests
+    def __init__(self) -> None:
         self._buffer = np.empty(1024, dtype=np.float64)
         self._count = 0
         self._per_server: "dict[int, int]" = {}
-
-    def record(self, request_index: int, server_id: int, latency_s: float) -> None:
-        """Record one completed request."""
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
-        if request_index < self.warmup_requests:
-            return
-        if self._count == len(self._buffer):
-            self._buffer = np.concatenate(
-                [self._buffer, np.empty(len(self._buffer), dtype=np.float64)]
-            )
-        self._buffer[self._count] = latency_s
-        self._count += 1
-        self._per_server[server_id] = self._per_server.get(server_id, 0) + 1
 
     def record_batch(
         self, latencies: np.ndarray, per_server: "dict[int, int]"

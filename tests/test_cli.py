@@ -171,6 +171,32 @@ class TestRun:
         assert err == f"error: {message}"
         assert built == []
 
+    @pytest.mark.parametrize("experiment", ["fault_service_sweep", "fault_mttr_sensitivity"])
+    @pytest.mark.parametrize("override, message", [
+        ("num_servers=0", "num_servers must be an integer >= 1, got 0"),
+        ("num_servers=2.5", "num_servers must be an integer >= 1, got 2.5"),
+        ("utilization=0", "utilization must be positive and finite, got 0"),
+        ("utilization=nan", "utilization must be positive and finite, got 'nan'"),
+    ])
+    def test_bad_fault_load_is_one_line_error(self, capsys, monkeypatch,
+                                              experiment, override, message):
+        """Regression: zero servers or zero load ended in a
+        ``ZeroDivisionError`` traceback (exit 1) at the fault horizon."""
+        from repro.experiments import faults
+
+        built = []
+        monkeypatch.setattr(faults, "_server_capacity", lambda *a: built.append(a))
+        err = assert_rejected(capsys, "run", experiment, "--no-cache", "--serial",
+                              "--set", override)
+        assert err == f"error: {message}"
+        assert built == []
+
+    def test_engine_override_is_unknown_key(self, capsys):
+        """The fleet studies have one engine and no ``engine`` parameter."""
+        err = assert_rejected(capsys, "run", "fleet_diurnal_day", "--no-cache",
+                              "--set", "engine=event")
+        assert err.startswith("error: fleet_diurnal_day takes no parameter 'engine'")
+
     def test_bad_sweep_value_is_one_line_error(self, capsys):
         """Regression: ``sweep`` ended in a ``ValueError`` traceback, exit 1."""
         err = assert_rejected(capsys, "sweep", "figure_4_6", "--no-cache",

@@ -1,12 +1,14 @@
 """Property-based equivalence suite for fault-injected clusters.
 
-The contract under test: a faulted cluster run on the fast kernel
-(``simulate_chunk`` with a schedule) and on the discrete-event reference
-engine (``run_events``), fed identical request arrays and the same fault
-schedule, produce **bit-identical** results -- the same completed latencies,
-routing counts, run duration, dependability accounting and ``faults.*``
-counters.  Only ``mean_utilization`` sums busy time in a different order and
-is compared approximately, as in the un-faulted suites.
+The contract under test: a faulted request stream on the fast kernel
+(``simulate_chunk`` with a schedule) and on the discrete-event oracle
+(``tests/oracles/service_events.py``), fed identical request arrays and the
+same fault schedule, produce **bit-identical** results -- the same
+completions (``nan`` for lost and unrouted requests), assignments, fault
+tallies and ``faults.*`` counters, and so the same completed latencies,
+routing counts, run duration and dependability accounting.  Only busy time
+is summed in a different order and compared approximately, as in the
+un-faulted suites.
 
 Schedules are built on the run's own time instants, so the engines' tie rules
 are exercised: crashes and restarts land on arrival instants, and with grid
@@ -15,6 +17,7 @@ arrival instant too, so the same faults also sit on completion instants.
 """
 
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,11 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.service.cluster as cluster_module
+from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
 from repro.faults import FaultSchedule, ServerCrash, Straggler
 from repro.obs.tracer import Tracer, use_tracer
 from repro.service.cluster import ClusterConfig, simulate_chunk, simulate_cluster
-from repro.service.latency import LatencyCollector
-from repro.service.queueing import run_events
 
 POLICIES = ("jsq", "po2", "random", "round_robin")
 REQUESTS = 400
@@ -138,26 +140,46 @@ def _schedule(config, params) -> FaultSchedule:
     return FaultSchedule(crashes=crashes, stragglers=stragglers)
 
 
-def _run(config, params, schedule, engine):
-    """``(result or error message, faults.* counters)`` of one traced run."""
-    tracer = Tracer()
-    with use_tracer(tracer), _grid(params["grid"]):
-        try:
-            result = simulate_cluster(
-                config, num_requests=REQUESTS, seed=params["seed"],
-                engine=engine, faults=schedule,
-            )
-        except ValueError as error:  # no completed request left to measure
-            result = str(error)
-    counters = {
+def _fault_counters(tracer) -> "dict[str, float]":
+    return {
         name: value
         for name, value in tracer.counters().items()
         if name.startswith("faults.")
     }
-    return result, counters
+
+
+def _run(config, params, schedule, engine):
+    """``(result or error message, faults.* counters)`` of one traced run."""
+    tracer = Tracer()
+    oracle = event_engine() if engine == "event" else contextlib.nullcontext()
+    with use_tracer(tracer), _grid(params["grid"]), oracle:
+        try:
+            result = simulate_cluster(
+                config, num_requests=REQUESTS, seed=params["seed"], faults=schedule
+            )
+        except ValueError as error:  # no completed request left to measure
+            result = str(error)
+    return result, _fault_counters(tracer)
+
+
+def _assert_chunks_identical(config, params, schedule):
+    """The kernel's and the oracle's completions, routing, tally, counters."""
+    arrivals, services = _arrays(config, params)
+    shape = (
+        config.policy, config.num_servers, config.parallelism, params["seed"] + 2, schedule
+    )
+    runs = []
+    for simulate in (simulate_chunk, simulate_chunk_events):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            runs.append((simulate(arrivals, services, *shape), _fault_counters(tracer)))
+    (fast, fast_counters), (event, event_counters) = runs
+    assert_same_chunk(fast, event)
+    assert fast_counters == event_counters
 
 
 def _assert_faulted_identical(config, params, schedule):
+    _assert_chunks_identical(config, params, schedule)
     fast, fast_counters = _run(config, params, schedule, "fast")
     event, event_counters = _run(config, params, schedule, "event")
     assert fast_counters == event_counters
@@ -176,7 +198,7 @@ def _assert_faulted_identical(config, params, schedule):
 
 
 class TestFaultedEngineEquivalence:
-    """Faulted fast kernel == faulted event engine, bit for bit."""
+    """Faulted fast kernel == faulted event oracle, bit for bit."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @given(params=faulted_runs)
@@ -244,14 +266,10 @@ class TestFaultedEngineEquivalence:
         arrivals = [(k + 1) * gap for k in range(10)]
         services = [4 * gap] * 10
         schedule = FaultSchedule(crashes=(ServerCrash(0, 37 * gap, 38 * gap),))
-        if engine == "fast":
-            _, _, tally = simulate_chunk(arrivals, services, "jsq", 1, 1, 0, schedule)
-            duration, station = tally.duration_s, tally.stations[0]
-        else:
-            servers, duration, _ = run_events(
-                arrivals, services, "jsq", 1, 1, 0, LatencyCollector(), schedule
-            )
-            station = servers[0].tally()
+        simulate = simulate_chunk if engine == "fast" else simulate_chunk_events
+        completions, _, tally = simulate(arrivals, services, "jsq", 1, 1, 0, schedule)
+        station = tally.stations[0]
         assert (station.completed, station.lost) == (8, 2)
         assert station.unresolved_crashes_s == (37 * gap,)
-        assert duration == 38 * gap
+        assert tally.duration_s == 38 * gap
+        assert [math.isnan(c) for c in completions] == [False] * 8 + [True] * 2

@@ -1,5 +1,6 @@
 """Tests for fault injection, dependability metrics, and N+k sizing."""
 
+import contextlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import os
 import pytest
 
 from oracles.noc_routes import shortest_route, weighted_digraph
+from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
 from repro.faults import (
     FaultLoadConfig,
     FaultLoadGenerator,
@@ -27,7 +29,6 @@ from repro.service.cluster import (
     simulate_chunk,
     simulate_cluster,
 )
-from repro.service.queueing import run_events
 
 
 def faulty_cluster(utilization=0.7, num_servers=4, policy="jsq"):
@@ -41,16 +42,9 @@ def faulty_cluster(utilization=0.7, num_servers=4, policy="jsq"):
     )
 
 
-class ServedBy:
-    """Collector stand-in recording which requests one server completed."""
-
-    def __init__(self, server):
-        self.server = server
-        self.indices = []
-
-    def record(self, index, server, latency_s):
-        if server == self.server:
-            self.indices.append(index)
+def on_engine(engine):
+    """Run the cluster on the kernels (``"fast"``) or the event oracle."""
+    return event_engine() if engine == "event" else contextlib.nullcontext()
 
 
 def crash_schedule(config, num_requests=3_000, intensity=1.0, seed=7, **overrides):
@@ -86,11 +80,14 @@ class TestFaultSchedule:
         small = FaultLoadGenerator(config, seed=7).schedule(4, 10.0)
         large = FaultLoadGenerator(config, seed=7).schedule(5, 10.0)
         for server in range(4):
-            assert small.crashes_for(server) == large.crashes_for(server)
+            assert [c for c in small.crashes if c.server == server] == [
+                c for c in large.crashes if c.server == server
+            ]
 
     def test_zero_config_yields_empty_schedule(self):
         config = FaultLoadConfig()
-        assert config.is_zero()
+        assert (config.crash_intensity, config.straggler_intensity) == (0, 0)
+        assert (config.num_failed_links, config.num_degraded_links) == (0, 0)
         schedule = FaultLoadGenerator(config, seed=7).schedule(4, 10.0)
         assert schedule.is_empty()
         assert schedule.num_events == 0
@@ -132,22 +129,24 @@ class TestFaultedCluster:
         two = simulate_cluster(config, num_requests=3_000, seed=42, faults=schedule)
         assert one == two
 
-    @pytest.mark.parametrize("engine", ["auto", "event"])
+    @pytest.mark.parametrize("engine", ["fast", "event"])
     def test_empty_schedule_byte_identical_to_unfaulted(self, engine):
         config = faulty_cluster()
-        base = simulate_cluster(config, num_requests=2_000, seed=42, engine=engine)
-        faulted = simulate_cluster(
-            config, num_requests=2_000, seed=42, engine=engine, faults=EMPTY_SCHEDULE
-        )
+        with on_engine(engine):
+            base = simulate_cluster(config, num_requests=2_000, seed=42)
+            faulted = simulate_cluster(
+                config, num_requests=2_000, seed=42, faults=EMPTY_SCHEDULE
+            )
         assert faulted == base
         assert faulted.dependability is None
 
     @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
     def test_inert_schedule_does_not_perturb_the_run(self, policy):
         """A non-empty schedule whose every window is a 1.0x straggler takes
-        the fault machinery yet computes exactly the un-faulted event run
-        (in completion order; the fast side is covered by the faulted
-        fast==event suite)."""
+        the fault machinery yet computes exactly the un-faulted run: the
+        same completions and routing on the kernels and on the event oracle,
+        and so the same cluster result (busy time, summed in another order
+        by the faulted kernel, only approximately)."""
         config = faulty_cluster(policy=policy)
         horizon_s = 10 * 2_000 / config.offered_qps
         inert = FaultSchedule(
@@ -156,15 +155,23 @@ class TestFaultedCluster:
                 for s in range(config.num_servers)
             )
         )
-        base = simulate_cluster(config, num_requests=2_000, seed=42, engine="event")
-        faulted = simulate_cluster(
-            config, num_requests=2_000, seed=42, engine="event", faults=inert
+        arrivals, services = (
+            array.tolist()
+            for array in ClusterSimulation(config, seed=42)._generate_request_arrays(2_000)
         )
+        shape = (policy, config.num_servers, config.parallelism, 42 + 2)
+        for simulate in (simulate_chunk, simulate_chunk_events):
+            assert_same_chunk(
+                simulate(arrivals, services, *shape, inert)[:2],
+                simulate(arrivals, services, *shape),
+            )
+        base = simulate_cluster(config, num_requests=2_000, seed=42)
+        faulted = simulate_cluster(config, num_requests=2_000, seed=42, faults=inert)
         assert faulted.dependability is not None
         assert faulted.latency.samples == base.latency.samples
         assert faulted.per_server_counts == base.per_server_counts
         assert faulted.duration_s == base.duration_s
-        assert faulted.mean_utilization == base.mean_utilization
+        assert faulted.mean_utilization == pytest.approx(base.mean_utilization)
 
     def test_crashes_cut_availability_and_goodput(self):
         config = faulty_cluster()
@@ -175,7 +182,10 @@ class TestFaultedCluster:
         assert 0.0 < dep.availability < 1.0
         assert dep.crashes == len(schedule.crashes)
         assert dep.lost_requests > 0
-        assert dep.completed_requests + dep.failed_requests == dep.offered_requests
+        assert (
+            dep.completed_requests + dep.lost_requests + dep.unrouted_requests
+            == dep.offered_requests
+        )
         assert dep.goodput_fraction < 1.0
         assert dep.mean_time_to_recover_s > 0.0
         assert dep.max_time_to_recover_s >= dep.mean_time_to_recover_s
@@ -189,17 +199,17 @@ class TestFaultedCluster:
                 for s in range(config.num_servers)
             )
         )
-        base = simulate_cluster(config, num_requests=3_000, seed=42, engine="event")
+        base = simulate_cluster(config, num_requests=3_000, seed=42)
         slowed = simulate_cluster(config, num_requests=3_000, seed=42, faults=slow)
         assert slowed.latency.mean_s > base.latency.mean_s
 
     def test_fast_engine_accepts_faults(self):
         config = faulty_cluster(policy="random")
         schedule = crash_schedule(config)
-        simulation = ClusterSimulation(config, engine="fast", faults=schedule)
+        simulation = ClusterSimulation(config, faults=schedule)
         assert simulation.faults is schedule
-        assert simulation.resolved_engine() == "fast"
         assert simulation.run(3_000).dependability is not None
+        assert ClusterSimulation(config, faults=EMPTY_SCHEDULE).faults is None
 
     def test_schedule_naming_a_missing_server_rejected(self):
         # Regression: crashes on servers >= num_servers used to be skipped and
@@ -215,16 +225,6 @@ class TestFaultedCluster:
         )
         with pytest.raises(ValueError, match=r"faults .* 0\.\.7"):
             ClusterSimulation(config, faults=straggler)
-
-    def test_faults_run_on_the_fast_engine_by_default(self):
-        config = faulty_cluster(policy="random")
-        schedule = crash_schedule(config)
-        assert ClusterSimulation(config, faults=schedule).resolved_engine() == "fast"
-        assert (
-            ClusterSimulation(config, engine="event", faults=schedule).resolved_engine()
-            == "event"
-        )
-        assert ClusterSimulation(config, faults=EMPTY_SCHEDULE).faults is None
 
     @pytest.mark.parametrize("engine", ["fast", "event"])
     def test_overlapping_crash_windows_keep_the_server_down(self, engine):
@@ -245,24 +245,17 @@ class TestFaultedCluster:
             )
         )
         shape = ("round_robin", 2, config.parallelism, 42 + 2)  # the cluster's rseed
-        if engine == "fast":
-            completions, assignment, _ = simulate_chunk(
-                arrivals, services, *shape, schedule
-            )
-            served = [
-                index
-                for index, server in enumerate(assignment)
-                if server == 0 and not math.isnan(completions[index])
-            ]
-        else:
-            recorder = ServedBy(server=0)
-            run_events(arrivals, services, *shape, recorder, schedule)
-            served = recorder.indices
+        simulate = simulate_chunk if engine == "fast" else simulate_chunk_events
+        completions, assignment, _ = simulate(arrivals, services, *shape, schedule)
+        served = [
+            index
+            for index, server in enumerate(assignment)
+            if server == 0 and not math.isnan(completions[index])
+        ]
         assert served
         assert not [i for i in served if down_from <= arrivals[i] < down_until]
-        result = ClusterSimulation(
-            config, seed=42, engine=engine, faults=schedule
-        ).run(3_000)
+        with on_engine(engine):
+            result = ClusterSimulation(config, seed=42, faults=schedule).run(3_000)
         # The accounting charges the merged window the engines now honour.
         assert schedule.downtime_intervals(0) == [(down_from, down_until)]
         assert result.dependability.downtime_s == down_until - down_from

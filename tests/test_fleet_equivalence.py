@@ -1,8 +1,10 @@
 """Property-based equivalence suite for the fleet and fast-engine kernels.
 
 The determinism contract under test: the vectorized fast kernels and the
-discrete-event reference engine, fed identical generated request arrays,
-produce **bit-identical** results -- not approximately equal ones.  Randomized
+discrete-event oracle (``tests/oracles/service_events.py``), fed identical
+generated request arrays, produce **bit-identical** results -- not
+approximately equal ones.  The oracle is compared chunk by chunk and, patched
+into the package, on whole cluster runs, fleet days and catalog studies.  Randomized
 (but seeded, via hypothesis) configurations sweep cluster policies, arrival
 processes, parallelism, and fleet shapes; any counterexample shrinks to a
 minimal reproducing configuration.
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
 from repro.fleet import (
     Datacenter,
     FleetConfig,
@@ -21,7 +24,12 @@ from repro.fleet import (
     RequestClass,
 )
 from repro.runtime.executor import SweepExecutor
-from repro.service.cluster import ClusterConfig, simulate_cluster
+from repro.service.cluster import (
+    ClusterConfig,
+    ClusterSimulation,
+    simulate_chunk,
+    simulate_cluster,
+)
 
 # ---------------------------------------------------------------- strategies
 
@@ -118,16 +126,29 @@ def _assert_fleet_identical(first, second) -> None:
 
 
 class TestClusterEngineEquivalence:
-    """Fast kernels == event engine on randomized cluster configurations."""
+    """Fast kernels == event oracle on randomized cluster configurations."""
 
     @given(params=cluster_configs)
     @settings(max_examples=25, deadline=None)
     def test_fast_matches_event_bitwise(self, params):
-        """Sorted latencies, routing counts, and duration are bit-identical
-        across engines for every policy and arrival process."""
+        """Completions and routing, and so sorted latencies, routing counts,
+        and duration, are bit-identical across engines for every policy and
+        arrival process."""
         config = _cluster_config(params)
-        fast = simulate_cluster(config, num_requests=400, seed=params["seed"], engine="fast")
-        event = simulate_cluster(config, num_requests=400, seed=params["seed"], engine="event")
+        arrivals, services = (
+            array.tolist()
+            for array in ClusterSimulation(
+                config, seed=params["seed"]
+            )._generate_request_arrays(400)
+        )
+        shape = (config.policy, config.num_servers, config.parallelism, params["seed"] + 2)
+        assert_same_chunk(
+            simulate_chunk(arrivals, services, *shape),
+            simulate_chunk_events(arrivals, services, *shape),
+        )
+        fast = simulate_cluster(config, num_requests=400, seed=params["seed"])
+        with event_engine():
+            event = simulate_cluster(config, num_requests=400, seed=params["seed"])
         assert np.array_equal(
             np.sort(np.array(fast.latency.samples)),
             np.sort(np.array(event.latency.samples)),
@@ -140,7 +161,7 @@ class TestClusterEngineEquivalence:
 
 
 class TestFleetEngineEquivalence:
-    """Fleet days replay bit-identically on the fast and event engines."""
+    """Fleet days replay bit-identically on the fast kernels and the oracle."""
 
     @given(params=fleet_shapes)
     @settings(max_examples=15, deadline=None)
@@ -148,13 +169,9 @@ class TestFleetEngineEquivalence:
         """Per-class samples, per-site histograms, and per-epoch cells agree
         bitwise between the two engines on randomized fleet days."""
         config = _fleet_config(params)
-        fast = FleetSimulation(
-            config, seed=params["seed"], engine="fast", collect_samples=True
-        ).run()
-        event = FleetSimulation(
-            config, seed=params["seed"], engine="event", collect_samples=True
-        ).run()
-        assert fast.engine == "fast" and event.engine == "event"
+        fast = FleetSimulation(config, seed=params["seed"], collect_samples=True).run()
+        with event_engine():
+            event = FleetSimulation(config, seed=params["seed"], collect_samples=True).run()
         _assert_fleet_identical(fast, event)
 
     @given(
@@ -236,7 +253,7 @@ class TestExecutorInvariance:
 
 
 class TestStudyEquivalence:
-    """The catalog studies accept engine overrides and agree across them."""
+    """Catalog studies give the same rows with the oracle patched in."""
 
     def test_diurnal_study_rows_match_event_engine(self):
         """A small diurnal-day study produces identical rows on both engines
@@ -244,6 +261,19 @@ class TestStudyEquivalence:
         from repro.experiments.fleet import fleet_diurnal_day
 
         kwargs = dict(offered_qps=400.0, epoch_s=0.5)
-        assert fleet_diurnal_day(engine="fast", **kwargs) == fleet_diurnal_day(
-            engine="event", **kwargs
+        fast = fleet_diurnal_day(**kwargs)
+        with event_engine():
+            assert fleet_diurnal_day(**kwargs) == fast
+
+    def test_latency_sweep_rows_match_event_engine(self):
+        """A small load-latency sweep, on the serial executor so the patch
+        reaches every point, produces identical rows on both engines."""
+        from repro.experiments.service import service_latency_sweep
+
+        kwargs = dict(
+            utilizations=(0.5, 0.95), policy="jsq", num_requests=2_000,
+            executor=SweepExecutor(mode="serial"),
         )
+        fast = service_latency_sweep(**kwargs)
+        with event_engine():
+            assert service_latency_sweep(**kwargs) == fast

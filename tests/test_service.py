@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.service.cluster as cluster_module
+from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
 from repro.faults import FaultLoadConfig, FaultLoadGenerator
 from repro.fleet import Datacenter, FleetConfig, Region
 from repro.service import (
     ClusterConfig,
     ClusterSizer,
-    LatencyCollector,
     LatencyStats,
     MmkQueue,
     MmppArrivals,
@@ -25,13 +25,11 @@ from repro.service import (
     erlang_b,
     erlang_c,
     make_arrivals,
-    make_balancer,
     make_service_time,
     saturation_qps,
     simulate_cluster,
 )
 from repro.service.draws import randrange_batch, uniform_batch
-from repro.service.queueing import run_events
 from repro.tco.datacenter import DatacenterDesign
 from repro.workloads.cloudsuite import WEB_SEARCH
 from repro.workloads.suite import WorkloadSuite
@@ -153,7 +151,7 @@ class TestServiceTimes:
 class TestLatencyStats:
     def test_percentiles_interpolate(self):
         stats = LatencyStats.from_iterable(float(i) for i in range(1, 101))
-        assert stats.p50_s == pytest.approx(50.5)
+        assert stats.percentile(0.5) == pytest.approx(50.5)
         assert stats.percentile(0.0) == 1.0
         assert stats.percentile(1.0) == 100.0
         assert stats.p99_s == pytest.approx(99.01)
@@ -234,16 +232,29 @@ class TestClusterSimulation:
     def test_fast_engine_matches_event_engine(
         self, policy, shape, num_requests, grid, monkeypatch
     ):
-        """The fast engine reproduces the event engine exactly for every
-        policy and cluster width: same sorted latencies, counts, and duration."""
+        """The kernels reproduce the event oracle exactly for every policy
+        and cluster width: each request's completion and server, and so the
+        same sorted latencies, counts, and duration."""
         if grid:
             monkeypatch.setattr(
                 cluster_module, "make_arrivals", lambda name, rate, **_: GridArrivals(rate)
             )
         overrides = dict(shape)
         config = small_cluster(overrides.pop("utilization", 0.85), policy=policy, **overrides)
-        fast = simulate_cluster(config, num_requests=num_requests, seed=11, engine="fast")
-        event = simulate_cluster(config, num_requests=num_requests, seed=11, engine="event")
+        arrivals, services = (
+            array.tolist()
+            for array in cluster_module.ClusterSimulation(
+                config, seed=11
+            )._generate_request_arrays(num_requests)
+        )
+        kernel_args = (policy, config.num_servers, config.parallelism, 11 + 2)
+        assert_same_chunk(
+            cluster_module.simulate_chunk(arrivals, services, *kernel_args),
+            simulate_chunk_events(arrivals, services, *kernel_args),
+        )
+        fast = simulate_cluster(config, num_requests=num_requests, seed=11)
+        with event_engine():
+            event = simulate_cluster(config, num_requests=num_requests, seed=11)
         assert np.array_equal(
             np.sort(np.array(fast.latency.samples)),
             np.sort(np.array(event.latency.samples)),
@@ -256,8 +267,9 @@ class TestClusterSimulation:
     @pytest.mark.parametrize("faulted", [False, True], ids=["unfaulted", "crashes"])
     @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
     def test_runners_leave_inputs_unmodified_and_repeat(self, policy, faulted):
-        """``simulate_chunk`` and ``run_events`` never mutate their arrival and
-        service lists or the fault schedule, and two fresh runs compare equal."""
+        """``simulate_chunk`` and the event oracle never mutate their arrival
+        and service lists or the fault schedule, and two fresh runs compare
+        equal."""
         config = small_cluster(0.85, policy=policy)
         arrivals, services = (
             array.tolist()
@@ -276,43 +288,27 @@ class TestClusterSimulation:
         shape = (policy, config.num_servers, config.parallelism, 13)
 
         def fresh_runs():
-            collector = LatencyCollector()
-            servers, duration, unrouted = run_events(
-                arrivals, services, *shape, collector, schedule
-            )
-            stations = [server.tally() for server in servers]
             return (
                 cluster_module.simulate_chunk(arrivals, services, *shape, schedule),
-                collector.stats().samples,
-                collector.per_server_counts(),
-                stations,
-                duration,
-                unrouted,
+                simulate_chunk_events(arrivals, services, *shape, schedule),
             )
 
         first, second = fresh_runs(), fresh_runs()
         assert (arrivals, services, schedule) == snapshot
         assert first == second
-
-    def test_auto_engine_selection(self):
-        from repro.service.cluster import ClusterSimulation
-
-        assert ClusterSimulation(small_cluster(0.5, policy="random")).resolved_engine() == "fast"
-        # jsq/po2 run fast too, on the balanced kernel.
-        assert ClusterSimulation(small_cluster(0.5, policy="jsq")).resolved_engine() == "fast"
-        assert ClusterSimulation(small_cluster(0.5, policy="po2")).resolved_engine() == "fast"
-        assert (
-            ClusterSimulation(small_cluster(0.5, policy="jsq"), engine="event").resolved_engine()
-            == "event"
-        )
+        assert_same_chunk(*first)
 
     def test_engine_name_validation(self):
-        from repro.service.cluster import ClusterSimulation
-
-        # jsq/po2 are fast-capable now; only unknown engine names reject.
-        ClusterSimulation(small_cluster(0.5, policy="jsq"), engine="fast")
-        with pytest.raises(ValueError, match="engine must be"):
-            ClusterSimulation(small_cluster(0.5), engine="warp")
+        # One engine: simulate_cluster keeps the keyword for "fast" only.
+        config = small_cluster(0.5, policy="jsq")
+        assert simulate_cluster(config, num_requests=100, engine="fast") == simulate_cluster(
+            config, num_requests=100
+        )
+        for engine in ("warp", "event", "auto"):
+            with pytest.raises(ValueError, match="^engine must be 'fast'"):
+                simulate_cluster(config, num_requests=100, engine=engine)
+        with pytest.raises(TypeError):
+            cluster_module.ClusterSimulation(config, engine="fast")
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -386,18 +382,6 @@ def balanced_stream(params) -> "tuple[list[float], list[float]]":
     return (ticks * TICK_S).tolist(), [service_ticks * TICK_S] * len(ticks)
 
 
-class _Recorder:
-    """A ``run_events`` collector keeping each request's server and latency."""
-
-    def __init__(self, count):
-        self.servers = [None] * count
-        self.latencies = [None] * count
-
-    def record(self, index, server, latency_s):
-        self.servers[index] = server
-        self.latencies[index] = latency_s
-
-
 class TestBalancedKernel:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(balanced_streams)
@@ -409,7 +393,7 @@ class TestBalancedKernel:
     )
     def test_fast_kernel_matches_event_engine(self, params):
         """``jsq``/``po2`` on the fast kernel give every request the event
-        engine's server and latency, across 64-bit words of the level masks,
+        oracle's server and completion, across 64-bit words of the level masks,
         exact completion-arrival ties, bursts that queue several deep and
         drains that cross slot blocks."""
         arrivals, services = balanced_stream(params)
@@ -417,13 +401,8 @@ class TestBalancedKernel:
             params["policy"], params["num_servers"], params["parallelism"], params["seed"]
         )
         with mock.patch.object(cluster_module, "_SLOT_BLOCK", params["block"]):
-            completions, assignment = cluster_module.simulate_chunk(
-                arrivals, services, *shape
-            )
-        recorder = _Recorder(len(arrivals))
-        run_events(arrivals, services, *shape, recorder)
-        assert assignment == recorder.servers
-        assert [c - a for c, a in zip(completions, arrivals)] == recorder.latencies
+            fast = cluster_module.simulate_chunk(arrivals, services, *shape)
+        assert_same_chunk(fast, simulate_chunk_events(arrivals, services, *shape))
 
 
 class TestBulkDraws:
@@ -488,7 +467,7 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match=message):
             cluster_module.simulate_chunk(arrivals, services, "jsq", 2, 1, 0, schedule)
         with pytest.raises(ValueError, match=message):
-            run_events(arrivals, services, "jsq", 2, 1, 0, LatencyCollector(), schedule)
+            simulate_chunk_events(arrivals, services, "jsq", 2, 1, 0, schedule)
 
     def test_ties_and_zero_service_are_accepted(self):
         arrivals, services = [0.0, 0.25, 0.25, 0.5], [0.25, 0.0, 0.25, 0.25]
@@ -544,14 +523,15 @@ class TestErlang:
 
 class TestBalancers:
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown balancer policy"):
-            make_balancer("least_connections")
+        with pytest.raises(ValueError, match="'least_connections'"):
+            cluster_module.simulate_chunk([0.0], [1.0], "least_connections", 2, 1, 0)
+        with pytest.raises(ValueError, match="'least_connections'"):
+            simulate_chunk_events([0.0], [1.0], "least_connections", 2, 1, 0)
 
     def test_round_robin_cycles(self):
-        balancer = make_balancer("round_robin")
-        servers = [object()] * 3  # round robin never reads backlog
-        rng = random.Random(0)
-        assert [balancer.select(servers, rng) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+        arrivals, services = [0.1 * k for k in range(6)], [1.0] * 6
+        _, assignment = cluster_module.simulate_chunk(arrivals, services, "round_robin", 3, 1, 0)
+        assert assignment == [0, 1, 2, 0, 1, 2]
 
 
 class TestSizing:

@@ -49,6 +49,14 @@ def test_healthy_paths_load_no_networkx(module):
     assert loaded_after(f"import {module}", ("networkx",)) == []
 
 
+@pytest.mark.parametrize(
+    "module", ["repro.fleet", "repro.service", "repro.experiments.faults"]
+)
+def test_service_paths_load_no_cycle_simulator(module):
+    # Importing any repro.sim module loads the repro.sim package first.
+    assert loaded_after(f"import {module}", ("repro.sim",)) == []
+
+
 def test_link_faults_load_networkx_on_first_use():
     code = (
         "from repro.faults import LinkFault, apply_link_faults\n"
