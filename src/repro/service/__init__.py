@@ -24,7 +24,7 @@ from repro.service.cluster import (
     ClusterSimulation,
     simulate_cluster,
 )
-from repro.service.latency import LatencyCollector, LatencyStats
+from repro.service.latency import LatencyStats
 from repro.service.servicetime import (
     SERVICE_DISTRIBUTIONS,
     DeterministicService,
@@ -52,7 +52,6 @@ __all__ = [
     "ClusterSizer",
     "DeterministicService",
     "ExponentialService",
-    "LatencyCollector",
     "LatencyStats",
     "LogNormalService",
     "MmkQueue",

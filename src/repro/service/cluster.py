@@ -39,7 +39,7 @@ import numpy as np
 from repro.perfmodel.analytic import require_positive_finite
 from repro.service.arrivals import make_arrivals
 from repro.service.draws import randrange_batch
-from repro.service.latency import LatencyCollector, LatencyStats
+from repro.service.latency import LatencyStats
 from repro.service.servicetime import make_service_time
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids an import cycle)
@@ -713,16 +713,8 @@ class ClusterSimulation:
 
         # Samples are in request order; every statistic downstream sorts or
         # sums symmetrically.
-        collector = LatencyCollector()
+        latencies = (completion_arr - arrivals)[measured]
         counts = np.bincount(assignment_arr[measured], minlength=config.num_servers)
-        collector.record_batch(
-            (completion_arr - arrivals)[measured],
-            {
-                server: int(count)
-                for server, count in enumerate(counts.tolist())
-                if count > 0
-            },
-        )
 
         tally = None
         if schedule is None:
@@ -737,12 +729,16 @@ class ClusterSimulation:
         utilizations = busy / (duration * parallelism) if duration > 0 else busy * 0.0
         return ClusterResult(
             config=config,
-            latency=collector.stats(),
-            measured_requests=collector.measured,
+            latency=LatencyStats.from_array(latencies),
+            measured_requests=len(latencies),
             total_requests=num_requests,
             duration_s=duration,
             mean_utilization=float(utilizations.mean()),
-            per_server_counts=collector.per_server_counts(),
+            per_server_counts={
+                server: int(count)
+                for server, count in enumerate(counts.tolist())
+                if count > 0
+            },
         ), tally
 
 

@@ -6,10 +6,9 @@ p99 -- plus an SLA predicate.  Percentiles use linear interpolation between
 order statistics (the same convention as ``statistics.quantiles`` with
 ``method="inclusive"``), so small sample sets behave sensibly.
 
-Sample storage is numpy throughout: the collector accumulates batches into a
-float64 buffer instead of a Python list, and every statistic is a vectorized reduction over the (sorted-once) sample array.  The
-public ``samples`` tuple is kept for compatibility -- tests and callers compare
-result sets with ``==``.
+Every statistic is a vectorized numpy reduction over the (sorted-once)
+sample array.  The public ``samples`` tuple is kept for compatibility --
+tests and callers compare result sets with ``==``.
 """
 
 from __future__ import annotations
@@ -116,43 +115,3 @@ class LatencyStats:
             "max": self.max_s * scale,
         }
 
-
-class LatencyCollector:
-    """Accumulates per-request latencies of a cluster simulation.
-
-    The caller records batches already stripped of the warmup prefix (see
-    ``ClusterConfig.warmup_fraction``) into one numpy buffer.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = np.empty(1024, dtype=np.float64)
-        self._count = 0
-        self._per_server: "dict[int, int]" = {}
-
-    def record_batch(
-        self, latencies: np.ndarray, per_server: "dict[int, int]"
-    ) -> None:
-        """Bulk-record already-filtered (post-warmup) samples."""
-        needed = self._count + len(latencies)
-        if needed > len(self._buffer):
-            self._buffer = np.concatenate(
-                [self._buffer[: self._count], np.asarray(latencies, dtype=np.float64)]
-            )
-        else:
-            self._buffer[self._count : needed] = latencies
-        self._count = needed
-        for server_id, count in per_server.items():
-            self._per_server[server_id] = self._per_server.get(server_id, 0) + count
-
-    @property
-    def measured(self) -> int:
-        """Completed requests inside the measurement window."""
-        return self._count
-
-    def stats(self) -> LatencyStats:
-        """Statistics over the measured (post-warmup) requests."""
-        return LatencyStats.from_array(self._buffer[: self._count].copy())
-
-    def per_server_counts(self) -> "dict[int, int]":
-        """Measured request count per server (load-balance fairness)."""
-        return dict(self._per_server)

@@ -12,7 +12,9 @@ bit-identical completions, equal assignments and equal fault tallies.
 
 :func:`simulate_chunk_events` has ``simulate_chunk``'s signature and return
 convention, so a test can also patch it into ``repro.service.cluster`` and
-``repro.fleet.engine`` and compare whole cluster results and fleet days.
+``repro.fleet.engine`` and compare whole cluster results and fleet days;
+:func:`assert_matches_event_run` derives a cluster result's figures on the
+oracle's side alone.
 """
 
 from __future__ import annotations
@@ -311,12 +313,61 @@ def simulate_chunk_events(
     return completions, assignment, tally
 
 
+def assert_matches_event_run(
+    result: "cluster.ClusterResult",
+    num_requests: int,
+    seed: int,
+    schedule: "FaultSchedule | None" = None,
+) -> None:
+    """Hold a :class:`~repro.service.cluster.ClusterResult` to the oracle's
+    own account of the same run.
+
+    The oracle replays ``simulate_cluster(result.config, num_requests, seed,
+    faults=schedule)`` and derives the figures without the package's
+    aggregation: the duration is the event queue's clock, utilization the
+    stations' busy time summed in event order, and the measured latencies
+    and per-server counts are tallied request by request past the warmup.
+    Latencies are compared sorted, bit for bit; utilization approximately,
+    because the package sums busy time in another order.
+    """
+    config = result.config
+    arrivals, services = (
+        array.tolist()
+        for array in cluster.ClusterSimulation(config, seed=seed)._generate_request_arrays(
+            num_requests
+        )
+    )
+    servers, duration, completions, assignment, _ = run_events(
+        arrivals, services, config.policy, config.num_servers, config.parallelism,
+        seed + 2, schedule,
+    )
+    latencies = []
+    counts: "dict[int, int]" = {}
+    for index in range(int(num_requests * config.warmup_fraction), num_requests):
+        if not math.isnan(completions[index]):
+            latencies.append(completions[index] - arrivals[index])
+            counts[assignment[index]] = counts.get(assignment[index], 0) + 1
+    capacity = duration * config.parallelism
+    utilization = sum(
+        server.busy_time_s / capacity if capacity > 0 else 0.0 for server in servers
+    ) / len(servers)
+    assert result.duration_s == duration
+    assert result.measured_requests == len(latencies)
+    assert sorted(result.latency.samples) == sorted(latencies)
+    assert result.per_server_counts == counts
+    assert result.mean_utilization == pytest.approx(utilization)
+
+
 @contextlib.contextmanager
 def event_engine():
     """Run every cluster and fleet chunk of this process on the event oracle.
 
-    Pool workers import the package afresh and never see the patch, so a
-    catalog study compared under it must run on a serial executor.
+    Only the chunk simulation is swapped: a patched run still aggregates its
+    chunks with the package's own code, so comparing it with a default run
+    checks the plumbing around ``simulate_chunk``; :func:`assert_matches_event_run`
+    checks a cluster result's aggregation against the oracle's own.  Pool
+    workers import the package afresh and never see the patch, so a catalog
+    study compared under it must run on a serial executor.
     """
     with mock.patch.object(cluster, "simulate_chunk", simulate_chunk_events), \
             mock.patch.object(fleet_engine, "simulate_chunk", simulate_chunk_events):

@@ -25,7 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.service.cluster as cluster_module
-from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
+from oracles.service_events import (
+    assert_matches_event_run,
+    assert_same_chunk,
+    event_engine,
+    simulate_chunk_events,
+)
 from repro.faults import FaultSchedule, ServerCrash, Straggler
 from repro.obs.tracer import Tracer, use_tracer
 from repro.service.cluster import ClusterConfig, simulate_chunk, simulate_cluster
@@ -194,6 +199,8 @@ def _assert_faulted_identical(config, params, schedule):
     assert fast.duration_s == event.duration_s
     assert fast.dependability == event.dependability
     assert fast.mean_utilization == pytest.approx(event.mean_utilization)
+    with _grid(params["grid"]):
+        assert_matches_event_run(fast, REQUESTS, params["seed"], schedule)
     return event
 
 

@@ -8,7 +8,12 @@ import os
 import pytest
 
 from oracles.noc_routes import shortest_route, weighted_digraph
-from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
+from oracles.service_events import (
+    assert_same_chunk,
+    event_engine,
+    run_events,
+    simulate_chunk_events,
+)
 from repro.faults import (
     FaultLoadConfig,
     FaultLoadGenerator,
@@ -145,8 +150,9 @@ class TestFaultedCluster:
         """A non-empty schedule whose every window is a 1.0x straggler takes
         the fault machinery yet computes exactly the un-faulted run: the
         same completions and routing on the kernels and on the event oracle,
-        and so the same cluster result (busy time, summed in another order
-        by the faulted kernel, only approximately)."""
+        the same clock and per-station busy time on the oracle (it sums both
+        runs in one event order), and so the same cluster result (busy time,
+        summed in another order by the faulted kernel, only approximately)."""
         config = faulty_cluster(policy=policy)
         horizon_s = 10 * 2_000 / config.offered_qps
         inert = FaultSchedule(
@@ -165,6 +171,10 @@ class TestFaultedCluster:
                 simulate(arrivals, services, *shape, inert)[:2],
                 simulate(arrivals, services, *shape),
             )
+        inert_stations, inert_now, *_ = run_events(arrivals, services, *shape, inert)
+        stations, now, *_ = run_events(arrivals, services, *shape)
+        assert inert_now == now
+        assert [s.busy_time_s for s in inert_stations] == [s.busy_time_s for s in stations]
         base = simulate_cluster(config, num_requests=2_000, seed=42)
         faulted = simulate_cluster(config, num_requests=2_000, seed=42, faults=inert)
         assert faulted.dependability is not None

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
+from oracles.service_events import (
+    assert_matches_event_run,
+    assert_same_chunk,
+    event_engine,
+    simulate_chunk_events,
+)
 from repro.fleet import (
     Datacenter,
     FleetConfig,
@@ -155,6 +160,7 @@ class TestClusterEngineEquivalence:
         )
         assert fast.per_server_counts == event.per_server_counts
         assert fast.duration_s == event.duration_s
+        assert_matches_event_run(fast, 400, params["seed"])
 
 
 # -------------------------------------------------------------------- fleet

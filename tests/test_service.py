@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.service.cluster as cluster_module
-from oracles.service_events import assert_same_chunk, event_engine, simulate_chunk_events
+from oracles.service_events import (
+    assert_matches_event_run,
+    assert_same_chunk,
+    event_engine,
+    simulate_chunk_events,
+)
 from repro.faults import FaultLoadConfig, FaultLoadGenerator
 from repro.fleet import Datacenter, FleetConfig, Region
 from repro.service import (
@@ -263,6 +268,7 @@ class TestClusterSimulation:
         assert fast.duration_s == event.duration_s
         assert fast.latency.p99_s == event.latency.p99_s
         assert fast.mean_utilization == pytest.approx(event.mean_utilization)
+        assert_matches_event_run(fast, num_requests, 11)
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["unfaulted", "crashes"])
     @pytest.mark.parametrize("policy", ["random", "round_robin", "po2", "jsq"])
