@@ -153,8 +153,9 @@ def service_fault_sweep(
     point carries an empty schedule and is byte-identical to the un-faulted
     engine's result.
     """
-    # Both scale offered_qps, whose inverse sets the fault horizon.
+    # All three set the fault horizon, num_requests / offered_qps.
     require_count("num_servers", num_servers, 1)
+    require_count("num_requests", num_requests, 1)
     require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
@@ -220,8 +221,9 @@ def service_mttr_sweep(
     while a server is down, so crash *counts* shrink slightly -- downtime
     still wins).
     """
-    # Both scale offered_qps, whose inverse sets the fault horizon.
+    # All three set the fault horizon, num_requests / offered_qps.
     require_count("num_servers", num_servers, 1)
+    require_count("num_requests", num_requests, 1)
     require_positive_finite(utilization=utilization)
     suite = suite or default_suite()
     executor = executor or SweepExecutor()

@@ -12,9 +12,11 @@ epoch is a fluid-then-discrete step:
    datacenter's merged request stream with seeded vectorized draws;
 4. the service kernels simulate each datacenter-epoch chunk to completion.
 
-**Determinism contract.** A chunk runs on the same entry as a single
-cluster, :func:`~repro.service.cluster.simulate_chunk`, over arrays the
-seeded traffic generator draws the same way every run, so a fleet day is
+**Determinism contract.** A chunk runs through
+:func:`~repro.service.cluster.chunk_completions` -- the kernels of a single
+cluster, except that a ``jsq`` chunk that can never fill every unit
+completes each request at ``arrival + service`` without them -- over arrays
+the seeded traffic generator draws the same way every run, so a fleet day is
 bitwise reproducible (``tests/test_fleet_equivalence.py`` also holds it to
 the discrete-event oracle, bit for bit).  Epochs are *stateless*:
 each chunk starts from an empty cluster and runs to completion, so overload
@@ -45,7 +47,7 @@ from repro.fleet.routing import (
 )
 from repro.fleet.traffic import generate_chunk, routing_seed
 from repro.perfmodel.analytic import require_positive_finite
-from repro.service.cluster import simulate_chunk
+from repro.service.cluster import chunk_completions
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,7 @@ class FleetSimulation:
     """One simulated fleet day.
 
     Each datacenter-epoch chunk runs through
-    :func:`~repro.service.cluster.simulate_chunk`, which covers every
+    :func:`~repro.service.cluster.chunk_completions`, which covers every
     datacenter policy.  ``engine`` accepts only ``"fast"``: the fleet has one
     engine, and the keyword stays because the benchmark harness
     (``perfbench/``) passes ``engine="fast"``.  ``collect_samples=True``
@@ -308,12 +310,12 @@ class FleetSimulation:
                     busy_s=float(chunk.services.sum()) if chunk.count else 0.0,
                 )
                 if chunk.count:
-                    completions, _ = simulate_chunk(
-                        chunk.arrivals.tolist(), chunk.services.tolist(),
+                    completions = chunk_completions(
+                        chunk.arrivals, chunk.services,
                         datacenter.policy, servers[index],
                         datacenter.parallelism, routing_seed(self.seed, epoch, index),
                     )
-                    latencies = np.array(completions) - chunk.arrivals
+                    latencies = completions - chunk.arrivals
                     network = net[index][chunk.origin_ids]
                     network_sum_s += float(network.sum())
                     latencies = latencies + network

@@ -3,9 +3,10 @@
 :class:`ClusterSimulation` offers an open-loop arrival stream to
 ``num_servers`` identical G/G/k stations behind one load-balancing policy and
 runs a fixed number of requests to completion through :func:`simulate_chunk`;
-the fleet layer runs its chunks through the same entry.  Three independent
-seeded random streams keep the simulation deterministic *and* comparable
-across configurations:
+the fleet layer runs its chunks through :func:`chunk_completions`, which
+returns the same completions and skips the ``jsq`` kernel where no request
+can wait.  Three independent seeded random streams keep the simulation
+deterministic *and* comparable across configurations:
 
 * the **arrival** stream draws interarrival gaps -- with Poisson arrivals one
   uniform per request, so two runs with equal seeds and different rates see
@@ -534,6 +535,60 @@ def simulate_chunk(
         arrivals, services, assignment, num_servers, parallelism
     )
     return completions, assignment
+
+
+def chunk_completions(
+    arrivals: np.ndarray,
+    services: np.ndarray,
+    policy: str,
+    num_servers: int,
+    parallelism: int,
+    rseed: int,
+) -> np.ndarray:
+    """Completion times of one un-faulted fleet chunk, without its routing.
+
+    Equal, bit for bit, to ``simulate_chunk(...)[0]`` on the float64 arrays.
+    A ``jsq`` chunk that can never fill every unit skips the kernel:
+
+    * **Where JSQ waits.** A request waits only when all ``k`` units of its
+      server are busy past its arrival.  Each busy unit's last request is
+      still in system, so that server holds at least ``k`` requests; JSQ
+      picks a server holding ``min(counts)``, so every server does, and the
+      cluster holds at least ``n * k``.  So if every earlier request started
+      on arrival and the arrival sees fewer than ``n * k`` requests in
+      system, it starts on arrival too; by induction no request waits, and
+      every completion is ``arrival + service``, the float add the kernel
+      makes for an unqueued request.
+    * **The in-system count.** With every request served on arrival,
+      request ``i`` has left by arrival ``j`` exactly when
+      ``arrival[i] + service[i] < arrival[j]`` -- the kernel's
+      ``bisect_right`` tie rule: a completion exactly at an arrival is
+      still in system -- and only earlier requests can have left.  So
+      arrival ``j`` sees fewer than ``n * k`` requests exactly when at least
+      ``j + 1 - n * k`` completions fall before it, that is when
+      ``sorted(completions)[j - n * k]`` does: one sort and one comparison
+      check every arrival at once.
+
+    ``po2`` can pick a full server below ``n * k``, and ``random`` and
+    ``round_robin`` fix the routing up front, so they always run the kernel.
+    A stream that fails :func:`check_request_stream` is rejected.
+    """
+    if policy == "jsq":
+        # simulate_chunk checks the stream itself; the shortcut must too.
+        check_request_stream(arrivals, services)
+        done = arrivals + services
+        later = arrivals[num_servers * parallelism:]
+        if (np.sort(done)[: later.size] < later).all():
+            from repro.obs.tracer import get_tracer
+
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.counter("fleet.chunks_on_arrival").add()
+            return done
+    completions, _ = simulate_chunk(
+        arrivals.tolist(), services.tolist(), policy, num_servers, parallelism, rseed
+    )
+    return np.array(completions)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 The original study used Flexus (cycle-accurate, full-system SPARC simulation).
 This package provides the substitution described in ``docs/architecture.md``:
-a discrete-event, trace-driven multi-core simulator with
+a trace-driven multi-core simulator that always steps the core with the
+earliest local clock, off a heap of per-core clocks
+(:meth:`SimulatedSystem.run`), with
 
 * trace-driven cores with a bounded outstanding-miss window (emergent
   memory-level parallelism),
@@ -14,6 +16,9 @@ a discrete-event, trace-driven multi-core simulator with
 
 It exists to exercise the full cache/coherence/NoC code path and to validate the
 analytic model's trends (Figure 3.3), not to re-derive microarchitecture.
+:class:`EventQueue` is a general time-ordered event queue; the simulator does
+not run on it, but the service test oracle and the benchmark's traced
+``sim.engine`` layer do.
 """
 
 from repro.sim.engine import EventQueue

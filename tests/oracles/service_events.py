@@ -11,10 +11,10 @@ completion times without event objects; the tests hold the two to
 bit-identical completions, equal assignments and equal fault tallies.
 
 :func:`simulate_chunk_events` has ``simulate_chunk``'s signature and return
-convention, so a test can also patch it into ``repro.service.cluster`` and
-``repro.fleet.engine`` and compare whole cluster results and fleet days;
-:func:`assert_matches_event_run` derives a cluster result's figures on the
-oracle's side alone.
+convention.  :func:`event_engine` patches it into ``repro.service.cluster``
+and ``repro.fleet.engine``, so a test can compare whole cluster results and
+fleet days; :func:`assert_matches_event_run` derives a cluster result's
+figures on the oracle's side alone.
 """
 
 from __future__ import annotations
@@ -365,12 +365,33 @@ def event_engine():
     Only the chunk simulation is swapped: a patched run still aggregates its
     chunks with the package's own code, so comparing it with a default run
     checks the plumbing around ``simulate_chunk``; :func:`assert_matches_event_run`
-    checks a cluster result's aggregation against the oracle's own.  Pool
-    workers import the package afresh and never see the patch, so a catalog
-    study compared under it must run on a serial executor.
+    checks a cluster result's aggregation against the oracle's own.  A fleet
+    chunk bypasses ``chunk_completions`` and its ``jsq`` shortcut, so the
+    oracle computes every chunk, and each patched fleet day asserts that it
+    computed every non-empty chunk and every request.  Pool workers import
+    the package afresh and never see the patch, so a catalog study compared
+    under it must run on a serial executor.
     """
+    chunk_sizes: "list[int]" = []
+
+    def chunk_completions_events(arrivals, services, *shape):
+        chunk_sizes.append(len(arrivals))
+        completions, _ = simulate_chunk_events(arrivals.tolist(), services.tolist(), *shape)
+        return np.array(completions)
+
+    run_day = fleet_engine.FleetSimulation.run
+
+    def run_checked_day(simulation):
+        first = len(chunk_sizes)
+        result = run_day(simulation)
+        simulated = chunk_sizes[first:]
+        assert len(simulated) == sum(1 for stats in result.epoch_stats if stats.requests)
+        assert sum(simulated) == result.total_requests
+        return result
+
     with mock.patch.object(cluster, "simulate_chunk", simulate_chunk_events), \
-            mock.patch.object(fleet_engine, "simulate_chunk", simulate_chunk_events):
+            mock.patch.object(fleet_engine, "chunk_completions", chunk_completions_events), \
+            mock.patch.object(fleet_engine.FleetSimulation, "run", run_checked_day):
         yield
 
 

@@ -175,13 +175,16 @@ class TestRun:
     @pytest.mark.parametrize("override, message", [
         ("num_servers=0", "num_servers must be an integer >= 1, got 0"),
         ("num_servers=2.5", "num_servers must be an integer >= 1, got 2.5"),
+        ("num_requests=0", "num_requests must be an integer >= 1, got 0"),
+        ("num_requests=-5", "num_requests must be an integer >= 1, got -5"),
         ("utilization=0", "utilization must be positive and finite, got 0"),
         ("utilization=nan", "utilization must be positive and finite, got 'nan'"),
     ])
     def test_bad_fault_load_is_one_line_error(self, capsys, monkeypatch,
                                               experiment, override, message):
         """Regression: zero servers or zero load ended in a
-        ``ZeroDivisionError`` traceback (exit 1) at the fault horizon."""
+        ``ZeroDivisionError`` traceback (exit 1) at the fault horizon, and
+        ``num_requests <= 0`` blamed the computed ``horizon_s``."""
         from repro.experiments import faults
 
         built = []

@@ -180,6 +180,33 @@ class TestFleetEngineEquivalence:
             event = FleetSimulation(config, seed=params["seed"], collect_samples=True).run()
         _assert_fleet_identical(fast, event)
 
+    def test_day_on_both_chunk_paths_matches_event_bitwise(self):
+        """A JSQ day whose quiet chunks never fill every unit (and skip the
+        kernel) while its busy ones queue: the oracle, which computes every
+        chunk, agrees bit for bit, and the counter names the skipped ones."""
+        from repro.obs.tracer import Tracer, set_tracer
+
+        config = _fleet_config(
+            {
+                "routing": "nearest",
+                "policy": "jsq",
+                "arrival": "poisson",
+                "num_epochs": 3,
+                "offered_qps": 100.0,
+            }
+        )
+        tracer = Tracer()
+        set_tracer(tracer)
+        try:
+            fast = FleetSimulation(config, seed=5, collect_samples=True).run()
+        finally:
+            set_tracer(None)
+        skipped = tracer.counters()["fleet.chunks_on_arrival"]
+        assert 0 < skipped < sum(1 for stats in fast.epoch_stats if stats.requests)
+        with event_engine():
+            event = FleetSimulation(config, seed=5, collect_samples=True).run()
+        _assert_fleet_identical(fast, event)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**20),
         epochs=st.integers(min_value=1, max_value=4),

@@ -411,6 +411,124 @@ class TestBalancedKernel:
         assert_same_chunk(fast, simulate_chunk_events(arrivals, services, *shape))
 
 
+def peak_in_system(arrivals, completions) -> int:
+    """Most requests in system at any arrival, from a run's completions: a
+    request drains just after the last arrival at or before its completion."""
+    slots = np.searchsorted(arrivals, completions, side="right")
+    drained = np.cumsum(np.bincount(slots))[: len(arrivals)]
+    return int((np.arange(len(arrivals)) - drained).max())
+
+
+def chunk_completions_and_path(arrivals, services, *shape) -> "tuple[np.ndarray, bool]":
+    """``chunk_completions`` on float64 copies, and whether it ran the kernel."""
+    with mock.patch.object(
+        cluster_module, "simulate_chunk", wraps=cluster_module.simulate_chunk
+    ) as kernel:
+        completions = cluster_module.chunk_completions(
+            np.array(arrivals, dtype=np.float64), np.array(services, dtype=np.float64),
+            *shape,
+        )
+    return completions, kernel.called
+
+
+def assert_oracle_completions(completions, arrivals, services, *shape) -> None:
+    event, _ = simulate_chunk_events(arrivals, services, *shape)
+    assert np.array_equal(
+        completions.view(np.uint64), np.array(event, dtype=np.float64).view(np.uint64)
+    )
+
+
+near_full_streams = st.fixed_dictionaries(
+    {
+        "num_servers": st.integers(min_value=1, max_value=8),
+        "parallelism": st.integers(min_value=1, max_value=4),
+        # Mean in-system count as a fraction of the n * k units.
+        "load": st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        "zero_fraction": st.sampled_from([0.0, 0.2, 1.0]),
+        "requests": st.integers(min_value=1, max_value=300),
+        "burst": st.sampled_from([0, 0, 3, 12]),
+        "seed": st.integers(min_value=0, max_value=2**20),
+    }
+)
+
+
+class TestChunkCompletions:
+    """The fleet's completions-only entry skips the ``jsq`` kernel exactly
+    when no arrival can find every unit busy, and never changes a bit."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(near_full_streams)
+    def test_jsq_matches_oracle_and_skips_only_below_every_unit(self, params):
+        """Grid arrivals, whole-tick services that end exactly on arrivals,
+        zero services and bursts at loads around ``n * k``: the entry equals
+        the oracle bit for bit, and it skips the kernel exactly when the
+        oracle's run never holds ``n * k`` requests at an arrival."""
+        rng = np.random.default_rng(params["seed"])
+        ticks = np.cumsum(rng.integers(0, 5, params["requests"]))
+        at = rng.integers(0, len(ticks))
+        ticks = np.insert(ticks, at, np.full(params["burst"], ticks[at]))
+        units = params["num_servers"] * params["parallelism"]
+        service_ticks = np.where(
+            rng.random(len(ticks)) < params["zero_fraction"],
+            0,
+            rng.integers(1, int(4 * params["load"] * units) + 1, len(ticks)),
+        )
+        arrivals = (ticks * TICK_S).tolist()
+        services = (service_ticks * TICK_S).tolist()
+        shape = ("jsq", params["num_servers"], params["parallelism"], params["seed"])
+        completions, ran_kernel = chunk_completions_and_path(arrivals, services, *shape)
+        assert_oracle_completions(completions, arrivals, services, *shape)
+        assert ran_kernel == (peak_in_system(arrivals, completions) >= units)
+
+    @pytest.mark.parametrize(
+        "requests, ran_kernel",
+        [(4, False), (5, True)],
+        ids=["peak-n*k-1", "peak-n*k"],
+    )
+    def test_fixed_streams_on_either_side_of_every_unit(self, requests, ran_kernel):
+        """On 2 x 2 units, the last of 4 long requests sees 3 in system and
+        the last of 5 sees 4, which fills every unit."""
+        arrivals = [0.25 * index for index in range(requests)]
+        services = [4.0] * requests
+        shape = ("jsq", 2, 2, 0)
+        completions, kernel = chunk_completions_and_path(arrivals, services, *shape)
+        assert kernel == ran_kernel
+        assert peak_in_system(arrivals, completions) == requests - 1
+        assert_oracle_completions(completions, arrivals, services, *shape)
+
+    def test_completion_at_an_arrival_is_still_in_system(self):
+        """Request 0 completes exactly when request 1 arrives, so the one
+        unit counts as full and the kernel runs (request 1 still starts on
+        arrival: the event model drains request 0 first)."""
+        completions, ran_kernel = chunk_completions_and_path([0.0, 1.0], [1.0, 1.0], "jsq", 1, 1, 0)
+        assert ran_kernel
+        assert completions.tolist() == [1.0, 2.0]
+
+    def test_po2_never_takes_the_shortcut(self):
+        """Two of four servers busy, yet both ``po2`` probes of seed 8 land
+        on busy ones, so request 2 queues below ``n * k``."""
+        arrivals, services = [0.0, 0.25, 0.5], [4.0, 4.0, 4.0]
+        shape = ("po2", 4, 1, 8)
+        completions, ran_kernel = chunk_completions_and_path(arrivals, services, *shape)
+        assert ran_kernel
+        assert completions.tolist() == [4.0, 4.25, 8.0]
+        assert_oracle_completions(completions, arrivals, services, *shape)
+
+    @pytest.mark.parametrize(
+        "arrivals, services, message",
+        [
+            ([0.3, 0.1], [0.4, 0.4], "arrivals must be"),
+            ([0.1, 0.3], [0.4, math.nan], "services must be"),
+            ([0.1, 0.3], [0.4], "services must give one time"),
+        ],
+    )
+    def test_rejects_bad_streams_before_the_shortcut(self, arrivals, services, message):
+        with pytest.raises(ValueError, match=message):
+            cluster_module.chunk_completions(
+                np.array(arrivals), np.array(services), "jsq", 8, 4, 0
+            )
+
+
 class TestBulkDraws:
     @pytest.mark.parametrize("count", [0, 1, 7, 80_000])
     def test_uniform_batch_replays_random(self, count):
