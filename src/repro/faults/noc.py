@@ -22,9 +22,10 @@ The faulted topology drops the builder's closed-form route (XY or
 row/column routing would happily route straight through a missing link) and
 routes by weighted shortest path (``networkx.shortest_path`` over the links'
 ``weight``).  This module is the only place the package uses networkx, and it
-imports it on first use: healthy runs never load it.  Both NoC engines consume
-``topology.route()``, and the fastpath compiles its tables per topology
-instance, so fastpath and reference stay bit-identical under faults.
+imports it on first use: healthy runs never load it.  The package's route
+tables (:class:`~repro.noc.fastpath.CompiledTopology`, compiled per topology
+instance) and the test oracle's per-packet walk both follow
+``topology.route()``, so the two stay bit-identical under faults.
 """
 
 from __future__ import annotations

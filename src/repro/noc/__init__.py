@@ -11,19 +11,18 @@ The NOC-Out study compares three pod interconnects for a 64-core pod at 32nm:
 This package provides a packet-level simulator (topology graphs, per-port router
 occupancy, pipeline and serialization delays) driven by the bilateral
 core-to-LLC traffic of scale-out workloads, plus the ORION-style area and energy
-accounting used for Figures 4.7 and 4.8.
+accounting used for Figures 4.7 and 4.8.  Traffic reaches the network only as a
+:class:`PacketBatch` (see :func:`repro.noc.traffic.generate_bilateral_batch`),
+delivered by :meth:`NocNetwork.run_batch`.
 """
 
-from repro.noc.packet import Packet, MessageClass
-from repro.noc.fastpath import CompiledTopology, PacketBatch
+from repro.noc.fastpath import CompiledTopology, MessageClass, PacketBatch
 from repro.noc.topology import NocTopology, build_mesh, build_flattened_butterfly, build_nocout
 from repro.noc.network import NocNetwork, NocConfig
-from repro.noc.traffic import BilateralTrafficGenerator
 from repro.noc.metrics import NocAreaModel, NocAreaBreakdown, NocPowerModel
 from repro.noc.simulation import NocPointSpec, NocSimulationResult, PodNocStudy, evaluate_topologies
 
 __all__ = [
-    "Packet",
     "MessageClass",
     "CompiledTopology",
     "PacketBatch",
@@ -34,7 +33,6 @@ __all__ = [
     "build_nocout",
     "NocNetwork",
     "NocConfig",
-    "BilateralTrafficGenerator",
     "NocAreaModel",
     "NocAreaBreakdown",
     "NocPowerModel",

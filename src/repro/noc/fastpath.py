@@ -1,20 +1,20 @@
-"""Structure-of-arrays fast path for the packet-level NoC simulator.
+"""Structure-of-arrays delivery of NoC traffic: the packet-level simulator's kernel.
 
-The reference implementation (``tests/oracles/noc_reference.py``) routes one
-``Packet`` object at a time: every hop costs a successor-table lookup, a dict
-probe for the router pipeline depth, and a per-link state object update.  Under sweep traffic those per-object costs
-dominate the wall clock.  This module keeps the *model* identical but changes
-the *representation*:
+The model charges every hop a router pipeline, a wait for the link and a link
+latency, then the destination pipeline and the tail serialization (see
+:mod:`repro.noc.network`).  Walking that one packet at a time -- a successor
+lookup, a dict probe and a link-state object per hop -- is what the per-packet
+oracle ``tests/oracles/noc_reference.py`` does; this module keeps the *model*
+and changes the *representation*:
 
 * :class:`CompiledTopology` flattens a :class:`~repro.noc.topology.NocTopology`
-  into integer arrays -- a dense link index, per-hop ``(pipeline, link,
-  latency)`` triples for every (source, destination) pair actually routed, and
-  the destination pipeline depth -- so the inner loop touches no graphs and no
-  dicts of objects.
+  into integer arrays -- a dense link index (:meth:`NocTopology.links` order),
+  each link's router pipeline and latency, and flat route tables for every
+  (source, destination) pair a batch has used -- so the kernels touch no
+  graphs and no dicts of objects.
 * :class:`PacketBatch` carries a whole traffic batch as parallel numpy arrays
-  (injection time, source, destination, message class, flits, packet id)
-  instead of a list of ``Packet`` objects, with a lazy adapter back to objects
-  for callers that want them.
+  (injection time, source, destination, message-class code, flits, packet
+  id); it is the only form in which traffic reaches the network.
 * :func:`process_batch` delivers the batch with a **link-ordered wavefront**
   when the channel dependency graph (CDG) of the compiled routes is acyclic --
   as it is for XY mesh routing, the flattened butterfly's row/column routing
@@ -22,8 +22,8 @@ the *representation*:
   grouped by link, links ordered by CDG level, and each level's links solve
   their whole contention history in numpy once the levels upstream are done.
   A cyclic CDG (a faulted mesh's weighted shortest paths) falls back to the
-  per-packet hop loop.  Both return per-packet arrival times and update the
-  per-link occupancy counters.
+  per-packet hop loop over the same route tables.  Both return per-packet
+  arrival times and update the per-link occupancy counters.
 
 Bit-exactness contract: the kernels perform *the same floating-point
 operations* as the reference walk -- per-hop pipeline add, ``max`` against
@@ -44,17 +44,30 @@ both kernels to exact equality with the reference path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.noc.packet import MessageClass, Packet
 from repro.noc.topology import NocTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.noc.network import NocConfig
+
+
+class MessageClass(enum.Enum):
+    """Coherence message classes (three classes guarantee protocol deadlock freedom).
+
+    NOC-Out's reduction trees only ever carry requests and responses; snoop
+    requests originate at the directory nodes in the LLC region (Section 4.2.2).
+    """
+
+    DATA_REQUEST = "data_request"
+    SNOOP_REQUEST = "snoop_request"
+    RESPONSE = "response"
+
 
 #: Stable integer codes for the message classes (array representation).
 CLASS_ORDER: "tuple[MessageClass, ...]" = (
@@ -74,8 +87,8 @@ class PacketBatch:
         source: source node id per packet (int64).
         destination: destination node id per packet (int64).
         class_code: message-class code per packet (see ``CLASS_CODES``).
-        flits: packet length in flits; 0 means "sized by the network config",
-            exactly like ``Packet.flits``.
+        flits: packet length in flits; 0 means "sized by the network config"
+            (:meth:`~repro.noc.network.NocConfig.flits_for` of the class).
         packet_id: unique id per packet (the run order tie-breaker).
     """
 
@@ -95,115 +108,41 @@ class PacketBatch:
     def __len__(self) -> int:
         return len(self.injection_time)
 
-    @classmethod
-    def from_packets(cls, packets: "Sequence[Packet]") -> "PacketBatch":
-        """Column-ify a list of ``Packet`` objects (the reverse adapter)."""
-        return cls(
-            injection_time=np.array([p.injection_time for p in packets], dtype=np.float64),
-            source=np.array([p.source for p in packets], dtype=np.int64),
-            destination=np.array([p.destination for p in packets], dtype=np.int64),
-            class_code=np.array([CLASS_CODES[p.message_class] for p in packets], dtype=np.int64),
-            flits=np.array([p.flits for p in packets], dtype=np.int64),
-            packet_id=np.array([p.packet_id for p in packets], dtype=np.int64),
-        )
-
-    def to_packets(self) -> "list[Packet]":
-        """Materialize ``Packet`` objects, in batch (emission) order."""
-        return [
-            Packet(
-                source=src,
-                destination=dst,
-                message_class=CLASS_ORDER[code],
-                injection_time=t,
-                flits=flits,
-                packet_id=pid,
-            )
-            for src, dst, code, t, flits, pid in zip(
-                self.source.tolist(),
-                self.destination.tolist(),
-                self.class_code.tolist(),
-                self.injection_time.tolist(),
-                self.flits.tolist(),
-                self.packet_id.tolist(),
-            )
-        ]
-
-    @classmethod
-    def concatenate(cls, batches: "Iterable[PacketBatch]") -> "PacketBatch":
-        """Stack several batches into one (emission order preserved)."""
-        parts = list(batches)
-        if not parts:
-            return cls(*(np.empty(0, dtype=d) for d in (np.float64,) + (np.int64,) * 5))
-        return cls(
-            injection_time=np.concatenate([b.injection_time for b in parts]),
-            source=np.concatenate([b.source for b in parts]),
-            destination=np.concatenate([b.destination for b in parts]),
-            class_code=np.concatenate([b.class_code for b in parts]),
-            flits=np.concatenate([b.flits for b in parts]),
-            packet_id=np.concatenate([b.packet_id for b in parts]),
-        )
-
-
-@dataclass(frozen=True)
-class CompiledRoute:
-    """One (source, destination) pair's route in flat form.
-
-    ``hops`` holds one ``(router_pipeline, link_index, link_latency)`` triple
-    per traversed link, in path order; ``tail_pipeline`` is the destination
-    router's pipeline depth.
-    """
-
-    hops: "tuple[tuple[int, int, int], ...]"
-    tail_pipeline: int
-
-    @property
-    def num_hops(self) -> int:
-        """Number of links the route traverses."""
-        return len(self.hops)
-
 
 class CompiledTopology:
     """A :class:`NocTopology` flattened into integer arrays for the kernel.
 
-    Link indices follow :meth:`NocTopology.links`, and routes are compiled
-    lazily per (source, destination) pair -- only the pairs a traffic pattern
-    actually uses pay the routing cost, and the underlying topology's own route
-    cache keeps recompilation across networks cheap.
-
-    :meth:`compile_pairs` keeps the routes in dense tables for the wavefront:
-    ``route_offset`` / ``route_length`` / ``route_tail`` per
-    ``source * num_nodes + destination`` pair, and ``hop_link`` / ``hop_key``
-    (the link's ``link_key``) per flat hop.  A hop's router pipeline and
-    latency are its link's ``link_pipeline`` and ``link_latency``.  It also
-    keeps the CDG of those routes: each link's ``link_level`` and the
-    ``acyclic`` flag.
+    Link indices follow :meth:`NocTopology.links`; a link's router pipeline
+    (the router it leaves) and latency are ``link_pipeline`` and
+    ``link_latency``.  Routes are compiled lazily: :meth:`compile_pairs` adds
+    only the pairs a batch uses to the dense tables -- ``route_offset`` /
+    ``route_length`` / ``route_tail`` per ``source * num_nodes + destination``
+    pair, and ``hop_link`` / ``hop_key`` (the link's ``link_key``) per flat
+    hop -- and the underlying topology's own route cache keeps recompilation
+    across networks cheap.  It also keeps the CDG of those routes: each link's
+    ``link_level`` and the ``acyclic`` flag.
     """
 
     def __init__(self, topology: NocTopology):
         self.topology = topology
-        self.edge_index: "dict[tuple[int, int], int]" = {
-            (a, b): i for i, (a, b) in enumerate(topology.links())
-        }
-        self.num_links = len(self.edge_index)
+        links = topology.links()
+        self.num_links = len(links)
         self.num_nodes = topology.num_nodes
-        self._routes: "dict[tuple[int, int], CompiledRoute]" = {}
         # Dense route tables, indexed by ``source * num_nodes + destination``
         # (a length of -1 marks a pair not compiled yet) and by flat hop
         # position ``route_offset + hop``.
         pairs = self.num_nodes * self.num_nodes
         self._link_of = np.full(pairs, -1, dtype=np.int32)
-        self._link_of[[a * self.num_nodes + b for a, b in self.edge_index]] = np.arange(
-            self.num_links
-        )
+        self._link_of[[a * self.num_nodes + b for a, b in links]] = np.arange(self.num_links)
         self.link_latency = np.array(
-            [topology.link(a, b).latency_cycles for a, b in self.edge_index], dtype=np.int16
+            [topology.link(a, b).latency_cycles for a, b in links], dtype=np.int16
         )
         pipelines = topology.router_pipeline_cycles
         self._node_pipeline = np.array(
             [pipelines.get(node, 1) for node in range(self.num_nodes)], dtype=np.int16
         )
         #: the pipeline of the router each link leaves.
-        self.link_pipeline = self._node_pipeline[[a for a, _ in self.edge_index]]
+        self.link_pipeline = self._node_pipeline[[a for a, _ in links]]
         self.route_offset = np.zeros(pairs, dtype=np.int32)
         self.route_length = np.full(pairs, -1, dtype=np.int16)
         self.route_tail = np.zeros(pairs, dtype=np.int16)
@@ -222,26 +161,6 @@ class CompiledTopology:
         self.hop_key = self.link_key[self.hop_link]
         #: the first rank of each level, then ``num_links``.
         self.level_start_key = np.array([0, self.num_links], dtype=np.int32)
-
-    def route_for(self, source: int, destination: int) -> CompiledRoute:
-        """The compiled route for one pair (compiled on first use)."""
-        key = (source, destination)
-        route = self._routes.get(key)
-        if route is None:
-            topology = self.topology
-            path = topology.route(source, destination)
-            pipelines = topology.router_pipeline_cycles
-            hops = tuple(
-                (
-                    pipelines.get(a, 1),
-                    self.edge_index[(a, b)],
-                    topology.link(a, b).latency_cycles,
-                )
-                for a, b in zip(path[:-1], path[1:])
-            )
-            route = CompiledRoute(hops=hops, tail_pipeline=pipelines.get(path[-1], 1))
-            self._routes[key] = route
-        return route
 
     def compile_pairs(self, pair_keys: np.ndarray) -> None:
         """Add the routes of ``pair_keys`` (``source * num_nodes + destination``)
@@ -362,21 +281,26 @@ def process_batch(
     """Deliver ``batch`` over ``compiled``, mutating the link-state lists.
 
     ``next_free`` and ``flits_carried`` are the network's persistent per-link
-    occupancy state (one slot per link, ``compiled.edge_index`` order); they
-    are updated in place so repeated batches see earlier traffic, exactly like
-    repeated ``send`` calls on the reference path.
+    occupancy state (one slot per link, :meth:`NocTopology.links` order); they
+    are updated in place so repeated batches see earlier traffic.
 
     Raises:
-        ValueError: a source or destination is not a node id of the topology.
+        ValueError: a source or destination is not a node id of the topology,
+            a class code is not one of ``CLASS_ORDER``'s, or a flit count is
+            negative (the message names the column).
     """
     n = len(batch)
     num_nodes = compiled.num_nodes
-    for name in ("source", "destination"):
+    for name, what, high in (
+        ("source", "node ids", num_nodes - 1),
+        ("destination", "node ids", num_nodes - 1),
+        ("class_code", "class codes", len(CLASS_ORDER) - 1),
+    ):
         column = getattr(batch, name)
-        if n and (column.min() < 0 or column.max() >= num_nodes):
-            raise ValueError(
-                f"PacketBatch column {name!r} holds node ids outside 0..{num_nodes - 1}"
-            )
+        if n and (column.min() < 0 or column.max() > high):
+            raise ValueError(f"PacketBatch column {name!r} holds {what} outside 0..{high}")
+    if n and batch.flits.min() < 0:
+        raise ValueError("PacketBatch column 'flits' holds negative flit counts")
     resolved = np.where(
         batch.flits > 0, batch.flits, flit_table(config)[batch.class_code]
     )
@@ -412,16 +336,25 @@ def _hop_loop(
     """Arrival times by replaying every hop of every packet in delivery order
     (the kernel for topologies whose compiled-route CDG is cyclic)."""
     n = len(batch)
-    num_nodes = compiled.num_nodes
     # Address routes by a small per-batch integer code so the packet loop
-    # never touches a dict or builds a tuple key.
+    # never touches a dict or builds a tuple key.  ``compile_pairs`` has put
+    # every pair in the tables; a hop is its link's (pipeline, link, latency).
     unique_pairs, pair_code = np.unique(pair_key, return_inverse=True)
-    routes = [
-        compiled.route_for(int(pair) // num_nodes, int(pair) % num_nodes)
-        for pair in unique_pairs
+    link_hops = list(
+        zip(
+            compiled.link_pipeline.tolist(),
+            range(compiled.num_links),
+            compiled.link_latency.tolist(),
+        )
+    )
+    hops_by_code = [
+        [link_hops[link] for link in compiled.hop_link[offset : offset + length].tolist()]
+        for offset, length in zip(
+            compiled.route_offset[unique_pairs].tolist(),
+            compiled.route_length[unique_pairs].tolist(),
+        )
     ]
-    hops_by_code = [route.hops for route in routes]
-    tail_by_code = [route.tail_pipeline for route in routes]
+    tail_by_code = compiled.route_tail[unique_pairs].tolist()
 
     injections = batch.injection_time.tolist()
     codes = pair_code.tolist()

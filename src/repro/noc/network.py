@@ -9,11 +9,11 @@ on (zero-load latency differences between topologies, serialization penalties of
 narrow links, mild queueing at hot spots) without simulating individual flits and
 credits.
 
-The network compiles the topology into flat arrays once and drives packets --
-individually via :meth:`NocNetwork.send` or wholesale via
-:meth:`NocNetwork.run_batch` on a :class:`~repro.noc.fastpath.PacketBatch` --
-through :mod:`repro.noc.fastpath`'s tight kernel.  ``tests/test_noc_fastpath.py``
-holds it bit-identical to a per-packet graph walk kept in
+The network compiles the topology into flat arrays once and delivers traffic
+one :class:`~repro.noc.fastpath.PacketBatch` at a time through
+:meth:`NocNetwork.run_batch` and :mod:`repro.noc.fastpath`'s kernels; link
+state persists across batches.  ``tests/test_noc_fastpath.py`` holds it
+bit-identical to a per-packet graph walk kept in
 ``tests/oracles/noc_reference.py``.
 
 Latency statistics are maintained as running (sum, count) pairs updated at
@@ -23,17 +23,16 @@ delivery time, so collection is O(1) memory per message class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.noc.fastpath import (
     CLASS_ORDER,
     BatchResult,
+    MessageClass,
     PacketBatch,
     compile_topology,
     process_batch,
     sequential_sum,
 )
-from repro.noc.packet import MessageClass, Packet
 from repro.noc.topology import NocTopology
 
 
@@ -74,7 +73,6 @@ class NocNetwork:
     def __init__(self, topology: NocTopology, config: "NocConfig | None" = None):
         self.topology = topology
         self.config = config or NocConfig()
-        self.delivered: "list[Packet]" = []
         # Running statistics (O(1) memory per class), updated at delivery time.
         self._delivered_count = 0
         self._latency_sum = 0.0
@@ -85,76 +83,29 @@ class NocNetwork:
         self._flits_carried: "list[int]" = [0] * self._compiled.num_links
 
     # ----------------------------------------------------------------- timing
-    def send(self, packet: Packet) -> float:
-        """Route ``packet`` through the network; returns its arrival time."""
-        if packet.flits <= 0:
-            packet.flits = self.config.flits_for(packet.message_class)
-        if packet.flits <= 0:  # pragma: no cover - defensive
-            packet.flits = packet.default_flits()
-        time, hops = self._traverse(packet)
-        packet.arrival_time = time
-        packet.hops = hops
-        self.delivered.append(packet)
-        self._record(packet.message_class, time - packet.injection_time, hops)
-        return time
-
-    def _traverse(self, packet: Packet) -> "tuple[float, int]":
-        """One packet through the compiled kernel's per-hop recurrence."""
-        route = self._compiled.route_for(packet.source, packet.destination)
-        next_free = self._next_free
-        flits_carried = self._flits_carried
-        flits = packet.flits
-        time = packet.injection_time
-        for pipeline, link, latency in route.hops:
-            time += pipeline
-            free = next_free[link]
-            start = time if time >= free else free
-            next_free[link] = start + flits
-            flits_carried[link] += flits
-            time = start + latency
-        time += route.tail_pipeline
-        time += flits - 1
-        return time, route.num_hops
-
-    def run(self, packets: "Iterable[Packet] | PacketBatch") -> "list[Packet]":
-        """Send ``packets`` in injection-time order and return the delivered list.
-
-        A :class:`PacketBatch` is delivered through :meth:`run_batch` (no
-        ``Packet`` objects are materialized; the returned list only holds
-        previously object-delivered packets).
-        """
-        from repro.obs.tracer import get_tracer
-
-        if isinstance(packets, PacketBatch):
-            self.run_batch(packets)
-            return self.delivered
-        ordered = sorted(packets, key=lambda p: (p.injection_time, p.packet_id))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter("noc.packets").add(len(ordered))
-        for packet in ordered:
-            self.send(packet)
-        return self.delivered
-
     def run_batch(self, batch: PacketBatch) -> BatchResult:
         """Deliver a whole :class:`PacketBatch` through the array kernel.
 
-        Statistics accumulate into the same running sums :meth:`send` feeds,
-        in delivery order, so batches and single packets mix bit-identically.
+        Statistics accumulate into running sums in delivery order, seeded with
+        the totals of earlier batches, so any split of the traffic into
+        batches gives the same bits as a per-packet walk.
+
+        Raises:
+            ValueError: a column holds an out-of-range value (see
+                :func:`~repro.noc.fastpath.process_batch`).
         """
         from repro.obs.tracer import get_tracer
 
         tracer = get_tracer()
         if tracer.enabled:
             tracer.counter("noc.batches").add()
-        if tracer.enabled:
             tracer.counter("noc.packets").add(len(batch))
         result = process_batch(
             self._compiled, batch, self.config, self._next_free, self._flits_carried
         )
         # Sequential sums in delivery order, *seeded with the current running
-        # sum*, match per-packet accumulation in :meth:`send` bit for bit
-        # even across multiple batches or mixed send/run_batch usage.
+        # sum*, match per-packet accumulation bit for bit even across
+        # multiple batches.
         ordered_latency = result.latency[result.order]
         ordered_codes = result.class_code[result.order]
         self._latency_sum = sequential_sum(ordered_latency, initial=self._latency_sum)
@@ -169,14 +120,6 @@ class NocNetwork:
             sums[0] = sequential_sum(ordered_latency[mask], initial=sums[0])
             sums[1] += count
         return result
-
-    def _record(self, message_class: MessageClass, latency: float, hops: int) -> None:
-        self._delivered_count += 1
-        self._latency_sum += latency
-        self._hops_sum += hops
-        sums = self._class_sums.setdefault(message_class, [0.0, 0])
-        sums[0] += latency
-        sums[1] += 1
 
     # ------------------------------------------------------------------ stats
     def average_latency(self) -> float:

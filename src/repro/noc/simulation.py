@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from repro.noc.fastpath import MessageClass
 from repro.noc.metrics import NocAreaBreakdown, NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
-from repro.noc.packet import MessageClass
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
 from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch, require_count
 from repro.perfmodel.amat import LlcAccessLatency
@@ -234,8 +234,7 @@ class PodNocStudy:
     ) -> "tuple[float, float, float, float]":
         """The measurement body of :meth:`measure_latency` (span-wrapped)."""
         network = NocNetwork(topology, config)
-        # No Packet objects are ever materialized, and the batch is shared
-        # across topologies with identical node numbering.
+        # The batch is shared across topologies with identical node numbering.
         batch = _cached_traffic_batch(
             tuple(topology.core_nodes),
             tuple(topology.llc_nodes),

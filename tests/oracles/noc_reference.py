@@ -1,31 +1,82 @@
 """Per-packet NoC graph walk: the oracle for ``NocNetwork`` and ``PodNocStudy``.
 
-:class:`ReferenceNocNetwork` routes one ``Packet`` at a time along
+:class:`ReferenceNocNetwork` routes one :class:`Packet` at a time along
 ``topology.route``, charging the router pipeline, the wait for the link, the
 link latency and the tail serialization hop by hop, with one
-:class:`LinkState` per directed link.  The package compiles the topology into
-arrays and delivers whole batches through a wavefront kernel; the tests hold
+:class:`LinkState` per directed link.  Its :meth:`~ReferenceNocNetwork.run_batch`
+turns a :class:`~repro.noc.fastpath.PacketBatch` into packets
+(:func:`to_packets`) and walks them.  The package compiles the topology into
+route tables and delivers whole batches through the wavefront (or, on a cyclic
+channel dependency graph, the hop loop over the same tables); the tests hold
 the two to identical arrival times, hop counts and statistics.
 
-:func:`evaluate_reference` is the matching Figure 4.6 measurement: object
-traffic from :class:`~repro.noc.traffic.BilateralTrafficGenerator` replayed
-through the reference network, for every (topology, workload) point of a
+:func:`evaluate_reference` is the matching Figure 4.6 measurement: the
+package's bilateral traffic batch replayed packet by packet through the
+reference network, for every (topology, workload) point of a
 :class:`~repro.noc.simulation.PodNocStudy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.noc.fastpath import BatchResult, PacketBatch
+from repro.noc.fastpath import CLASS_CODES, CLASS_ORDER, BatchResult, MessageClass, PacketBatch
 from repro.noc.network import NocConfig
-from repro.noc.packet import MessageClass, Packet
 from repro.noc.simulation import NocSimulationResult, PodNocStudy
 from repro.noc.topology import NocTopology
-from repro.noc.traffic import BilateralTrafficGenerator
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
+
+
+@dataclass
+class Packet:
+    """One network packet; ``flits`` 0 means "sized by the network config"."""
+
+    source: int
+    destination: int
+    message_class: MessageClass
+    injection_time: float
+    flits: int = 0
+    packet_id: int = -1
+    arrival_time: float = -1.0
+    hops: int = 0
+
+
+def to_packets(batch: PacketBatch) -> "list[Packet]":
+    """One :class:`Packet` per batch row, in batch (emission) order."""
+    return [
+        Packet(
+            source=src,
+            destination=dst,
+            message_class=CLASS_ORDER[code],
+            injection_time=t,
+            flits=flits,
+            packet_id=pid,
+        )
+        for src, dst, code, t, flits, pid in zip(
+            batch.source.tolist(),
+            batch.destination.tolist(),
+            batch.class_code.tolist(),
+            batch.injection_time.tolist(),
+            batch.flits.tolist(),
+            batch.packet_id.tolist(),
+        )
+    ]
+
+
+def rows_batch(*rows: "tuple[int, int, MessageClass, float]") -> PacketBatch:
+    """A batch of hand-written ``(source, destination, message_class,
+    injection_time)`` rows, sized by the network config, ids 0, 1, ..."""
+    return PacketBatch(
+        injection_time=np.array([row[3] for row in rows], dtype=np.float64),
+        source=np.array([row[0] for row in rows], dtype=np.int64),
+        destination=np.array([row[1] for row in rows], dtype=np.int64),
+        class_code=np.array([CLASS_CODES[row[2]] for row in rows], dtype=np.int64),
+        flits=np.zeros(len(rows), dtype=np.int64),
+        packet_id=np.arange(len(rows), dtype=np.int64),
+    )
 
 
 @dataclass
@@ -43,7 +94,6 @@ class ReferenceNocNetwork:
     def __init__(self, topology: NocTopology, config: "NocConfig | None" = None):
         self.topology = topology
         self.config = config or NocConfig()
-        self.delivered: "list[Packet]" = []
         self._delivered_count = 0
         self._latency_sum = 0.0
         self._hops_sum = 0
@@ -54,8 +104,6 @@ class ReferenceNocNetwork:
         """Route ``packet`` hop by hop; returns its arrival time."""
         if packet.flits <= 0:
             packet.flits = self.config.flits_for(packet.message_class)
-        if packet.flits <= 0:
-            packet.flits = packet.default_flits()
         path = self.topology.route(packet.source, packet.destination)
         time = packet.injection_time
         for a, b in zip(path[:-1], path[1:]):
@@ -74,7 +122,6 @@ class ReferenceNocNetwork:
         time += packet.flits - 1
         packet.arrival_time = time
         packet.hops = len(path) - 1
-        self.delivered.append(packet)
         latency = time - packet.injection_time
         self._delivered_count += 1
         self._latency_sum += latency
@@ -84,17 +131,25 @@ class ReferenceNocNetwork:
         sums[1] += 1
         return time
 
-    def run(self, packets: "Iterable[Packet]") -> "list[Packet]":
-        """Send ``packets`` in injection-time order; returns the delivered list."""
-        for packet in sorted(packets, key=lambda p: (p.injection_time, p.packet_id)):
-            self.send(packet)
-        return self.delivered
-
     def run_batch(self, batch: PacketBatch) -> BatchResult:
-        """Materialize ``batch`` into packets and replay them through :meth:`run`."""
-        delivered_before = len(self.delivered)
-        self.run(batch.to_packets())
-        return _batch_result_from_packets(self.delivered[delivered_before:], batch)
+        """Walk ``batch``'s packets (:func:`to_packets`) one at a time in
+        delivery order: injection time, ties broken by packet id."""
+        packets = to_packets(batch)
+        order = sorted(
+            range(len(packets)),
+            key=lambda i: (packets[i].injection_time, packets[i].packet_id),
+        )
+        for index in order:
+            self.send(packets[index])
+        arrival = np.array([p.arrival_time for p in packets], dtype=np.float64)
+        return BatchResult(
+            arrival_time=arrival,
+            latency=arrival - batch.injection_time,
+            hops=np.array([p.hops for p in packets], dtype=np.int64),
+            flits=np.array([p.flits for p in packets], dtype=np.int64),
+            class_code=batch.class_code,
+            order=np.array(order, dtype=np.int64),
+        )
 
     def average_latency(self) -> float:
         """Average end-to-end packet latency."""
@@ -124,42 +179,23 @@ class ReferenceNocNetwork:
         return min(1.0, busiest / elapsed_cycles)
 
 
-def _batch_result_from_packets(
-    packets: "Sequence[Packet]", batch: PacketBatch
-) -> BatchResult:
-    """Assemble a :class:`BatchResult` from object-delivered packets.
-
-    ``packets`` arrive in delivery order; the result columns follow batch
-    order, re-aligned through the (unique) packet ids.
-    """
-    by_id = {p.packet_id: p for p in packets}
-    packets = [by_id[pid] for pid in batch.packet_id.tolist()]
-    arrival = np.array([p.arrival_time for p in packets], dtype=np.float64)
-    return BatchResult(
-        arrival_time=arrival,
-        latency=arrival - batch.injection_time,
-        hops=np.array([p.hops for p in packets], dtype=np.int64),
-        flits=np.array([p.flits for p in packets], dtype=np.int64),
-        class_code=batch.class_code,
-        order=np.lexsort((batch.packet_id, batch.injection_time)),
-    )
-
-
 def evaluate_reference(
     study: PodNocStudy,
     topology_names: "Sequence[str]" = ("mesh", "fbfly", "nocout"),
 ) -> "list[NocSimulationResult]":
-    """``study.evaluate()`` measured with object traffic and the reference walk."""
+    """``study.evaluate()`` measured packet by packet with the reference walk."""
     results = []
     for name in topology_names:
         topology = study.build_topology(name)
         for workload in study.suite:
             network = ReferenceNocNetwork(topology, study.config)
-            generator = BilateralTrafficGenerator(
-                topology, workload, per_core_ipc=0.5, seed=study.seed
-            )
-            network.run(
-                generator.generate(
+            network.run_batch(
+                generate_bilateral_batch(
+                    core_nodes=topology.core_nodes,
+                    llc_nodes=topology.llc_nodes,
+                    injection_rate=bilateral_injection_rate(workload, per_core_ipc=0.5),
+                    snoop_fraction=workload.snoop_fraction,
+                    seed=study.seed,
                     duration_cycles=study.duration_cycles,
                     active_cores=study.active_cores_for(workload),
                 )

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.noc.fastpath import CLASS_CODES, PacketBatch
-from repro.noc.packet import MessageClass
+from repro.noc.fastpath import CLASS_CODES, MessageClass, PacketBatch
 
 _REQUEST = CLASS_CODES[MessageClass.DATA_REQUEST]
 _SNOOP = CLASS_CODES[MessageClass.SNOOP_REQUEST]
@@ -92,4 +91,23 @@ def reference_bilateral_batch(
             )
         )
         packet_base += block_len
-    return PacketBatch.concatenate(blocks)
+    return concatenate(blocks)
+
+
+def concatenate(batches: "list[PacketBatch]") -> PacketBatch:
+    """Stack ``batches`` into one, in order (an empty list gives an empty batch)."""
+    if not batches:
+        return PacketBatch(*(np.empty(0, dtype=d) for d in (np.float64,) + (np.int64,) * 5))
+    return PacketBatch(
+        *(
+            np.concatenate([getattr(b, column) for b in batches])
+            for column in (
+                "injection_time",
+                "source",
+                "destination",
+                "class_code",
+                "flits",
+                "packet_id",
+            )
+        )
+    )

@@ -2,16 +2,18 @@
 
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.noc_reference import rows_batch
 from oracles.noc_routes import shortest_route, weighted_digraph
 
+from repro.noc.fastpath import CLASS_CODES, MessageClass, PacketBatch
 from repro.noc.metrics import NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
-from repro.noc.packet import MessageClass, Packet
 from repro.noc.simulation import PodNocStudy
 from repro.noc.topology import NocTopology, build_flattened_butterfly, build_mesh, build_nocout
-from repro.noc.traffic import BilateralTrafficGenerator
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.workloads import WorkloadSuite, get_workload
 
 
@@ -92,24 +94,34 @@ class TestTopologies:
             assert b in mesh.successors[a]
 
 
+def _web_search_traffic(topology, duration_cycles, seed=2):
+    workload = get_workload("Web Search")
+    return generate_bilateral_batch(
+        core_nodes=topology.core_nodes,
+        llc_nodes=topology.llc_nodes,
+        injection_rate=bilateral_injection_rate(workload, per_core_ipc=0.5),
+        snoop_fraction=workload.snoop_fraction,
+        seed=seed,
+        duration_cycles=duration_cycles,
+    )
+
+
 class TestNocNetwork:
     def test_zero_load_single_packet(self):
         mesh = build_mesh(cores=16)
         network = NocNetwork(mesh)
-        packet = Packet(source=0, destination=15, message_class=MessageClass.DATA_REQUEST, injection_time=0.0)
-        arrival = network.send(packet)
-        assert arrival == pytest.approx(mesh.zero_load_latency(0, 15, flits=1))
-        assert packet.latency > 0
+        result = network.run_batch(rows_batch((0, 15, MessageClass.DATA_REQUEST, 0.0)))
+        assert result.arrival_time[0] == pytest.approx(mesh.zero_load_latency(0, 15, flits=1))
+        assert result.latency[0] > 0
         assert network.average_hops() == len(mesh.route(0, 15)) - 1
 
     def test_contention_delays_second_packet(self):
         mesh = build_mesh(cores=16)
         network = NocNetwork(mesh)
-        first = Packet(0, 3, MessageClass.RESPONSE, injection_time=0.0)
-        second = Packet(0, 3, MessageClass.RESPONSE, injection_time=0.0, packet_id=1)
-        network.send(first)
-        network.send(second)
-        assert second.latency > first.latency
+        result = network.run_batch(
+            rows_batch((0, 3, MessageClass.RESPONSE, 0.0), (0, 3, MessageClass.RESPONSE, 0.0))
+        )
+        assert result.latency[1] > result.latency[0]
 
     def test_response_longer_than_request(self):
         config = NocConfig(link_width_bits=128)
@@ -117,51 +129,50 @@ class TestNocNetwork:
         narrow = NocConfig(link_width_bits=32)
         assert narrow.flits_for(MessageClass.RESPONSE) > config.flits_for(MessageClass.RESPONSE)
 
-    def test_undelivered_packet_latency_raises(self):
-        packet = Packet(0, 1, MessageClass.DATA_REQUEST, injection_time=0.0)
-        with pytest.raises(ValueError):
-            _ = packet.latency
+    def test_stats_before_any_delivery_are_zero(self):
+        network = NocNetwork(build_mesh(cores=16))
+        network.run_batch(rows_batch())
+        assert network.average_latency() == 0.0
+        assert network.average_hops() == 0.0
+        assert network.average_latency_by_class() == {}
+        assert network.total_flit_hops() == 0
 
-    def test_run_sorts_by_injection_time(self):
+    def test_delivery_order_is_injection_time(self):
         mesh = build_mesh(cores=16)
         network = NocNetwork(mesh)
-        packets = [
-            Packet(0, 5, MessageClass.DATA_REQUEST, injection_time=10.0, packet_id=1),
-            Packet(1, 5, MessageClass.DATA_REQUEST, injection_time=0.0, packet_id=2),
-        ]
-        delivered = network.run(packets)
-        assert len(delivered) == 2
+        result = network.run_batch(
+            rows_batch((0, 5, MessageClass.DATA_REQUEST, 10.0), (1, 5, MessageClass.DATA_REQUEST, 0.0))
+        )
+        assert result.order.tolist() == [1, 0]
+        assert len(result) == 2
         assert network.total_flit_hops() > 0
 
 
 class TestTraffic:
     def test_bilateral_traffic_shape(self):
         mesh = build_mesh(cores=16)
-        workload = get_workload("Web Search")
-        generator = BilateralTrafficGenerator(mesh, workload, per_core_ipc=0.5, seed=2)
-        packets = generator.generate(duration_cycles=2000)
-        summary = generator.summarize(packets, 2000)
-        assert summary.requests == summary.responses
-        assert summary.snoops <= summary.requests * 0.1
+        batch = _web_search_traffic(mesh, 2000)
+        requests = batch.class_code == CLASS_CODES[MessageClass.DATA_REQUEST]
+        responses = batch.class_code == CLASS_CODES[MessageClass.RESPONSE]
+        snoops = batch.class_code == CLASS_CODES[MessageClass.SNOOP_REQUEST]
+        assert requests.sum() == responses.sum() > 0
+        assert snoops.sum() <= requests.sum() * 0.1
+        assert requests.sum() + responses.sum() + snoops.sum() == len(batch)
         # Requests originate at cores and target LLC nodes.
-        for packet in packets[:200]:
-            if packet.message_class is MessageClass.DATA_REQUEST:
-                assert packet.source in mesh.core_nodes
-                assert packet.destination in mesh.llc_nodes
+        assert set(batch.source[requests].tolist()) <= set(mesh.core_nodes)
+        assert set(batch.destination[requests].tolist()) <= set(mesh.llc_nodes)
 
     def test_injection_rate_tracks_workload(self):
-        mesh = build_mesh(cores=16)
-        heavy = BilateralTrafficGenerator(mesh, get_workload("Data Serving"), per_core_ipc=0.5, seed=2)
-        light = BilateralTrafficGenerator(mesh, get_workload("SAT Solver"), per_core_ipc=0.5, seed=2)
-        assert heavy.injection_rate > light.injection_rate
+        heavy = bilateral_injection_rate(get_workload("Data Serving"), per_core_ipc=0.5)
+        light = bilateral_injection_rate(get_workload("SAT Solver"), per_core_ipc=0.5)
+        assert heavy > light
 
     def test_invalid_arguments(self):
         mesh = build_mesh(cores=16)
-        with pytest.raises(ValueError):
-            BilateralTrafficGenerator(mesh, get_workload("Web Search"), per_core_ipc=0)
-        generator = BilateralTrafficGenerator(mesh, get_workload("Web Search"))
-        with pytest.raises(ValueError):
-            generator.generate(duration_cycles=0)
+        with pytest.raises(ValueError, match="^per_core_ipc"):
+            bilateral_injection_rate(get_workload("Web Search"), per_core_ipc=0)
+        with pytest.raises(ValueError, match="^duration_cycles"):
+            _web_search_traffic(mesh, 0)
 
 
 class TestAreaAndPower:

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.noc_reference import ReferenceNocNetwork, evaluate_reference
+from oracles.noc_reference import ReferenceNocNetwork, evaluate_reference, rows_batch
 from repro.faults.events import LinkFault
 from repro.faults.noc import apply_link_faults
 from repro.noc import fastpath
-from repro.noc.fastpath import CLASS_CODES, PacketBatch, compile_topology, sequential_sum
+from repro.noc.fastpath import (
+    CLASS_CODES,
+    MessageClass,
+    PacketBatch,
+    compile_topology,
+    sequential_sum,
+)
 from repro.noc.network import NocConfig, NocNetwork
-from repro.noc.packet import MessageClass, Packet
 from repro.noc.simulation import PodNocStudy
 from repro.noc.topology import (
     TOPOLOGY_BUILDERS,
@@ -21,7 +26,7 @@ from repro.noc.topology import (
     build_mesh,
     build_nocout,
 )
-from repro.noc.traffic import BilateralTrafficGenerator, generate_bilateral_batch
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.workloads import WorkloadSuite, get_workload
 
 TOPOLOGY_BUILDERS = {
@@ -33,11 +38,18 @@ DURATION = 1_200
 ACTIVE_CORES = 32
 
 
-def _traffic(topology, seed=3):
-    generator = BilateralTrafficGenerator(
-        topology, get_workload("Web Search"), per_core_ipc=0.5, seed=seed
+def _traffic(topology, duration_cycles, active_cores=None, seed=3):
+    """Web Search's bilateral traffic over ``topology`` at 0.5 IPC per core."""
+    workload = get_workload("Web Search")
+    return generate_bilateral_batch(
+        core_nodes=topology.core_nodes,
+        llc_nodes=topology.llc_nodes,
+        injection_rate=bilateral_injection_rate(workload, per_core_ipc=0.5),
+        snoop_fraction=workload.snoop_fraction,
+        seed=seed,
+        duration_cycles=duration_cycles,
+        active_cores=active_cores,
     )
-    return generator
 
 
 @pytest.mark.parametrize("topology_name", ["mesh", "fbfly", "nocout"])
@@ -49,21 +61,13 @@ class TestFastpathEquivalence:
         config = NocConfig(link_width_bits=link_width_bits)
 
         reference = ReferenceNocNetwork(build(64), config)
-        packets = _traffic(reference.topology).generate(DURATION, ACTIVE_CORES)
-        reference.run(packets)
-        reference_arrivals = {p.packet_id: p.arrival_time for p in reference.delivered}
-        reference_hops = {p.packet_id: p.hops for p in reference.delivered}
-
         fast = NocNetwork(build(64), config)
-        batch = _traffic(fast.topology).generate_batch(DURATION, ACTIVE_CORES)
-        result = fast.run_batch(batch)
-        fast_arrivals = dict(
-            zip(batch.packet_id.tolist(), result.arrival_time.tolist())
-        )
-        fast_hops = dict(zip(batch.packet_id.tolist(), result.hops.tolist()))
+        batch = _traffic(fast.topology, DURATION, ACTIVE_CORES)
+        want = reference.run_batch(batch)
+        got = fast.run_batch(batch)
 
-        assert fast_arrivals == reference_arrivals  # exact float equality
-        assert fast_hops == reference_hops
+        assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
+        assert got.hops.tolist() == want.hops.tolist()
         assert fast.average_latency() == reference.average_latency()
         assert fast.average_latency_by_class() == reference.average_latency_by_class()
         assert fast.average_hops() == reference.average_hops()
@@ -72,29 +76,10 @@ class TestFastpathEquivalence:
             DURATION
         )
 
-    def test_send_matches_batch_kernel(self, topology_name, link_width_bits):
-        """Per-packet ``send`` equals the batch kernel."""
-        build = TOPOLOGY_BUILDERS[topology_name]
-        config = NocConfig(link_width_bits=link_width_bits)
-
-        batch_network = NocNetwork(build(64), config)
-        batch = _traffic(batch_network.topology).generate_batch(DURATION, ACTIVE_CORES)
-        result = batch_network.run_batch(batch)
-
-        send_network = NocNetwork(build(64), config)
-        packets = _traffic(send_network.topology).generate(DURATION, ACTIVE_CORES)
-        send_network.run(packets)
-
-        by_id = {p.packet_id: p for p in send_network.delivered}
-        for pid, arrival in zip(batch.packet_id.tolist(), result.arrival_time.tolist()):
-            assert by_id[pid].arrival_time == arrival
-        assert send_network.average_latency() == batch_network.average_latency()
-        assert send_network.total_flit_hops() == batch_network.total_flit_hops()
-
 
 class TestPodStudyEquivalence:
     def test_full_study_results_identical(self):
-        """`PodNocStudy` rows exactly equal the object-traffic reference walk."""
+        """`PodNocStudy` rows exactly equal the per-packet reference walk."""
         suite = WorkloadSuite((get_workload("Web Search"), get_workload("Data Serving")))
         study = PodNocStudy(duration_cycles=1_000, suite=suite, seed=2)
         assert study.evaluate() == evaluate_reference(study)
@@ -103,40 +88,16 @@ class TestPodStudyEquivalence:
 class TestPacketBatch:
     def test_generate_batch_is_deterministic(self):
         mesh = build_mesh(64)
-        a = _traffic(mesh, seed=7).generate_batch(DURATION, ACTIVE_CORES)
-        b = _traffic(mesh, seed=7).generate_batch(DURATION, ACTIVE_CORES)
+        a = _traffic(mesh, DURATION, ACTIVE_CORES, seed=7)
+        b = _traffic(mesh, DURATION, ACTIVE_CORES, seed=7)
         for column in ("injection_time", "source", "destination", "class_code", "flits", "packet_id"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_different_seeds_differ(self):
         mesh = build_mesh(64)
-        a = _traffic(mesh, seed=7).generate_batch(DURATION, ACTIVE_CORES)
-        b = _traffic(mesh, seed=8).generate_batch(DURATION, ACTIVE_CORES)
+        a = _traffic(mesh, DURATION, ACTIVE_CORES, seed=7)
+        b = _traffic(mesh, DURATION, ACTIVE_CORES, seed=8)
         assert not np.array_equal(a.injection_time, b.injection_time)
-
-    def test_object_adapter_roundtrip(self):
-        """generate() == generate_batch().to_packets(), field for field."""
-        mesh = build_mesh(64)
-        batch = _traffic(mesh).generate_batch(DURATION, ACTIVE_CORES)
-        packets = _traffic(mesh).generate(DURATION, ACTIVE_CORES)
-        assert len(batch) == len(packets)
-        for packet, (src, dst, t, pid) in zip(
-            packets,
-            zip(
-                batch.source.tolist(),
-                batch.destination.tolist(),
-                batch.injection_time.tolist(),
-                batch.packet_id.tolist(),
-            ),
-        ):
-            assert (packet.source, packet.destination) == (src, dst)
-            assert packet.injection_time == t
-            assert packet.packet_id == pid
-            assert isinstance(packet.source, int)
-
-        rebuilt = PacketBatch.from_packets(packets)
-        assert np.array_equal(rebuilt.injection_time, batch.injection_time)
-        assert np.array_equal(rebuilt.class_code, batch.class_code)
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="mismatched length"):
@@ -172,24 +133,23 @@ class TestMixedUsage:
         fast = NocNetwork(build_mesh(64), config)
         reference = ReferenceNocNetwork(build_mesh(64), config)
         for seed in (3, 4, 5):
-            batch = _traffic(fast.topology, seed=seed).generate_batch(600, ACTIVE_CORES)
+            batch = _traffic(fast.topology, 600, ACTIVE_CORES, seed=seed)
             fast.run_batch(batch)
-            reference.run(
-                _traffic(reference.topology, seed=seed).generate(600, ACTIVE_CORES)
-            )
+            reference.run_batch(batch)
         assert fast.average_latency() == reference.average_latency()
         assert fast.average_latency_by_class() == reference.average_latency_by_class()
         assert fast.total_flit_hops() == reference.total_flit_hops()
 
-    def test_send_after_batch_sees_link_state(self):
-        """Contention persists across run_batch and send."""
+    def test_later_batch_sees_link_state(self):
+        """Contention persists across run_batch calls."""
         mesh = build_mesh(16)
         network = NocNetwork(mesh)
-        first = Packet(0, 3, MessageClass.RESPONSE, injection_time=0.0, packet_id=0)
-        second = Packet(0, 3, MessageClass.RESPONSE, injection_time=0.0, packet_id=1)
-        network.run_batch(PacketBatch.from_packets([first]))
-        network.send(second)
-        assert second.latency > mesh.zero_load_latency(0, 3, flits=second.flits)
+        packet = rows_batch((0, 3, MessageClass.RESPONSE, 0.0))
+        first = network.run_batch(packet)
+        second = network.run_batch(packet)
+        zero_load = mesh.zero_load_latency(0, 3, flits=int(first.flits[0]))
+        assert first.latency[0] == zero_load
+        assert second.latency[0] > zero_load
 
 
 COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
@@ -270,9 +230,7 @@ class TestWavefrontEquivalence:
         reference = ReferenceNocNetwork(topology, config)
         for network in (fast, reference):
             if warmup:  # non-zero next-free times before the first batch
-                network.send(
-                    Packet(0, nodes - 1, MessageClass.RESPONSE, injection_time=1.0, packet_id=-1)
-                )
+                network.run_batch(rows_batch((0, nodes - 1, MessageClass.RESPONSE, 1.0)))
         for batch in (first, second):
             got = fast.run_batch(batch)
             want = reference.run_batch(batch)
@@ -328,7 +286,9 @@ class TestWavefrontEquivalence:
 class TestKernelDispatch:
     """The wavefront serves every acyclic CDG; only a cyclic one takes the loop."""
 
-    def _kernels_used(self, monkeypatch, topology):
+    @staticmethod
+    def _spy_kernels(monkeypatch):
+        """Record the name of every kernel ``process_batch`` calls."""
         used = []
         for name in ("_wavefront", "_hop_loop"):
             kernel = getattr(fastpath, name)
@@ -338,10 +298,11 @@ class TestKernelDispatch:
                 return _kernel(*args)
 
             monkeypatch.setattr(fastpath, name, spy)
-        batch = BilateralTrafficGenerator(
-            topology, get_workload("Web Search"), per_core_ipc=0.5, seed=3
-        ).generate_batch(400)
-        NocNetwork(topology).run_batch(batch)
+        return used
+
+    def _kernels_used(self, monkeypatch, topology):
+        used = self._spy_kernels(monkeypatch)
+        NocNetwork(topology).run_batch(_traffic(topology, 400))
         return used
 
     @pytest.mark.parametrize("name", ["mesh", "fbfly", "nocout"])
@@ -357,6 +318,57 @@ class TestKernelDispatch:
         assert not compile_topology(topology).acyclic
         assert self._kernels_used(monkeypatch, topology) == ["_hop_loop"]
 
+    def test_loop_reads_tables_grown_across_batches(self, monkeypatch):
+        """A fresh faulted mesh compiled batch by batch: the first batch's
+        routes (sources 0-6) leave the CDG acyclic, so the wavefront runs;
+        the second adds 7 -> 0, whose route 7-6-2-1-0 closes the cycle
+        2->3->7->6->2 with routes 2 -> 15, 3 -> 14 and 6 -> 3 of the first
+        batch, so the hop loop runs over route offsets that both
+        ``compile_pairs`` calls appended."""
+        topology = apply_link_faults(build_mesh(16), (LinkFault(link=(5, 6), severity="down"),))
+        compiled = compile_topology(topology)
+        rng = np.random.default_rng(11)
+
+        def batch(sources, lead, first_id, size=300):
+            """Random rows from ``sources``, after one row per ``lead`` pair."""
+            source = rng.choice(sources, size=size)
+            destination = rng.integers(16, size=size)
+            source[: len(lead)], destination[: len(lead)] = zip(*lead)
+            return PacketBatch(
+                # A coarse time grid, so packets tie and contend.
+                injection_time=rng.integers(0, 40, size=size) * 0.5,
+                source=source.astype(np.int64),
+                destination=destination.astype(np.int64),
+                class_code=rng.integers(3, size=size),
+                flits=rng.choice([0, 0, 1, 3], size=size).astype(np.int64),
+                packet_id=first_id + rng.permutation(size).astype(np.int64),
+            )
+
+        first = batch(np.arange(7), [(2, 15), (3, 14), (6, 3)], first_id=0)
+        second = batch(np.arange(16), [(7, 0)], first_id=len(first))
+        used = self._spy_kernels(monkeypatch)
+        fast = NocNetwork(topology)
+        reference = ReferenceNocNetwork(topology)
+
+        got = fast.run_batch(first)
+        assert used == ["_wavefront"] and compiled.acyclic
+        first_hops = len(compiled.hop_link)
+        assert compiled.route_length[7 * 16 + 0] == -1
+        want = reference.run_batch(first)
+        assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
+
+        got = fast.run_batch(second)
+        assert used == ["_wavefront", "_hop_loop"] and not compiled.acyclic
+        offsets = compiled.route_offset[second.source * 16 + second.destination]
+        assert offsets.min() < first_hops <= compiled.route_offset[7 * 16 + 0]
+        want = reference.run_batch(second)
+        assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
+        assert got.hops.tolist() == want.hops.tolist()
+        assert fast.average_latency() == reference.average_latency()
+        assert fast.average_latency_by_class() == reference.average_latency_by_class()
+        assert fast.total_flit_hops() == reference.total_flit_hops()
+        assert fast.max_link_utilization(20.0) == reference.max_link_utilization(20.0)
+
 
 class TestNodeRange:
     @pytest.mark.parametrize("column", ["source", "destination"])
@@ -364,11 +376,33 @@ class TestNodeRange:
     def test_out_of_range_node_rejected(self, column, node):
         """Regression: 0 -> 64 on a 64-node mesh decoded as pair (1, 0) and
         was delivered over a wrong one-hop route."""
-        packet = Packet(0, 5, MessageClass.DATA_REQUEST, injection_time=0.0, packet_id=0)
-        setattr(packet, column, node)
+        batch = rows_batch((0, 5, MessageClass.DATA_REQUEST, 0.0))
+        getattr(batch, column)[0] = node
         network = NocNetwork(build_mesh(64))
         with pytest.raises(ValueError, match=rf"{column}.*0\.\.63"):
-            network.run_batch(PacketBatch.from_packets([packet]))
+            network.run_batch(batch)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            # Regression: -1 indexed the flit table from the end and ran as
+            # a 5-flit response counted in no class; 3 died in an IndexError.
+            ("class_code", -1, r"'class_code' holds class codes outside 0\.\.2"),
+            ("class_code", 3, r"'class_code' holds class codes outside 0\.\.2"),
+            # Regression: a negative flit count was sized by the config like 0.
+            ("flits", -1, r"'flits' holds negative flit counts"),
+        ],
+    )
+    def test_bad_class_code_or_flits_rejected(self, column, value, message):
+        batch = rows_batch(
+            (0, 5, MessageClass.DATA_REQUEST, 0.0), (5, 0, MessageClass.RESPONSE, 4.0)
+        )
+        getattr(batch, column)[1] = value
+        network = NocNetwork(build_mesh(64))
+        with pytest.raises(ValueError, match=f"^PacketBatch column {message}$"):
+            network.run_batch(batch)
+        assert network.average_latency_by_class() == {}
+        assert network.total_flit_hops() == 0
 
 
 class TestSnoopVictims:

@@ -11,11 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles.noc_traffic import reference_bilateral_batch
 from repro.noc.simulation import PodNocStudy
 from repro.noc.topology import TOPOLOGY_BUILDERS, build_mesh
-from repro.noc.traffic import (
-    BilateralTrafficGenerator,
-    bilateral_injection_rate,
-    generate_bilateral_batch,
-)
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.workloads import get_workload
 
 COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
@@ -153,13 +149,13 @@ class TestGeneratorInputChecks:
             _assert_byte_equal(got, want)
 
 
-class TestGeneratorObjectInputChecks:
+class TestRateLawInputChecks:
     @pytest.mark.parametrize("per_core_ipc", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_ipc_named_at_construction(self, per_core_ipc):
+    def test_bad_ipc_named_by_rate_law(self, per_core_ipc):
         """Regression: a NaN IPC passed ``per_core_ipc <= 0`` and surfaced
         later as a bad ``injection_rate``."""
         with pytest.raises(ValueError, match="^per_core_ipc"):
-            BilateralTrafficGenerator(build_mesh(16), get_workload("Web Search"), per_core_ipc)
+            bilateral_injection_rate(get_workload("Web Search"), per_core_ipc)
 
 
 class TestStudyInputChecks:
