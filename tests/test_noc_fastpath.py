@@ -36,6 +36,7 @@ TOPOLOGY_BUILDERS = {
 }
 DURATION = 1_200
 ACTIVE_CORES = 32
+COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
 
 
 def _traffic(topology, duration_cycles, active_cores=None, seed=3):
@@ -76,6 +77,29 @@ class TestFastpathEquivalence:
             DURATION
         )
 
+    def test_row_by_row_batches_match_one_batch(self, topology_name, link_width_bits):
+        """One-row batches in delivery order equal one batch, bit for bit:
+        link state and the seeded running sums carry across calls."""
+        build = TOPOLOGY_BUILDERS[topology_name]
+        config = NocConfig(link_width_bits=link_width_bits)
+
+        whole = NocNetwork(build(64), config)
+        batch = _traffic(whole.topology, DURATION, ACTIVE_CORES)
+        result = whole.run_batch(batch)
+
+        by_row = NocNetwork(build(64), config)
+        for index in result.order.tolist():
+            row = by_row.run_batch(
+                PacketBatch(**{name: getattr(batch, name)[index : index + 1] for name in COLUMNS})
+            )
+            assert row.arrival_time[0] == result.arrival_time[index]
+            assert row.hops[0] == result.hops[index]
+        assert by_row.average_latency() == whole.average_latency()
+        assert by_row.average_latency_by_class() == whole.average_latency_by_class()
+        assert by_row.average_hops() == whole.average_hops()
+        assert by_row.total_flit_hops() == whole.total_flit_hops()
+        assert by_row.max_link_utilization(DURATION) == whole.max_link_utilization(DURATION)
+
 
 class TestPodStudyEquivalence:
     def test_full_study_results_identical(self):
@@ -90,7 +114,7 @@ class TestPacketBatch:
         mesh = build_mesh(64)
         a = _traffic(mesh, DURATION, ACTIVE_CORES, seed=7)
         b = _traffic(mesh, DURATION, ACTIVE_CORES, seed=7)
-        for column in ("injection_time", "source", "destination", "class_code", "flits", "packet_id"):
+        for column in COLUMNS:
             assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_different_seeds_differ(self):
@@ -152,7 +176,6 @@ class TestMixedUsage:
         assert second.latency[0] > zero_load
 
 
-COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
 DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None)
 
 
