@@ -32,8 +32,7 @@ from repro.faults.events import FaultSchedule
 from repro.faults.generator import FaultLoadConfig, FaultLoadGenerator
 from repro.faults.noc import apply_link_faults, undirected_links
 from repro.noc.simulation import PodNocStudy, _cached_topology
-from repro.noc.traffic import require_count
-from repro.perfmodel.analytic import require_positive_finite
+from repro.perfmodel.analytic import require_count, require_positive_finite
 from repro.runtime.executor import SweepExecutor
 from repro.service.cluster import ClusterConfig, simulate_cluster
 from repro.service.sizing import ClusterSizer

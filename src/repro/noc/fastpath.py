@@ -109,6 +109,13 @@ class PacketBatch:
         return len(self.injection_time)
 
 
+def _cycle_table(cycles: "list[int]") -> np.ndarray:
+    """``cycles`` as int16 when every value fits, as on any healthy topology,
+    else as int64 (a heavily degraded link)."""
+    table = np.array(cycles, dtype=np.int64)
+    return table.astype(np.int16) if table.max(initial=0) <= np.iinfo(np.int16).max else table
+
+
 class CompiledTopology:
     """A :class:`NocTopology` flattened into integer arrays for the kernel.
 
@@ -134,18 +141,16 @@ class CompiledTopology:
         pairs = self.num_nodes * self.num_nodes
         self._link_of = np.full(pairs, -1, dtype=np.int32)
         self._link_of[[a * self.num_nodes + b for a, b in links]] = np.arange(self.num_links)
-        self.link_latency = np.array(
-            [topology.link(a, b).latency_cycles for a, b in links], dtype=np.int16
-        )
+        self.link_latency = _cycle_table([topology.link(a, b).latency_cycles for a, b in links])
         pipelines = topology.router_pipeline_cycles
-        self._node_pipeline = np.array(
-            [pipelines.get(node, 1) for node in range(self.num_nodes)], dtype=np.int16
+        self._node_pipeline = _cycle_table(
+            [pipelines.get(node, 1) for node in range(self.num_nodes)]
         )
         #: the pipeline of the router each link leaves.
         self.link_pipeline = self._node_pipeline[[a for a, _ in links]]
         self.route_offset = np.zeros(pairs, dtype=np.int32)
         self.route_length = np.full(pairs, -1, dtype=np.int16)
-        self.route_tail = np.zeros(pairs, dtype=np.int16)
+        self.route_tail = np.zeros(pairs, dtype=self._node_pipeline.dtype)
         self.hop_link = np.empty(0, dtype=np.int32)
         # Channel dependency graph (CDG) of the compiled routes: an edge
         # ``(l1, l2)`` means some route leaves link l1 onto link l2.

@@ -18,9 +18,9 @@ from repro.noc.fastpath import MessageClass
 from repro.noc.metrics import NocAreaBreakdown, NocAreaModel, NocPowerModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
-from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch, require_count
+from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.perfmodel.amat import LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig, require_count
 from repro.runtime.executor import SweepExecutor
 from repro.technology.node import NODE_32NM, TechnologyNode
 from repro.workloads.profile import WorkloadProfile

@@ -12,11 +12,11 @@ occasional snoop) packets for the NoC simulator.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from repro.noc.fastpath import CLASS_CODES, MessageClass, PacketBatch
+from repro.perfmodel.analytic import require_count
 from repro.workloads.profile import WorkloadProfile
 
 _REQUEST = CLASS_CODES[MessageClass.DATA_REQUEST]
@@ -40,12 +40,6 @@ def bilateral_injection_rate(
         raise ValueError(f"per_core_ipc must be positive and finite, got {per_core_ipc!r}")
     apki = workload.llc_accesses_per_kilo_instruction(core_type)
     return apki / 1000.0 * per_core_ipc
-
-
-def require_count(name: str, value: object, minimum: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def generate_bilateral_batch(

@@ -19,6 +19,7 @@ the workload/core MLP.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -43,6 +44,12 @@ def require_positive_finite(**fields: float) -> None:
             valid = False
         if not valid:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_count(name: str, value: object, minimum: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

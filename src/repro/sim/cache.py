@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 
 @dataclass
@@ -17,59 +17,48 @@ class CacheStats:
     evictions: int = 0
     writebacks: int = 0
 
-    @property
-    def miss_ratio(self) -> float:
-        """Fraction of accesses that missed (0 when the cache was never accessed)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of accesses that hit."""
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
 
 class _LazySets(dict):
     """Set index -> LRU ``dict[tag, dirty]``, each set built on first access.
 
-    A set that the last :meth:`SetAssociativeCache.fill_lines` planned is
-    built from its slice of the plan's tags; any other set starts empty.
+    :meth:`SetAssociativeCache.fill_ranges` leaves the sets it installs as
+    runs of consecutive indices that hold identical tags: a set not built
+    yet is built from its run's template, and any other set starts empty.
 
     Attributes:
-        tags: the planned tags, grouped by set, each group in fill order.
-        lo: per set index, where the set's kept tags start in ``tags``.
-        hi: per set index, where they end; ``lo == hi`` for an unplanned set.
-        pending_lines: lines held by the planned sets not yet built.
+        starts: the first set index of each run, ascending from 0.
+        templates: per run, the tags its pending sets hold, LRU first
+            (empty for a run that holds nothing).
+        pending_lines: lines held by the templated sets not yet built.
     """
 
-    __slots__ = ("tags", "lo", "hi", "pending_lines")
+    __slots__ = ("starts", "templates", "pending_lines")
 
     def __init__(self) -> None:
         super().__init__()
-        self.tags: "np.ndarray | None" = None
-        self.lo: "list[int]" = []
-        self.hi: "list[int]" = []
+        self.starts: "list[int]" = [0]
+        self.templates: "list[tuple[int, ...]]" = [()]
         self.pending_lines = 0
 
     def __missing__(self, index: int) -> "dict[int, bool]":
         cache_set: "dict[int, bool]" = {}
         if self.pending_lines:
-            lo, hi = self.lo[index], self.hi[index]
-            if lo < hi:
-                self.pending_lines -= hi - lo
-                cache_set = dict.fromkeys(self.tags[lo:hi].tolist(), False)
+            template = self.templates[bisect_right(self.starts, index) - 1]
+            if template:
+                self.pending_lines -= len(template)
+                cache_set = dict.fromkeys(template, False)
         self[index] = cache_set
         return cache_set
 
-    def build_pending(self) -> None:
-        """Build every planned set not built yet."""
+    def build_pending(self, num_sets: int) -> None:
+        """Build every templated set not built yet."""
         if self.pending_lines:
-            for index, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-                if lo < hi and index not in self:
-                    self[index]
+            ends = self.starts[1:] + [num_sets]
+            for start, end, template in zip(self.starts, ends, self.templates):
+                if template:
+                    for index in range(start, end):
+                        if index not in self:
+                            self[index]
 
 
 class SetAssociativeCache:
@@ -113,7 +102,7 @@ class SetAssociativeCache:
         self.num_sets = capacity_bytes // line_bytes // associativity
         # Each set is an insertion-ordered dict tag -> dirty in LRU order
         # (first = LRU, last = MRU); a hit re-inserts its tag at the end.
-        # Sets are built on first access (see fill_lines).
+        # Sets are built on first access (see fill_ranges).
         self._sets = _LazySets()
         self.stats = CacheStats()
 
@@ -123,11 +112,6 @@ class SetAssociativeCache:
         return line_addr % self.num_sets, line_addr // self.num_sets
 
     # ----------------------------------------------------------------- lookup
-    def contains(self, address: int) -> bool:
-        """Whether the line holding ``address`` is resident (no LRU update, no stats)."""
-        index, tag = self._index_and_tag(address)
-        return tag in self._sets[index]
-
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access the cache; returns True on a hit.
 
@@ -163,55 +147,76 @@ class SetAssociativeCache:
         cache_set[tag] = dirty
         return evicted_address
 
-    def fill_lines(self, addresses: "np.ndarray | list[int]") -> None:
-        """Install the lines holding ``addresses`` clean, in order.
+    def fill_ranges(self, ranges: "list[tuple[int, int]]") -> None:
+        """Install lines ``first .. first + count - 1`` of each ``(first, count)``
+        range clean, range by range, as one :meth:`fill` per line would.
 
-        Leaves the same sets and :class:`CacheStats` as ``fill(a)`` for each
-        address in turn, from any starting state.  Sets are independent, so
-        each is handled on its own: an empty set that receives distinct tags
-        ends up holding the last ``associativity`` of them, in fill order and
-        clean, and every earlier tag is one eviction of a clean line (no
-        writeback).  Such a set is not built here: its evictions are counted
-        now, and it keeps a plan -- its slice of the tags grouped by set --
-        from which its LRU dict is built the first time anything reads it.
-        A set that is already occupied, or that receives a tag twice,
-        replays its own addresses through :meth:`fill`.  Sets still pending
+        Lines are addresses divided by ``line_bytes``; overlapping ranges
+        raise ``ValueError`` before anything changes.  Range ``[F, F + c)``
+        gives set ``s`` the tags ``range(t, t + n)``, where ``(base, phase) =
+        divmod(F, S)``, ``(q, rem) = divmod(c, S)``, ``t = base + (s <
+        phase)`` and ``n = q + ((s - phase) % S < rem)``; so the sets split
+        at each ``phase`` and ``(phase + rem) % S`` into at most ``2R + 1``
+        runs that receive the same distinct tags.  An empty set keeps the
+        last ``associativity`` of them, clean, and evicts the rest unwritten:
+        each run counts its evictions and lines at once and keeps those tags
+        as the template its sets are built from on first read.  Occupied
+        sets replay their lines through :meth:`fill`; sets still pending
         from an earlier call are built first.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
+        ranges = [(first, count) for first, count in ranges if count]
+        end = None
+        for first, count in sorted(ranges):
+            if count < 0:
+                raise ValueError(f"fill_ranges needs counts >= 0, got range ({first}, {count})")
+            if end is not None and first < end:
+                raise ValueError(
+                    f"fill_ranges needs disjoint ranges, got {previous} and ({first}, {count}) "
+                    f"as (first line, count)"
+                )
+            previous, end = (first, count), first + count
+        if not ranges:
             return
+        num_sets, ways = self.num_sets, self.associativity
         sets = self._sets
-        sets.build_pending()
-        line_addrs = addresses // self.line_bytes
-        tags, set_indices = np.divmod(line_addrs, self.num_sets)
-        order = np.argsort(set_indices, kind="stable")
-        # Set s receives addresses[order[ends[s] - counts[s]:ends[s]]], in order.
-        counts = np.bincount(set_indices, minlength=self.num_sets)
-        ends = np.cumsum(counts)
-        replay = np.zeros(self.num_sets, dtype=bool)
-        # A stable sort merges ascending runs, such as a warm-up's regions, in
-        # linear time.
-        ordered = np.sort(line_addrs, kind="stable")
-        replay[ordered[1:][ordered[1:] == ordered[:-1]] % self.num_sets] = True
-        replay[[index for index, cache_set in sets.items() if cache_set]] = True
-        # Only the last ``associativity`` tags of a set survive its fills.
-        kept = np.where(replay, 0, np.minimum(counts, self.associativity))
-        lo = ends - kept
-        for index in np.flatnonzero(kept).tolist() if sets else ():
-            sets.pop(index, None)  # an empty set built by an earlier read
-        sets.tags = tags[order]
-        sets.lo, sets.hi = lo.tolist(), ends.tolist()
-        sets.pending_lines = int(kept.sum())
-        self.stats.evictions += int((counts - kept)[~replay].sum())
-        for index in np.flatnonzero(replay & (counts > 0)).tolist():
-            for position in order[ends[index] - counts[index] : ends[index]].tolist():
-                self.fill(int(addresses[position]))
+        sets.build_pending(num_sets)
+        shapes = []  # per range: (base, phase, q, rem)
+        starts = {0}
+        for first, count in ranges:
+            base, phase = divmod(first, num_sets)
+            q, rem = divmod(count, num_sets)
+            shapes.append((base, phase, q, rem))
+            starts.update((phase, (phase + rem) % num_sets))
+        starts = sorted(starts)
 
-    def invalidate(self, address: int) -> bool:
-        """Remove the line holding ``address``; returns True if it was resident."""
-        index, tag = self._index_and_tag(address)
-        return self._sets[index].pop(tag, None) is not None
+        def given(index: int) -> "list[range]":
+            """The tags the ranges give set ``index``, range by range."""
+            tags = []
+            for base, phase, q, rem in shapes:
+                first_tag = base + (index < phase)
+                tags.append(range(first_tag, first_tag + q + ((index - phase) % num_sets < rem)))
+            return tags
+
+        occupied = []
+        for index in sorted(sets):
+            if sets[index]:
+                occupied.append(index)
+            else:
+                del sets[index]  # an empty set built by an earlier read
+        templates = []
+        pending = evicted = 0
+        for start, stop in zip(starts, starts[1:] + [num_sets]):
+            received = tuple(chain.from_iterable(given(start)))
+            template = received[-ways:]
+            templates.append(template)
+            width = stop - start - (bisect_left(occupied, stop) - bisect_left(occupied, start))
+            pending += width * len(template)
+            evicted += width * (len(received) - len(template))
+        sets.starts, sets.templates, sets.pending_lines = starts, templates, pending
+        self.stats.evictions += evicted
+        for index in occupied:
+            for tag in chain.from_iterable(given(index)):
+                self.fill((tag * num_sets + index) * self.line_bytes)
 
     # ------------------------------------------------------------------ sizes
     @property

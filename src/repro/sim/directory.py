@@ -83,7 +83,3 @@ class Directory:
         line = self._line(address)
         self._sharers.pop(line, None)
         self._owner.pop(line, None)
-
-    def sharers_of(self, address: int) -> "frozenset[int]":
-        """Cores currently recorded as sharing ``address``."""
-        return frozenset(self._sharers.get(self._line(address), set()))

@@ -51,13 +51,6 @@ class SimulationStats:
         return sum(ipcs) / len(ipcs)
 
     @property
-    def llc_miss_ratio(self) -> float:
-        """Fraction of LLC accesses that missed."""
-        if self.llc_accesses == 0:
-            return 0.0
-        return self.llc_misses / self.llc_accesses
-
-    @property
     def snoop_fraction(self) -> float:
         """Fraction of LLC accesses that triggered a snoop to a core (Figure 4.3)."""
         if self.llc_accesses == 0:
@@ -77,8 +70,3 @@ class SimulationStats:
         if self.llc_accesses == 0:
             return 0.0
         return self.network_latency_cycles_total / self.llc_accesses
-
-    @property
-    def average_network_latency(self) -> float:
-        """Alias of :attr:`network_latency_avg` kept for older callers."""
-        return self.network_latency_avg

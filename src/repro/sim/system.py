@@ -12,12 +12,10 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import core_model
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import SystemConfig
+from repro.perfmodel.analytic import SystemConfig, require_count
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.core import TraceDrivenCore
 from repro.sim.directory import Directory
@@ -148,11 +146,14 @@ class SimulatedSystem:
         hold less of the capturable content.
 
         The result equals one clean :meth:`SetAssociativeCache.fill` per line
-        in that order: each bank's lines are computed from the regions' line
-        ranges and installed with one :meth:`SetAssociativeCache.fill_lines`
-        per bank.  That call counts the evictions and resident lines at once
-        but builds a set only when the measured window first reads it, so the
-        sets the window never touches are never built.
+        in that order.  A region's lines in one bank are one contiguous range
+        of the bank's local lines, so each bank takes one
+        :meth:`SetAssociativeCache.fill_ranges` call with at most four
+        ``(first line, count)`` ranges.  That call splits the bank's sets
+        into at most nine runs of identical contents, counts their evictions
+        and resident lines by run width, and keeps one template per run; a
+        set is built from its template only when the measured window first
+        reads it, so the sets the window never touches are never built.
         """
         total_lines = sum(bank.num_sets * bank.associativity for bank in self.banks)
         remaining = int(total_lines * 0.95)
@@ -168,21 +169,20 @@ class SimulatedSystem:
             return
         for bank_id, bank in enumerate(self.banks):
             # A region's lines in this bank are every num_banks-th line from
-            # its first line ``l`` with ``l % num_banks == bank_id``.
-            local_lines = []
+            # its first line ``l`` with ``l % num_banks == bank_id``; they are
+            # consecutive local lines from ``l // num_banks``.
+            ranges = []
             for first, count in regions:
                 skip = (bank_id - first) % self.num_banks
-                local_lines.append(
-                    (first + skip) // self.num_banks
-                    + np.arange(len(range(skip, count, self.num_banks)), dtype=np.int64)
+                ranges.append(
+                    ((first + skip) // self.num_banks, len(range(skip, count, self.num_banks)))
                 )
-            bank.fill_lines(np.concatenate(local_lines) * self._line_bytes)
+            bank.fill_ranges(ranges)
 
     # -------------------------------------------------------------------- run
     def run(self, instructions_per_core: int = 20_000, warmup: bool = True) -> SimulationStats:
         """Generate traces, run every core, and aggregate the statistics."""
-        if instructions_per_core <= 0:
-            raise ValueError("instructions_per_core must be positive")
+        require_count("instructions_per_core", instructions_per_core, 1)
         generator = SyntheticTraceGenerator(
             self.workload,
             cores=self.config.cores,

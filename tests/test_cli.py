@@ -194,6 +194,24 @@ class TestRun:
         assert err == f"error: {message}"
         assert built == []
 
+    @pytest.mark.parametrize("experiment", ["figure_3_3", "figure_4_3"])
+    @pytest.mark.parametrize("value", ["0", "1.5", "True"])
+    def test_bad_instruction_count_is_one_line_error(self, capsys, experiment, value):
+        """Regression: ``1.5`` and ``True`` ran and printed rows; the check
+        is in ``SimulatedSystem.run``, which every simulated point calls."""
+        err = assert_rejected(capsys, "run", experiment, "--no-cache", "--serial",
+                              "--set", f"instructions_per_core={value}")
+        assert err == f"error: instructions_per_core must be an integer >= 1, got {value}"
+
+    def test_heavily_degraded_links_run(self, capsys):
+        """Regression: a 100,000x link latency overflowed the NoC's int16
+        latency table and ended in an ``OverflowError`` traceback."""
+        code, out, err = run_cli(capsys, "run", "fault_noc_links", "--no-cache", "--serial",
+                                 "--set", "degraded_links=2", "--set", "degradation_factor=100000",
+                                 "--set", "duration_cycles=500")
+        assert code == 0 and err == ""
+        assert "# fault_noc_links: cache=disabled" in out and "rows=5" in out
+
     def test_engine_override_is_unknown_key(self, capsys):
         """The fleet studies have one engine and no ``engine`` parameter."""
         err = assert_rejected(capsys, "run", "fleet_diurnal_day", "--no-cache",

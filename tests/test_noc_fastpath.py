@@ -306,6 +306,19 @@ class TestWavefrontEquivalence:
         assert one.hops.tolist() == two.hops.tolist()
 
 
+class TestCycleTables:
+    def test_tables_widen_only_for_values_past_int16(self):
+        """Regression: a 100,000x degraded link overflowed the int16 latency
+        table; healthy topologies keep their int16 tables."""
+        healthy = compile_topology(build_mesh(16))
+        assert healthy.link_latency.dtype == np.int16
+        assert healthy.link_pipeline.dtype == healthy.route_tail.dtype == np.int16
+        slow = apply_link_faults(build_mesh(16), (LinkFault(link=(5, 6), latency_factor=1e5),))
+        latencies = [slow.link(a, b).latency_cycles for a, b in slow.links()]
+        assert max(latencies) > np.iinfo(np.int16).max
+        assert compile_topology(slow).link_latency.tolist() == latencies
+
+
 class TestKernelDispatch:
     """The wavefront serves every acyclic CDG; only a cyclic one takes the loop."""
 

@@ -27,13 +27,23 @@ def _bank_states(system):
     return [(_lru_state(bank), bank.stats) for bank in system.banks]
 
 
+def _holds(cache, address):
+    """Whether the line holding ``address`` is resident; builds its set, no stats."""
+    index, tag = cache._index_and_tag(address)
+    return tag in cache._sets[index]
+
+
+def _sharers(directory, address):
+    """The cores the directory records as sharing ``address``."""
+    return directory._sharers.get(directory._line(address), set())
+
+
 class TestSimulationStats:
     def test_network_latency_avg(self):
         from repro.sim.stats import SimulationStats
 
         stats = SimulationStats(llc_accesses=4, network_latency_cycles_total=36.0)
         assert stats.network_latency_avg == 9.0
-        assert stats.average_network_latency == 9.0  # legacy alias
 
     def test_network_latency_avg_guards_zero_accesses(self):
         from repro.sim.stats import SimulationStats
@@ -110,6 +120,33 @@ class TestEventQueue:
         assert queue.pending == 1
 
 
+@st.composite
+def _disjoint_ranges(draw, max_first=20, max_count=40):
+    """Up to four disjoint ``(first line, count)`` ranges, some empty, in any order."""
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=max_first),
+                st.integers(min_value=0, max_value=max_count),
+            ),
+            max_size=4,
+        )
+    )
+    ranges, first = [], 0
+    for gap, count in pieces:
+        first += gap
+        ranges.append((first, count))
+        first += count
+    return draw(st.permutations(ranges))
+
+
+def _fill_loop(cache, ranges):
+    """One ``fill`` per line of each ``(first, count)`` range, in order."""
+    for first, count in ranges:
+        for line in range(first, first + count):
+            cache.fill(line * cache.line_bytes)
+
+
 class TestSetAssociativeCache:
     def test_hit_after_fill(self):
         cache = SetAssociativeCache(capacity_bytes=4096, associativity=2)
@@ -134,13 +171,6 @@ class TestSetAssociativeCache:
         cache.fill(64 * cache.num_sets)
         cache.fill(2 * 64 * cache.num_sets)
         assert cache.stats.writebacks == 1
-
-    def test_invalidate(self):
-        cache = SetAssociativeCache(capacity_bytes=4096)
-        cache.fill(0x40)
-        assert cache.invalidate(0x40)
-        assert not cache.invalidate(0x40)
-        assert not cache.contains(0x40)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,10 +217,9 @@ class TestSetAssociativeCache:
         cache.fill(2 * 64 * cache.num_sets)
         assert cache.stats.writebacks == 1
 
-    def test_fill_lines_keeps_last_ways_and_counts_evictions(self):
+    def test_fill_ranges_keeps_last_ways_and_counts_evictions(self):
         cache = SetAssociativeCache(capacity_bytes=2 * 64, associativity=2)
-        stride = 64 * cache.num_sets
-        cache.fill_lines([0, stride, 2 * stride, 3 * stride])
+        cache.fill_ranges([(0, 4)])
         assert _lru_state(cache) == [[(2, False), (3, False)]]
         assert cache.stats.evictions == 2 and cache.stats.writebacks == 0
         assert cache.stats.accesses == 0
@@ -204,12 +233,12 @@ class TestSetAssociativeCache:
             ),
             max_size=60,
         ),
-        lines=st.lists(st.integers(min_value=0, max_value=63), max_size=80),
+        ranges=_disjoint_ranges(),
     )
-    def test_fill_lines_equals_fill_loop(self, prior, lines):
-        # From any prior state (fills, hits, dirty writes), a bulk install of
-        # any address list -- duplicates included -- leaves the same LRU order,
-        # dirty bits and statistics as one fill per address.
+    def test_fill_ranges_equals_fill_loop(self, prior, ranges):
+        # From any prior state (fills, hits, dirty writes), a range install
+        # leaves the same LRU order, dirty bits and statistics as one fill
+        # per line, range by range.
         bulk, loop = (
             SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
         )
@@ -222,12 +251,57 @@ class TestSetAssociativeCache:
                     cache.fill(address, dirty=True)
                 else:
                     cache.access(address, is_write=op == "write")
-        addresses = [line * 64 + 5 for line in lines]
-        bulk.fill_lines(addresses)
-        for address in addresses:
-            loop.fill(address)
+        bulk.fill_ranges(ranges)
+        _fill_loop(loop, ranges)
         assert _lru_state(bulk) == _lru_state(loop)
         assert bulk.stats == loop.stats
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        num_sets=st.sampled_from((1, 3, 8, 64)),
+        ranges=_disjoint_ranges(max_first=600, max_count=300),
+    )
+    def test_at_most_two_templates_per_range_plus_one(self, num_sets, ranges):
+        # Each non-empty range splits the sets at most twice (its phase and
+        # phase + remainder), so R ranges leave at most 2R + 1 runs.  Ranges
+        # here may wrap the sets several times.
+        bulk, loop = (
+            SetAssociativeCache(capacity_bytes=num_sets * 4 * 64, associativity=4)
+            for _ in range(2)
+        )
+        bulk.fill_ranges(ranges)
+        nonempty = sum(1 for _, count in ranges if count)
+        assert len(bulk._sets.templates) <= 2 * nonempty + 1
+        assert len(bulk._sets) == 0
+        _fill_loop(loop, ranges)
+        assert bulk.resident_lines == loop.resident_lines
+        assert _lru_state(bulk) == _lru_state(loop)
+        assert bulk.stats == loop.stats
+
+    @pytest.mark.parametrize(
+        "ranges, named",
+        [
+            ([(0, 10), (20, 5), (8, 4)], "(0, 10) and (8, 4)"),  # partial overlap
+            ([(30, 2), (0, 40)], "(0, 40) and (30, 2)"),  # nested
+            ([(5, 3), (5, 3)], "(5, 3) and (5, 3)"),  # the same range twice
+            ([(0, 4), (9, -2)], "(9, -2)"),  # a negative count
+        ],
+    )
+    def test_overlapping_ranges_rejected_before_any_change(self, ranges, named):
+        rejected, untouched = (
+            SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
+        )
+        for cache in (rejected, untouched):
+            cache.fill(3 * 64, dirty=True)
+            cache.access(3 * 64)
+            cache.fill_ranges([(16, 20)])  # leaves sets pending
+        with pytest.raises(ValueError, match="fill_ranges") as caught:
+            rejected.fill_ranges(ranges)
+        assert named in str(caught.value) and "\n" not in str(caught.value)
+        assert len(rejected._sets) == len(untouched._sets)
+        assert rejected._sets.pending_lines == untouched._sets.pending_lines
+        assert rejected.stats == untouched.stats
+        assert _lru_state(rejected) == _lru_state(untouched)
 
 
 def _apply(cache, ops):
@@ -243,16 +317,14 @@ def _apply(cache, ops):
             results.append(cache.fill(address))
         elif op == "fill_dirty":
             results.append(cache.fill(address, dirty=True))
-        elif op == "contains":
-            results.append(cache.contains(address))
         else:
-            results.append(cache.invalidate(address))
+            results.append(_holds(cache, address))
     return results
 
 
 _CACHE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(("read", "write", "fill", "fill_dirty", "contains", "invalidate")),
+        st.sampled_from(("read", "write", "fill", "fill_dirty", "holds")),
         st.integers(min_value=0, max_value=63),
     ),
     max_size=60,
@@ -260,26 +332,25 @@ _CACHE_OPS = st.lists(
 
 
 class TestDeferredInstall:
-    """``fill_lines`` defers building a set until something reads it."""
+    """``fill_ranges`` defers building a set until something reads it."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         prior=_CACHE_OPS,
-        lines=st.lists(st.integers(min_value=0, max_value=63), max_size=80),
+        ranges=_disjoint_ranges(),
         after=_CACHE_OPS,
     )
-    def test_operations_after_fill_lines_equal_fill_loop(self, prior, lines, after):
-        # Sets left pending by the bulk install are built by whichever of
-        # access, fill, contains or invalidate reads them first; every call
-        # must return, and leave, what it would after a fill loop.
+    def test_operations_after_fill_ranges_equal_fill_loop(self, prior, ranges, after):
+        # Sets left pending by the range install are built from their run's
+        # template by whichever of access, fill or a test read reaches them
+        # first; every call must return, and leave, what it would after a
+        # fill loop.
         bulk, loop = (
             SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
         )
         assert _apply(bulk, prior) == _apply(loop, prior)
-        addresses = [line * 64 + 5 for line in lines]
-        bulk.fill_lines(addresses)
-        for address in addresses:
-            loop.fill(address)
+        bulk.fill_ranges(ranges)
+        _fill_loop(loop, ranges)
         assert bulk.resident_lines == loop.resident_lines
         assert bulk.stats == loop.stats
         assert _apply(bulk, after) == _apply(loop, after)
@@ -312,27 +383,27 @@ class TestDeferredInstall:
         first = generator.regions["instructions"].base
         bank = system.banks[system._bank_for(first)]
         resident = bank.resident_lines
-        assert bank.contains(system._bank_local_address(first))
+        assert _holds(bank, system._bank_local_address(first))
         assert len(bank._sets) == 1 and bank.resident_lines == resident
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
-        first=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=60),
-        touched=st.lists(st.integers(min_value=0, max_value=63), max_size=10),
-        second=st.lists(st.integers(min_value=0, max_value=63), max_size=60),
+        first=_disjoint_ranges(),
+        touched=_CACHE_OPS,
+        second=_disjoint_ranges(),
     )
-    def test_second_fill_lines_onto_pending_sets_equals_fill_loop(self, first, touched, second):
+    def test_second_fill_ranges_onto_pending_sets_equals_fill_loop(self, first, touched, second):
+        # The second install builds the first one's pending sets, replays
+        # every occupied set (some dirty after the touches) through fill and
+        # templates the rest; the two installs' ranges may overlap each other.
         bulk, loop = (
             SetAssociativeCache(capacity_bytes=8 * 2 * 64, associativity=2) for _ in range(2)
         )
-        bulk.fill_lines([line * 64 for line in first])
-        for line in first:
-            loop.fill(line * 64)
-        reads = [("contains", line) for line in touched]
-        assert _apply(bulk, reads) == _apply(loop, reads)
-        bulk.fill_lines([line * 64 for line in second])
-        for line in second:
-            loop.fill(line * 64)
+        bulk.fill_ranges(first)
+        _fill_loop(loop, first)
+        assert _apply(bulk, touched) == _apply(loop, touched)
+        bulk.fill_ranges(second)
+        _fill_loop(loop, second)
         assert bulk.resident_lines == loop.resident_lines
         assert _lru_state(bulk) == _lru_state(loop)
         assert bulk.stats == loop.stats
@@ -341,7 +412,8 @@ class TestDeferredInstall:
 class TestWarmCaches:
     """The bulk warm-up against the per-line oracle in ``tests/oracles``."""
 
-    @pytest.mark.parametrize("cores, llc_mb", [(1, 1), (2, 4), (8, 8), (32, 0.25)])
+    # (16, 8) is Figure 4.3's catalog point.
+    @pytest.mark.parametrize("cores, llc_mb", [(1, 1), (2, 4), (8, 8), (16, 8), (32, 0.25)])
     @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
     def test_matches_per_line_oracle(self, workload, cores, llc_mb):
         config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb)
@@ -350,6 +422,17 @@ class TestWarmCaches:
         bulk.warm_caches(generator)
         warm_caches_per_line(oracle, generator)
         assert _bank_states(bulk) == _bank_states(oracle)
+
+    @pytest.mark.parametrize("cores, llc_mb", [(2, 4), (16, 8), (32, 0.25)])
+    def test_at_most_two_templates_per_region_plus_one_per_bank(self, cores, llc_mb):
+        # Each warmed region is one range per bank, so a bank warmed from R
+        # regions holds at most 2R + 1 runs of identical sets.
+        workload = get_workload("SAT Solver")
+        system = SimulatedSystem(workload, SystemConfig(cores=cores, llc_capacity_mb=llc_mb))
+        generator = SyntheticTraceGenerator(workload, cores=cores, seed=1, core_type=system.core.name)
+        system.warm_caches(generator)
+        for bank in system.banks:
+            assert 1 <= len(bank._sets.templates) <= 2 * 4 + 1
 
     def test_warm_up_that_evicts_matches_oracle(self):
         # Set conflicts between regions make this warm-up evict lines.
@@ -385,7 +468,7 @@ class TestDirectory:
         directory = Directory()
         assert directory.access(0, 0x100, is_write=False) == 0
         assert directory.access(1, 0x100, is_write=False) == 0
-        assert directory.sharers_of(0x100) == frozenset({0, 1})
+        assert _sharers(directory, 0x100) == {0, 1}
 
     def test_write_invalidates_sharers(self):
         directory = Directory()
@@ -393,7 +476,7 @@ class TestDirectory:
         directory.access(1, 0x100, is_write=False)
         snoops = directory.access(2, 0x100, is_write=True)
         assert snoops == 2
-        assert directory.sharers_of(0x100) == frozenset({2})
+        assert _sharers(directory, 0x100) == {2}
 
     def test_read_of_modified_line_forwards(self):
         directory = Directory()
@@ -411,7 +494,7 @@ class TestDirectory:
         directory = Directory()
         directory.access(0, 0x100, is_write=True)
         directory.evict(0x100)
-        assert directory.sharers_of(0x100) == frozenset()
+        assert _sharers(directory, 0x100) == set()
 
     def test_snoop_fraction_statistic(self):
         directory = Directory()
@@ -503,7 +586,7 @@ class TestSimulatedSystem:
         config = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=4)
         cold = SimulatedSystem(workload, config, seed=3).run(4000, warmup=False)
         warm = SimulatedSystem(workload, config, seed=3).run(4000, warmup=True)
-        assert warm.llc_miss_ratio < cold.llc_miss_ratio
+        assert warm.llc_misses / warm.llc_accesses < cold.llc_misses / cold.llc_accesses
 
     def test_smaller_llc_misses_more(self):
         workload = get_workload("Web Search")
@@ -531,11 +614,12 @@ class TestSimulatedSystem:
         ratio = predicted.aggregate_ipc / simulated.aggregate_ipc
         assert 0.6 < ratio < 1.4
 
-    def test_invalid_run_length(self):
+    @pytest.mark.parametrize("instructions", [0, -3, 1.5, True])
+    def test_invalid_run_length(self, instructions):
         workload = get_workload("Web Search")
         config = SystemConfig(cores=2, llc_capacity_mb=2)
-        with pytest.raises(ValueError):
-            SimulatedSystem(workload, config).run(0)
+        with pytest.raises(ValueError, match="instructions_per_core must be an integer >= 1"):
+            SimulatedSystem(workload, config).run(instructions)
 
     @pytest.mark.parametrize("channels", [0, -1])
     def test_rejects_memory_channels_below_one(self, channels):
