@@ -1,8 +1,8 @@
 """Ensure the src/ layout is importable even without an installed package.
 
 Offline environments without the `wheel` package cannot complete a PEP 660
-editable install; adding src/ to sys.path keeps the test and benchmark suites
-runnable regardless of how (or whether) the package was installed.
+editable install; adding src/ to sys.path keeps the test suite runnable
+regardless of how (or whether) the package was installed.
 """
 
 import os

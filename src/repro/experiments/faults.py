@@ -26,6 +26,8 @@ envelope provenance and the CLI copies into the run ledger.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from typing import Sequence
 
 from repro.faults.events import FaultSchedule
@@ -379,6 +381,9 @@ def _noc_fault_point(
     }
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def noc_fault_sweep(
     topology: str = "mesh",
     cores: int = 64,
@@ -400,10 +405,25 @@ def noc_fault_sweep(
     paths.  A link whose removal would partition cores from LLC banks is
     heavily degraded instead of removed.
     """
+    healthy = _cached_topology(topology, cores)
+    # A degraded link's latency becomes ceil(latency * factor), and the NoC
+    # kernel keeps link latencies in an int64 table.
+    longest = max(healthy.link(a, b).latency_cycles for a, b in healthy.links())
+    if (
+        isinstance(degradation_factor, bool)
+        or not isinstance(degradation_factor, numbers.Real)
+        or not 1 <= degradation_factor < math.inf
+        or math.ceil(longest * degradation_factor) > _INT64_MAX
+    ):
+        raise ValueError(
+            "degradation_factor must be a finite number >= 1 that keeps every degraded "
+            f"link latency within int64 (about {_INT64_MAX / longest:.3g} on this "
+            f"topology), got {degradation_factor!r}"
+        )
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     profile = suite[workload]
-    links = undirected_links(_cached_topology(topology, cores))
+    links = undirected_links(healthy)
     schedules = [
         FaultLoadGenerator(
             FaultLoadConfig(

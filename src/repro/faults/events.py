@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 #: Severities a :class:`LinkFault` can carry.
@@ -107,8 +108,8 @@ class LinkFault:
             raise ValueError(
                 f"severity must be one of {LINK_SEVERITIES}, got {self.severity!r}"
             )
-        if self.latency_factor < 1.0:
-            raise ValueError("latency_factor must be >= 1")
+        if not 1.0 <= self.latency_factor < math.inf:  # NaN fails too
+            raise ValueError("latency_factor must be finite and >= 1")
         # Normalise tuple-ness so schedules hash identically however built.
         object.__setattr__(self, "link", (int(self.link[0]), int(self.link[1])))
 

@@ -23,6 +23,7 @@ mapping to real-world rates is a linear rescaling of the clock; see
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -60,20 +61,21 @@ class FaultLoadConfig:
     link_degradation_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.crash_intensity < 0:
-            raise ValueError("crash_intensity must be >= 0")
+        # Written so that NaN fails every range check.
+        if not 0 <= self.crash_intensity < math.inf:
+            raise ValueError("crash_intensity must be finite and >= 0")
         if not 0 < self.mttr_fraction < 1:
             raise ValueError("mttr_fraction must be in (0, 1)")
-        if self.straggler_intensity < 0:
-            raise ValueError("straggler_intensity must be >= 0")
+        if not 0 <= self.straggler_intensity < math.inf:
+            raise ValueError("straggler_intensity must be finite and >= 0")
         if not 0 < self.straggler_fraction < 1:
             raise ValueError("straggler_fraction must be in (0, 1)")
-        if self.straggler_slowdown < 1:
-            raise ValueError("straggler_slowdown must be >= 1")
+        if not 1 <= self.straggler_slowdown < math.inf:
+            raise ValueError("straggler_slowdown must be finite and >= 1")
         if self.num_failed_links < 0 or self.num_degraded_links < 0:
             raise ValueError("link fault counts must be >= 0")
-        if self.link_degradation_factor < 1:
-            raise ValueError("link_degradation_factor must be >= 1")
+        if not 1 <= self.link_degradation_factor < math.inf:
+            raise ValueError("link_degradation_factor must be finite and >= 1")
 
 
 class FaultLoadGenerator:

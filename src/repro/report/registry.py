@@ -14,6 +14,10 @@ direction (crashes cut availability, redundancy buys it back), or that the
 derived node family keeps the paper's anchor node byte-exact while the
 Pareto frontier shifts monotonically with technology.
 
+This is the only place a result is checked against the paper.  Every claim is
+stated at the catalog defaults, and every catalog experiment except
+``explore_pod_scale`` carries at least one.
+
 :func:`register_claims` wires the registry into a
 :class:`~repro.runtime.SpecCatalog` so specs carry their claims;
 :func:`claimed_catalog` returns the shared experiment catalog with every
@@ -60,10 +64,20 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows.application_ipc:max", "<=", expected=2.0,
     ),
     _relation(
+        "ch2-ipc-floor", "figure_2_1", "Figure 2.1",
+        "Every scale-out workload sustains an application IPC above 0.4",
+        "rows.application_ipc:min", ">", expected=0.4,
+    ),
+    _relation(
         "ch2-llc-saturates", "figure_2_2", "Figure 2.2",
         "Growing the LLC beyond 8 MB stops helping Data Serving",
         "rows[workload=Data Serving].16MB", "<",
         rhs_metric="rows[workload=Data Serving].8MB",
+    ),
+    _relation(
+        "ch2-llc-8mb-never-hurts", "figure_2_2", "Figure 2.2",
+        "No workload runs slower with an 8 MB LLC than with the 1 MB baseline",
+        "rows.8MB:min", ">=", rhs_metric="rows.1MB:max",
     ),
     _relation(
         "ch2-core-scaling-sublinear", "figure_2_3", "Figure 2.3",
@@ -71,10 +85,51 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows[cores=64].mesh_aggregate", "<",
         rhs_metric="rows[cores=64].ideal_aggregate",
     ),
+    _relation(
+        "ch2-mesh-per-core-256", "figure_2_3", "Figure 2.3",
+        "At 256 cores each core of the mesh-based chip runs slower than on the ideal interconnect",
+        "rows[cores=256].mesh_per_core", "<",
+        rhs_metric="rows[cores=256].ideal_per_core",
+    ),
+    _relation(
+        "ch2-components-listed", "table_2_1", "Table 2.1",
+        "The component table lists its six 40 nm building blocks",
+        "rows.component:count", "==", expected=6,
+    ),
+    _value(
+        "ch2-ooo-core-area", "table_2_1", "Table 2.1",
+        "An out-of-order core occupies 4.5 mm2 at 40 nm",
+        "rows[component=ooo_core].area_mm2", 4.5,
+    ),
+    _value(
+        "ch2-inorder-core-power", "table_2_1", "Table 2.1",
+        "An in-order core draws 0.48 W at 40 nm",
+        "rows[component=inorder_core].power_w", 0.48,
+    ),
+    _value(
+        "ch2-conventional-core-area", "table_2_1", "Table 2.1",
+        "A conventional core occupies 25 mm2 at 40 nm, over five OoO cores' worth",
+        "rows[component=conventional_core].area_mm2", 25.0,
+    ),
+    _relation(
+        "ch2-conventional-least-dense-40nm", "table_2_3", "Table 2.3",
+        "The conventional design has the lowest performance density at 40 nm",
+        "rows[design=Conventional].PD", "<=", rhs_metric="rows.PD:min",
+    ),
     _value(
         "ch2-ideal-inorder-pd", "table_2_3", "Table 2.3",
         "The ideal in-order organization tops the 40 nm designs at PD ~0.193",
         "rows[design=Ideal (In-order)].PD", 0.193, rel=0.03,
+    ),
+    _relation(
+        "ch2-conventional-least-dense-20nm", "table_2_4", "Table 2.4",
+        "The conventional design still has the lowest performance density at 20 nm",
+        "rows[design=Conventional].PD", "<=", rhs_metric="rows.PD:min",
+    ),
+    _relation(
+        "ch2-ideal-inorder-tops-20nm", "table_2_4", "Table 2.4",
+        "The ideal in-order organization tops the 20 nm designs on performance density",
+        "rows[design=Ideal (In-order)].PD", ">=", rhs_metric="rows.PD:max",
     ),
     # ----------------------------------------------------------- chapter 3
     _value(
@@ -88,6 +143,29 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows.relative_error:max_abs", "<=", expected=0.40,
     ),
     _relation(
+        "ch3-ooo-pd-floor", "figure_3_4", "Figure 3.4",
+        "The densest OoO pod in the sweep exceeds a performance density of 0.1",
+        "rows.performance_density:max", ">", expected=0.1,
+    ),
+    _relation(
+        "ch3-ooo-crossbar-below-ideal", "figure_3_4", "Figure 3.4",
+        "No OoO crossbar pod reaches the density of the best ideal-interconnect pod",
+        "rows[interconnect=crossbar].performance_density:max", "<",
+        rhs_metric="rows[interconnect=ideal].performance_density:max",
+    ),
+    _relation(
+        "ch3-ooo-mesh-below-crossbar", "figure_3_4", "Figure 3.4",
+        "The mesh's multi-hop latency keeps its best OoO pod below the best crossbar pod",
+        "rows[interconnect=mesh].performance_density:max", "<",
+        rhs_metric="rows[interconnect=crossbar].performance_density:max",
+    ),
+    _relation(
+        "ch3-ooo-crossbar-falls-past-peak", "figure_3_4", "Figure 3.4",
+        "Past its peak a crossbar pod loses density: 256 cores fall below 32 (4 MB LLC)",
+        "rows[interconnect=crossbar,llc_mb=4.0,cores=256].performance_density", "<",
+        rhs_metric="rows[interconnect=crossbar,llc_mb=4.0,cores=32].performance_density",
+    ),
+    _relation(
         "ch3-pod-cores", "figure_3_5", "Figure 3.5",
         "The performance-density sweep selects a 16-core pod",
         "data.selected_cores", "==", expected=16,
@@ -96,6 +174,23 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "ch3-pod-pd", "figure_3_5", "Figure 3.5",
         "Performance density of the selected crossbar pod",
         "data.selected_pd", 0.1488, rel=0.02,
+    ),
+    _relation(
+        "ch3-inorder-pd-floor", "figure_3_6", "Figure 3.6",
+        "The densest in-order pod in the sweep exceeds a performance density of 0.15",
+        "rows.performance_density:max", ">", expected=0.15,
+    ),
+    _relation(
+        "ch3-inorder-crossbar-peak-32", "figure_3_6", "Figure 3.6",
+        "The densest in-order crossbar pod has 32 cores, twice the OoO pod's 16",
+        "rows[interconnect=crossbar,cores=32].performance_density:max", ">=",
+        rhs_metric="rows[interconnect=crossbar].performance_density:max",
+    ),
+    _relation(
+        "ch3-inorder-mesh-below-crossbar", "figure_3_6", "Figure 3.6",
+        "The mesh's best in-order pod stays below the best crossbar pod",
+        "rows[interconnect=mesh].performance_density:max", "<",
+        rhs_metric="rows[interconnect=crossbar].performance_density:max",
     ),
     _relation(
         "ch3-scaleout-beats-tiled", "table_3_2", "Table 3.2",
@@ -132,26 +227,103 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         rhs_metric="rows[topology=mesh].total_mm2",
     ),
     _relation(
+        "ch4-fbfly-costliest", "figure_4_7", "Figure 4.7",
+        "The flattened butterfly needs more NoC area than the mesh",
+        "rows[topology=mesh].total_mm2", "<",
+        rhs_metric="rows[topology=fbfly].total_mm2",
+    ),
+    _relation(
         "ch4-area-normalized-nocout", "figure_4_8", "Figure 4.8",
         "Under an equal-area budget NOC-Out beats the flattened butterfly",
         "rows[topology=nocout].geomean", ">",
         rhs_metric="rows[topology=fbfly].geomean",
     ),
     _relation(
+        "ch4-area-normalized-beats-mesh", "figure_4_8", "Figure 4.8",
+        "Under an equal-area budget NOC-Out also outperforms the mesh",
+        "rows[topology=nocout].geomean", ">", expected=1.0,
+    ),
+    _relation(
         "ch4-snoops-rare", "figure_4_3", "Figure 4.3",
         "On average snoops are triggered by under 2% of LLC accesses",
         "rows[workload=MEAN].snoop_fraction_percent", "<=", expected=2.0,
     ),
+    _relation(
+        "ch4-snoops-non-negative", "figure_4_3", "Figure 4.3",
+        "No workload reports a negative snoop fraction",
+        "rows.snoop_fraction_percent:min", ">=", expected=0.0,
+    ),
+    _relation(
+        "ch4-params-cores", "table_4_1", "Table 4.1",
+        "The NOC-Out evaluation models a 64-core chip",
+        "rows[parameter=cores].value", "==", expected=64,
+    ),
+    _relation(
+        "ch4-params-llc", "table_4_1", "Table 4.1",
+        "The NOC-Out evaluation models an 8 MB LLC",
+        "rows[parameter=llc_mb].value", "==", expected=8.0,
+    ),
+    _relation(
+        "ch4-params-node", "table_4_1", "Table 4.1",
+        "The NOC-Out evaluation is set in 32 nm technology",
+        "rows[parameter=technology].value", "==", expected="32nm",
+    ),
     # ----------------------------------------------------------- chapter 5
+    _relation(
+        "ch5-chips-listed", "table_5_1", "Table 5.1",
+        "The chip table characterizes all seven server-chip designs",
+        "rows.design:count", "==", expected=7,
+    ),
+    _relation(
+        "ch5-scaleout-inorder-cores", "table_5_1", "Table 5.1",
+        "The Scale-Out (In-order) chip carries 96 cores (three 32-core pods)",
+        "rows[design=Scale-Out (In-order)].cores", "==", expected=96,
+    ),
+    _relation(
+        "ch5-scaleout-chip-cheaper", "table_5_1", "Table 5.1",
+        "The Scale-Out (In-order) chip sells for less than the conventional chip",
+        "rows[design=Scale-Out (In-order)].price_usd", "<",
+        rhs_metric="rows[design=Conventional].price_usd",
+    ),
+    _relation(
+        "ch5-tco-params-listed", "table_5_2", "Table 5.2",
+        "The TCO model lists at least eight cost parameters",
+        "rows.parameter:count", ">=", expected=8,
+    ),
+    _value(
+        "ch5-tco-pue", "table_5_2", "Table 5.2",
+        "The datacenter runs at a PUE of 1.3",
+        "rows[parameter=pue].value", 1.3,
+    ),
+    _value(
+        "ch5-tco-electricity", "table_5_2", "Table 5.2",
+        "Electricity costs $0.07 per kWh",
+        "rows[parameter=electricity_cost_per_kwh].value", 0.07,
+    ),
     _value(
         "ch5-scaleout-ooo-perf", "figure_5_1", "Figure 5.1",
         "Datacenter performance of Scale-Out (OoO) vs the conventional baseline",
         "rows[design=Scale-Out (OoO)].normalized_performance", 5.25, rel=0.03,
     ),
     _relation(
+        "ch5-scaleout-inorder-perf", "figure_5_1", "Figure 5.1",
+        "Scale-Out (In-order) more than doubles the conventional datacenter's performance",
+        "rows[design=Scale-Out (In-order)].normalized_performance", ">", expected=2.0,
+    ),
+    _relation(
         "ch5-scaleout-tco", "figure_5_2", "Figure 5.2",
         "Scale-Out (In-order) lowers datacenter TCO below the conventional baseline",
         "rows[design=Scale-Out (In-order)].normalized_tco", "<", expected=1.0,
+    ),
+    _relation(
+        "ch5-tco-band-low", "figure_5_2", "Figure 5.2",
+        "No design cuts datacenter TCO to half the conventional baseline or less",
+        "rows.normalized_tco:min", ">", expected=0.5,
+    ),
+    _relation(
+        "ch5-tco-band-high", "figure_5_2", "Figure 5.2",
+        "No design raises datacenter TCO to 1.5x the conventional baseline or more",
+        "rows.normalized_tco:max", "<", expected=1.5,
     ),
     _relation(
         "ch5-inorder-best-efficiency", "figure_5_3", "Figure 5.3",
@@ -160,12 +332,54 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         rhs_metric="rows[memory_gb=32].performance_per_tco:max",
     ),
     _relation(
+        "ch5-perf-per-tco-positive", "figure_5_3", "Figure 5.3",
+        "Every design delivers positive performance per TCO dollar at every memory size",
+        "rows.performance_per_tco:min", ">", expected=0.0,
+    ),
+    _relation(
+        "ch5-perf-per-watt-positive", "figure_5_4", "Figure 5.4",
+        "Every design delivers positive performance per Watt at every memory size",
+        "rows.performance_per_watt:min", ">", expected=0.0,
+    ),
+    _relation(
+        "ch5-inorder-best-perf-per-watt", "figure_5_4", "Figure 5.4",
+        "At 32 GB, Scale-Out (In-order) has the best performance per Watt",
+        "rows[design=Scale-Out (In-order),memory_gb=32].performance_per_watt", ">=",
+        rhs_metric="rows[memory_gb=32].performance_per_watt:max",
+    ),
+    _relation(
+        "ch5-scaleout-watt-beats-conventional", "figure_5_4", "Figure 5.4",
+        "Scale-Out (OoO) beats the conventional design on performance per Watt at every memory size",
+        "rows[design=Scale-Out (OoO)].performance_per_watt:min", ">",
+        rhs_metric="rows[design=Conventional].performance_per_watt:max",
+    ),
+    _relation(
         "ch5-price-robust", "figure_5_5", "Figure 5.5",
         "Scale-Out (In-order) beats the conventional design at every processor price",
         "rows[design=Scale-Out (In-order)].performance_per_tco:min", ">",
         rhs_metric="rows[design=Conventional].performance_per_tco:max",
     ),
+    _relation(
+        "ch5-prices-positive", "figure_5_5", "Figure 5.5",
+        "Every design has a positive processor price at every production volume",
+        "rows.price_usd:min", ">", expected=0.0,
+    ),
     # ----------------------------------------------------------- chapter 6
+    _relation(
+        "ch6-components-listed", "table_6_1", "Table 6.1",
+        "The 3D study's component table lists at least four building blocks",
+        "rows.component:count", ">=", expected=4,
+    ),
+    _value(
+        "ch6-inorder-core-area", "table_6_1", "Table 6.1",
+        "The 3D study keeps the 1.3 mm2 in-order core of the 2D designs",
+        "rows[component=inorder_core].area_mm2", 1.3,
+    ),
+    _relation(
+        "ch6-3d-pd-positive", "table_6_2", "Table 6.2",
+        "Every 2D and 3D configuration has a positive performance density",
+        "rows.performance_density:min", ">", expected=0.0,
+    ),
     _relation(
         "ch6-3d-gain-ooo", "table_6_2", "Table 6.2",
         "Four-die fixed-distance stacking raises OoO performance density over 2D",
@@ -178,6 +392,34 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "rows[strategy=fixed-distance,dies=4].performance_density", ">",
         rhs_metric="rows[strategy=fixed-pod,dies=4].performance_density",
     ),
+    _relation(
+        "ch6-ooo-3d-pd-floor", "figure_6_4", "Figure 6.4",
+        "The densest stacked OoO pod exceeds a performance density of 0.1",
+        "rows.performance_density:max", ">", expected=0.1,
+    ),
+    _relation(
+        "ch6-ooo-stacking-raises-pd", "figure_6_4", "Figure 6.4",
+        "The best four-die OoO pod is denser than the best single-die pod",
+        "rows[dies=4].performance_density:max", ">",
+        rhs_metric="rows[dies=1].performance_density:max",
+    ),
+    _relation(
+        "ch6-inorder-3d-pd-floor", "figure_6_6", "Figure 6.6",
+        "The densest stacked in-order pod exceeds a performance density of 0.15",
+        "rows.performance_density:max", ">", expected=0.15,
+    ),
+    _relation(
+        "ch6-inorder-stacking-raises-pd", "figure_6_6", "Figure 6.6",
+        "The best four-die in-order pod is denser than the best single-die pod",
+        "rows[dies=4].performance_density:max", ">",
+        rhs_metric="rows[dies=1].performance_density:max",
+    ),
+    _relation(
+        "ch6-inorder-fixed-distance-wins", "figure_6_7", "Figure 6.7",
+        "At three dies the fixed-distance strategy beats fixed-pod scaling for in-order cores",
+        "rows[strategy=fixed-distance,dies=3].performance_density", ">",
+        rhs_metric="rows[strategy=fixed-pod,dies=3].performance_density",
+    ),
     _value(
         "ch6-3d-pd-inorder", "table_6_2", "Table 6.2",
         "Performance density of the three-die fixed-distance in-order stack",
@@ -189,6 +431,21 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "ch7-latency-grows-with-load", "service_latency_sweep", "Study: latency sweep",
         "Tail latency rises as the offered load saturates the cluster",
         "rows[utilization=1.1].p99_ms", ">", rhs_metric="rows[utilization=0.2].p99_ms",
+    ),
+    _relation(
+        "ch7-p99-nondecreasing-0.8", "service_latency_sweep", "Study: latency sweep",
+        "p99 does not fall as the load rises from 0.5 to 0.8 of saturation",
+        "rows[utilization=0.8].p99_ms", ">=", rhs_metric="rows[utilization=0.5].p99_ms",
+    ),
+    _relation(
+        "ch7-p99-nondecreasing-0.95", "service_latency_sweep", "Study: latency sweep",
+        "p99 does not fall as the load rises from 0.8 to 0.95 of saturation",
+        "rows[utilization=0.95].p99_ms", ">=", rhs_metric="rows[utilization=0.8].p99_ms",
+    ),
+    _relation(
+        "ch7-p99-nondecreasing-1.1", "service_latency_sweep", "Study: latency sweep",
+        "p99 does not fall as the load rises from 0.95 to 1.1 of saturation",
+        "rows[utilization=1.1].p99_ms", ">=", rhs_metric="rows[utilization=0.95].p99_ms",
     ),
     _relation(
         "ch7-erlang-agreement", "service_latency_sweep", "Study: latency sweep",
@@ -212,6 +469,11 @@ PAPER_CLAIMS: "tuple[PaperClaim, ...]" = (
         "Scale-Out (OoO) meets the SLA at a lower monthly TCO",
         "rows[design=Scale-Out (OoO)].monthly_tco_usd", "<",
         rhs_metric="rows[design=Conventional].monthly_tco_usd",
+    ),
+    _relation(
+        "ch7-sizing-meets-sla", "service_cluster_sizing", "Study: cluster sizing",
+        "Every sized cluster keeps its p99 within the SLA",
+        "rows.p99_ms:max", "<=", rhs_metric="rows.sla_p99_ms:min",
     ),
     # ------------------------------------------- chapter 8 (beyond paper)
     _relation(

@@ -212,6 +212,19 @@ class TestRun:
         assert code == 0 and err == ""
         assert "# fault_noc_links: cache=disabled" in out and "rows=5" in out
 
+    @pytest.mark.parametrize("value, shown", [
+        ("1e30", "1e+30"), ("1e400", "inf"), ("nan", "'nan'"), ("0.5", "0.5"), ("True", "True"),
+    ])
+    def test_bad_degradation_factor_is_one_line_error(self, capsys, value, shown):
+        """Regression: ``1e30`` and ``1e400`` ended in an ``OverflowError``
+        traceback, ``nan`` in a ``TypeError`` traceback, and ``0.5`` blamed the
+        internal ``link_degradation_factor``."""
+        err = assert_rejected(capsys, "run", "fault_noc_links", "--no-cache", "--serial",
+                              "--set", "degraded_links=2", "--set", f"degradation_factor={value}",
+                              "--set", "duration_cycles=500")
+        assert err.startswith("error: degradation_factor must be a finite number >= 1 ")
+        assert err.endswith(f", got {shown}")
+
     def test_engine_override_is_unknown_key(self, capsys):
         """The fleet studies have one engine and no ``engine`` parameter."""
         err = assert_rejected(capsys, "run", "fleet_diurnal_day", "--no-cache",

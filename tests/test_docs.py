@@ -110,7 +110,7 @@ def test_report_md_matches_regeneration():
         "`python -m repro report --out docs/REPORT.md` and commit the result"
     )
     assert cold_run.count(Grade.FAIL) == 0
-    assert len(cold_run.graded) >= 20
+    assert len(cold_run.graded) >= 119
 
 
 def test_readme_mentions_catalog_and_tier1_command():

@@ -120,6 +120,16 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultLoadConfig(mttr_fraction=1.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_factors_rejected(self, value):
+        """Regression: NaN passed the ``< 1`` and ``< 0`` checks."""
+        with pytest.raises(ValueError, match="latency_factor must be finite"):
+            LinkFault(link=(0, 1), latency_factor=value)
+        for field in ("link_degradation_factor", "straggler_slowdown",
+                      "crash_intensity", "straggler_intensity"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                FaultLoadConfig(**{field: value})
+
     def test_availability_from_downtime(self):
         assert availability_from_downtime(4, 10.0, 0.0) == 1.0
         assert availability_from_downtime(4, 10.0, 4.0) == pytest.approx(0.9)

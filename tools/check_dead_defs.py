@@ -28,7 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 AUDITED = "src"
 
 #: Trees whose Python files count as uses, relative to the repository root.
-SEARCHED = ("src", "tests", "benchmarks", "examples", "perfbench", "tools")
+SEARCHED = ("src", "tests", "examples", "perfbench", "tools")
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
