@@ -121,14 +121,18 @@ class TestFaultSchedule:
             FaultLoadConfig(mttr_fraction=1.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_factors_rejected(self, value):
+    @pytest.mark.parametrize("build, field", [
+        pytest.param(lambda **kw: LinkFault(link=(0, 1), **kw), "latency_factor",
+                     id="latency_factor"),
+        *(pytest.param(FaultLoadConfig, field, id=field) for field in (
+            "link_degradation_factor", "straggler_slowdown",
+            "crash_intensity", "straggler_intensity",
+        )),
+    ])
+    def test_non_finite_factors_rejected(self, build, field, value):
         """Regression: NaN passed the ``< 1`` and ``< 0`` checks."""
-        with pytest.raises(ValueError, match="latency_factor must be finite"):
-            LinkFault(link=(0, 1), latency_factor=value)
-        for field in ("link_degradation_factor", "straggler_slowdown",
-                      "crash_intensity", "straggler_intensity"):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                FaultLoadConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(**{field: value})
 
     def test_availability_from_downtime(self):
         assert availability_from_downtime(4, 10.0, 0.0) == 1.0
@@ -344,6 +348,28 @@ class TestFaultSweeps:
         result = run_experiment("table_4_1", use_cache=False)
         assert "fault_seed" not in result.provenance
         assert "fault_schedule_digest" not in result.provenance
+
+    @pytest.mark.parametrize("value", [
+        0, 0.999, -math.inf, 1e19, False, None, "4",
+    ], ids=repr)
+    def test_noc_fault_sweep_rejects_bad_degradation_factor(self, value):
+        """The check runs before any schedule or simulation: ``1e19`` cycles
+        overflow the kernel's int64 latency table, and a bool or string is
+        not a factor even where it compares like one."""
+        from repro.experiments.faults import noc_fault_sweep
+
+        with pytest.raises(ValueError, match="^degradation_factor must be a finite number >= 1 "):
+            noc_fault_sweep(degradation_factor=value, executor=SweepExecutor(mode="serial"))
+
+    def test_noc_fault_sweep_accepts_integer_factor_one(self):
+        """The lower bound is inclusive: a factor of 1 degrades nothing."""
+        from repro.experiments.faults import noc_fault_sweep
+
+        payload = noc_fault_sweep(
+            failed_links=(0, 1), degraded_links=2, degradation_factor=1,
+            duration_cycles=500, executor=SweepExecutor(mode="serial"),
+        )
+        assert [row["degraded_links"] for row in payload["sweep"]] == [0, 2]
 
     def test_noc_fault_sweep_zero_point_matches_healthy_study(self):
         from repro.experiments.faults import noc_fault_sweep

@@ -14,6 +14,7 @@ from repro.report import (
     render_svg,
     resolve_path,
 )
+from repro.experiments.registry import CATALOG
 from repro.report.paths import MetricPathError
 from repro.report.validate import select_claims
 from repro.runtime.cache import ResultCache
@@ -211,12 +212,22 @@ class TestRegistry:
         chapters = {catalog.get(c.experiment_id).chapter for c in claims}
         assert chapters == {2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 
-    def test_every_catalog_experiment_carries_a_claim(self):
+    @pytest.mark.parametrize(
+        "experiment_id", [i for i in CATALOG.ids() if i != "explore_pod_scale"]
+    )
+    def test_catalog_experiment_carries_a_claim(self, experiment_id):
         """The report grades every catalog experiment except
-        ``explore_pod_scale``, whose frontier has no exhaustive ground truth
-        yet, and every claim names a catalog experiment."""
-        from repro.experiments.registry import CATALOG
+        ``explore_pod_scale``, and a paper figure or table is graded against
+        that artifact: ``figure_5_4`` needs a claim citing "Figure 5.4"."""
+        sources = {c.source for c in PAPER_CLAIMS if c.experiment_id == experiment_id}
+        assert sources, f"{experiment_id} carries no claim"
+        kind, _, number = experiment_id.partition("_")
+        if kind in ("figure", "table"):
+            assert f"{kind.title()} {number.replace('_', '.')}" in sources
 
+    def test_every_claim_names_a_catalog_experiment(self):
+        """``explore_pod_scale`` is the one ungraded experiment: its frontier
+        has no exhaustive ground truth yet."""
         claimed = {claim.experiment_id for claim in PAPER_CLAIMS}
         assert claimed <= set(CATALOG.ids())
         assert set(CATALOG.ids()) - claimed == {"explore_pod_scale"}
