@@ -44,12 +44,13 @@ class ServerCrash:
     restart_s: float
 
     def __post_init__(self) -> None:
+        # The time and slowdown checks are written so that NaN fails them.
         if self.server < 0:
             raise ValueError("server index must be >= 0")
-        if self.at_s < 0:
-            raise ValueError("crash time must be non-negative")
-        if self.restart_s <= self.at_s:
-            raise ValueError("restart_s must be after at_s")
+        if not self.at_s >= 0:
+            raise ValueError(f"at_s (crash time) must be >= 0, got {self.at_s!r}")
+        if not self.restart_s > self.at_s:
+            raise ValueError(f"restart_s must be after at_s, got {self.restart_s!r}")
 
     @property
     def downtime_s(self) -> float:
@@ -75,14 +76,15 @@ class Straggler:
     slowdown: float
 
     def __post_init__(self) -> None:
+        # The time and slowdown checks are written so that NaN fails them.
         if self.server < 0:
             raise ValueError("server index must be >= 0")
-        if self.at_s < 0:
-            raise ValueError("straggler start must be non-negative")
-        if self.until_s <= self.at_s:
-            raise ValueError("until_s must be after at_s")
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1")
+        if not self.at_s >= 0:
+            raise ValueError(f"at_s (straggler start) must be >= 0, got {self.at_s!r}")
+        if not self.until_s > self.at_s:
+            raise ValueError(f"until_s must be after at_s, got {self.until_s!r}")
+        if not self.slowdown >= 1.0:
+            raise ValueError(f"slowdown must be >= 1, got {self.slowdown!r}")
 
 
 @dataclass(frozen=True)

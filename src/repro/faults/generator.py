@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from repro.faults.events import FaultSchedule, LinkFault, ServerCrash, Straggler
+from repro.perfmodel.analytic import require_count
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class FaultLoadConfig:
             raise ValueError("straggler_fraction must be in (0, 1)")
         if not 1 <= self.straggler_slowdown < math.inf:
             raise ValueError("straggler_slowdown must be finite and >= 1")
-        if self.num_failed_links < 0 or self.num_degraded_links < 0:
-            raise ValueError("link fault counts must be >= 0")
+        require_count("num_failed_links", self.num_failed_links, 0)
+        require_count("num_degraded_links", self.num_degraded_links, 0)
         if not 1 <= self.link_degradation_factor < math.inf:
             raise ValueError("link_degradation_factor must be finite and >= 1")
 

@@ -52,12 +52,28 @@ def undirected_links(topology: NocTopology) -> "tuple[tuple[int, int], ...]":
     )
 
 
+#: The largest link latency the NoC kernel's int64 latency table holds.
+_INT64_MAX = 2**63 - 1
+
+
 def _degrade(graph: "nx.DiGraph", a: int, b: int, factor: float) -> None:
-    """Multiply one directed edge's latency and routing weight by ``factor``."""
+    """Multiply one directed edge's latency and routing weight by ``factor``.
+
+    Raises:
+        ValueError: the degraded latency does not fit in int64.
+    """
     edge = graph.edges[a, b]
     attrs: LinkAttributes = edge["attrs"]
+    latency = attrs.latency_cycles * factor
+    # A float at most _INT64_MAX rounds up to at most it (floats there are
+    # 1,024 apart); an infinite product fails too.
+    if not latency <= _INT64_MAX:
+        raise ValueError(
+            f"latency_factor {factor!r} takes link ({a}, {b}) past the int64 latency "
+            f"limit ({attrs.latency_cycles} cycles x {factor!r} > {_INT64_MAX})"
+        )
     edge["attrs"] = LinkAttributes(
-        latency_cycles=int(math.ceil(attrs.latency_cycles * factor)),
+        latency_cycles=int(math.ceil(latency)),
         length_mm=attrs.length_mm,
         weight=attrs.weight * factor,
     )
@@ -79,6 +95,10 @@ def apply_link_faults(
         The same object when ``link_faults`` is empty; otherwise a new
         :class:`NocTopology` named ``"<name>+faults"`` with weighted
         shortest-path routing and a fresh route cache.
+
+    Raises:
+        ValueError: a fault's ``latency_factor`` would take a degraded link's
+            latency past int64 (the NoC kernel's latency table).
     """
     faults = tuple(link_faults)
     if not faults:

@@ -78,18 +78,57 @@ CLASS_ORDER: "tuple[MessageClass, ...]" = (
 CLASS_CODES: "dict[MessageClass, int]" = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
 
+def narrow_int(high: int, floor: type = np.int8) -> type:
+    """The narrowest signed integer type, ``floor`` or wider, that holds
+    ``-high .. high``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.dtype(dtype).itemsize >= np.dtype(floor).itemsize and high <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def batch_column_types(max_node: int, count: int) -> "dict[str, type]":
+    """The column types of a generated :class:`PacketBatch` of ``count``
+    packets whose node ids are at most ``max_node`` in magnitude.
+
+    The one place the batch format's widths are decided: node ids are int16
+    while they fit (any topology of up to 32,767 nodes), else int32; class
+    codes and the generator's all-zero flits are int8; packet ids are int32
+    while ``count`` fits; injection times stay float64.  That is 18 bytes a
+    packet on every topology the studies build, against 48 with int64 columns.
+    """
+    node = narrow_int(max_node, np.int16)
+    return {
+        "injection_time": np.float64,
+        "source": node,
+        "destination": node,
+        "class_code": np.int8,
+        "flits": np.int8,
+        "packet_id": narrow_int(count - 1, np.int32),
+    }
+
+
 @dataclass(frozen=True)
 class PacketBatch:
     """A traffic batch as a structure of arrays (one row per packet).
 
+    :func:`~repro.noc.traffic.generate_bilateral_batch` emits the narrow
+    columns of :func:`batch_column_types`; :func:`process_batch` accepts any
+    integer type in the integer columns (tests and oracles build int64
+    batches) and does its id arithmetic in a type wide enough for the
+    topology.
+
     Attributes:
         injection_time: injection cycle per packet (float64).
-        source: source node id per packet (int64).
-        destination: destination node id per packet (int64).
-        class_code: message-class code per packet (see ``CLASS_CODES``).
+        source: source node id per packet (int16 when generated).
+        destination: destination node id per packet (int16 when generated).
+        class_code: message-class code per packet (see ``CLASS_CODES``; int8
+            when generated).
         flits: packet length in flits; 0 means "sized by the network config"
-            (:meth:`~repro.noc.network.NocConfig.flits_for` of the class).
-        packet_id: unique id per packet (the run order tie-breaker).
+            (:meth:`~repro.noc.network.NocConfig.flits_for` of the class;
+            int8 zeros when generated).
+        packet_id: unique id per packet (the run order tie-breaker; int32
+            when generated).
     """
 
     injection_time: np.ndarray
@@ -111,9 +150,8 @@ class PacketBatch:
 
 def _cycle_table(cycles: "list[int]") -> np.ndarray:
     """``cycles`` as int16 when every value fits, as on any healthy topology,
-    else as int64 (a heavily degraded link)."""
-    table = np.array(cycles, dtype=np.int64)
-    return table.astype(np.int16) if table.max(initial=0) <= np.iinfo(np.int16).max else table
+    else as int32 or int64 (a heavily degraded link)."""
+    return np.array(cycles, dtype=narrow_int(max(cycles, default=0), np.int16))
 
 
 class CompiledTopology:
@@ -139,6 +177,8 @@ class CompiledTopology:
         # (a length of -1 marks a pair not compiled yet) and by flat hop
         # position ``route_offset + hop``.
         pairs = self.num_nodes * self.num_nodes
+        #: the integer type of pair keys (and of the node ids multiplied into them).
+        self.pair_type = narrow_int(pairs - 1, np.int32)
         self._link_of = np.full(pairs, -1, dtype=np.int32)
         self._link_of[[a * self.num_nodes + b for a, b in links]] = np.arange(self.num_links)
         self.link_latency = _cycle_table([topology.link(a, b).latency_cycles for a, b in links])
@@ -158,7 +198,7 @@ class CompiledTopology:
         self.acyclic = True
         self.link_level = np.zeros(self.num_links, dtype=np.int16)
         self.num_levels = 1
-        key_type = np.int16 if self.num_links <= np.iinfo(np.int16).max else np.int32
+        key_type = narrow_int(self.num_links, np.int16)
         #: each link's rank in (level, link) order -- a narrow sort key -- and
         #: its inverse, the link holding each rank.
         self.link_key = np.arange(self.num_links, dtype=key_type)
@@ -182,7 +222,9 @@ class CompiledTopology:
         num_nodes = self.num_nodes
         paths = [self.topology.route(*divmod(pair, num_nodes)) for pair in missing.tolist()]
         sizes = np.fromiter(map(len, paths), dtype=np.int32, count=len(paths))
-        nodes = np.fromiter(chain.from_iterable(paths), dtype=np.int32, count=int(sizes.sum()))
+        nodes = np.fromiter(
+            chain.from_iterable(paths), dtype=self.pair_type, count=int(sizes.sum())
+        )
         ends = np.cumsum(sizes)
         # Every node but a path's last one starts a hop.
         departs = np.ones(len(nodes), dtype=bool)
@@ -256,7 +298,12 @@ def compile_topology(topology: NocTopology) -> CompiledTopology:
 
 @dataclass
 class BatchResult:
-    """Per-packet outcome of one :func:`process_batch` call (batch order)."""
+    """Per-packet outcome of one :func:`process_batch` call (batch order).
+
+    Times are float64; ``hops`` is the route tables' int16, ``flits`` the
+    narrowest type holding the batch's flit counts, and ``order`` int32 while
+    the batch's indices fit.
+    """
 
     arrival_time: np.ndarray
     latency: np.ndarray
@@ -289,13 +336,22 @@ def process_batch(
     occupancy state (one slot per link, :meth:`NocTopology.links` order); they
     are updated in place so repeated batches see earlier traffic.
 
+    The integer columns may be of any integer type.  Pair keys are built in
+    ``compiled.pair_type``, so narrow node ids cannot overflow them, and the
+    per-packet and per-hop temporaries are as narrow as their values allow.
+
     Raises:
-        ValueError: a source or destination is not a node id of the topology,
-            a class code is not one of ``CLASS_ORDER``'s, or a flit count is
-            negative (the message names the column).
+        ValueError: an integer column holds non-integers, a source or
+            destination is not a node id of the topology, a class code is not
+            one of ``CLASS_ORDER``'s, or a flit count is negative (the message
+            names the column).
     """
     n = len(batch)
     num_nodes = compiled.num_nodes
+    for name in ("source", "destination", "class_code", "flits"):
+        dtype = getattr(batch, name).dtype
+        if dtype.kind not in "iu":
+            raise ValueError(f"PacketBatch column {name!r} holds {dtype}, not integers")
     for name, what, high in (
         ("source", "node ids", num_nodes - 1),
         ("destination", "node ids", num_nodes - 1),
@@ -306,14 +362,19 @@ def process_batch(
             raise ValueError(f"PacketBatch column {name!r} holds {what} outside 0..{high}")
     if n and batch.flits.min() < 0:
         raise ValueError("PacketBatch column 'flits' holds negative flit counts")
-    resolved = np.where(
-        batch.flits > 0, batch.flits, flit_table(config)[batch.class_code]
-    )
+    # Flits per packet, in the narrowest type that holds them: the column's
+    # count where it sets one, else the config's size for the class.
+    table = flit_table(config)
+    flit_type = narrow_int(max(int(table.max()), int(batch.flits.max(initial=0))))
+    resolved = table.astype(flit_type)[batch.class_code]
+    np.copyto(resolved, batch.flits, where=batch.flits > 0)
     # Delivery order: injection time, ties broken by packet id (lexsort keys
     # are significance-last, and both sorts are stable) -- identical to the
     # reference path's sorted(key=(injection_time, packet_id)).
     order = np.lexsort((batch.packet_id, batch.injection_time))
-    pair_key = batch.source * num_nodes + batch.destination
+    order = order.astype(narrow_int(n - 1, np.int32), copy=False)
+    pair_key = batch.source.astype(compiled.pair_type) * num_nodes
+    pair_key += batch.destination
     compiled.compile_pairs(pair_key)
     if compiled.acyclic:
         arrivals = _wavefront(compiled, batch, resolved, order, pair_key, next_free, flits_carried)
@@ -322,7 +383,7 @@ def process_batch(
     return BatchResult(
         arrival_time=arrivals,
         latency=arrivals - batch.injection_time,
-        hops=compiled.route_length[pair_key].astype(np.int64),
+        hops=compiled.route_length[pair_key],
         flits=resolved,
         class_code=batch.class_code,
         order=order,
@@ -404,7 +465,9 @@ def _wavefront(
     each packet, and the packet's clock ``now`` (its injection time, then the
     last hop's ``start + latency``) is final when the level is served.
     """
+    n = len(batch)
     pair_o = pair_key[order]
+    tail_o = compiled.route_tail[pair_o]
     length_o = compiled.route_length[pair_o].astype(np.int32)
     first_o = np.cumsum(length_o, dtype=np.int32) - length_o
     total = int(length_o.sum())
@@ -412,16 +475,21 @@ def _wavefront(
     hop = np.repeat(compiled.route_offset[pair_o] - first_o, length_o)
     hop += np.arange(total, dtype=np.int32)
     key = compiled.hop_key[hop]
-    del hop, first_o
+    del pair_o, hop, first_o
     per_key = np.bincount(key, minlength=compiled.num_links)
-    perm = np.argsort(key, kind="stable").astype(np.int32)
+    # Group the entries by key, each key's in delivery order, by sorting the
+    # codes ``key * n + packet``: a packet crosses a link once, so the codes
+    # are distinct and any sort of them is the stable grouping.  The packet
+    # (delivery-order index) of every entry is then the code modulo ``n``.
+    who = key.astype(narrow_int(compiled.num_links * n, np.int32))
     del key
-    # The packet (delivery-order index) of every entry.
-    who = np.repeat(np.arange(len(batch), dtype=np.int32), length_o)[perm]
-    del perm
-    narrow = np.int16 if resolved.max(initial=0) <= np.iinfo(np.int16).max else np.int32
+    who *= n
+    who += np.repeat(np.arange(n, dtype=who.dtype), length_o)
+    del length_o
+    who.sort()
+    who %= max(n, 1)
     flits_o = resolved[order]
-    flits = flits_o.astype(narrow)[who]
+    flits = flits_o[who]
     now = batch.injection_time[order]
 
     # One segment per link that carries traffic, in grouped order; a hop's
@@ -431,46 +499,47 @@ def _wavefront(
     segment_link = compiled.links_by_key[used]
     segment_size = per_key[used]
     segment_first = (key_end - per_key)[used]
-    pipeline = np.repeat(compiled.link_pipeline[segment_link], segment_size)
-    latency = np.repeat(compiled.link_latency[segment_link], segment_size)
-    segment_last = segment_first + segment_size - 1
     level_bounds = np.concatenate(([0], key_end))[compiled.level_start_key].tolist()
     segment_bounds = np.searchsorted(segment_first, level_bounds).tolist()
-    # Flits queued ahead of each entry on its link (this batch only).
-    queued = np.cumsum(flits, dtype=np.int64) - flits
-    queued -= np.repeat(queued[segment_first], segment_size)
+    # No link queues more flits than the whole batch carries.
+    queue_type = narrow_int(int(resolved.max(initial=0)) * total, np.int32)
     free = np.array(next_free, dtype=np.float64)
-    last_start = np.empty(len(segment_link), dtype=np.float64)
+    carried = np.empty(len(segment_link), dtype=np.int64)
     for level in range(compiled.num_levels):
         lo, hi = level_bounds[level], level_bounds[level + 1]
         if lo == hi:
             continue
-        packets = who[lo:hi]
+        # numpy gathers and scatters with intp indices several times faster.
+        packets, level_flits = who[lo:hi].astype(np.intp), flits[lo:hi]
         first, last = segment_bounds[level], segment_bounds[level + 1]
+        links = segment_link[first:last]
+        sizes = segment_size[first:last]
+        firsts = segment_first[first:last] - lo
         start = _serve(
-            now[packets] + pipeline[lo:hi],
-            flits[lo:hi],
-            queued[lo:hi],
-            segment_first[first:last] - lo,
-            segment_size[first:last],
-            free[segment_link[first:last]],
+            now[packets] + np.repeat(compiled.link_pipeline[links], sizes),
+            level_flits,
+            firsts,
+            sizes,
+            free[links],
+            queue_type,
         )
-        last_start[first:last] = start[segment_last[first:last] - lo]
-        now[packets] = start + latency[lo:hi]
-
-    if total:
-        free[segment_link] = last_start + flits[segment_last]
-        next_free[:] = free.tolist()
-        carried = np.add.reduceat(flits, segment_first, dtype=np.int64)
-        for link, count in zip(segment_link.tolist(), carried.tolist()):
-            flits_carried[link] += count
+        now[packets] = start + np.repeat(compiled.link_latency[links], sizes)
+        # A link is free again once its last entry's flits have passed.
+        ends = firsts + sizes - 1
+        free[links] = start[ends] + level_flits[ends]
+        carried[first:last] = np.add.reduceat(level_flits, firsts, dtype=np.int64)
+    # Release the per-entry arrays (and the loop's views of them).
+    who = flits = packets = level_flits = None
+    next_free[:] = free.tolist()
+    for link, count in zip(segment_link.tolist(), carried.tolist()):
+        flits_carried[link] += count
 
     # Arrival: the clock after the last hop (or the injection time of a
     # zero-hop packet) plus the tail pipeline, then the serialization add --
     # the same separate additions as the hop loop.
-    now += compiled.route_tail[pair_o]
+    now += tail_o
     now += flits_o - 1
-    arrivals = np.empty(len(batch), dtype=np.float64)
+    arrivals = np.empty(n, dtype=np.float64)
     arrivals[order] = now
     return arrivals
 
@@ -478,10 +547,10 @@ def _wavefront(
 def _serve(
     arrive: np.ndarray,
     flits: np.ndarray,
-    queued: np.ndarray,
     firsts: np.ndarray,
     sizes: np.ndarray,
     free: np.ndarray,
+    queue_type: type,
 ) -> np.ndarray:
     """Start times of one level's entries under ``s_k = max(a_k, s_{k-1} +
     flits_{k-1})`` on each link.
@@ -494,15 +563,24 @@ def _serve(
     recomputed from those exact starts until they agree.  A self-consistent
     head set reproduces the per-hop loop bit for bit, and each round fixes at
     least the first wrong head, so the loop terminates.
+
+    ``arrive`` is overwritten with each entry's earliest start; ``queue_type``
+    is an integer type that holds the level's total flits.
     """
     count = len(arrive)
-    base = arrive.copy()
-    # The loop's ``time if time >= free else free``, NaN and signed zero alike.
+    # The loop's ``time if time >= free else free``, NaN and signed zero
+    # alike.  Only a segment's first entry changes, and the consistency test
+    # below overrides the first entries, so ``base`` can share the arrivals.
+    base = arrive
     base[firsts] = np.where(arrive[firsts] >= free, arrive[firsts], free)
+    # Flits queued ahead of each entry on its link (this batch only).
+    queued = np.cumsum(flits, dtype=queue_type) - flits
+    queued -= np.repeat(queued[firsts], sizes)
     # Guess: entry k heads a period iff base_k - queued_k >= max_{j<k}(base_j
     # - queued_j) on its link.  Segments are lifted apart by a multiple of the
     # slack's range so one running max serves them all.
     slack = base - queued
+    del queued
     spread = float(slack.max() - slack.min()) + 1.0
     slack += np.repeat(np.arange(len(firsts)) * spread, sizes)
     running = np.maximum.accumulate(slack)
@@ -513,13 +591,15 @@ def _serve(
     del slack, running
     start = np.empty(count, dtype=np.float64)
     while True:
+        np.copyto(start, base, where=head[:-1])
+        # Only periods of two or more entries need filling.
         heads = np.flatnonzero(head)
         lengths = np.diff(heads)
-        heads = heads[:-1]
-        start[heads] = base[heads]
-        _fill_periods(start, flits, heads[lengths > 1], lengths[lengths > 1])
+        longer = lengths > 1
+        _fill_periods(start, flits, heads[:-1][longer], lengths[longer])
+        del heads, lengths, longer
         consistent = np.ones(count + 1, dtype=bool)
-        consistent[1:count] = arrive[1:] >= start[:-1] + flits[:-1]
+        consistent[1:count] = base[1:] >= start[:-1] + flits[:-1]
         consistent[firsts] = True
         if np.array_equal(consistent, head):
             return start

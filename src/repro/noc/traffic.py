@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro.noc.fastpath import CLASS_CODES, MessageClass, PacketBatch
+from repro.noc.fastpath import CLASS_CODES, MessageClass, PacketBatch, batch_column_types
 from repro.perfmodel.analytic import require_count
 from repro.workloads.profile import WorkloadProfile
 
@@ -60,7 +60,8 @@ def generate_bilateral_batch(
     node lists, so callers can memoize batches by them.  Each core draws, in
     turn, its access count (Poisson), sorted injection times, LLC targets,
     snoop flags and one victim per snoop; the packets of every core are then
-    laid out in one pass.
+    laid out in one pass, in the narrow columns
+    :func:`~repro.noc.fastpath.batch_column_types` gives the largest node id.
 
     Raises:
         ValueError: an argument is out of range (the message names it).
@@ -76,7 +77,8 @@ def generate_bilateral_batch(
         raise ValueError("llc_nodes must not be empty")
     rng = np.random.default_rng((seed, 0xABCD, duration_cycles))
     cores = np.array(core_nodes[:active_cores], dtype=np.int64)
-    llcs = np.asarray(llc_nodes)
+    llcs = np.array(llc_nodes, dtype=np.int64)
+    max_node = int(max(np.abs(llcs).max(), np.abs(cores).max(initial=0)))
     expected = injection_rate * duration_cycles
     bank_service = 4.0
     counts = np.empty(len(cores), dtype=np.int64)
@@ -99,8 +101,11 @@ def generate_bilateral_batch(
     snoop_pos = request_pos[snoops] + 2
     size = 2 * len(times) + len(snoop_pos)
     responses_at = times + bank_service
-    injection = np.empty(size, dtype=np.float64)
-    source, destination, class_code = (np.empty(size, dtype=np.int64) for _ in range(3))
+    types = batch_column_types(max_node, size)
+    injection, source, destination, class_code = (
+        np.empty(size, dtype=types[name])
+        for name in ("injection_time", "source", "destination", "class_code")
+    )
     for column, request, response, snoop in (
         (injection, times, responses_at, responses_at[snoops]),
         (source, requester, targets, targets[snoops]),
@@ -114,6 +119,6 @@ def generate_bilateral_batch(
         destination=destination,
         class_code=class_code,
         # Left at 0 so the network sizes packets from its own link width.
-        flits=np.zeros(size, dtype=np.int64),
-        packet_id=np.arange(size, dtype=np.int64),
+        flits=np.zeros(size, dtype=types["flits"]),
+        packet_id=np.arange(size, dtype=types["packet_id"]),
     )

@@ -134,6 +134,34 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             build(**{field: value})
 
+    @pytest.mark.parametrize("build, field, value", [
+        pytest.param(build, field, value, id=f"{build.__name__}.{field}={value}")
+        for build, field, bad in (
+            (ServerCrash, "at_s", -1.0),
+            (ServerCrash, "restart_s", 1.0),
+            (Straggler, "at_s", -1.0),
+            (Straggler, "until_s", 1.0),
+            (Straggler, "slowdown", 0.5),
+        )
+        for value in (math.nan, bad)
+    ])
+    def test_event_field_named_in_one_line(self, build, field, value):
+        """Regression: NaN passed the ``<`` range checks of both events."""
+        good = {"server": 0, "at_s": 1.0, "restart_s": 2.0, "until_s": 2.0, "slowdown": 2.0}
+        names = build.__dataclass_fields__
+        with pytest.raises(ValueError) as excinfo:
+            build(**{name: good[name] for name in names if name != field}, **{field: value})
+        message = str(excinfo.value)
+        assert message.startswith(field)
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("field", ["num_failed_links", "num_degraded_links"])
+    @pytest.mark.parametrize("value", [math.nan, 1.5, -1, True], ids=repr)
+    def test_link_counts_must_be_integers(self, field, value):
+        """Regression: NaN and 1.5 passed the ``< 0`` check."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got"):
+            FaultLoadConfig(**{field: value})
+
     def test_availability_from_downtime(self):
         assert availability_from_downtime(4, 10.0, 0.0) == 1.0
         assert availability_from_downtime(4, 10.0, 4.0) == pytest.approx(0.9)
@@ -423,6 +451,24 @@ class TestNocLinkFaults:
         )
         healthy_latency = mesh.link(a, b).latency_cycles
         assert faulted.link(a, b).latency_cycles == 4 * healthy_latency
+
+    @pytest.mark.parametrize("factor", [1e30, 2.0**63], ids=repr)
+    def test_latency_past_int64_rejected(self, factor):
+        """Regression: 1e30 reached the kernel's latency table and died there
+        with an ``OverflowError``.  The mesh's links take 1 cycle, so 2**63
+        cycles is one past int64."""
+        with pytest.raises(ValueError, match=r"^latency_factor .* past the int64") as excinfo:
+            apply_link_faults(self._mesh(), (LinkFault(link=(0, 1), latency_factor=factor),))
+        assert "\n" not in str(excinfo.value)
+
+    def test_latency_at_int64_edge_compiles(self):
+        """2**63 - 1024 is the largest float below 2**63: it fits."""
+        from repro.noc.fastpath import CompiledTopology
+
+        factor = 2.0**63 - 1024
+        faulted = apply_link_faults(self._mesh(), (LinkFault(link=(0, 1), latency_factor=factor),))
+        assert faulted.link(0, 1).latency_cycles == 2**63 - 1024
+        assert CompiledTopology(faulted).link_latency.max() == 2**63 - 1024
 
     def test_partitioning_removal_degrades_instead(self):
         import networkx as nx

@@ -3,6 +3,8 @@ walk in ``tests/oracles/noc_reference.py`` bit for bit -- per-packet latencies
 and every derived statistic -- on all three topologies and across link
 widths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from repro.noc.fastpath import (
     MessageClass,
     PacketBatch,
     compile_topology,
+    process_batch,
     sequential_sum,
 )
 from repro.noc.network import NocConfig, NocNetwork
@@ -439,6 +442,92 @@ class TestNodeRange:
             network.run_batch(batch)
         assert network.average_latency_by_class() == {}
         assert network.total_flit_hops() == 0
+
+    @pytest.mark.parametrize("column", ["source", "destination", "class_code", "flits"])
+    def test_non_integer_column_rejected(self, column):
+        """A float id would be truncated by the kernel's integer casts."""
+        batch = rows_batch((0, 5, MessageClass.DATA_REQUEST, 0.0))
+        batch = PacketBatch(
+            **{name: getattr(batch, name) for name in COLUMNS if name != column},
+            **{column: getattr(batch, column) + 0.5},
+        )
+        with pytest.raises(ValueError, match=f"^PacketBatch column '{column}' holds float64, not"):
+            NocNetwork(build_mesh(64)).run_batch(batch)
+
+
+class TestNarrowColumns:
+    def test_pair_keys_past_int16(self):
+        """On a 256-node mesh the pair key 255 * 256 + 255 = 65,535 overflows
+        int16: int16 node ids must give the arrivals int64 ones do."""
+        mesh = build_mesh(256)
+        narrow = generate_bilateral_batch(
+            core_nodes=list(range(256)),
+            llc_nodes=[0, 200, 255],
+            injection_rate=0.01,
+            snoop_fraction=0.1,
+            seed=5,
+            duration_cycles=400,
+        )
+        assert narrow.source.dtype == narrow.destination.dtype == np.int16
+        keys = narrow.source.astype(np.int64) * 256 + narrow.destination
+        assert keys.max() == 255 * 256 + 255
+        wide = PacketBatch(narrow.injection_time, *(
+            getattr(narrow, column).astype(np.int64) for column in COLUMNS[1:]
+        ))
+        got = NocNetwork(mesh).run_batch(narrow)
+        want = NocNetwork(mesh).run_batch(wide)
+        assert got.arrival_time.tobytes() == want.arrival_time.tobytes()
+        assert got.hops.tolist() == want.hops.tolist()
+
+
+def _noc_pod_batch(topology):
+    """The largest traffic batch of the benchmark's seed-0 ``noc_pod`` run
+    (Figure 4.6 at 12k cycles, study seed 1): Data Serving on all 64 cores."""
+    workload = get_workload("Data Serving")
+    return generate_bilateral_batch(
+        core_nodes=topology.core_nodes,
+        llc_nodes=topology.llc_nodes,
+        injection_rate=bilateral_injection_rate(workload, per_core_ipc=0.5),
+        snoop_fraction=workload.snoop_fraction,
+        seed=1,
+        duration_cycles=12_000,
+        active_cores=64,
+    )
+
+
+class TestBatchMemory:
+    """Deterministic memory guards, no timing: an int64 column or per-hop
+    temporary coming back fails them."""
+
+    def test_generated_batch_bytes_per_packet(self):
+        batch = _noc_pod_batch(build_mesh(64))
+        assert len(batch) == 46_428
+        nbytes = sum(getattr(batch, column).nbytes for column in COLUMNS)
+        assert nbytes == 18 * len(batch)  # 48 with int64 columns
+
+    @pytest.mark.parametrize("name", ["mesh", "fbfly", "nocout"])
+    def test_process_batch_peak_bytes_per_packet(self, name):
+        """The traced peak of one ``process_batch`` call.  Measured with
+        numpy 2.4: 75.6 B/packet on the mesh (5.2 hops a packet), 75.3 on
+        the flattened butterfly and 84.5 on NOC-Out; 189, 137 and 160 with
+        the int64 temporaries.  The bound leaves 18-33% headroom; one int64
+        array per hop would add 42 B/packet on the mesh."""
+        topology = TOPOLOGY_BUILDERS[name](64)
+        batch = _noc_pod_batch(topology)
+        compiled = compile_topology(topology)
+        config = NocConfig()
+        links = compiled.num_links
+        # Compile the routes first: their tables persist with the topology.
+        process_batch(compiled, batch, config, [0.0] * links, [0] * links)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            process_batch(compiled, batch, config, [0.0] * links, [0] * links)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * len(batch)
 
 
 class TestSnoopVictims:

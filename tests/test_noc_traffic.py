@@ -1,6 +1,7 @@
 """Bilateral traffic generation: the one-pass layout against the per-core oracle
-in ``tests/oracles/noc_traffic.py`` (every column byte-equal, dtypes included),
-and the one-line rejection of bad generator and study arguments."""
+in ``tests/oracles/noc_traffic.py`` (every column value-equal, in the narrow
+types ``batch_column_types`` documents where the oracle builds int64), and the
+one-line rejection of bad generator and study arguments."""
 
 import math
 
@@ -9,19 +10,32 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles.noc_traffic import reference_bilateral_batch
+from repro.noc.fastpath import batch_column_types
 from repro.noc.simulation import PodNocStudy
 from repro.noc.topology import TOPOLOGY_BUILDERS, build_mesh
 from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.workloads import get_workload
 
 COLUMNS = ("injection_time", "source", "destination", "class_code", "flits", "packet_id")
+#: The generator's column types whenever node ids fit in int16.
+NARROW = {
+    "injection_time": np.float64,
+    "source": np.int16,
+    "destination": np.int16,
+    "class_code": np.int8,
+    "flits": np.int8,
+    "packet_id": np.int32,
+}
 
 
-def _assert_byte_equal(got, want):
+def _assert_byte_equal(got, want, types=NARROW):
+    """``got`` has the documented narrow ``types`` and the oracle's values
+    (byte-equal once the oracle's int64 columns are cast to them)."""
     for column in COLUMNS:
         a, b = getattr(got, column), getattr(want, column)
-        assert a.dtype == b.dtype, column
-        assert a.tobytes() == b.tobytes(), column
+        assert a.dtype == types[column], column
+        assert np.array_equal(a, b), column
+        assert a.tobytes() == b.astype(a.dtype).tobytes(), column
 
 
 def _both(**kwargs):
@@ -147,6 +161,23 @@ class TestGeneratorInputChecks:
         ):
             got, want = _both(**{**GOOD, **changes})
             _assert_byte_equal(got, want)
+
+
+class TestColumnTypes:
+    @pytest.mark.parametrize("llc, node_type", [
+        (32_767, np.int16),
+        (32_768, np.int32),
+        (2**31, np.int64),
+    ])
+    def test_node_ids_widen_only_past_their_type(self, llc, node_type):
+        """Node ids stay int16 up to 32,767 and widen, never wrap, past it."""
+        got, want = _both(**{**GOOD, "llc_nodes": [8, llc]})
+        assert got.source.max() == llc
+        _assert_byte_equal(got, want, {**NARROW, "source": node_type, "destination": node_type})
+
+    def test_rule_matches_batch_column_types(self):
+        assert batch_column_types(32_767, 2**31) == {**NARROW, "packet_id": np.int32}
+        assert batch_column_types(5, 2**31 + 1)["packet_id"] is np.int64
 
 
 class TestRateLawInputChecks:
