@@ -24,6 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from repro.perfmodel.analytic import require_count
+
 #: Severities a :class:`LinkFault` can carry.
 LINK_SEVERITIES = ("degraded", "down")
 
@@ -44,9 +46,9 @@ class ServerCrash:
     restart_s: float
 
     def __post_init__(self) -> None:
-        # The time and slowdown checks are written so that NaN fails them.
-        if self.server < 0:
-            raise ValueError("server index must be >= 0")
+        # The server index must be an integer; the time and slowdown checks
+        # are written so that NaN fails them.
+        require_count("server", self.server, 0)
         if not self.at_s >= 0:
             raise ValueError(f"at_s (crash time) must be >= 0, got {self.at_s!r}")
         if not self.restart_s > self.at_s:
@@ -76,9 +78,9 @@ class Straggler:
     slowdown: float
 
     def __post_init__(self) -> None:
-        # The time and slowdown checks are written so that NaN fails them.
-        if self.server < 0:
-            raise ValueError("server index must be >= 0")
+        # The server index must be an integer; the time and slowdown checks
+        # are written so that NaN fails them.
+        require_count("server", self.server, 0)
         if not self.at_s >= 0:
             raise ValueError(f"at_s (straggler start) must be >= 0, got {self.at_s!r}")
         if not self.until_s > self.at_s:

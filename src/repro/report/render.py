@@ -180,7 +180,7 @@ def render_markdown(run: ValidationRun) -> str:
         "---",
         "",
         "Experiments behind the claims: "
-        + ", ".join(f"`{check.experiment_id}`" for check in run.experiments)
+        + ", ".join(f"`{experiment_id}`" for experiment_id in run.experiment_ids())
         + ".",
         "",
         "Tolerance semantics, the metric-path language, and the"

@@ -59,7 +59,8 @@ class ValidationRun:
     Attributes:
         graded: one :class:`~repro.report.claims.GradedClaim` per claim, in
             registry order.
-        experiments: one :class:`ExperimentCheck` per distinct experiment job.
+        experiments: one :class:`ExperimentCheck` per distinct experiment job
+            (experiments whose runs coincide share one job).
         chapters: claim chapter by claim id (from the owning spec).
     """
 
@@ -83,6 +84,16 @@ class ValidationRun:
             grouped.setdefault(self.chapters[item.claim.claim_id], []).append(item)
         return dict(sorted(grouped.items()))
 
+    def experiment_ids(self) -> "list[str]":
+        """Ids of the experiments the claims are graded against, in claim order.
+
+        A claim graded against another experiment's run (``figure_5_2``'s
+        claims read ``figure_5_1``'s shared run) still names its own
+        experiment, so this can list more ids than :attr:`experiments` has
+        runs.
+        """
+        return list(dict.fromkeys(item.claim.experiment_id for item in self.graded))
+
     def summary(self) -> "dict[str, object]":
         """Headline counts for JSON envelopes and CI gates."""
         return {
@@ -90,7 +101,7 @@ class ValidationRun:
             "pass": self.count(Grade.PASS),
             "warn": self.count(Grade.WARN),
             "fail": self.count(Grade.FAIL),
-            "experiments": len(self.experiments),
+            "experiments": len(self.experiment_ids()),
             "chapters": sorted({self.chapters[g.claim.claim_id] for g in self.graded}),
         }
 

@@ -1,4 +1,4 @@
-"""Set-associative cache model with LRU replacement and MSHR accounting."""
+"""Set-associative cache model with LRU replacement."""
 
 from __future__ import annotations
 
@@ -27,8 +27,10 @@ class _LazySets(dict):
 
     Attributes:
         starts: the first set index of each run, ascending from 0.
-        templates: per run, the tags its pending sets hold, LRU first
-            (empty for a run that holds nothing).
+        templates: per run, the set its pending sets are copied from: the
+            tags they hold, LRU first, all clean (empty for a run that holds
+            nothing).  Copying a dict is several times faster than building
+            one from its keys.
         pending_lines: lines held by the templated sets not yet built.
     """
 
@@ -37,7 +39,7 @@ class _LazySets(dict):
     def __init__(self) -> None:
         super().__init__()
         self.starts: "list[int]" = [0]
-        self.templates: "list[tuple[int, ...]]" = [()]
+        self.templates: "list[dict[int, bool]]" = [{}]
         self.pending_lines = 0
 
     def __missing__(self, index: int) -> "dict[int, bool]":
@@ -46,7 +48,7 @@ class _LazySets(dict):
             template = self.templates[bisect_right(self.starts, index) - 1]
             if template:
                 self.pending_lines -= len(template)
-                cache_set = dict.fromkeys(template, False)
+                cache_set = template.copy()
         self[index] = cache_set
         return cache_set
 
@@ -64,9 +66,10 @@ class _LazySets(dict):
 class SetAssociativeCache:
     """A set-associative, LRU-replacement cache.
 
-    Used both for per-core L1 caches and for individual LLC banks.  The model
-    tracks residency and dirtiness only; data values are irrelevant to the
-    studies.
+    One LLC bank.  The model tracks residency and dirtiness only; data
+    values are irrelevant to the studies.  The measured window
+    (``SimulatedSystem._run_window``) looks up and updates the sets itself;
+    :meth:`fill` and :meth:`fill_ranges` install lines.
 
     Args:
         capacity_bytes: total cache capacity in bytes; at least one set
@@ -110,24 +113,6 @@ class SetAssociativeCache:
     def _index_and_tag(self, address: int) -> "tuple[int, int]":
         line_addr = address // self.line_bytes
         return line_addr % self.num_sets, line_addr // self.num_sets
-
-    # ----------------------------------------------------------------- lookup
-    def access(self, address: int, is_write: bool = False) -> bool:
-        """Access the cache; returns True on a hit.
-
-        Misses do *not* allocate -- call :meth:`fill` when the refill arrives so
-        the timing model controls allocation order.
-        """
-        self.stats.accesses += 1
-        index, tag = self._index_and_tag(address)
-        cache_set = self._sets[index]
-        dirty = cache_set.pop(tag, None)
-        if dirty is None:
-            self.stats.misses += 1
-            return False
-        cache_set[tag] = dirty or is_write
-        self.stats.hits += 1
-        return True
 
     # ------------------------------------------------------------------- fill
     def fill(self, address: int, dirty: bool = False) -> "int | None":
@@ -207,7 +192,7 @@ class SetAssociativeCache:
         pending = evicted = 0
         for start, stop in zip(starts, starts[1:] + [num_sets]):
             received = tuple(chain.from_iterable(given(start)))
-            template = received[-ways:]
+            template = dict.fromkeys(received[-ways:], False)
             templates.append(template)
             width = stop - start - (bisect_left(occupied, stop) - bisect_left(occupied, start))
             pending += width * len(template)

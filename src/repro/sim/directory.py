@@ -6,6 +6,9 @@ whether a snoop must be sent: an invalidation when a writer needs exclusivity
 while other cores share the line, or a forwarding request when another core holds
 the only up-to-date copy.  Scale-out workloads trigger such snoops on only ~2.7 %
 of LLC accesses (Figure 4.3), which is the property NOC-Out exploits.
+
+:class:`Directory` holds that state; the measured window
+(``SimulatedSystem._run_window``) reads and updates it on every LLC access.
 """
 
 from __future__ import annotations
@@ -49,37 +52,3 @@ class Directory:
 
     def _line(self, address: int) -> int:
         return (address // self.line_bytes) * self.line_bytes
-
-    # ----------------------------------------------------------------- access
-    def access(self, core_id: int, address: int, is_write: bool) -> int:
-        """Record an LLC access by ``core_id`` and return the number of snoops sent."""
-        line = self._line(address)
-        self.stats.lookups += 1
-        sharers = self._sharers.setdefault(line, set())
-        owner = self._owner.get(line)
-        snoops = 0
-
-        if is_write:
-            # Invalidate every other sharer; the writer becomes the owner.
-            others = sharers - {core_id}
-            if others:
-                snoops += len(others)
-                self.stats.invalidation_snoops += len(others)
-            sharers.clear()
-            sharers.add(core_id)
-            self._owner[line] = core_id
-        else:
-            # A read of a line owned (modified) by another core forwards from its L1.
-            if owner is not None and owner != core_id:
-                snoops += 1
-                self.stats.forward_snoops += 1
-                self._owner.pop(line, None)
-            sharers.add(core_id)
-        return snoops
-
-    # ------------------------------------------------------------- eviction
-    def evict(self, address: int) -> None:
-        """Drop directory state for a line evicted from the LLC (inclusive LLC)."""
-        line = self._line(address)
-        self._sharers.pop(line, None)
-        self._owner.pop(line, None)

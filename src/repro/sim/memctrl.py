@@ -16,6 +16,8 @@ class MemoryChannelSim:
     on top of the fixed DRAM access latency.  Requests that arrive while the
     channel is busy queue behind it, so oversubscribed configurations see rising
     memory latency -- the behaviour the paper's bandwidth provisioning avoids.
+    The measured window (``SimulatedSystem._run_window``) issues the requests
+    and writes the channel's counters back when it ends.
     """
 
     def __init__(
@@ -33,16 +35,6 @@ class MemoryChannelSim:
         self._next_free: float = 0.0
         self.requests = 0
         self.busy_cycles = 0.0
-
-    def request(self, now: float) -> float:
-        """Issue a line fetch at time ``now``; returns the completion time."""
-        if now < 0:
-            raise ValueError("now must be non-negative")
-        start = max(now, self._next_free)
-        self._next_free = start + self.service_cycles
-        self.requests += 1
-        self.busy_cycles += self.service_cycles
-        return start + self.service_cycles + self.access_latency_cycles
 
     def utilization(self, elapsed_cycles: float) -> float:
         """Fraction of elapsed time the channel's data bus was busy."""

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
-from repro.caches.nuca import NucaLLC
+import numpy as np
+
 from repro.cores.models import core_model
 from repro.memory.dram import channel_for_standard
 from repro.perfmodel.analytic import SystemConfig, require_count
 from repro.sim.cache import SetAssociativeCache
-from repro.sim.core import TraceDrivenCore
 from repro.sim.directory import Directory
 from repro.sim.memctrl import MemoryChannelSim
 from repro.sim.stats import SimulationStats
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.traces import SyntheticTraceGenerator
+from repro.workloads.traces import SyntheticTraceGenerator, Trace
 
 
 class SimulatedSystem:
@@ -99,40 +98,6 @@ class SimulatedSystem:
         line = address // self._line_bytes
         return (line // self.num_banks) % len(self.channels)
 
-    # ------------------------------------------------------------ LLC servicing
-    def llc_request(
-        self, core_id: int, address: int, is_write: bool, is_instruction: bool, now: float
-    ) -> float:
-        """Service one L1 miss; returns the total latency seen by the core."""
-        self.stats.llc_accesses += 1
-        self.stats.network_latency_cycles_total += self.network_latency
-
-        bank_id = self._bank_for(address)
-        bank = self.banks[bank_id]
-        local_address = self._bank_local_address(address)
-
-        # Bank contention: the access occupies the bank for a fixed service time.
-        start = max(now + self.network_latency, self._bank_next_free[bank_id])
-        self._bank_next_free[bank_id] = start + self.BANK_SERVICE_CYCLES
-        queue_delay = start - (now + self.network_latency)
-
-        snoops = self.directory.access(core_id, address, is_write)
-        self.stats.snoops += snoops
-        snoop_delay = snoops * self.network_latency if snoops and is_write else 0.0
-
-        hit = bank.access(local_address, is_write)
-        latency = self.network_latency + queue_delay + self.bank_latency + snoop_delay
-        if not hit:
-            self.stats.llc_misses += 1
-            self.stats.memory_reads += 1
-            channel = self.channels[self._channel_for(address)]
-            completion = channel.request(start + self.bank_latency)
-            latency = (completion - now) + self.network_latency  # response traversal
-            evicted = bank.fill(local_address, dirty=is_write)
-            if evicted is not None:
-                self.directory.evict(evicted)
-        return latency
-
     # ----------------------------------------------------------------- warmup
     def warm_caches(self, generator: SyntheticTraceGenerator) -> None:
         """Pre-fill the LLC with the warm working set (the paper's warmed checkpoints).
@@ -191,32 +156,212 @@ class SimulatedSystem:
         )
         if warmup:
             self.warm_caches(generator)
-        cores = [
-            TraceDrivenCore(
-                core_id=c,
-                core_model=self.core,
-                workload=self.workload,
-                trace=generator.events_for_core(c, instructions_per_core),
-                llc_request=self.llc_request,
-            )
-            for c in range(self.config.cores)
+        traces = [
+            generator.events_for_core(c, instructions_per_core) for c in range(self.config.cores)
         ]
-        # Interleave the cores in global time order: always advance the core with
-        # the earliest local clock, so shared bank/channel contention state sees
-        # requests in (approximately) the order concurrent hardware would.
-        heap: "list[tuple[float, int]]" = [(0.0, c) for c in range(len(cores))]
-        heapq.heapify(heap)
-        while heap:
-            _, core_id = heapq.heappop(heap)
-            new_clock = cores[core_id].step()
-            if new_clock is not None:
-                heapq.heappush(heap, (new_clock, core_id))
-        for core in cores:
-            self.stats.per_core_cycles.append(core.stats.cycles)
-            self.stats.per_core_instructions.append(core.stats.instructions)
-            self.stats.instructions += core.stats.instructions
+        for cycles, instructions in self._run_window(traces):
+            self.stats.per_core_cycles.append(cycles)
+            self.stats.per_core_instructions.append(instructions)
+            self.stats.instructions += instructions
         self.stats.cycles = max(self.stats.per_core_cycles) if self.stats.per_core_cycles else 0.0
         return self.stats
+
+    def _window_events(self, trace: Trace, base_cpi: float) -> "list[tuple]":
+        """One trace's events as the window reads them, derived in one numpy pass.
+
+        Event ``i`` is ``(gap * base_cpi, is_instruction, is_write, bank, set,
+        tag, channel, directory line)``; an instruction fetch is never a write.
+        """
+        addresses = np.array(trace.addresses, dtype=np.int64)
+        fetch = np.array(trace.is_instruction, dtype=bool)
+        index, tag = self.banks[0]._index_and_tag(self._bank_local_address(addresses))
+        return list(
+            zip(
+                (np.array(trace.gaps, dtype=np.int64) * base_cpi).tolist(),
+                trace.is_instruction,
+                (np.array(trace.is_write, dtype=bool) & ~fetch).tolist(),
+                self._bank_for(addresses).tolist(),
+                index.tolist(),
+                tag.tolist(),
+                self._channel_for(addresses).tolist(),
+                self.directory._line(addresses).tolist(),
+            )
+        )
+
+    def _run_window(self, traces: "list[Trace]") -> "list[tuple[float, int]]":
+        """Run core ``c`` on ``traces[c]``; returns each core's ``(cycles, instructions)``.
+
+        The cores share the LLC banks, the directory and the DRAM channels.
+        The scheduler always advances the core with the earliest local clock
+        (ties to the lower core id), so shared bank and channel state sees
+        requests in (approximately) the order concurrent hardware would.  A
+        core retires each event's instruction gap at the workload's base
+        CPI, then sends the event to the LLC.  An instruction fetch stalls
+        the core for the whole latency; a data reference stalls only while
+        the core's outstanding-miss window is full, so memory-level
+        parallelism emerges from the window.  Every access walks, in order:
+        the bank (contention for ``BANK_SERVICE_CYCLES``), the directory
+        (invalidations on a write, a forward on a read of a line another
+        core modified), the bank's LRU set, and on a miss the DRAM channel,
+        the fill and its eviction.  It is one loop with its state in locals
+        and writes the counters back once.
+        """
+        base_cpi = self.workload.behavior(self.core.name).base_cpi
+        max_outstanding = max(1, self.core.max_outstanding_misses)
+        events = [self._window_events(trace, base_cpi) for trace in traces]
+
+        network = self.network_latency
+        bank_latency = self.bank_latency
+        bank_service = self.BANK_SERVICE_CYCLES
+        bank_free = self._bank_next_free
+        bank_sets = [bank._sets for bank in self.banks]
+        num_sets, ways = self.banks[0].num_sets, self.banks[0].associativity
+        line_bytes = self._line_bytes
+        sharers, owners = self.directory._sharers, self.directory._owner
+        channel_free = [channel._next_free for channel in self.channels]
+        channel_service = [channel.service_cycles for channel in self.channels]
+        channel_latency = [channel.access_latency_cycles for channel in self.channels]
+        channel_requests = [0] * len(self.channels)
+        bank_hits = [0] * self.num_banks
+        bank_misses = [0] * self.num_banks
+        bank_evictions = [0] * self.num_banks
+        bank_writebacks = [0] * self.num_banks
+        snoops = invalidations = forwards = 0
+
+        positions = [0] * len(traces)
+        outstanding: "list[list[float]]" = [[] for _ in traces]
+        cycles = [0.0] * len(traces)
+        # A core leaves the heap when its trace is done, not one step later:
+        # its drain touches nothing shared.
+        heap = [(0.0, c) for c, core_events in enumerate(events) if core_events]
+        while heap:
+            clock, c = heapq.heappop(heap)
+            # Step core c until another core's (clock, id) is the earliest.
+            next_clock, next_core = heap[0] if heap else (math.inf, 0)
+            core_events, i, out = events[c], positions[c], outstanding[c]
+            while True:
+                gap_cycles, fetch, write, b, s, tag, ch, line = core_events[i]
+                i += 1
+                now = clock + gap_cycles
+                if not fetch:
+                    # Retire the completed data requests; a full window stalls
+                    # the core until its oldest miss returns.
+                    out = [t for t in out if t > now]
+                    if len(out) >= max_outstanding:
+                        now = min(out)
+                        out = [t for t in out if t > now]
+
+                # Bank contention: max(arrival, bank free), ties to the arrival.
+                arrival = now + network
+                free = bank_free[b]
+                start = free if free > arrival else arrival
+                bank_free[b] = start + bank_service
+
+                # Directory: a write invalidates every other sharer and takes
+                # ownership; a read of a line another core owns forwards it.
+                snoop_delay = 0.0
+                held = sharers.get(line)
+                if write:
+                    others = len(held) - (c in held) if held else 0
+                    if others:
+                        snoops += others
+                        invalidations += others
+                        snoop_delay = others * network
+                    sharers[line] = {c}
+                    owners[line] = c
+                else:
+                    owner = owners.get(line)
+                    if owner is not None and owner != c:
+                        snoops += 1
+                        forwards += 1
+                        del owners[line]
+                    if held is None:
+                        sharers[line] = {c}
+                    else:
+                        held.add(c)
+
+                # The bank's LRU set: a hit moves the tag to the MRU end.
+                cache_set = bank_sets[b][s]
+                dirty = cache_set.pop(tag, None)
+                if dirty is not None:
+                    cache_set[tag] = dirty or write
+                    bank_hits[b] += 1
+                    latency = network + (start - arrival) + bank_latency + snoop_delay
+                else:
+                    bank_misses[b] += 1
+                    issue = start + bank_latency
+                    if issue < 0:  # only a trace with negative gaps gets here
+                        raise ValueError(f"DRAM request time must be >= 0, got {issue}")
+                    free = channel_free[ch]
+                    channel_start = free if free > issue else issue
+                    channel_free[ch] = channel_start + channel_service[ch]
+                    channel_requests[ch] += 1
+                    completion = channel_start + channel_service[ch] + channel_latency[ch]
+                    latency = (completion - now) + network  # response traversal
+                    if len(cache_set) >= ways:
+                        victim = next(iter(cache_set))
+                        bank_evictions[b] += 1
+                        if cache_set.pop(victim):
+                            bank_writebacks[b] += 1
+                        # The directory is keyed by global line address, but
+                        # this drops the victim's bank-local address, so the
+                        # victim's own entry stays (and an unrelated line's
+                        # entry may go).  Kept as is: correcting it is a
+                        # modelling change that moves the pinned digests.
+                        evicted = (victim * num_sets + s) * line_bytes
+                        sharers.pop(evicted, None)
+                        owners.pop(evicted, None)
+                    cache_set[tag] = write
+
+                if fetch:
+                    clock = now + latency
+                else:
+                    out.append(now + latency)
+                    clock = now
+                if i == len(core_events):
+                    # Drain the outstanding data requests, then finish.
+                    if out:
+                        clock = max(clock, max(out))
+                    cycles[c] = clock
+                    break
+                if clock > next_clock or (clock == next_clock and c > next_core):
+                    positions[c], outstanding[c] = i, out
+                    heapq.heappush(heap, (clock, c))
+                    break
+
+        accesses = sum(map(len, events))
+        self.stats.llc_accesses += accesses
+        self.stats.network_latency_cycles_total = _added(
+            self.stats.network_latency_cycles_total, network, accesses
+        )
+        self.stats.snoops += snoops
+        self.stats.llc_misses += sum(bank_misses)
+        self.stats.memory_reads += sum(bank_misses)
+        self.directory.stats.lookups += accesses
+        self.directory.stats.invalidation_snoops += invalidations
+        self.directory.stats.forward_snoops += forwards
+        for bank, hits, misses, evictions, writebacks in zip(
+            self.banks, bank_hits, bank_misses, bank_evictions, bank_writebacks
+        ):
+            bank.stats.accesses += hits + misses
+            bank.stats.hits += hits
+            bank.stats.misses += misses
+            bank.stats.evictions += evictions
+            bank.stats.writebacks += writebacks
+        for channel, free, requests in zip(self.channels, channel_free, channel_requests):
+            channel._next_free = free
+            channel.requests += requests
+            channel.busy_cycles = _added(channel.busy_cycles, channel.service_cycles, requests)
+        return [(cycles[c], sum(trace.gaps)) for c, trace in enumerate(traces)]
+
+
+def _added(total: float, step: float, times: int) -> float:
+    """``total`` after adding ``step`` to it ``times`` times, one addition at a
+    time, as a per-access counter does (not ``total + step * times``, which
+    rounds once)."""
+    for _ in range(times):
+        total += step
+    return total
 
 
 def simulate_system(

@@ -78,7 +78,8 @@ class Trace:
 
     Row ``i`` is the ``i``-th :class:`TraceEvent`: indexing or iterating yields
     rows, ``len()`` is the event count, and equality compares values.  The
-    cycle-level core reads the columns directly.
+    cycle-level simulator's measured window derives its per-event columns
+    from these in one numpy pass.
     """
 
     gaps: "list[int]"

@@ -155,6 +155,16 @@ class TestFaultSchedule:
         assert message.startswith(field)
         assert "\n" not in message
 
+    @pytest.mark.parametrize("build", [ServerCrash, Straggler], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("value", [math.nan, 1.5, True, -1, math.inf], ids=repr)
+    def test_server_index_must_be_an_integer(self, build, value):
+        """Regression: NaN, 1.5, True and inf passed the ``server < 0`` check."""
+        good = {"at_s": 1.0, "restart_s": 2.0, "until_s": 2.0, "slowdown": 2.0}
+        names = build.__dataclass_fields__
+        with pytest.raises(ValueError, match="^server must be an integer >= 0, got") as excinfo:
+            build(server=value, **{name: good[name] for name in names if name != "server"})
+        assert "\n" not in str(excinfo.value)
+
     @pytest.mark.parametrize("field", ["num_failed_links", "num_degraded_links"])
     @pytest.mark.parametrize("value", [math.nan, 1.5, -1, True], ids=repr)
     def test_link_counts_must_be_integers(self, field, value):

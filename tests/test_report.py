@@ -389,6 +389,19 @@ class TestValidator:
             assert item["grade"] in ("pass", "warn", "fail")
 
 
+    def test_experiment_count_is_distinct_graded_experiment_ids(self):
+        # figure_5_2's claims are graded against figure_5_1's shared run:
+        # one job, two experiments, and both are counted and listed.
+        run = cheap_validator().validate(only=["figure_5_1", "figure_5_2"])
+        graded_ids = {item.claim.experiment_id for item in run.graded}
+        assert graded_ids == {"figure_5_1", "figure_5_2"}
+        assert [check.experiment_id for check in run.experiments] == ["figure_5_1"]
+        assert run.summary()["experiments"] == len(graded_ids) == 2
+        text = render_markdown(run)
+        assert " across 2 experiments " in text
+        assert "Experiments behind the claims: `figure_5_1`, `figure_5_2`." in text
+
+
 # ---------------------------------------------------------------- renderers
 class TestRenderers:
     def test_markdown_is_deterministic_and_complete(self):

@@ -3,11 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.sim_warmup import warm_caches_per_line
+from oracles.sim_window import (
+    TraceDrivenCore,
+    cache_access,
+    channel_request,
+    directory_access,
+    directory_evict,
+    run_per_access,
+    run_window,
+)
 
 from repro.cores.models import OOO
 from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
 from repro.sim.cache import SetAssociativeCache
-from repro.sim.core import TraceDrivenCore
 from repro.sim.directory import Directory
 from repro.sim.engine import EventQueue
 from repro.sim.memctrl import MemoryChannelSim
@@ -150,9 +158,9 @@ def _fill_loop(cache, ranges):
 class TestSetAssociativeCache:
     def test_hit_after_fill(self):
         cache = SetAssociativeCache(capacity_bytes=4096, associativity=2)
-        assert not cache.access(0x100)
+        assert not cache_access(cache, 0x100)
         cache.fill(0x100)
-        assert cache.access(0x100)
+        assert cache_access(cache, 0x100)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_lru_eviction(self):
@@ -160,10 +168,10 @@ class TestSetAssociativeCache:
         # Single set with two ways: filling a third distinct line evicts the LRU.
         cache.fill(0)
         cache.fill(64 * cache.num_sets)  # same set, different tag
-        cache.access(0)  # touch line 0 -> the other line becomes LRU
+        cache_access(cache, 0)  # touch line 0 -> the other line becomes LRU
         evicted = cache.fill(2 * 64 * cache.num_sets)
         assert evicted == 64 * cache.num_sets
-        assert cache.access(0)
+        assert cache_access(cache, 0)
 
     def test_writeback_counted_for_dirty_victims(self):
         cache = SetAssociativeCache(capacity_bytes=2 * 64, associativity=2)
@@ -193,7 +201,7 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(capacity_bytes=8192, associativity=4)
         capacity_lines = 8192 // 64
         for address in addresses:
-            if not cache.access(address):
+            if not cache_access(cache, address):
                 cache.fill(address)
             assert cache.resident_lines <= capacity_lines
 
@@ -203,16 +211,16 @@ class TestSetAssociativeCache:
         # With a footprint smaller than the cache, re-accessing any line hits.
         cache = SetAssociativeCache(capacity_bytes=1 << 20, associativity=16)
         for address in addresses:
-            if not cache.access(address):
+            if not cache_access(cache, address):
                 cache.fill(address)
         for address in addresses:
-            assert cache.access(address)
+            assert cache_access(cache, address)
 
     def test_access_write_marks_line_dirty(self):
         cache = SetAssociativeCache(capacity_bytes=2 * 64, associativity=2)
         cache.fill(0)
-        assert cache.access(0, is_write=True)
-        assert cache.access(0)  # a later read keeps the line dirty
+        assert cache_access(cache, 0, is_write=True)
+        assert cache_access(cache, 0)  # a later read keeps the line dirty
         cache.fill(64 * cache.num_sets)
         cache.fill(2 * 64 * cache.num_sets)
         assert cache.stats.writebacks == 1
@@ -250,7 +258,7 @@ class TestSetAssociativeCache:
                 elif op == "fill_dirty":
                     cache.fill(address, dirty=True)
                 else:
-                    cache.access(address, is_write=op == "write")
+                    cache_access(cache, address, is_write=op == "write")
         bulk.fill_ranges(ranges)
         _fill_loop(loop, ranges)
         assert _lru_state(bulk) == _lru_state(loop)
@@ -293,7 +301,7 @@ class TestSetAssociativeCache:
         )
         for cache in (rejected, untouched):
             cache.fill(3 * 64, dirty=True)
-            cache.access(3 * 64)
+            cache_access(cache, 3 * 64)
             cache.fill_ranges([(16, 20)])  # leaves sets pending
         with pytest.raises(ValueError, match="fill_ranges") as caught:
             rejected.fill_ranges(ranges)
@@ -310,9 +318,9 @@ def _apply(cache, ops):
     for op, line in ops:
         address = line * 64 + 3
         if op == "read":
-            results.append(cache.access(address))
+            results.append(cache_access(cache, address))
         elif op == "write":
-            results.append(cache.access(address, is_write=True))
+            results.append(cache_access(cache, address, is_write=True))
         elif op == "fill":
             results.append(cache.fill(address))
         elif op == "fill_dirty":
@@ -464,42 +472,44 @@ class TestWarmCaches:
 
 
 class TestDirectory:
+    """The per-access directory updates of the window oracle."""
+
     def test_read_sharing_no_snoops(self):
         directory = Directory()
-        assert directory.access(0, 0x100, is_write=False) == 0
-        assert directory.access(1, 0x100, is_write=False) == 0
+        assert directory_access(directory, 0, 0x100, is_write=False) == 0
+        assert directory_access(directory, 1, 0x100, is_write=False) == 0
         assert _sharers(directory, 0x100) == {0, 1}
 
     def test_write_invalidates_sharers(self):
         directory = Directory()
-        directory.access(0, 0x100, is_write=False)
-        directory.access(1, 0x100, is_write=False)
-        snoops = directory.access(2, 0x100, is_write=True)
+        directory_access(directory, 0, 0x100, is_write=False)
+        directory_access(directory, 1, 0x100, is_write=False)
+        snoops = directory_access(directory, 2, 0x100, is_write=True)
         assert snoops == 2
         assert _sharers(directory, 0x100) == {2}
 
     def test_read_of_modified_line_forwards(self):
         directory = Directory()
-        directory.access(0, 0x200, is_write=True)
-        assert directory.access(1, 0x200, is_write=False) == 1
+        directory_access(directory, 0, 0x200, is_write=True)
+        assert directory_access(directory, 1, 0x200, is_write=False) == 1
         assert directory.stats.forward_snoops == 1
 
     def test_own_data_no_snoop(self):
         directory = Directory()
-        directory.access(0, 0x300, is_write=True)
-        assert directory.access(0, 0x300, is_write=True) == 0
-        assert directory.access(0, 0x300, is_write=False) == 0
+        directory_access(directory, 0, 0x300, is_write=True)
+        assert directory_access(directory, 0, 0x300, is_write=True) == 0
+        assert directory_access(directory, 0, 0x300, is_write=False) == 0
 
     def test_evict_clears_state(self):
         directory = Directory()
-        directory.access(0, 0x100, is_write=True)
-        directory.evict(0x100)
+        directory_access(directory, 0, 0x100, is_write=True)
+        directory_evict(directory, 0x100)
         assert _sharers(directory, 0x100) == set()
 
     def test_snoop_fraction_statistic(self):
         directory = Directory()
-        directory.access(0, 0, is_write=False)
-        directory.access(1, 0, is_write=True)
+        directory_access(directory, 0, 0, is_write=False)
+        directory_access(directory, 1, 0, is_write=True)
         assert directory.stats.lookups == 2
         assert 0 < directory.stats.snoop_fraction <= 1.0
 
@@ -507,23 +517,25 @@ class TestDirectory:
 class TestMemoryChannel:
     def test_fixed_latency_when_idle(self):
         channel = MemoryChannelSim(node=NODE_40NM)
-        completion = channel.request(0.0)
+        completion = channel_request(channel, 0.0)
         assert completion == pytest.approx(channel.service_cycles + 90.0)
 
     def test_back_to_back_requests_queue(self):
         channel = MemoryChannelSim(node=NODE_40NM)
-        first = channel.request(0.0)
-        second = channel.request(0.0)
+        first = channel_request(channel, 0.0)
+        second = channel_request(channel, 0.0)
         assert second > first
         assert channel.requests == 2
         assert channel.utilization(100.0) > 0
 
     def test_invalid_time(self):
         with pytest.raises(ValueError):
-            MemoryChannelSim(node=NODE_40NM).request(-1.0)
+            channel_request(MemoryChannelSim(node=NODE_40NM), -1.0)
 
 
 class TestTraceDrivenCore:
+    """The per-access core of the window oracle (``tests/oracles/sim_window.py``)."""
+
     def _trace(self):
         return Trace.from_events([
             TraceEvent(instruction_gap=10, address=0x1000, is_instruction=True, is_write=False, shared=False),
@@ -559,6 +571,157 @@ class TestTraceDrivenCore:
         core = TraceDrivenCore(0, OOO, get_workload("Web Search"), self._trace(), lambda *a: 10.0)
         core.run()
         assert 0 < core.ipc < OOO.issue_width
+
+
+def _window_state(system):
+    """Everything the measured window reads or writes, LRU order included.
+
+    Each bank gives its stats, every built set as ``(index, [(tag, dirty),
+    ...])`` LRU first, and its count of lines still pending.  Two systems
+    compared here start from the same warm-up, so a set built on neither
+    side is the same on both.
+    """
+    return (
+        system.stats,
+        [
+            (
+                bank.stats,
+                sorted((index, list(lines.items())) for index, lines in bank._sets.items()),
+                bank._sets.pending_lines,
+            )
+            for bank in system.banks
+        ],
+        system._bank_next_free,
+        system.directory.stats,
+        system.directory._sharers,
+        system.directory._owner,
+        [(channel._next_free, channel.requests, channel.busy_cycles) for channel in system.channels],
+    )
+
+
+_SUITE = list(default_suite())
+
+
+class TestWindowKernel:
+    """``SimulatedSystem.run``'s flat window against the per-access oracle.
+
+    The oracle (``tests/oracles/sim_window.py``) steps one object per core
+    and walks the LLC request, directory, bank and channel calls once per
+    access.  Every comparison is exact: statistics, per-core cycles and
+    instructions, bank sets in LRU order with dirty bits, directory sharers
+    and owners, and channel counters.
+    """
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        workload=st.sampled_from(_SUITE),
+        cores=st.sampled_from((1, 2, 4, 16)),
+        interconnect=st.sampled_from(("mesh", "crossbar")),
+        llc_mb=st.sampled_from((1.0, 4.0)),
+        channels=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=1, max_value=9),
+        warmup=st.booleans(),
+    )
+    def test_matches_per_access_oracle(
+        self, workload, cores, interconnect, llc_mb, channels, seed, warmup
+    ):
+        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb, interconnect=interconnect)
+        kernel, oracle = (
+            SimulatedSystem(workload, config, memory_channels=channels, seed=seed)
+            for _ in range(2)
+        )
+        kernel.run(2000, warmup=warmup)
+        run_per_access(oracle, 2000, warmup=warmup)
+        assert _window_state(kernel) == _window_state(oracle)
+
+    @pytest.mark.parametrize("cores_index", range(4), ids=lambda i: f"{(1, 2, 4, 16)[i]}cores")
+    @pytest.mark.parametrize("position", range(7), ids=lambda p: _SUITE[p].name)
+    def test_every_workload_and_core_count(self, position, cores_index):
+        # The LLC size, interconnect and channel count rotate with the case,
+        # so every core count meets every value of each.
+        case = position + cores_index
+        config = SystemConfig(
+            cores=(1, 2, 4, 16)[cores_index],
+            llc_capacity_mb=(1.0, 4.0)[case % 2],
+            interconnect=("mesh", "crossbar")[case // 2 % 2],
+        )
+        kernel, oracle = (
+            SimulatedSystem(_SUITE[position], config, memory_channels=1 + case % 3, seed=3)
+            for _ in range(2)
+        )
+        kernel.run(1000)
+        run_per_access(oracle, 1000)
+        assert _window_state(kernel) == _window_state(oracle)
+
+    @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
+    def test_figure_4_3_catalog_size(self, workload):
+        # Figure 4.3's catalog point: 16 cores, 8 MB, crossbar, 6,000
+        # instructions per core, seed 11, two channels.
+        config = SystemConfig(cores=16, llc_capacity_mb=8.0, interconnect="crossbar")
+        kernel, oracle = (SimulatedSystem(workload, config, seed=11) for _ in range(2))
+        kernel.run(6000)
+        run_per_access(oracle, 6000)
+        assert _window_state(kernel) == _window_state(oracle)
+
+    def test_second_run_on_the_same_system(self):
+        # The second run starts from the first one's banks, directory,
+        # bank and channel clocks, and adds to its statistics.
+        workload = get_workload("Data Serving")
+        config = SystemConfig(cores=4, llc_capacity_mb=1.0)
+        kernel, oracle = (
+            SimulatedSystem(workload, config, memory_channels=2, seed=5) for _ in range(2)
+        )
+        for _ in range(2):
+            kernel.run(2000)
+            run_per_access(oracle, 2000)
+            assert _window_state(kernel) == _window_state(oracle)
+        assert len(kernel.stats.per_core_cycles) == 8
+
+    def test_hand_trace_fills_the_miss_window(self):
+        # Back-to-back misses (no instructions between them) fill the
+        # outstanding-miss window: the core stalls until its oldest miss
+        # returns and issues the next one at exactly that time.
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=2, llc_capacity_mb=1.0)
+        kernel, oracle = (SimulatedSystem(workload, config, seed=1) for _ in range(2))
+        traces = [
+            Trace.from_events(
+                TraceEvent(
+                    instruction_gap=0, address=(core * 64 + i) * 4096, is_instruction=False,
+                    is_write=False, shared=False,
+                )
+                for i in range(40)
+            )
+            for core in range(2)
+        ]
+        kernel_cores = kernel._run_window(traces)
+        oracle_cores = run_window(oracle, traces)
+        assert kernel_cores == [(core.stats.cycles, core.stats.instructions) for core in oracle_cores]
+        assert all(core.stats.data_stall_cycles > 0 for core in oracle_cores)
+        assert _window_state(kernel) == _window_state(oracle)
+
+    def test_hand_trace_evicts_lines_the_directory_tracks(self):
+        # Two cores write and read 20 lines of one set of a one-bank LLC
+        # from a cold start: the fills evict lines the directory holds
+        # state for, and each eviction drops that state.
+        workload = get_workload("Web Search")
+        config = SystemConfig(cores=2, llc_capacity_mb=1.0)
+        kernel, oracle = (SimulatedSystem(workload, config, seed=1) for _ in range(2))
+        assert kernel.num_banks == 1
+        stride = kernel.banks[0].num_sets * 64
+        events = [
+            TraceEvent(
+                instruction_gap=3, address=i * stride, is_instruction=False,
+                is_write=i % 3 == 0, shared=False,
+            )
+            for i in range(20)
+        ]
+        traces = [Trace.from_events(events), Trace.from_events(events[::-1])]
+        assert kernel._run_window(traces) == [
+            (core.stats.cycles, core.stats.instructions) for core in run_window(oracle, traces)
+        ]
+        assert kernel.banks[0].stats.evictions > 0
+        assert _window_state(kernel) == _window_state(oracle)
 
 
 class TestSimulatedSystem:
