@@ -1,7 +1,6 @@
-"""Cache hierarchy models: L1 parameters, LLC banks, and NUCA organizations."""
+"""Cache models: LLC banks and NUCA organizations."""
 
 from repro.caches.bank import CacheBank
-from repro.caches.hierarchy import L1Config, DEFAULT_L1, CONVENTIONAL_L1
 from repro.caches.nuca import NucaLLC
 
-__all__ = ["CacheBank", "L1Config", "DEFAULT_L1", "CONVENTIONAL_L1", "NucaLLC"]
+__all__ = ["CacheBank", "NucaLLC"]

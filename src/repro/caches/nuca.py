@@ -100,25 +100,3 @@ class NucaLLC:
         if cores_per_bank < 1:
             raise ValueError("cores_per_bank must be >= 1")
         return max(1, int(math.ceil(cores / cores_per_bank)))
-
-    @classmethod
-    def dancehall(
-        cls,
-        total_capacity_mb: float,
-        cores: int,
-        node: TechnologyNode = NODE_40NM,
-        cores_per_bank: int = 4,
-    ) -> "NucaLLC":
-        """LLC organization for dancehall (crossbar) designs: 1 bank per 4 cores."""
-        return cls(
-            total_capacity_mb=total_capacity_mb,
-            num_banks=cls.banks_for_cores(cores, cores_per_bank),
-            node=node,
-        )
-
-    @classmethod
-    def tiled(cls, total_capacity_mb: float, tiles: int, node: TechnologyNode = NODE_40NM) -> "NucaLLC":
-        """LLC organization for tiled designs: one slice per tile."""
-        if tiles < 1:
-            raise ValueError("tiles must be >= 1")
-        return cls(total_capacity_mb=total_capacity_mb, num_banks=tiles, node=node)

@@ -10,7 +10,7 @@ organization unit spans the whole die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.pod import Pod
 from repro.memory.dram import DramChannel, channel_for_standard

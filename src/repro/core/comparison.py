@@ -9,11 +9,10 @@ normalized ratios between designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
 from repro.perfmodel.analytic import AnalyticPerformanceModel
-from repro.technology.node import TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
 
 
@@ -76,10 +75,6 @@ class DesignComparison:
     def pd_ratio(self, design: str, baseline: str) -> float:
         """Performance-density ratio of ``design`` over ``baseline``."""
         return self.row(design).performance_density / self.row(baseline).performance_density
-
-    def perf_per_watt_ratio(self, design: str, baseline: str) -> float:
-        """Performance-per-Watt ratio of ``design`` over ``baseline``."""
-        return self.row(design).performance_per_watt / self.row(baseline).performance_per_watt
 
     def names(self) -> "list[str]":
         """Design names in table order."""

@@ -22,16 +22,15 @@ Frontier extraction runs a vectorized numpy kernel (:func:`pareto_mask_numpy`)
 that reduces the objective matrix with broadcast comparisons and handles
 million-point fronts.  :func:`pareto_frontier` uses it for every group whose
 objective values are finite floats and the pairwise dominance loop for a group
-holding NaN or infinity; :func:`pareto_numpy` is the finite-only entry.
-``tests/test_dse_search.py`` holds both to the pure-Python O(n^2) loop kept in
-``tests/oracles/pareto.py``.
+holding NaN or infinity.  ``tests/test_dse_search.py`` holds both to the
+pure-Python O(n^2) loop kept in ``tests/oracles/pareto.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -191,62 +190,6 @@ def _oriented_matrix(
     return np.column_stack(columns)
 
 
-def _frontier_mask(
-    rows: "Sequence[Mapping[str, object]]",
-    objectives: "Sequence[Objective]",
-    group_by: "str | Sequence[str] | None",
-    finite_only: bool,
-) -> "list[bool]":
-    """Per-row frontier membership: the kernel per finite group, else the loop.
-
-    With ``finite_only`` a group holding NaN or infinity raises instead.
-    """
-    groups: "dict[object, list[int]]" = {}
-    for position, row in enumerate(rows):
-        groups.setdefault(_group_key(row, group_by), []).append(position)
-    mask = [False] * len(rows)
-    for positions in groups.values():
-        if len(positions) == 1:
-            # A lone group member is never compared (nor are its metric
-            # values converted), as in the pairwise loop.
-            mask[positions[0]] = True
-            continue
-        if not objectives:
-            raise ValueError("dominance needs at least one objective")
-        matrix = _oriented_matrix(rows, positions, objectives)
-        if np.isfinite(matrix).all():
-            group_mask = pareto_mask_numpy(matrix)
-        elif finite_only:
-            raise ValueError(
-                "pareto_numpy cannot take non-finite objective values; "
-                "use pareto_frontier"
-            )
-        else:  # NaN/inf semantics are defined by the pairwise loop
-            group_mask = _reference_group_mask([rows[p] for p in positions], objectives)
-        for position, on_front in zip(positions, group_mask):
-            mask[position] = bool(on_front)
-    return mask
-
-
-def pareto_numpy(
-    rows: "Sequence[Mapping[str, object]]",
-    objectives: "Sequence[Objective]",
-    group_by: "str | Sequence[str] | None" = None,
-) -> "list[Mapping[str, object]]":
-    """The non-dominated subset via the vectorized numpy kernel.
-
-    Identical to :func:`pareto_frontier` for finite objective values;
-    raises ``ValueError`` when a row carries NaN or infinity, where only the
-    pairwise loop's comparison semantics are defined.
-    """
-    if not objectives:
-        raise ValueError("dominance needs at least one objective")
-    if not rows:
-        return []
-    mask = _frontier_mask(rows, objectives, group_by, finite_only=True)
-    return [row for row, on_front in zip(rows, mask) if on_front]
-
-
 def pareto_frontier(
     rows: "Sequence[Mapping[str, object]]",
     objectives: "Sequence[Objective]",
@@ -269,9 +212,23 @@ def pareto_frontier(
     """
     if not objectives:
         raise ValueError("dominance needs at least one objective")
-    if not rows:
-        return []
-    mask = _frontier_mask(rows, objectives, group_by, finite_only=False)
+    groups: "dict[object, list[int]]" = {}
+    for position, row in enumerate(rows):
+        groups.setdefault(_group_key(row, group_by), []).append(position)
+    mask = [False] * len(rows)
+    for positions in groups.values():
+        if len(positions) == 1:
+            # A lone group member is never compared (nor are its metric
+            # values converted), as in the pairwise loop.
+            mask[positions[0]] = True
+            continue
+        matrix = _oriented_matrix(rows, positions, objectives)
+        if np.isfinite(matrix).all():
+            group_mask = pareto_mask_numpy(matrix)
+        else:  # NaN/inf semantics are defined by the pairwise loop
+            group_mask = _reference_group_mask([rows[p] for p in positions], objectives)
+        for position, on_front in zip(positions, group_mask):
+            mask[position] = bool(on_front)
     return [row for row, on_front in zip(rows, mask) if on_front]
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class EmptyDesignSpaceError(ValueError):

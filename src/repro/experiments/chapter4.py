@@ -9,7 +9,6 @@ fan their independent points out over a :class:`~repro.runtime.SweepExecutor`.
 from __future__ import annotations
 
 import statistics
-from typing import Sequence
 
 from repro.noc.simulation import PodNocStudy
 from repro.perfmodel.analytic import SystemConfig

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.core.pod import Pod
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_40NM, TechnologyNode, coerce_node

@@ -29,7 +29,7 @@ from typing import Sequence
 from repro.fleet.engine import FleetConfig, FleetSimulation
 from repro.fleet.geo import Datacenter, Region
 from repro.fleet.loadshape import DIURNAL_24, LoadShape
-from repro.fleet.metrics import MONTH_HOURS, LatencyHistogram
+from repro.fleet.metrics import LatencyHistogram
 from repro.runtime.executor import SweepExecutor
 from repro.workloads.suite import WorkloadSuite, default_suite
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: "str | None" = None) -> str:

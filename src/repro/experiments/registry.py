@@ -31,23 +31,6 @@ from repro.runtime import (
 from repro.runtime.cache import code_fingerprint
 
 
-def _spec(
-    experiment_id: str,
-    function: "Callable[..., object]",
-    produces: str,
-    version: int = 1,
-) -> ExperimentSpec:
-    kind, chapter_str, _ = experiment_id.split("_", 2)
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        chapter=int(chapter_str),
-        kind=kind,
-        function=function,
-        produces=produces,
-        version=version,
-    )
-
-
 #: Chapter number used for beyond-paper studies (the paper evaluates 2-6).
 SERVICE_CHAPTER = 7
 
@@ -64,66 +47,29 @@ FLEET_CHAPTER = 10
 TECHNOLOGY_CHAPTER = 11
 
 
-def _study(
-    experiment_id: str, function: "Callable[..., object]", produces: str
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        chapter=SERVICE_CHAPTER,
-        kind="study",
-        function=function,
-        produces=produces,
-    )
-
-
-def _explore(
-    experiment_id: str, function: "Callable[..., object]", produces: str
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        chapter=DSE_CHAPTER,
-        kind="explore",
-        function=function,
-        produces=produces,
-    )
-
-
-def _fault_study(
-    experiment_id: str, function: "Callable[..., object]", produces: str
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        chapter=FAULTS_CHAPTER,
-        kind="study",
-        function=function,
-        produces=produces,
-    )
-
-
-def _fleet_study(
-    experiment_id: str, function: "Callable[..., object]", produces: str
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        chapter=FLEET_CHAPTER,
-        kind="study",
-        function=function,
-        produces=produces,
-    )
-
-
-def _technology(
+def _spec(
     experiment_id: str,
     function: "Callable[..., object]",
     produces: str,
+    chapter: "int | None" = None,
     kind: str = "study",
+    version: int = 1,
 ) -> ExperimentSpec:
+    """One catalog entry.
+
+    A paper artifact's id (``figure_2_1``, ``table_3_2``) names its own kind
+    and chapter, so it passes neither; every other entry passes ``chapter``.
+    """
+    if chapter is None:
+        kind, chapter_str, _ = experiment_id.split("_", 2)
+        chapter = int(chapter_str)
     return ExperimentSpec(
         experiment_id=experiment_id,
-        chapter=TECHNOLOGY_CHAPTER,
+        chapter=chapter,
         kind=kind,
         function=function,
         produces=produces,
+        version=version,
     )
 
 
@@ -160,33 +106,28 @@ CATALOG = SpecCatalog(
         _spec("figure_6_5", chapter6.figure_6_5_strategies_ooo, "Fixed-pod vs fixed-distance, OoO pods"),
         _spec("figure_6_6", chapter6.figure_6_6_pd3d_inorder, "3D performance-density sweep, in-order pods"),
         _spec("figure_6_7", chapter6.figure_6_7_strategies_inorder, "Fixed-pod vs fixed-distance, in-order pods"),
-        _study("service_latency_sweep", service.service_latency_sweep, "Load-latency curve (p50/p95/p99) for a service cluster"),
-        _study("service_policy_comparison", service.service_policy_comparison, "Load-balancing policies head-to-head at equal load"),
-        _study("service_cluster_sizing", service.service_cluster_sizing, "Servers and monthly TCO per design for a QPS target at a p99 SLA"),
-        _explore("explore_pod_40nm", dse_studies.explore_pod_40nm, "40nm pod design space; the paper's chosen designs are frontier points"),
-        _explore("explore_scaling_20nm", dse_studies.explore_scaling_20nm, "Pod design space across 40nm/20nm; frontier shift under scaling"),
-        _explore("explore_sla_sizing", dse_studies.explore_sla_sizing, "SLA-constrained sizing: monthly TCO vs achieved p99 frontier"),
-        _explore("explore_pod_scale", dse_studies.explore_pod_scale, "~111k-candidate pod space, search strategies only (GA default)"),
-        _fault_study("fault_service_sweep", fault_studies.service_fault_sweep, "Availability/goodput/p99 of a service cluster vs server crash intensity"),
-        _fault_study("fault_mttr_sensitivity", fault_studies.service_mttr_sweep, "Dependability vs repair time (MTTR) at fixed crash intensity"),
-        _fault_study("fault_nk_sizing", fault_studies.service_nk_sizing, "N+k redundancy sizing: TCO and cluster availability vs tolerated failures"),
-        _fault_study("fault_noc_links", fault_studies.noc_fault_sweep, "NoC latency and system IPC as links fail and traffic reroutes"),
-        _fleet_study("fleet_diurnal_day", fleet_studies.fleet_diurnal_day, "A compressed diurnal day across three datacenters: load, capacity, tail latency"),
-        _fleet_study("fleet_autoscale_policies", fleet_studies.fleet_autoscale_policies, "Static vs reactive autoscaling on monthly TCO and SLA attainment"),
-        _fleet_study("fleet_geo_routing", fleet_studies.fleet_geo_routing, "Geo-routing policies under skewed regional demand"),
-        _fleet_study("fleet_class_priorities", fleet_studies.fleet_class_priorities, "Interactive vs batch tail latency under the prioritized request mix"),
-        _technology("node_family_table", technology_studies.node_family_table, "The derived 90nm-7nm node family: scaling factors and extrapolation flags"),
-        _technology("node_design_scaling", technology_studies.node_design_scaling, "Conventional/Scale-Out/1Pod designs re-sized at every family node"),
-        _technology("node_pod_selection", technology_studies.node_pod_selection, "PD-optimal pod per (node, core family) via the Chapter 3 methodology"),
-        _technology("node_sram_scaling", technology_studies.node_sram_scaling, "LLC bank area/latency/energy across capacity and node (CACTI stand-in)"),
-        _technology("explore_node_family", dse_studies.explore_node_family, "Pod design space across the whole node family; frontier shift per node", kind="explore"),
+        _spec("service_latency_sweep", service.service_latency_sweep, "Load-latency curve (p50/p95/p99) for a service cluster", chapter=SERVICE_CHAPTER),
+        _spec("service_policy_comparison", service.service_policy_comparison, "Load-balancing policies head-to-head at equal load", chapter=SERVICE_CHAPTER),
+        _spec("service_cluster_sizing", service.service_cluster_sizing, "Servers and monthly TCO per design for a QPS target at a p99 SLA", chapter=SERVICE_CHAPTER),
+        _spec("explore_pod_40nm", dse_studies.explore_pod_40nm, "40nm pod design space; the paper's chosen designs are frontier points", chapter=DSE_CHAPTER, kind="explore"),
+        _spec("explore_scaling_20nm", dse_studies.explore_scaling_20nm, "Pod design space across 40nm/20nm; frontier shift under scaling", chapter=DSE_CHAPTER, kind="explore"),
+        _spec("explore_sla_sizing", dse_studies.explore_sla_sizing, "SLA-constrained sizing: monthly TCO vs achieved p99 frontier", chapter=DSE_CHAPTER, kind="explore"),
+        _spec("explore_pod_scale", dse_studies.explore_pod_scale, "~111k-candidate pod space, search strategies only (GA default)", chapter=DSE_CHAPTER, kind="explore"),
+        _spec("fault_service_sweep", fault_studies.service_fault_sweep, "Availability/goodput/p99 of a service cluster vs server crash intensity", chapter=FAULTS_CHAPTER),
+        _spec("fault_mttr_sensitivity", fault_studies.service_mttr_sweep, "Dependability vs repair time (MTTR) at fixed crash intensity", chapter=FAULTS_CHAPTER),
+        _spec("fault_nk_sizing", fault_studies.service_nk_sizing, "N+k redundancy sizing: TCO and cluster availability vs tolerated failures", chapter=FAULTS_CHAPTER),
+        _spec("fault_noc_links", fault_studies.noc_fault_sweep, "NoC latency and system IPC as links fail and traffic reroutes", chapter=FAULTS_CHAPTER),
+        _spec("fleet_diurnal_day", fleet_studies.fleet_diurnal_day, "A compressed diurnal day across three datacenters: load, capacity, tail latency", chapter=FLEET_CHAPTER),
+        _spec("fleet_autoscale_policies", fleet_studies.fleet_autoscale_policies, "Static vs reactive autoscaling on monthly TCO and SLA attainment", chapter=FLEET_CHAPTER),
+        _spec("fleet_geo_routing", fleet_studies.fleet_geo_routing, "Geo-routing policies under skewed regional demand", chapter=FLEET_CHAPTER),
+        _spec("fleet_class_priorities", fleet_studies.fleet_class_priorities, "Interactive vs batch tail latency under the prioritized request mix", chapter=FLEET_CHAPTER),
+        _spec("node_family_table", technology_studies.node_family_table, "The derived 90nm-7nm node family: scaling factors and extrapolation flags", chapter=TECHNOLOGY_CHAPTER),
+        _spec("node_design_scaling", technology_studies.node_design_scaling, "Conventional/Scale-Out/1Pod designs re-sized at every family node", chapter=TECHNOLOGY_CHAPTER),
+        _spec("node_pod_selection", technology_studies.node_pod_selection, "PD-optimal pod per (node, core family) via the Chapter 3 methodology", chapter=TECHNOLOGY_CHAPTER),
+        _spec("node_sram_scaling", technology_studies.node_sram_scaling, "LLC bank area/latency/energy across capacity and node (CACTI stand-in)", chapter=TECHNOLOGY_CHAPTER),
+        _spec("explore_node_family", dse_studies.explore_node_family, "Pod design space across the whole node family; frontier shift per node", chapter=TECHNOLOGY_CHAPTER, kind="explore"),
     ]
 )
-
-#: Legacy view (experiment id -> callable), kept for backward compatibility.
-EXPERIMENTS: "dict[str, Callable[..., object]]" = {
-    spec.experiment_id: spec.function for spec in CATALOG
-}
 
 #: Process-wide default cache; add a disk tier by setting ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE = ResultCache.from_env()

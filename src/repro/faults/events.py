@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perfmodel.analytic import require_count
 
@@ -219,7 +219,3 @@ class FaultSchedule:
             for start, end in self.downtime_intervals(server):
                 total += max(0.0, min(end, duration_s) - min(start, duration_s))
         return total
-
-
-#: The canonical zero-fault schedule (shared; :meth:`FaultSchedule.is_empty`).
-EMPTY_SCHEDULE = FaultSchedule()

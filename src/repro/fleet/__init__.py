@@ -22,7 +22,7 @@ from repro.fleet.autoscale import (
     TargetUtilizationPolicy,
     make_policy,
 )
-from repro.fleet.engine import FleetConfig, FleetSimulation, simulate_fleet
+from repro.fleet.engine import FleetConfig, FleetSimulation
 from repro.fleet.geo import (
     DEFAULT_BASE_LATENCY_S,
     DEFAULT_LATENCY_PER_UNIT_S,
@@ -32,7 +32,6 @@ from repro.fleet.geo import (
 )
 from repro.fleet.loadshape import DIURNAL_24, FLASH_CROWD_24, LoadShape
 from repro.fleet.metrics import (
-    MONTH_HOURS,
     EpochDatacenterStats,
     FleetResult,
     LatencyHistogram,
@@ -72,7 +71,6 @@ __all__ = [
     "FleetSimulation",
     "LatencyHistogram",
     "LoadShape",
-    "MONTH_HOURS",
     "QueueDepthPolicy",
     "ROUTING_POLICIES",
     "Region",
@@ -91,5 +89,4 @@ __all__ = [
     "route_demand",
     "routing_seed",
     "service_times",
-    "simulate_fleet",
 ]

@@ -360,9 +360,3 @@ class FleetSimulation:
             network_sum_s=network_sum_s,
         )
 
-
-def simulate_fleet(
-    config: FleetConfig, seed: int = 1, collect_samples: bool = False
-) -> FleetResult:
-    """Convenience wrapper: build and run one fleet-day simulation."""
-    return FleetSimulation(config, seed=seed, collect_samples=collect_samples).run()

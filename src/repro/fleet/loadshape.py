@@ -59,13 +59,6 @@ class LoadShape:
             multipliers=tuple(v / mean for v in values), epoch_s=epoch_s
         )
 
-    @classmethod
-    def flat(cls, num_epochs: int, epoch_s: float = 3600.0) -> "LoadShape":
-        """An explicit all-ones trace (equals the empty shape byte-for-byte)."""
-        if num_epochs < 1:
-            raise ValueError("num_epochs must be >= 1")
-        return cls(multipliers=(1.0,) * num_epochs, epoch_s=epoch_s)
-
     @property
     def num_epochs(self) -> int:
         """Trace length; 0 for the stationary (empty) shape."""

@@ -15,7 +15,6 @@ activity, and the monthly-TCO projection the cost-vs-SLA studies grade.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +164,6 @@ class EpochDatacenterStats:
         """Busy time as a fraction of the epoch's deployed unit-seconds."""
         deployed = self.servers * parallelism * epoch_s
         return self.busy_s / deployed if deployed > 0 else 0.0
-
-
-#: Hours in the TCO model's month (the standard 730-hour convention).
-MONTH_HOURS = 730.0
 
 
 @dataclass

@@ -9,8 +9,6 @@ deep packet buffers, and long-range links (about 23 mm^2 for a 64-tile network a
 
 from __future__ import annotations
 
-import math
-
 from repro.interconnect.base import InterconnectModel
 from repro.interconnect.floorplan import Floorplan
 from repro.technology.node import NODE_40NM, TechnologyNode

@@ -11,25 +11,10 @@ and the analytic per-core performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 from repro.memory.dram import DramChannel
 from repro.technology.node import TechnologyNode
 from repro.workloads.profile import WorkloadProfile
-
-
-@dataclass(frozen=True)
-class BandwidthDemand:
-    """Off-chip bandwidth demand of one workload on one configuration.
-
-    Attributes:
-        workload: workload name.
-        gbps: demanded DRAM bandwidth in GB/s.
-    """
-
-    workload: str
-    gbps: float
 
 
 def demand_gbps(
@@ -51,26 +36,6 @@ def demand_gbps(
     bytes_per_instr = workload.offchip_bytes_per_instruction(llc_capacity_mb, cores, core_type)
     instr_per_second = per_core_ipc * node.frequency_ghz * 1e9 * cores
     return instr_per_second * bytes_per_instr / 1e9
-
-
-def worst_case_demand_gbps(
-    workloads: Iterable[WorkloadProfile],
-    cores: int,
-    llc_capacity_mb: float,
-    per_core_ipc_by_workload: "dict[str, float]",
-    node: TechnologyNode,
-    core_type: str = "ooo",
-) -> BandwidthDemand:
-    """Worst-case off-chip demand across the workload suite."""
-    worst: "BandwidthDemand | None" = None
-    for workload in workloads:
-        ipc = per_core_ipc_by_workload[workload.name]
-        gbps = demand_gbps(workload, cores, llc_capacity_mb, ipc, node, core_type)
-        if worst is None or gbps > worst.gbps:
-            worst = BandwidthDemand(workload=workload.name, gbps=gbps)
-    if worst is None:
-        raise ValueError("no workloads supplied")
-    return worst
 
 
 def channels_required(demand_gbps_value: float, channel: DramChannel, minimum: int = 1) -> int:

@@ -1,4 +1,4 @@
-"""Packet-level network-on-chip simulator and area/energy models (Chapter 4).
+"""Packet-level network-on-chip simulator and area model (Chapter 4).
 
 The NOC-Out study compares three pod interconnects for a 64-core pod at 32nm:
 
@@ -10,7 +10,7 @@ The NOC-Out study compares three pod interconnects for a 64-core pod at 32nm:
 
 This package provides a packet-level simulator (topology graphs, per-port router
 occupancy, pipeline and serialization delays) driven by the bilateral
-core-to-LLC traffic of scale-out workloads, plus the ORION-style area and energy
+core-to-LLC traffic of scale-out workloads, plus the ORION-style area
 accounting used for Figures 4.7 and 4.8.  Traffic reaches the network only as a
 :class:`PacketBatch` (see :func:`repro.noc.traffic.generate_bilateral_batch`),
 delivered by :meth:`NocNetwork.run_batch`.
@@ -19,8 +19,8 @@ delivered by :meth:`NocNetwork.run_batch`.
 from repro.noc.fastpath import CompiledTopology, MessageClass, PacketBatch
 from repro.noc.topology import NocTopology, build_mesh, build_flattened_butterfly, build_nocout
 from repro.noc.network import NocNetwork, NocConfig
-from repro.noc.metrics import NocAreaModel, NocAreaBreakdown, NocPowerModel
-from repro.noc.simulation import NocPointSpec, NocSimulationResult, PodNocStudy, evaluate_topologies
+from repro.noc.metrics import NocAreaModel, NocAreaBreakdown
+from repro.noc.simulation import NocPointSpec, NocSimulationResult, PodNocStudy
 
 __all__ = [
     "MessageClass",
@@ -35,8 +35,6 @@ __all__ = [
     "NocConfig",
     "NocAreaModel",
     "NocAreaBreakdown",
-    "NocPowerModel",
     "NocSimulationResult",
     "PodNocStudy",
-    "evaluate_topologies",
 ]

@@ -1,12 +1,11 @@
-"""NoC area and power models (ORION-style accounting, Figures 4.7 and 4.4.4).
+"""NoC area model (ORION-style accounting, Figures 4.7 and 4.8).
 
 Area is broken down into links (repeaters only -- wires route over logic),
 buffers (flip-flops for the mesh and NOC-Out trees, SRAM for the flattened
 butterfly's deep buffers), and crossbars (quadratic in port count).  The constants
 are calibrated so that the three 64-core / 128-bit-link organizations land at the
 paper's reported totals: mesh ~3.5 mm^2, flattened butterfly ~23 mm^2, NOC-Out
-~2.5 mm^2 at 32nm.  Power follows the paper's observation that all three NOCs
-dissipate 1-2 W, dominated by link energy.
+~2.5 mm^2 at 32nm.
 """
 
 from __future__ import annotations
@@ -131,32 +130,3 @@ class NocAreaModel:
             width //= 2
         return min_bits
 
-
-class NocPowerModel:
-    """Energy/power accounting: links dominate, total stays below ~2 W."""
-
-    #: Router energy per flit traversal (pJ) at 32nm, 128-bit flits.
-    ROUTER_PJ_PER_FLIT_128B = 8.0
-
-    def __init__(self, node: TechnologyNode = NODE_32NM, config: "NocConfig | None" = None):
-        self.node = node
-        self.config = config or NocConfig()
-        self.wires = WireModel(node)
-
-    def average_power_w(
-        self,
-        topology: NocTopology,
-        flit_hops: int,
-        duration_cycles: float,
-        average_link_length_mm: float = 1.4,
-    ) -> float:
-        """Average NoC power over a window with ``flit_hops`` total flit-hops."""
-        if duration_cycles <= 0:
-            raise ValueError("duration_cycles must be positive")
-        width = self.config.link_width_bits
-        link_energy_pj = self.wires.energy_pj(average_link_length_mm, width) * flit_hops
-        router_energy_pj = self.ROUTER_PJ_PER_FLIT_128B * (width / 128.0) * flit_hops
-        leakage_w = 0.15 + 0.01 * topology.num_nodes * (width / 128.0)
-        seconds = duration_cycles / (self.node.frequency_ghz * 1e9)
-        dynamic_w = (link_energy_pj + router_energy_pj) * 1e-12 / seconds
-        return leakage_w + dynamic_w

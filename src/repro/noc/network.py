@@ -139,7 +139,7 @@ class NocNetwork:
         return self._hops_sum / self._delivered_count
 
     def total_flit_hops(self) -> int:
-        """Total flit-hops carried (the energy model's activity measure)."""
+        """Total flit-hops carried, summed over every link."""
         return sum(self._flits_carried)
 
     def max_link_utilization(self, elapsed_cycles: float) -> float:

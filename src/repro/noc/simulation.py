@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.noc.fastpath import MessageClass
-from repro.noc.metrics import NocAreaBreakdown, NocAreaModel, NocPowerModel
+from repro.noc.metrics import NocAreaBreakdown, NocAreaModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
 from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
@@ -346,16 +346,3 @@ class PodNocStudy:
                 widths[name] = model.width_for_area_budget(self.build_topology(name), budget)
         return widths
 
-
-def evaluate_topologies(
-    cores: int = 64,
-    duration_cycles: int = 6_000,
-    suite: "WorkloadSuite | None" = None,
-    seed: int = 1,
-) -> "dict[str, dict[str, float]]":
-    """Convenience wrapper returning Figure 4.6 (performance normalized to mesh)."""
-    study = PodNocStudy(
-        cores=cores, duration_cycles=duration_cycles, suite=suite, seed=seed
-    )
-    results = study.evaluate()
-    return study.normalized_performance(results)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import CoreModel, core_model

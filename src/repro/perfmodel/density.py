@@ -8,7 +8,7 @@ Performance density (PD) is throughput per unit area (Section 2.3 / 3.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

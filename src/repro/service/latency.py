@@ -25,7 +25,7 @@ class LatencyStats:
 
     An empty sample set is legal -- a prioritized request class can simply
     receive no traffic in a window -- and reports every statistic as ``nan``
-    (and ``meets_sla`` as ``False``) instead of raising, so fleet-level
+    instead of raising, so fleet-level
     aggregation over classes never crashes on a starved class.
     """
 
@@ -95,14 +95,6 @@ class LatencyStats:
     def p99_s(self) -> float:
         """99th-percentile latency, the SLA metric."""
         return self.percentile(0.99)
-
-    def meets_sla(self, p99_target_s: float) -> bool:
-        """Whether the p99 latency stays within the SLA target.
-
-        ``False`` for an empty sample set (``nan`` compares false), so a
-        starved class never silently counts as SLA-compliant.
-        """
-        return self.p99_s <= p99_target_s
 
     def summary(self, scale: float = 1e3) -> "dict[str, float]":
         """Headline metrics as a dict (milliseconds by default)."""

@@ -13,7 +13,7 @@ of LLC accesses (Figure 4.3), which is the property NOC-Out exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.memory.dram import DramChannel, DDR3_1667
 from repro.technology.node import NODE_40NM, TechnologyNode
 

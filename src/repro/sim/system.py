@@ -44,8 +44,8 @@ class SimulatedSystem:
         memory_channels: "int | None" = None,
         seed: int = 1,
     ):
-        if memory_channels is not None and memory_channels < 1:
-            raise ValueError(f"memory_channels must be >= 1, got {memory_channels}")
+        if memory_channels is not None:
+            require_count("memory_channels", memory_channels, 1)
         self.workload = workload
         self.config = config
         self.seed = seed

@@ -12,7 +12,7 @@ from repro.tco.params import TcoParameters, DEFAULT_TCO_PARAMETERS
 from repro.tco.pricing import ChipPricingModel, ChipPriceEstimate, KNOWN_MARKET_PRICES
 from repro.tco.server import ServerConfig, RackConfig, ServerDesign
 from repro.tco.model import TcoBreakdown, TcoModel
-from repro.tco.datacenter import DatacenterDesign, DatacenterResult, evaluate_datacenter
+from repro.tco.datacenter import DatacenterDesign, DatacenterResult
 
 __all__ = [
     "TcoParameters",
@@ -27,5 +27,4 @@ __all__ = [
     "TcoModel",
     "DatacenterDesign",
     "DatacenterResult",
-    "evaluate_datacenter",
 ]

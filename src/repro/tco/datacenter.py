@@ -9,9 +9,8 @@ behind Figures 5.1-5.5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
 from repro.perfmodel.analytic import AnalyticPerformanceModel
@@ -134,11 +133,3 @@ class DatacenterDesign:
             }
         return comparison
 
-
-def evaluate_datacenter(
-    chip: ScaleOutChip,
-    memory_gb: int = 64,
-    params: TcoParameters = DEFAULT_TCO_PARAMETERS,
-) -> DatacenterResult:
-    """Convenience wrapper: evaluate one chip design with default models."""
-    return DatacenterDesign(params).evaluate(chip, memory_gb)

@@ -38,7 +38,6 @@ class TcoParameters:
     motherboard_cost: float = 330.0
     disk_power_w: float = 10.0
     disk_cost: float = 180.0
-    disks_per_server: int = 2
     dram_power_w_per_gb: float = 1.0
     dram_cost_per_gb: float = 25.0
 

@@ -106,9 +106,3 @@ class ChipPricingModel:
         if design in KNOWN_MARKET_PRICES:
             return KNOWN_MARKET_PRICES[design]
         return self.estimate(design, die_area_mm2, volume_units).unit_price
-
-    def price_vs_volume(
-        self, design: str, die_area_mm2: float, volumes: "tuple[int, ...]" = (40_000, 100_000, 200_000, 500_000, 1_000_000)
-    ) -> "dict[int, float]":
-        """Unit price across production volumes (Figure 5.5's x-axis)."""
-        return {v: self.estimate(design, die_area_mm2, v).unit_price for v in volumes}

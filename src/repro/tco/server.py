@@ -9,7 +9,6 @@ facility power budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.chip import ScaleOutChip

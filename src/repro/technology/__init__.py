@@ -19,20 +19,14 @@ from repro.technology.node import (
 )
 from repro.technology.family import (
     DEFAULT_FAMILY,
-    FAMILY_NODE_NAMES,
     NodeFamily,
     NodeRecipe,
     ScalingRule,
     derive_node,
-    node_provenance,
 )
 from repro.technology.cacti import SramModel, CacheEstimate
 from repro.technology.wires import WireModel
-from repro.technology.components import (
-    ComponentCatalog,
-    ComponentSpec,
-    catalog_for_node,
-)
+from repro.technology.components import ComponentCatalog, ComponentSpec
 
 __all__ = [
     "TechnologyNode",
@@ -45,16 +39,13 @@ __all__ = [
     "scale_area",
     "scale_power",
     "DEFAULT_FAMILY",
-    "FAMILY_NODE_NAMES",
     "NodeFamily",
     "NodeRecipe",
     "ScalingRule",
     "derive_node",
-    "node_provenance",
     "SramModel",
     "CacheEstimate",
     "WireModel",
     "ComponentCatalog",
     "ComponentSpec",
-    "catalog_for_node",
 ]

@@ -131,11 +131,3 @@ class ComponentCatalog:
             raise ValueError("channels must be non-negative")
         return self.memory_interface.power_w * channels
 
-
-def catalog_for_node(node: "TechnologyNode | str | int") -> ComponentCatalog:
-    """Convenience constructor accepting a node object, a name, or a feature size."""
-    if isinstance(node, TechnologyNode):
-        return ComponentCatalog(node)
-    from repro.technology.node import get_node
-
-    return ComponentCatalog(get_node(node))

@@ -458,11 +458,3 @@ class NodeFamily:
 
 #: The process-wide default family every registry lookup resolves against.
 DEFAULT_FAMILY = NodeFamily()
-
-#: Node names of the default family, oldest first (the canonical DSE axis).
-FAMILY_NODE_NAMES: "tuple[str, ...]" = tuple(DEFAULT_FAMILY.names)
-
-
-def node_provenance(key: "str | int | TechnologyNode") -> "dict[str, object]":
-    """Derivation audit for one default-family node (see :meth:`NodeFamily.provenance`)."""
-    return DEFAULT_FAMILY.provenance(key)

@@ -86,11 +86,6 @@ class TechnologyNode:
     wire_delay_ps_per_mm: float = 125.0
     wire_energy_fj_per_bit_mm: float = 50.0
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1.0 / self.frequency_ghz
-
     def cycles_for_ns(self, nanoseconds: float) -> float:
         """Convert a latency in nanoseconds to (fractional) clock cycles."""
         return nanoseconds * self.frequency_ghz

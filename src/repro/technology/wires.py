@@ -8,7 +8,6 @@ over logic, so only repeater area counts against the NoC area budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.technology.node import TechnologyNode
@@ -19,47 +18,18 @@ class WireModel:
     """Physical model of repeatered on-die links.
 
     Attributes:
-        node: target technology node (provides ps/mm and fJ/bit/mm).
-        pitch_nm: wire pitch of the semi-global metal layer.
-        repeater_energy_fraction: fraction of link energy dissipated in repeaters.
+        node: target technology node (provides ps/mm).
         repeater_area_mm2_per_bit_mm: repeater area per bit of link width per mm of
             link length.  Derived so that a 128-bit, full-chip-length link costs a
             small fraction of a mm^2, matching the paper's link-area breakdown.
     """
 
     node: TechnologyNode
-    pitch_nm: float = 200.0
-    repeater_energy_fraction: float = 0.19
     repeater_area_mm2_per_bit_mm: float = 0.000035
-
-    def delay_ps(self, length_mm: float) -> float:
-        """Wire delay in picoseconds for a link of ``length_mm``."""
-        if length_mm < 0:
-            raise ValueError("length_mm must be non-negative")
-        return length_mm * self.node.wire_delay_ps_per_mm
-
-    def delay_cycles(self, length_mm: float) -> float:
-        """Wire delay in (fractional) clock cycles."""
-        return self.delay_ps(length_mm) / 1000.0 * self.node.frequency_ghz
-
-    def traversal_cycles(self, length_mm: float) -> int:
-        """Integer number of cycles to traverse a pipelined link of ``length_mm``."""
-        return max(1, int(math.ceil(self.delay_cycles(length_mm))))
 
     def reach_per_cycle_mm(self) -> float:
         """How many millimetres a signal covers in one clock cycle."""
         return 1000.0 / (self.node.wire_delay_ps_per_mm * self.node.frequency_ghz)
-
-    def energy_pj(self, length_mm: float, bits: int, switching_factor: float = 0.5) -> float:
-        """Energy (pJ) to move ``bits`` over ``length_mm`` of wire.
-
-        The per-bit/mm figure already assumes random data (50% switching); the
-        ``switching_factor`` argument rescales it for other activity levels.
-        """
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
-        per_bit_fj = self.node.wire_energy_fj_per_bit_mm * (switching_factor / 0.5)
-        return per_bit_fj * bits * length_mm / 1000.0
 
     def repeater_area_mm2(self, length_mm: float, bits: int) -> float:
         """Silicon area consumed by repeaters for a ``bits``-wide link of ``length_mm``."""

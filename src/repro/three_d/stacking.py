@@ -67,11 +67,6 @@ class StackedPod:
             return self.base_pod.area_mm2 / self.num_dies
         return self.base_pod.area_mm2
 
-    @property
-    def total_silicon_mm2(self) -> float:
-        """Total silicon across all dies (footprint times dies)."""
-        return self.footprint_mm2 * self.num_dies
-
     # ----------------------------------------------------------------- timing
     def network_latency_cycles(self, model: "AnalyticPerformanceModel | None" = None) -> float:
         """Average core-to-LLC network latency of the stacked pod.

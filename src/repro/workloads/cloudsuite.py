@@ -92,8 +92,6 @@ DATA_SERVING = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=1.15),
     snoop_fraction=0.055,
     max_cores=64,
-    software_knee_cores=32,
-    scalability_rolloff=0.80,
     instruction_footprint_kb=1024,
     dataset_footprint_mb=2048,
     latency_sensitive=True,
@@ -110,7 +108,6 @@ MAPREDUCE_C = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=1.05),
     snoop_fraction=0.022,
     max_cores=64,
-    software_knee_cores=64,
     instruction_footprint_kb=512,
     dataset_footprint_mb=4096,
     latency_sensitive=False,
@@ -127,7 +124,6 @@ MAPREDUCE_W = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=0.82),
     snoop_fraction=0.026,
     max_cores=64,
-    software_knee_cores=64,
     instruction_footprint_kb=384,
     dataset_footprint_mb=4096,
     latency_sensitive=False,
@@ -144,7 +140,6 @@ MEDIA_STREAMING = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=1.45, mlp_factor=0.72),
     snoop_fraction=0.012,
     max_cores=16,
-    software_knee_cores=16,
     instruction_footprint_kb=320,
     dataset_footprint_mb=8192,
     latency_sensitive=True,
@@ -161,8 +156,6 @@ SAT_SOLVER = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=0.90),
     snoop_fraction=0.033,
     max_cores=64,
-    software_knee_cores=32,
-    scalability_rolloff=0.85,
     instruction_footprint_kb=256,
     dataset_footprint_mb=1024,
     latency_sensitive=False,
@@ -179,7 +172,6 @@ WEB_FRONTEND = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=0.80),
     snoop_fraction=0.040,
     max_cores=32,
-    software_knee_cores=32,
     instruction_footprint_kb=1536,
     dataset_footprint_mb=1024,
     latency_sensitive=True,
@@ -196,8 +188,6 @@ WEB_SEARCH = WorkloadProfile(
     core_behavior=_behaviors(compute_factor=0.68),
     snoop_fraction=0.006,
     max_cores=32,
-    software_knee_cores=32,
-    scalability_rolloff=0.85,
     instruction_footprint_kb=2048,
     dataset_footprint_mb=2048,
     latency_sensitive=True,

@@ -18,7 +18,6 @@ improves until the 2--8 MB range and shows little or negative benefit beyond
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -128,23 +127,3 @@ class MissRatioCurve:
     def mpki(self, capacity_mb: float, cores: int = 1) -> float:
         """Total LLC misses per kilo-instruction with ``capacity_mb`` MB shared by ``cores``."""
         return self.data_mpki(capacity_mb, cores) + self.instruction_llc_mpki(capacity_mb, cores)
-
-    def miss_ratio(self, capacity_mb: float, llc_apki: float, cores: int = 1) -> float:
-        """LLC miss *ratio* given accesses-per-kilo-instruction ``llc_apki``."""
-        if llc_apki <= 0:
-            raise ValueError("llc_apki must be positive")
-        return min(1.0, self.mpki(capacity_mb, cores) / llc_apki)
-
-    # ------------------------------------------------------------- utilities
-    def capacity_for_mpki(self, target_mpki: float, cores: int = 1) -> float:
-        """Smallest capacity (MB) achieving a *data-side* MPKI of ``target_mpki`` or less."""
-        if target_mpki < self.floor_mpki:
-            return math.inf
-        if target_mpki >= self.floor_mpki + self.capturable_mpki:
-            return 0.0
-        # Invert the Hill curve analytically on the effective capacity, then undo
-        # the sharing dilution.
-        needed_capture = 1.0 - (target_mpki - self.floor_mpki) / self.capturable_mpki
-        k = self.capture.exponent
-        effective = self.capture.half_capture_mb * (needed_capture / (1.0 - needed_capture)) ** (1.0 / k)
-        return effective * (1.0 + self.sharing_dilution * (cores - 1))

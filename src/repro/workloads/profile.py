@@ -17,7 +17,7 @@ The numbers themselves live in :mod:`repro.workloads.cloudsuite`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.workloads.missrate import MissRatioCurve
 
@@ -69,12 +69,6 @@ class WorkloadProfile:
         max_cores: largest core count at which the software stack scales
             (Table 3.1: 16 for Media Streaming, 32 for Web Frontend / Web Search,
             64 for the rest).
-        scalability_rolloff: per-doubling throughput retention beyond
-            ``software_knee_cores`` (1.0 = perfect scaling), used only by
-            simulation-flavoured studies; the analytic design-space model follows
-            the paper in assuming hardware-limited scaling.
-        software_knee_cores: core count beyond which software scalability starts
-            to erode throughput.
         instruction_footprint_kb: approximate dynamic instruction footprint, used
             by the synthetic trace generator.
         dataset_footprint_mb: per-core dataset shard touched by the trace
@@ -93,8 +87,6 @@ class WorkloadProfile:
     snoop_fraction: float
     dirty_writeback_fraction: float = 0.05
     max_cores: int = 64
-    scalability_rolloff: float = 1.0
-    software_knee_cores: int = 64
     instruction_footprint_kb: int = 512
     dataset_footprint_mb: int = 512
     latency_sensitive: bool = True
@@ -111,8 +103,6 @@ class WorkloadProfile:
             raise ValueError("dirty_writeback_fraction must be within [0, 1]")
         if self.max_cores < 1:
             raise ValueError("max_cores must be >= 1")
-        if not 0.0 < self.scalability_rolloff <= 1.0:
-            raise ValueError("scalability_rolloff must be in (0, 1]")
         required = {"conventional", "ooo", "inorder"}
         missing = required - set(self.core_behavior)
         if missing:
@@ -183,27 +173,3 @@ class WorkloadProfile:
         mpki = self.llc_mpki(capacity_mb, cores, core_type)
         per_miss = line_bytes * (1.0 + self.dirty_writeback_fraction)
         return mpki / 1000.0 * per_miss
-
-    # ------------------------------------------------------- software scaling
-    def software_scaling_factor(self, cores: int) -> float:
-        """Throughput retention factor (0..1] for running on ``cores`` cores.
-
-        Perfect scaling up to ``software_knee_cores``; beyond the knee, each
-        doubling retains ``scalability_rolloff`` of its ideal gain; beyond
-        ``max_cores`` additional cores add nothing.
-        """
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        effective = min(cores, self.max_cores)
-        if effective <= self.software_knee_cores or self.scalability_rolloff >= 1.0:
-            return effective / cores
-        import math
-
-        doublings = math.log2(effective / self.software_knee_cores)
-        retained = self.software_knee_cores * (2.0 * self.scalability_rolloff) ** doublings
-        return min(effective, retained) / cores
-
-    # -------------------------------------------------------------- mutation
-    def with_overrides(self, **kwargs) -> "WorkloadProfile":
-        """Return a copy of this profile with selected fields replaced."""
-        return replace(self, **kwargs)

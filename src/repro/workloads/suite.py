@@ -10,8 +10,8 @@ workloads on only the 16 tiles nearest the LLC).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.workloads.cloudsuite import CLOUDSUITE
 from repro.workloads.profile import WorkloadProfile
@@ -50,13 +50,6 @@ class WorkloadSuite:
         return [w.name for w in self.workloads]
 
     # ------------------------------------------------------------ filtering
-    def scalable_to(self, cores: int) -> "WorkloadSuite":
-        """Sub-suite of workloads whose software stack scales to ``cores`` cores."""
-        selected = tuple(w for w in self.workloads if w.max_cores >= cores)
-        if not selected:
-            raise ValueError(f"no workload scales to {cores} cores")
-        return WorkloadSuite(selected)
-
     def latency_sensitive(self) -> "WorkloadSuite":
         """Sub-suite of latency-sensitive (non-batch) workloads."""
         selected = tuple(w for w in self.workloads if w.latency_sensitive)

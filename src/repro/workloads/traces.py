@@ -41,9 +41,6 @@ from repro.workloads.profile import WorkloadProfile
 #: Cache line size used throughout the reproduction (Table 2.2).
 LINE_BYTES = 64
 
-#: Data references issued per instruction by the synthetic cores (loads + stores).
-DATA_ACCESS_RATE = 0.32
-
 #: Fraction of data references that are writes.
 WRITE_FRACTION = 0.22
 
@@ -186,11 +183,6 @@ class SyntheticTraceGenerator:
             ),
             "shared_hot": _Region("shared_hot", self._SHARED_HOT_BASE, 256 * 1024),
         }
-
-    # ------------------------------------------------------------------ util
-    def expected_llc_accesses_per_instruction(self) -> float:
-        """Expected LLC accesses per instruction encoded in the trace."""
-        return self.l1i_miss_per_instr + self.l1d_miss_per_instr
 
     # ------------------------------------------------------------- generator
     def events_for_core(self, core_id: int, instructions: int) -> Trace:

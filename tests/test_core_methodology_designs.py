@@ -188,4 +188,5 @@ class TestDesignComparison:
         assert len(comparison.as_dicts()) == len(comparison.rows)
 
     def test_perf_per_watt_improves(self, comparison):
-        assert comparison.perf_per_watt_ratio("Scale-Out (OoO)", "Conventional") > 2.0
+        scale_out = comparison.row("Scale-Out (OoO)").performance_per_watt
+        assert scale_out > 2.0 * comparison.row("Conventional").performance_per_watt

@@ -15,7 +15,6 @@ from repro.dse import (
     frontier_2d,
     pareto_frontier,
 )
-from repro.dse.pareto import pareto_numpy
 from repro.dse.search import (
     STRATEGIES,
     GaConfig,
@@ -85,7 +84,7 @@ def chip_explorer(space=None, **kwargs):
 # ------------------------------------------------------------- pareto kernel
 class TestParetoKernelEquivalence:
     def assert_equivalent(self, rows, objectives, group_by=None):
-        fast = pareto_numpy(rows, objectives, group_by)
+        fast = pareto_frontier(rows, objectives, group_by)
         slow = pareto_frontier_reference(rows, objectives, group_by)
         assert [id(r) for r in fast] == [id(r) for r in slow]
 
@@ -102,43 +101,32 @@ class TestParetoKernelEquivalence:
 
     def test_exact_duplicates_all_survive(self):
         rows = [{"a": 1.0, "b": 2.0, "c": 3.0} for _ in range(4)]
-        frontier = pareto_numpy(rows, OBJECTIVES_3)
+        frontier = pareto_frontier(rows, OBJECTIVES_3)
         assert len(frontier) == 4
         self.assert_equivalent(rows, OBJECTIVES_3)
 
     def test_degenerate_objective_contributes_nothing(self):
         rows = [{"a": 1.0, "b": float(i), "c": 0.0} for i in range(6)]
-        frontier = pareto_numpy(rows, OBJECTIVES_3)
+        frontier = pareto_frontier(rows, OBJECTIVES_3)
         assert frontier == [rows[-1]]
         self.assert_equivalent(rows, OBJECTIVES_3)
 
     def test_every_group_size_one(self):
         rows = [{"g": str(i), "a": float(i), "b": 0.0, "c": 0.0} for i in range(5)]
-        frontier = pareto_numpy(rows, OBJECTIVES_3, group_by="g")
+        frontier = pareto_frontier(rows, OBJECTIVES_3, group_by="g")
         assert len(frontier) == 5
         self.assert_equivalent(rows, OBJECTIVES_3, group_by="g")
 
-    def test_pareto_numpy_alias(self):
-        rows = random_rows(40, seed=2)
-        assert pareto_numpy(rows, OBJECTIVES_3, group_by="g") == pareto_frontier(
-            rows, OBJECTIVES_3, group_by="g"
-        )
-
     def test_preserves_input_order(self):
         rows = random_rows(120, seed=4)
-        frontier = pareto_numpy(rows, OBJECTIVES_3)
+        frontier = pareto_frontier(rows, OBJECTIVES_3)
         by_identity = {id(row): position for position, row in enumerate(rows)}
         positions = [by_identity[id(row)] for row in frontier]
         assert positions == sorted(positions)
 
     def test_zero_objectives_rejected(self):
         with pytest.raises(ValueError, match="at least one objective"):
-            pareto_numpy([{"a": 1.0}], ())
-
-    def test_numpy_method_rejects_non_finite(self):
-        rows = [{"a": 1.0}, {"a": float("nan")}]
-        with pytest.raises(ValueError, match="non-finite"):
-            pareto_numpy(rows, (Objective.maximize("a"),))
+            pareto_frontier([{"a": 1.0}], ())
 
     def test_auto_method_falls_back_on_non_finite(self):
         rows = [{"a": 1.0}, {"a": float("nan")}]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import chapter2, chapter3, chapter4, chapter5, chapter6
 from repro.experiments.formatting import format_table
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import CATALOG, run_experiment
 from repro.workloads import WorkloadSuite, get_workload
 
 
@@ -23,7 +23,7 @@ class TestRegistry:
             "figure_5_4", "figure_5_5", "table_6_1", "table_6_2",
             "figure_6_4", "figure_6_5", "figure_6_6", "figure_6_7",
         }
-        assert expected.issubset(set(EXPERIMENTS))
+        assert expected.issubset(set(CATALOG.ids()))
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -132,13 +132,11 @@ class TestChapter6:
 
 class TestServiceStudies:
     def test_service_specs_registered(self):
-        from repro.experiments.registry import CATALOG
-
         assert {
             "service_latency_sweep",
             "service_policy_comparison",
             "service_cluster_sizing",
-        }.issubset(set(EXPERIMENTS))
+        }.issubset(set(CATALOG.ids()))
         for spec in CATALOG.by_kind("study"):
             assert spec.chapter in (7, 9, 10, 11)
 

@@ -24,7 +24,6 @@ from repro.faults import (
     apply_link_faults,
     availability_from_downtime,
 )
-from repro.faults.events import EMPTY_SCHEDULE
 from repro.faults.noc import undirected_links
 from repro.obs.tracer import Tracer, use_tracer
 from repro.runtime import ResultCache, SweepExecutor
@@ -192,7 +191,7 @@ class TestFaultedCluster:
         with on_engine(engine):
             base = simulate_cluster(config, num_requests=2_000, seed=42)
             faulted = simulate_cluster(
-                config, num_requests=2_000, seed=42, faults=EMPTY_SCHEDULE
+                config, num_requests=2_000, seed=42, faults=FaultSchedule()
             )
         assert faulted == base
         assert faulted.dependability is None
@@ -271,7 +270,7 @@ class TestFaultedCluster:
         simulation = ClusterSimulation(config, faults=schedule)
         assert simulation.faults is schedule
         assert simulation.run(3_000).dependability is not None
-        assert ClusterSimulation(config, faults=EMPTY_SCHEDULE).faults is None
+        assert ClusterSimulation(config, faults=FaultSchedule()).faults is None
 
     def test_schedule_naming_a_missing_server_rejected(self):
         # Regression: crashes on servers >= num_servers used to be skipped and

@@ -227,7 +227,7 @@ class TestFleetEngineEquivalence:
         )
         flat = FleetConfig(
             datacenters=datacenters, offered_qps=300.0,
-            load_shape=LoadShape.flat(epochs, epoch_s=2.0),
+            load_shape=LoadShape((1.0,) * epochs, epoch_s=2.0),
         )
         first = FleetSimulation(stationary, seed=seed, collect_samples=True).run()
         second = FleetSimulation(flat, seed=seed, collect_samples=True).run()

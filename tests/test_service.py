@@ -1,6 +1,7 @@
 """Tests for the datacenter service simulation subsystem."""
 
 import copy
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -161,11 +162,6 @@ class TestLatencyStats:
         assert stats.percentile(1.0) == 100.0
         assert stats.p99_s == pytest.approx(99.01)
 
-    def test_sla_predicate(self):
-        stats = LatencyStats.from_iterable([1.0, 2.0, 3.0])
-        assert stats.meets_sla(3.0)
-        assert not stats.meets_sla(2.5)
-
     def test_empty_reports_nan_not_crash(self):
         """Zero-sample stats (e.g. a starved priority class) report NaN."""
         import math
@@ -176,7 +172,6 @@ class TestLatencyStats:
         assert math.isnan(stats.max_s)
         assert math.isnan(stats.p99_s)
         assert math.isnan(stats.percentile(0.5))
-        assert not stats.meets_sla(1.0)
         assert all(math.isnan(v) for v in stats.summary().values())
 
 
@@ -743,8 +738,8 @@ class TestCalibration:
 
         suite = WorkloadSuite((WEB_SEARCH,))
         chip = build_service_chip("Scale-Out (OoO)", suite)
-        cheap = WEB_SEARCH.with_overrides(instructions_per_request=1_000_000.0)
-        expensive = WEB_SEARCH.with_overrides(instructions_per_request=8_000_000.0)
+        cheap = dataclasses.replace(WEB_SEARCH, instructions_per_request=1_000_000.0)
+        expensive = dataclasses.replace(WEB_SEARCH, instructions_per_request=8_000_000.0)
         assert (
             calibrate_chip(chip, cheap).unit_rate_rps
             > calibrate_chip(chip, expensive).unit_rate_rps

@@ -784,13 +784,14 @@ class TestSimulatedSystem:
         with pytest.raises(ValueError, match="instructions_per_core must be an integer >= 1"):
             SimulatedSystem(workload, config).run(instructions)
 
-    @pytest.mark.parametrize("channels", [0, -1])
-    def test_rejects_memory_channels_below_one(self, channels):
+    @pytest.mark.parametrize("channels", [0, -1, 1.5, float("nan"), True])
+    def test_rejects_memory_channels_that_are_not_counts(self, channels):
         # memory_channels=0 used to build the system and then die with a
-        # ZeroDivisionError in _channel_for on the first LLC miss.
+        # ZeroDivisionError in _channel_for on the first LLC miss; 1.5 and NaN
+        # died in range() with a TypeError, and True built one channel.
         workload = get_workload("Web Search")
         config = SystemConfig(cores=2, llc_capacity_mb=2)
-        with pytest.raises(ValueError, match="memory_channels") as caught:
+        with pytest.raises(ValueError, match="memory_channels must be an integer >= 1") as caught:
             simulate_system(workload, config, 1000, memory_channels=channels)
         assert "\n" not in str(caught.value)
 

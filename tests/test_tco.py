@@ -5,7 +5,7 @@ import pytest
 from repro.core.designs import build_conventional, build_scale_out, build_single_pod, build_tiled
 from repro.core.pod import Pod
 from repro.core.chip import ScaleOutChip
-from repro.tco.datacenter import DatacenterDesign, evaluate_datacenter
+from repro.tco.datacenter import DatacenterDesign
 from repro.tco.model import TcoModel
 from repro.tco.params import DEFAULT_TCO_PARAMETERS, TcoParameters
 from repro.tco.pricing import ChipPricingModel, KNOWN_MARKET_PRICES
@@ -62,9 +62,9 @@ class TestPricing:
 
     def test_price_falls_with_volume(self):
         pricing = ChipPricingModel()
-        prices = pricing.price_vs_volume("Scale-Out (OoO)", 260.0)
-        volumes = sorted(prices)
-        assert all(prices[a] >= prices[b] for a, b in zip(volumes[:-1], volumes[1:]))
+        volumes = (40_000, 100_000, 200_000, 500_000, 1_000_000)
+        prices = [pricing.estimate("Scale-Out (OoO)", 260.0, v).unit_price for v in volumes]
+        assert all(a >= b for a, b in zip(prices[:-1], prices[1:]))
 
     def test_price_in_paper_band_at_200k(self):
         pricing = ChipPricingModel()
@@ -185,7 +185,3 @@ class TestDatacenter:
             pricey = datacenter.evaluate(chip, processor_price=800.0).performance_per_tco
             return cheap / pricey
         assert sensitivity(small_chip) >= sensitivity(big_chip) * 0.95
-
-    def test_convenience_wrapper(self, chips):
-        result = evaluate_datacenter(chips["single_pod_ooo"])
-        assert result.design.startswith("1Pod")

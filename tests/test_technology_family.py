@@ -25,18 +25,16 @@ from repro.dse.studies import explore_pod_40nm
 from repro.experiments.chapter4 import figure_4_6_noc_performance
 from repro.experiments.technology import node_pod_selection, node_sram_scaling
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
-from repro.technology.components import catalog_for_node
+from repro.technology.components import ComponentCatalog
 from repro.technology.family import (
     ANCHOR_FEATURE_NM,
     DEFAULT_FAMILY,
-    FAMILY_NODE_NAMES,
     PAPER_DIE_CONSTRAINTS,
     SCALING_RULES,
     NodeFamily,
     NodeRecipe,
     ScalingRule,
     derive_node,
-    node_provenance,
 )
 from repro.technology.node import (
     NODE_20NM,
@@ -113,8 +111,7 @@ class TestFrozenLegacyConstants:
 
 class TestFamilyStructure:
     def test_family_spans_90_to_7(self):
-        assert tuple(DEFAULT_FAMILY.names) == FAMILY_NODE_NAMES
-        assert FAMILY_NODE_NAMES == (
+        assert tuple(DEFAULT_FAMILY.names) == (
             "90nm", "65nm", "40nm", "32nm", "28nm", "20nm", "14nm", "10nm", "7nm"
         )
         assert len(DEFAULT_FAMILY) == 9
@@ -130,7 +127,7 @@ class TestFamilyStructure:
         with pytest.raises(KeyError) as excinfo:
             get_node("5nm")
         message = str(excinfo.value)
-        for name in FAMILY_NODE_NAMES:
+        for name in DEFAULT_FAMILY.names:
             assert name in message
 
     def test_family_validates_recipes(self):
@@ -239,7 +236,7 @@ class TestScalingLawProperties:
         ]
 
     def test_provenance_is_json_able_and_audits_the_derivation(self):
-        record = node_provenance("7nm")
+        record = DEFAULT_FAMILY.provenance("7nm")
         json.dumps(record)  # must not raise
         assert record["node"] == "7nm"
         assert record["calibrated"] is False and record["extrapolated"] is True
@@ -247,7 +244,7 @@ class TestScalingLawProperties:
         assert record["rules"]["logic_area"]["in_bounds"] is False
         assert record["derived"]["logic_area_scale"] == get_node(7).logic_area_scale
         assert record["recipe"]["memory_standard"] == "DDR4"
-        anchor = node_provenance(40)
+        anchor = DEFAULT_FAMILY.provenance(40)
         assert anchor["calibrated"] is True and anchor["extrapolated_rules"] == []
 
 
@@ -268,20 +265,20 @@ class TestCatalogAcrossFamily:
 
     @pytest.mark.parametrize("name", sorted(OOO_CORE_PINS))
     def test_scaled_ooo_core_per_node(self, name):
-        core = catalog_for_node(name).ooo_core
+        core = ComponentCatalog(get_node(name)).ooo_core
         area, power = self.OOO_CORE_PINS[name]
         assert round(core.area_mm2, 6) == area
         assert round(core.power_w, 6) == power
 
     def test_memory_interface_never_shrinks(self):
         for node in FAMILY_NODES:
-            interface = catalog_for_node(node).memory_interface
+            interface = ComponentCatalog(node).memory_interface
             assert interface.area_mm2 == 12.0
             assert interface.power_w == pytest.approx(5.7)
 
     def test_memory_standard_split(self):
         for node in FAMILY_NODES:
-            name = catalog_for_node(node).memory_interface.name
+            name = ComponentCatalog(node).memory_interface.name
             if node.feature_nm >= 28:
                 assert node.memory_standard == "DDR3" and name == "ddr3_interface"
             else:

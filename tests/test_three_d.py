@@ -35,7 +35,6 @@ class TestStackedPod:
         assert stacked.cores == base_pod.cores
         assert stacked.llc_capacity_mb == base_pod.llc_capacity_mb
         assert stacked.footprint_mm2 == pytest.approx(base_pod.area_mm2 / 4)
-        assert stacked.total_silicon_mm2 == pytest.approx(base_pod.area_mm2)
 
     def test_fixed_distance_scales_resources(self, base_pod):
         stacked = stack_fixed_distance(base_pod, 4)

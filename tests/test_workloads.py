@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import math
 from unittest import mock
 
 import numpy as np
@@ -94,17 +93,6 @@ class TestMissRatioCurve:
                 instruction_capture=None,
             )
 
-    def test_miss_ratio_bounded(self):
-        curve = self._curve()
-        assert 0.0 < curve.miss_ratio(1.0, llc_apki=50.0) <= 1.0
-
-    def test_capacity_for_mpki_inverts(self):
-        curve = self._curve()
-        capacity = curve.capacity_for_mpki(5.0)
-        assert curve.data_mpki(capacity) == pytest.approx(5.0, rel=0.02)
-        assert curve.capacity_for_mpki(2.0) == math.inf
-        assert curve.capacity_for_mpki(100.0) == 0.0
-
     @given(st.floats(min_value=0.25, max_value=64.0), st.integers(min_value=1, max_value=256))
     def test_mpki_always_at_least_floor(self, capacity, cores):
         curve = self._curve()
@@ -160,13 +148,6 @@ class TestCloudSuiteProfiles:
         large = workload.offchip_bytes_per_instruction(16.0)
         assert small > large > 0
 
-    def test_software_scaling_factor(self):
-        media = get_workload("Media Streaming")
-        assert media.software_scaling_factor(16) == pytest.approx(1.0)
-        assert media.software_scaling_factor(64) == pytest.approx(0.25)
-        sat = get_workload("SAT Solver")
-        assert sat.software_scaling_factor(64) < 1.0
-
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             WorkloadProfile(
@@ -180,11 +161,6 @@ class TestCloudSuiteProfiles:
         with pytest.raises(ValueError):
             CoreBehavior(base_cpi=0.5, l1_miss_scale=1.0, data_mlp=0.5, memory_mlp=1.0)
 
-    def test_with_overrides(self):
-        modified = WEB_SEARCH.with_overrides(max_cores=16)
-        assert modified.max_cores == 16
-        assert WEB_SEARCH.max_cores == 32
-
 
 class TestWorkloadSuite:
     def test_default_suite_contents(self):
@@ -195,8 +171,8 @@ class TestWorkloadSuite:
 
     def test_filtering(self):
         suite = default_suite()
-        assert len(suite.scalable_to(64)) == 4
-        assert len(suite.scalable_to(32)) == 6
+        assert sum(w.max_cores >= 64 for w in suite) == 4
+        assert sum(w.max_cores >= 32 for w in suite) == 6
         assert all(w.latency_sensitive for w in suite.latency_sensitive())
 
     def test_aggregations(self):
@@ -243,7 +219,7 @@ class TestSyntheticTraces:
     def test_event_rate_matches_profile(self):
         generator = SyntheticTraceGenerator(WEB_SEARCH, cores=1, seed=1)
         events = generator.events_for_core(0, 50_000)
-        expected = generator.expected_llc_accesses_per_instruction() * 50_000
+        expected = (generator.l1i_miss_per_instr + generator.l1d_miss_per_instr) * 50_000
         assert len(events) == pytest.approx(expected, rel=0.05)
 
     def test_addresses_line_aligned(self):
