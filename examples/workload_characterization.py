@@ -9,7 +9,7 @@ Run with ``python examples/workload_characterization.py``.
 
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.experiments.formatting import format_table
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.sim.system import simulate_system
 from repro.workloads.cloudsuite import _behaviors  # reuse the calibrated core constants
 from repro.workloads.missrate import CaptureCurve, MissRatioCurve
@@ -44,8 +44,8 @@ def main() -> None:
 
     rows = []
     for llc_mb in (1, 2, 4, 8, 16):
-        config = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=llc_mb, interconnect="crossbar")
-        estimate = model.estimate(workload, config)
+        pod = Pod(cores=4, core_type="ooo", llc_capacity_mb=llc_mb, interconnect="crossbar")
+        estimate = model.estimate(workload, pod)
         rows.append(
             {
                 "llc_mb": llc_mb,
@@ -57,9 +57,9 @@ def main() -> None:
     print(format_table(rows, title="KV Store: LLC capacity sensitivity (4 OoO cores)"))
     print()
 
-    config = SystemConfig(cores=8, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
-    sim = simulate_system(workload, config, instructions_per_core=8000, seed=5)
-    predicted = model.estimate(workload, config)
+    pod = Pod(cores=8, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
+    sim = simulate_system(workload, pod, instructions_per_core=8000, seed=5)
+    predicted = model.estimate(workload, pod)
     print(
         "Model vs simulation at 8 cores / 4 MB: "
         f"model {predicted.aggregate_ipc:.2f} IPC, simulated {sim.aggregate_ipc:.2f} IPC"

@@ -16,14 +16,12 @@ class CacheBank:
         capacity_mb: bank capacity in MB.
         associativity: set associativity (the paper uses 16-way LLCs).
         line_bytes: cache line size (64 B throughout the paper).
-        mshrs: outstanding-miss registers per bank.
         node: technology node the bank is built in.
     """
 
     capacity_mb: float
     associativity: int = 16
     line_bytes: int = 64
-    mshrs: int = 64
     node: TechnologyNode = NODE_40NM
 
     def __post_init__(self) -> None:

@@ -1,6 +1,6 @@
 """The paper's primary contribution: pods, Scale-Out chips, and the design methodology."""
 
-from repro.core.pod import Pod
+from repro.perfmodel.analytic import Pod
 from repro.core.chip import ScaleOutChip
 from repro.core.methodology import (
     PodSweepPoint,

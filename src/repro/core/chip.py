@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.pod import Pod
-from repro.memory.dram import DramChannel, channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import Pod, require_count
 from repro.perfmodel.density import AreaBudget, performance_density
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import ChipConstraints, TechnologyNode
-from repro.workloads.suite import WorkloadSuite, default_suite
 
 
 @dataclass(frozen=True)
@@ -29,28 +26,26 @@ class ScaleOutChip:
         name: design name used in tables ("Scale-Out (OoO)", "Conventional", ...).
         pod: the organization unit (an actual pod, or the whole-die organization of
             a baseline design).
+        pod_performance: average aggregate IPC of one pod across the suite the
+            chip was composed for (:func:`repro.core.composer.compose_chip`
+            fills it from the pod's evaluation).
         num_pods: number of pod instances on the die.
         memory_channels: number of DRAM channels provisioned on the die.
         num_dies: number of stacked logic dies (1 for planar chips; Chapter 6
             stacks 2-4).
-        pod_performance: optional pre-computed average aggregate IPC of one pod
-            (lets callers reuse model evaluations); computed on demand otherwise.
     """
 
     name: str
     pod: Pod
+    pod_performance: float
     num_pods: int = 1
     memory_channels: int = 1
     num_dies: int = 1
-    pod_performance: "float | None" = None
 
     def __post_init__(self) -> None:
-        if self.num_pods < 1:
-            raise ValueError("num_pods must be >= 1")
-        if self.memory_channels < 1:
-            raise ValueError("memory_channels must be >= 1")
-        if self.num_dies < 1:
-            raise ValueError("num_dies must be >= 1")
+        require_count("num_pods", self.num_pods, 1)
+        require_count("memory_channels", self.memory_channels, 1)
+        require_count("num_dies", self.num_dies, 1)
 
     # ---------------------------------------------------------------- basics
     @property
@@ -67,10 +62,6 @@ class ScaleOutChip:
     def total_llc_mb(self) -> float:
         """Total LLC capacity across all pods."""
         return self.pod.llc_capacity_mb * self.num_pods
-
-    def dram_channel(self) -> DramChannel:
-        """The DRAM channel model of this chip's node."""
-        return channel_for_standard(self.node.memory_standard)
 
     # ------------------------------------------------------------------ area
     def area_budget(self) -> AreaBudget:
@@ -106,47 +97,14 @@ class ScaleOutChip:
         )
 
     # ----------------------------------------------------------- performance
-    def performance(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
+    def performance(self) -> float:
         """Chip throughput: aggregate application IPC summed over all pods.
 
         Pods are independent servers, so chip performance is exactly
         ``num_pods * pod_performance`` (Section 3.2.1: adding pods does not affect
         the optimality of each pod).
         """
-        per_pod = self.pod_performance
-        if per_pod is None:
-            per_pod = self.pod.performance(model, suite)
-        return per_pod * self.num_pods
-
-    def performance_density(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """Chip-level performance density (per die footprint, per stacked die)."""
-        return performance_density(
-            self.performance(model, suite), self.die_area_mm2, self.num_dies
-        )
-
-    def performance_per_watt(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """Chip energy efficiency: aggregate IPC per Watt of TDP."""
-        return self.performance(model, suite) / self.power_w
-
-    def bandwidth_demand_gbps(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """Worst-case off-chip bandwidth demand of the whole chip."""
-        return self.pod.bandwidth_demand_gbps(model, suite) * self.num_pods
+        return self.pod_performance * self.num_pods
 
     # ------------------------------------------------------------ constraints
     def satisfies(self, constraints: "ChipConstraints | None" = None) -> bool:
@@ -169,15 +127,9 @@ class ScaleOutChip:
         return max(utilizations, key=utilizations.get)
 
     # ----------------------------------------------------------------- report
-    def summary(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> "dict[str, float | int | str]":
+    def summary(self) -> "dict[str, float | int | str]":
         """Table-row summary matching the columns of the paper's Tables 2.3/3.2."""
-        model = model or AnalyticPerformanceModel()
-        suite = suite or default_suite()
-        perf = self.performance(model, suite)
+        perf = self.performance()
         return {
             "design": self.name,
             "node": self.node.name,

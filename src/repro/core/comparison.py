@@ -1,6 +1,6 @@
 """Design-space comparison engine (Tables 2.3, 2.4, and 3.2).
 
-Evaluates a collection of chip designs with the analytic model and produces the
+Tabulates a collection of composed chip designs from their own figures into the
 table the paper reports: performance density, core count, LLC capacity, memory
 channels, die area, power, and performance per Watt for every design, plus
 normalized ratios between designs.
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
-from repro.perfmodel.analytic import AnalyticPerformanceModel
-from repro.workloads.suite import WorkloadSuite, default_suite
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,11 @@ class DesignComparison:
         return [r.as_dict() for r in self.rows]
 
 
-def compare_designs(
-    designs: Sequence[ScaleOutChip],
-    model: "AnalyticPerformanceModel | None" = None,
-    suite: "WorkloadSuite | None" = None,
-) -> DesignComparison:
-    """Evaluate every design and assemble the comparison table."""
-    model = model or AnalyticPerformanceModel()
-    suite = suite or default_suite()
+def compare_designs(designs: Sequence[ScaleOutChip]) -> DesignComparison:
+    """Assemble the comparison table from each design's own figures."""
     rows: "list[DesignRow]" = []
     for chip in designs:
-        performance = chip.performance(model, suite)
+        performance = chip.performance()
         rows.append(
             DesignRow(
                 design=chip.name,

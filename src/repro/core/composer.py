@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.chip import ScaleOutChip
-from repro.core.pod import Pod
 from repro.memory.dram import DramChannel
 from repro.memory.provisioning import channels_required
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import ChipConstraints
 from repro.workloads.suite import WorkloadSuite
 
@@ -44,11 +43,11 @@ class PodEvaluation:
     ) -> "PodEvaluation":
         """Evaluate ``pod`` with one pass of suite estimates.
 
-        The sums match :meth:`AnalyticPerformanceModel.average_aggregate_ipc`
-        and :meth:`~AnalyticPerformanceModel.worst_case_bandwidth_gbps`
-        term for term, so the figures are bit-identical to theirs.
+        The bandwidth matches
+        :meth:`AnalyticPerformanceModel.worst_case_bandwidth_gbps` term for
+        term, so the figure is bit-identical to it.
         """
-        estimates = model.suite_estimates(pod.config(), suite)
+        estimates = model.suite_estimates(pod, suite)
         return cls(
             pod=pod,
             performance=sum(e.aggregate_ipc for e in estimates.values()) / len(estimates),

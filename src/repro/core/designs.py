@@ -28,9 +28,8 @@ from dataclasses import dataclass, replace
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, compose_chip
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
 

@@ -21,9 +21,8 @@ from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, fill_die
-from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
 
@@ -214,7 +213,7 @@ class ScaleOutDesignMethodology:
             chip = self._fill_die(point.evaluation, label)
             if not chip.satisfies(self.constraints):
                 continue
-            chip_pd = chip.performance(self.model, self.suite) / chip.die_area_mm2
+            chip_pd = chip.performance() / chip.die_area_mm2
             # Chip PD is compared at coarse granularity so that, when two pod
             # choices are effectively equivalent at the chip level, the smaller
             # (lower-complexity) pod wins -- the paper's 2x16-core choice over a

@@ -29,26 +29,20 @@ class CoreModel:
     Attributes:
         name: short identifier used across the library ("conventional", "ooo",
             "inorder").
-        display_name: human readable name for tables.
         issue_width: dispatch/retirement width.
         rob_entries: reorder-buffer capacity (0 for the in-order core).
         lsq_entries: load/store queue capacity.
         l1i_kb: L1 instruction cache capacity (KB).
-        l1d_kb: L1 data cache capacity (KB).
-        l1_latency_cycles: L1 load-to-use latency.
         l1_mshrs: outstanding-miss registers per L1.
         frequency_ghz: operating frequency.
         out_of_order: whether the core issues out of order.
     """
 
     name: str
-    display_name: str
     issue_width: int
     rob_entries: int
     lsq_entries: int
     l1i_kb: int
-    l1d_kb: int
-    l1_latency_cycles: int
     l1_mshrs: int
     frequency_ghz: float = 2.0
     out_of_order: bool = True
@@ -79,13 +73,10 @@ class CoreModel:
 #: Aggressive conventional server core (Table 2.2, "Conventional").
 CONVENTIONAL = CoreModel(
     name="conventional",
-    display_name="Conventional (4-wide OoO)",
     issue_width=4,
     rob_entries=128,
     lsq_entries=32,
     l1i_kb=64,
-    l1d_kb=64,
-    l1_latency_cycles=3,
     l1_mshrs=32,
     out_of_order=True,
 )
@@ -93,13 +84,10 @@ CONVENTIONAL = CoreModel(
 #: Cortex-A15-class out-of-order core (Table 2.2, "Out-of-order").
 OOO = CoreModel(
     name="ooo",
-    display_name="OoO (3-wide, A15-class)",
     issue_width=3,
     rob_entries=60,
     lsq_entries=16,
     l1i_kb=32,
-    l1d_kb=32,
-    l1_latency_cycles=2,
     l1_mshrs=32,
     out_of_order=True,
 )
@@ -107,13 +95,10 @@ OOO = CoreModel(
 #: Cortex-A8-class in-order core (Table 2.2, "In-order").
 INORDER = CoreModel(
     name="inorder",
-    display_name="In-order (2-wide, A8-class)",
     issue_width=2,
     rob_entries=0,
     lsq_entries=8,
     l1i_kb=32,
-    l1d_kb=32,
-    l1_latency_cycles=2,
     l1_mshrs=32,
     out_of_order=False,
 )

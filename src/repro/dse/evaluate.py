@@ -24,9 +24,8 @@ from typing import Mapping
 
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, compose_chip
-from repro.core.pod import Pod
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.service.calibration import calibrate_chip
 from repro.service.sizing import ClusterSizer, MmkQueue, SlaInfeasibleError
 from repro.tco.datacenter import DatacenterDesign
@@ -113,8 +112,8 @@ def evaluate_chip_candidate(params: "Mapping[str, object]") -> "dict[str, object
     model = AnalyticPerformanceModel()
     suite = suite_for(str(params.get("suite", "default")))
     chip = _build_chip(params, suite, model)
-    performance = chip.performance(model, suite)
-    datacenter = DatacenterDesign(model=model, suite=suite)
+    performance = chip.performance()
+    datacenter = DatacenterDesign(model=model)
     dc_result = datacenter.evaluate(chip)
 
     workload = suite[str(params.get("workload", "Web Search"))]
@@ -173,7 +172,7 @@ def evaluate_sizing_candidate(params: "Mapping[str, object]") -> "dict[str, obje
         "power_w": round(chip.power_w, 2),
         "fits_budgets": chip.satisfies(chip.node.constraints),
     }
-    sizer = ClusterSizer(DatacenterDesign(model=model, suite=suite), memory_gb=memory_gb)
+    sizer = ClusterSizer(DatacenterDesign(model=model), memory_gb=memory_gb)
     try:
         result = sizer.size(chip, workload, target_qps=target_qps, sla_p99_s=sla_p99_s)
     except SlaInfeasibleError as error:

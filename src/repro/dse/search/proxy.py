@@ -54,7 +54,7 @@ def chip_proxy(params: "Mapping[str, object]", fidelity: int) -> "dict[str, obje
     model = AnalyticPerformanceModel()
     suite = _partial_suite(params, fidelity)
     chip = _build_chip(params, suite, model)
-    performance = chip.performance(model, suite)
+    performance = chip.performance()
     return {
         "performance": performance,
         "performance_density": performance / chip.die_area_mm2,
@@ -89,7 +89,7 @@ def sizing_proxy(params: "Mapping[str, object]", fidelity: int) -> "dict[str, ob
         metrics.update(sla_feasible=False, monthly_tco_usd=None, p99_ms=None)
         return metrics
 
-    datacenter = DatacenterDesign(model=model, suite=suite)
+    datacenter = DatacenterDesign(model=model)
     server = datacenter.build_server(chip, memory_gb=memory_gb)
     units = capacity.units_per_chip * server.sockets
     per_server_capacity = units * capacity.unit_rate_rps

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.core.comparison import compare_designs
 from repro.core.designs import standard_designs
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_20NM, NODE_40NM, TechnologyNode, coerce_node
@@ -26,10 +26,8 @@ def _per_core_ipc_point(
     interconnect: str,
     cores: int,
 ) -> float:
-    config = SystemConfig(
-        cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect
-    )
-    return model.average_per_core_ipc(config, suite)
+    pod = Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect)
+    return model.average_per_core_ipc(pod, suite)
 
 
 def figure_2_1_application_ipc(
@@ -39,10 +37,10 @@ def figure_2_1_application_ipc(
     """Application IPC of each workload on an aggressive 4-wide OoO core."""
     suite = suite or default_suite()
     model = model or AnalyticPerformanceModel()
-    config = SystemConfig(cores=4, core_type="conventional", llc_capacity_mb=4, interconnect="ideal")
+    pod = Pod(cores=4, core_type="conventional", llc_capacity_mb=4, interconnect="ideal")
     rows = []
     for workload in suite:
-        estimate = model.estimate(workload, config)
+        estimate = model.estimate(workload, pod)
         rows.append({"workload": workload.name, "application_ipc": round(estimate.per_core_ipc, 2)})
     return rows
 
@@ -59,12 +57,12 @@ def figure_2_2_llc_sensitivity(
     rows = []
     for workload in suite:
         base = model.estimate(
-            workload, SystemConfig(cores=cores, core_type="ooo", llc_capacity_mb=llc_sizes_mb[0], interconnect="crossbar")
+            workload, Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_sizes_mb[0], interconnect="crossbar")
         ).aggregate_ipc
         row: "dict[str, object]" = {"workload": workload.name}
         for llc in llc_sizes_mb:
             est = model.estimate(
-                workload, SystemConfig(cores=cores, core_type="ooo", llc_capacity_mb=llc, interconnect="crossbar")
+                workload, Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc, interconnect="crossbar")
             )
             row[f"{llc:g}MB"] = round(est.aggregate_ipc / base, 3)
         rows.append(row)
@@ -135,7 +133,7 @@ def table_2_3_designs_40nm(
     suite = suite or default_suite()
     model = AnalyticPerformanceModel()
     designs = standard_designs(NODE_40NM, model, suite, include_scale_out=False)
-    return compare_designs(designs, model, suite).as_dicts()
+    return compare_designs(designs).as_dicts()
 
 
 def table_2_4_designs_20nm(
@@ -145,4 +143,4 @@ def table_2_4_designs_20nm(
     suite = suite or default_suite()
     model = AnalyticPerformanceModel()
     designs = standard_designs(NODE_20NM, model, suite, include_scale_out=False)
-    return compare_designs(designs, model, suite).as_dicts()
+    return compare_designs(designs).as_dicts()

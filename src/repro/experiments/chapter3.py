@@ -12,7 +12,7 @@ from typing import Sequence
 from repro.core.comparison import compare_designs
 from repro.core.designs import standard_designs
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.perfmodel.validation import validate_against
 from repro.runtime.executor import SweepExecutor
 from repro.sim.system import simulate_system
@@ -23,7 +23,7 @@ from repro.workloads.suite import WorkloadSuite, default_suite
 
 def _validation_point(
     workload: WorkloadProfile,
-    config: SystemConfig,
+    config: Pod,
     instructions_per_core: int,
     seed: int,
 ) -> float:
@@ -45,7 +45,7 @@ def figure_3_3_model_validation(
     suite = suite or default_suite()
     executor = executor or SweepExecutor()
     configs = [
-        SystemConfig(cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=net)
+        Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=net)
         for net in interconnects
         for cores in core_counts
     ]
@@ -160,4 +160,4 @@ def table_3_2_design_comparison(
     suite = suite or default_suite()
     model = AnalyticPerformanceModel()
     designs = standard_designs(coerce_node(node), model, suite)
-    return compare_designs(designs, model, suite).as_dicts()
+    return compare_designs(designs).as_dicts()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 
 from repro.noc.simulation import PodNocStudy
-from repro.perfmodel.analytic import SystemConfig
+from repro.perfmodel.analytic import Pod
 from repro.runtime.executor import SweepExecutor
 from repro.sim.stats import SimulationStats
 from repro.sim.system import simulate_system
@@ -26,11 +26,9 @@ def _snoop_point(
     instructions_per_core: int,
     seed: int,
 ) -> SimulationStats:
-    config = SystemConfig(
-        cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect="crossbar"
-    )
+    pod = Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect="crossbar")
     return simulate_system(
-        workload, config, instructions_per_core=instructions_per_core, seed=seed
+        workload, pod, instructions_per_core=instructions_per_core, seed=seed
     )
 
 

@@ -79,7 +79,7 @@ def figures_5_1_5_2_performance_and_tco(
 ) -> "list[dict[str, object]]":
     """Datacenter performance and TCO normalized to the conventional design."""
     suite = suite or default_suite()
-    datacenter = DatacenterDesign(suite=suite)
+    datacenter = DatacenterDesign()
     comparison = datacenter.compare(chapter5_chip_set(suite), memory_gb=memory_gb)
     return [
         {
@@ -99,7 +99,7 @@ def figures_5_3_5_4_efficiency(
     """Performance/TCO and performance/Watt across server memory capacities."""
     suite = suite or default_suite()
     executor = executor or SERIAL_EXECUTOR
-    datacenter = DatacenterDesign(suite=suite)
+    datacenter = DatacenterDesign()
     chips = chapter5_chip_set(suite)
     points = [
         (datacenter, chip, memory_gb)
@@ -128,7 +128,7 @@ def figure_5_5_price_sensitivity(
     """Performance/TCO as a function of processor price (production volume sweep)."""
     suite = suite or default_suite()
     executor = executor or SERIAL_EXECUTOR
-    datacenter = DatacenterDesign(suite=suite)
+    datacenter = DatacenterDesign()
     pricing = ChipPricingModel()
     sweep = [
         (chip, volume, pricing.price(chip.name, chip.die_area_mm2, volume))

@@ -117,17 +117,61 @@ def _service_fault_point(
     return row
 
 
-def _service_fault_schedules(
+def _service_fault_run(
     configs: "Sequence[FaultLoadConfig]",
-    fault_seed: int,
+    axes: "Sequence[dict[str, object]]",
+    design: str,
+    workload: str,
+    utilization: float,
     num_servers: int,
-    horizon_s: float,
-) -> "list[FaultSchedule]":
-    """Schedules for a service fault sweep, one per fault-load config."""
-    return [
+    policy: str,
+    num_requests: int,
+    seed: int,
+    fault_seed: int,
+    suite: "WorkloadSuite | None",
+    executor: "SweepExecutor | None",
+) -> "dict[str, object]":
+    """One faulted cluster run per fault-load config; ``axes[i]`` leads row ``i``.
+
+    The body both service fault sweeps share: the cluster is sized from the
+    design's calibrated capacity, and every config draws its schedule over
+    the same horizon.
+    """
+    # All three set the fault horizon, num_requests / offered_qps.
+    require_count("num_servers", num_servers, 1)
+    require_count("num_requests", num_requests, 1)
+    require_positive_finite(utilization=utilization)
+    suite = suite or default_suite()
+    executor = executor or SweepExecutor()
+    capacity, parallelism = _server_capacity(design, workload, suite)
+    offered_qps = utilization * num_servers * parallelism / capacity.service_mean_s
+    horizon_s = num_requests / offered_qps
+    schedules = [
         FaultLoadGenerator(config, seed=fault_seed).schedule(num_servers, horizon_s)
         for config in configs
     ]
+    points = [
+        (
+            axis,
+            num_servers,
+            parallelism,
+            capacity.service_mean_s,
+            offered_qps,
+            policy,
+            num_requests,
+            seed,
+            schedule,
+        )
+        for axis, schedule in zip(axes, schedules)
+    ]
+    rows = executor.map(_service_fault_point, points)
+    return {
+        "sweep": [
+            {"design": capacity.design, "workload": capacity.workload, **row}
+            for row in rows
+        ],
+        "faults": _faults_block(fault_seed, schedules),
+    }
 
 
 def service_fault_sweep(
@@ -154,51 +198,23 @@ def service_fault_sweep(
     point carries an empty schedule and is byte-identical to the un-faulted
     engine's result.
     """
-    # All three set the fault horizon, num_requests / offered_qps.
-    require_count("num_servers", num_servers, 1)
-    require_count("num_requests", num_requests, 1)
-    require_positive_finite(utilization=utilization)
-    suite = suite or default_suite()
-    executor = executor or SweepExecutor()
-    capacity, parallelism = _server_capacity(design, workload, suite)
-    offered_qps = utilization * num_servers * parallelism / capacity.service_mean_s
-    horizon_s = num_requests / offered_qps
-    schedules = _service_fault_schedules(
-        [
-            FaultLoadConfig(
-                crash_intensity=intensity,
-                mttr_fraction=mttr_fraction,
-                straggler_intensity=straggler_intensity if intensity > 0 else 0.0,
-                straggler_slowdown=straggler_slowdown,
-            )
-            for intensity in crash_intensities
-        ],
-        fault_seed,
-        num_servers,
-        horizon_s,
-    )
-    points = [
-        (
-            {"crash_intensity": intensity, "mttr_fraction": mttr_fraction},
-            num_servers,
-            parallelism,
-            capacity.service_mean_s,
-            offered_qps,
-            policy,
-            num_requests,
-            seed,
-            schedule,
+    configs = [
+        FaultLoadConfig(
+            crash_intensity=intensity,
+            mttr_fraction=mttr_fraction,
+            straggler_intensity=straggler_intensity if intensity > 0 else 0.0,
+            straggler_slowdown=straggler_slowdown,
         )
-        for intensity, schedule in zip(crash_intensities, schedules)
+        for intensity in crash_intensities
     ]
-    rows = executor.map(_service_fault_point, points)
-    return {
-        "sweep": [
-            {"design": capacity.design, "workload": capacity.workload, **row}
-            for row in rows
-        ],
-        "faults": _faults_block(fault_seed, schedules),
-    }
+    axes = [
+        {"crash_intensity": intensity, "mttr_fraction": mttr_fraction}
+        for intensity in crash_intensities
+    ]
+    return _service_fault_run(
+        configs, axes, design, workload, utilization, num_servers, policy,
+        num_requests, seed, fault_seed, suite, executor,
+    )
 
 
 def service_mttr_sweep(
@@ -222,46 +238,18 @@ def service_mttr_sweep(
     while a server is down, so crash *counts* shrink slightly -- downtime
     still wins).
     """
-    # All three set the fault horizon, num_requests / offered_qps.
-    require_count("num_servers", num_servers, 1)
-    require_count("num_requests", num_requests, 1)
-    require_positive_finite(utilization=utilization)
-    suite = suite or default_suite()
-    executor = executor or SweepExecutor()
-    capacity, parallelism = _server_capacity(design, workload, suite)
-    offered_qps = utilization * num_servers * parallelism / capacity.service_mean_s
-    horizon_s = num_requests / offered_qps
-    schedules = _service_fault_schedules(
-        [
-            FaultLoadConfig(crash_intensity=crash_intensity, mttr_fraction=fraction)
-            for fraction in mttr_fractions
-        ],
-        fault_seed,
-        num_servers,
-        horizon_s,
-    )
-    points = [
-        (
-            {"mttr_fraction": fraction, "crash_intensity": crash_intensity},
-            num_servers,
-            parallelism,
-            capacity.service_mean_s,
-            offered_qps,
-            policy,
-            num_requests,
-            seed,
-            schedule,
-        )
-        for fraction, schedule in zip(mttr_fractions, schedules)
+    configs = [
+        FaultLoadConfig(crash_intensity=crash_intensity, mttr_fraction=fraction)
+        for fraction in mttr_fractions
     ]
-    rows = executor.map(_service_fault_point, points)
-    return {
-        "sweep": [
-            {"design": capacity.design, "workload": capacity.workload, **row}
-            for row in rows
-        ],
-        "faults": _faults_block(fault_seed, schedules),
-    }
+    axes = [
+        {"mttr_fraction": fraction, "crash_intensity": crash_intensity}
+        for fraction in mttr_fractions
+    ]
+    return _service_fault_run(
+        configs, axes, design, workload, utilization, num_servers, policy,
+        num_requests, seed, fault_seed, suite, executor,
+    )
 
 
 def _nk_sizing_point(
@@ -277,7 +265,7 @@ def _nk_sizing_point(
 ) -> "dict[str, object]":
     """Size one design's N+k cluster (module-level: picklable)."""
     chip = build_service_chip(design, suite)
-    sizer = ClusterSizer(DatacenterDesign(suite=suite), memory_gb=memory_gb)
+    sizer = ClusterSizer(DatacenterDesign(), memory_gb=memory_gb)
     result = sizer.size_n_plus_k(
         chip,
         suite[workload_name],

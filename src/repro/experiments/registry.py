@@ -156,8 +156,7 @@ def run_experiment(
     from repro.obs.tracer import get_tracer
 
     spec = CATALOG.get(experiment_id)
-    merged = spec.merged_kwargs(kwargs)
-    key = result_key(spec.cache_token, merged)
+    key = result_key(spec.cache_token, kwargs)
     cache = cache if cache is not None else DEFAULT_CACHE
 
     tracer = get_tracer()
@@ -188,14 +187,14 @@ def run_experiment(
         "function": spec.cache_token,
         "cache_key": key,
         "code_fingerprint": code_fingerprint(),
-        "kwargs": {name: repr(value) for name, value in sorted(merged.items())},
+        "kwargs": {name: repr(value) for name, value in sorted(kwargs.items())},
     }
     # Node-parameterized runs pin which family nodes produced the data and
     # whether any scaling rule had to extrapolate to derive them, so a sweep
     # at 7nm is never mistaken for a paper-calibrated result.
-    node_keys: "object | None" = merged.get("nodes")
-    if node_keys is None and merged.get("node") is not None:
-        node_keys = [merged["node"]]
+    node_keys: "object | None" = kwargs.get("nodes")
+    if node_keys is None and kwargs.get("node") is not None:
+        node_keys = [kwargs["node"]]
     if node_keys is not None:
         from repro.technology.family import DEFAULT_FAMILY
 

@@ -72,7 +72,7 @@ def _server_capacity(
     """
     chip = build_service_chip(design, suite)
     capacity = calibrate_chip(chip, suite[workload])
-    server = DatacenterDesign(suite=suite).build_server(chip, memory_gb=memory_gb)
+    server = DatacenterDesign().build_server(chip, memory_gb=memory_gb)
     return capacity, capacity.units_per_chip * server.sockets
 
 
@@ -273,7 +273,7 @@ def _sizing_point(
     chip build is deterministic and cheap relative to the sizing search.
     """
     chip = build_service_chip(design, suite)
-    sizer = ClusterSizer(DatacenterDesign(suite=suite), memory_gb=memory_gb)
+    sizer = ClusterSizer(DatacenterDesign(), memory_gb=memory_gb)
     result = sizer.size(
         chip, suite[workload_name], target_qps=target_qps, sla_p99_s=sla_p99_ms / 1e3
     )

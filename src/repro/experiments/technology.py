@@ -112,7 +112,7 @@ def node_design_scaling(
     model = AnalyticPerformanceModel()
     rows = []
     for node in _resolve_nodes(nodes):
-        datacenter = DatacenterDesign(model=model, suite=suite)
+        datacenter = DatacenterDesign(model=model)
         for name, builder, extra in _SCALING_DESIGNS:
             row: "dict[str, object]" = {
                 "node": node.name,
@@ -136,7 +136,7 @@ def node_design_scaling(
                 )
                 rows.append(row)
                 continue
-            performance = chip.performance(model, suite)
+            performance = chip.performance()
             dc_result = datacenter.evaluate(chip)
             row.update(
                 feasible=True,

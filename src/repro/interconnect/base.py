@@ -21,8 +21,6 @@ class InterconnectModel(abc.ABC):
 
     #: Short name used in tables and factory lookups.
     name: str = "abstract"
-    #: Display name used in figures.
-    display_name: str = "Abstract interconnect"
 
     # --------------------------------------------------------------- latency
     @abc.abstractmethod

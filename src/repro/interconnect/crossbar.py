@@ -20,7 +20,6 @@ class CrossbarInterconnect(InterconnectModel):
     """Dancehall crossbar connecting cores to LLC banks."""
 
     name = "crossbar"
-    display_name = "Crossbar"
 
     #: Latency table from the paper (cores -> cycles); interpolated beyond 64.
     _LATENCY_TABLE = {1: 4, 2: 4, 4: 4, 8: 4, 16: 5, 32: 7, 64: 11}

@@ -19,7 +19,6 @@ class FlattenedButterflyInterconnect(InterconnectModel):
     """Richly connected low-diameter topology for tiled organizations."""
 
     name = "fbfly"
-    display_name = "Flattened butterfly"
 
     #: Router pipeline depth: no speculation due to high arbitration complexity.
     ROUTER_PIPELINE_CYCLES = 3.0

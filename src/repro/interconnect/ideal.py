@@ -16,7 +16,6 @@ class IdealInterconnect(InterconnectModel):
     """
 
     name = "ideal"
-    display_name = "Ideal interconnect"
 
     def __init__(self, latency: float = 4.0):
         if latency <= 0:

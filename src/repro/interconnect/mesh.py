@@ -17,7 +17,6 @@ class MeshInterconnect(InterconnectModel):
     """Packet-switched 2D mesh connecting core+LLC tiles."""
 
     name = "mesh"
-    display_name = "Mesh"
 
     def __init__(self, cycles_per_hop: float = 3.0):
         if cycles_per_hop <= 0:

@@ -20,7 +20,6 @@ class NocOutInterconnect(InterconnectModel):
     """Reduction/dispersion trees plus a flattened-butterfly LLC network."""
 
     name = "nocout"
-    display_name = "NOC-Out"
 
     #: Per-node delay in the reduction/dispersion trees (link + arbitrated mux).
     TREE_HOP_CYCLES = 1.0

@@ -19,14 +19,12 @@ class DramChannel:
     """One DRAM channel (PHY + controller + DIMMs behind it).
 
     Attributes:
-        standard: DRAM standard name ("DDR3-1667", "DDR4-2133", ...).
         peak_bandwidth_gbps: peak transfer rate in GB/s.
         effective_utilization: fraction of peak usable in steady state.
         power_w: interface power (PHY + controller).
         access_latency_ns: idle DRAM access latency.
     """
 
-    standard: str
     peak_bandwidth_gbps: float
     effective_utilization: float = 0.70
     power_w: float = 5.7
@@ -63,10 +61,10 @@ class DramChannel:
 
 
 #: DDR3-1667 single channel (Section 2.4.1): 12.8 GB/s peak, 9 GB/s useful, 5.7 W.
-DDR3_1667 = DramChannel(standard="DDR3-1667", peak_bandwidth_gbps=12.8)
+DDR3_1667 = DramChannel(peak_bandwidth_gbps=12.8)
 
 #: DDR4 channel used at 20nm and in Chapter 6: double the DDR3 per-channel bandwidth.
-DDR4_2133 = DramChannel(standard="DDR4-2133", peak_bandwidth_gbps=25.6)
+DDR4_2133 = DramChannel(peak_bandwidth_gbps=25.6)
 
 
 def channel_for_standard(standard: str) -> DramChannel:

@@ -20,7 +20,7 @@ from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
 from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
 from repro.perfmodel.amat import LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig, require_count
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod, require_count
 from repro.runtime.executor import SweepExecutor
 from repro.technology.node import NODE_32NM, TechnologyNode
 from repro.workloads.profile import WorkloadProfile
@@ -76,8 +76,6 @@ class NocSimulationResult:
     Attributes:
         topology: topology name.
         workload: workload name.
-        average_request_latency: mean one-way request latency (cycles).
-        average_packet_latency: mean latency over all packet classes.
         average_hops: mean hop count.
         system_ipc: aggregate pod IPC with this network latency.
         max_link_utilization: utilization of the busiest link.
@@ -85,8 +83,6 @@ class NocSimulationResult:
 
     topology: str
     workload: str
-    average_request_latency: float
-    average_packet_latency: float
     average_hops: float
     system_ipc: float
     max_link_utilization: float
@@ -124,14 +120,12 @@ def _evaluate_noc_point(
     """
     study = PodNocStudy.from_spec(spec)
     topology = study.build_topology(topology_name)
-    request_latency, packet_latency, hops, util = study.measure_latency(
+    request_latency, _, hops, util = study.measure_latency(
         topology, workload, link_width_bits=link_width_bits
     )
     return NocSimulationResult(
         topology=topology_name,
         workload=workload.name,
-        average_request_latency=request_latency,
-        average_packet_latency=packet_latency,
         average_hops=hops,
         system_ipc=study.system_performance(workload, request_latency),
         max_link_utilization=util,
@@ -265,20 +259,20 @@ class PodNocStudy:
     def system_performance(self, workload: WorkloadProfile, network_latency: float) -> float:
         """Aggregate pod IPC for ``workload`` given a measured network latency."""
         active = self.active_cores_for(workload)
-        config = SystemConfig(
+        pod = Pod(
             cores=active,
             core_type="ooo",
             llc_capacity_mb=self.llc_mb,
             interconnect="ideal",
             node=self.node,
         )
-        base_latency = self.model.llc_access_latency(config)
+        base_latency = self.model.llc_access_latency(pod)
         latency = LlcAccessLatency(
             bank_cycles=base_latency.bank_cycles,
             network_cycles=network_latency,
             contention_cycles=base_latency.contention_cycles,
         )
-        cpi = self.model.cpi_breakdown(workload, config, latency)
+        cpi = self.model.cpi_breakdown(workload, pod, latency)
         return cpi.ipc * active
 
     # ------------------------------------------------------------- evaluation

@@ -1,7 +1,7 @@
 """Analytic chip-level performance model and performance-density metric."""
 
 from repro.perfmodel.amat import CpiBreakdown, LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel, PerformanceEstimate, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, PerformanceEstimate, Pod
 from repro.perfmodel.density import AreaBudget, performance_density
 from repro.perfmodel.validation import ValidationPoint, ValidationReport, validate_against
 
@@ -10,7 +10,7 @@ __all__ = [
     "LlcAccessLatency",
     "AnalyticPerformanceModel",
     "PerformanceEstimate",
-    "SystemConfig",
+    "Pod",
     "AreaBudget",
     "performance_density",
     "ValidationPoint",

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import CoreModel, core_model
 from repro.interconnect import InterconnectModel, interconnect_model
 from repro.interconnect.floorplan import Floorplan
-from repro.memory.dram import DramChannel, channel_for_standard
+from repro.memory.dram import channel_for_standard
 from repro.perfmodel.amat import CpiBreakdown, LlcAccessLatency
+from repro.perfmodel.density import AreaBudget
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_40NM, TechnologyNode
 from repro.workloads.profile import WorkloadProfile
@@ -52,17 +53,19 @@ def require_count(name: str, value: object, minimum: int) -> None:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """One design point evaluated by the analytic model.
+class Pod:
+    """One design point: cores + LLC + intra-pod interconnect in one coherence domain.
+
+    A pod (Section 3.2.1) tightly couples a number of cores to a modestly sized
+    LLC through a low-latency interconnect; each pod is a complete, stand-alone
+    server.  The whole-die organization of a baseline design is a pod too.
 
     Attributes:
-        cores: number of cores sharing the LLC (one coherence domain / pod).
-        core_type: "conventional", "ooo", or "inorder" (or a CoreModel).
+        cores: number of cores sharing the LLC.
+        core_type: core microarchitecture ("conventional", "ooo", "inorder").
         llc_capacity_mb: shared LLC capacity in MB.
-        interconnect: interconnect name or model instance.
-        node: technology node.
-        llc_banks: number of LLC banks; defaults to the paper's 1-per-4-cores
-            dancehall rule for crossbar/ideal designs and 1-per-tile for meshes.
+        interconnect: intra-pod interconnect ("crossbar", "nocout", "mesh", ...).
+        node: technology node the pod is implemented in.
         instruction_replication: model R-NUCA-style instruction replication in the
             LLC (the "with IR" tiled variants): instruction fetches see a one-hop
             network latency, at the cost of LLC capacity pressure and extra
@@ -79,21 +82,19 @@ class SystemConfig:
     llc_capacity_mb: float = 4.0
     interconnect: str = "crossbar"
     node: TechnologyNode = NODE_40NM
-    llc_banks: "int | None" = None
     instruction_replication: bool = False
     effective_capacity_factor: float = 1.0
     offchip_traffic_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
+        require_count("cores", self.cores, 1)
         require_positive_finite(
             llc_capacity_mb=self.llc_capacity_mb,
             effective_capacity_factor=self.effective_capacity_factor,
             offchip_traffic_factor=self.offchip_traffic_factor,
         )
-        if self.llc_banks is not None and self.llc_banks < 1:
-            raise ValueError("llc_banks must be >= 1")
+        core_model(self.core_type)  # validates the core type
+        interconnect_model(self.interconnect)  # validates the interconnect
 
     @property
     def effective_llc_capacity_mb(self) -> float:
@@ -102,24 +103,22 @@ class SystemConfig:
 
     # ------------------------------------------------------------- resolved
     def resolved_core(self) -> CoreModel:
-        """The CoreModel for this configuration."""
+        """The core microarchitecture model used by this pod."""
         return core_model(self.core_type)
 
     def resolved_interconnect(self) -> InterconnectModel:
-        """The interconnect model instance for this configuration."""
+        """The interconnect model instance of this pod."""
         return interconnect_model(self.interconnect)
 
     def resolved_banks(self) -> int:
-        """Number of LLC banks (defaults to the paper's organization rules)."""
-        if self.llc_banks is not None:
-            return self.llc_banks
+        """Number of LLC banks, by the paper's organization rules."""
         name = self.resolved_interconnect().name
         if name in ("mesh", "fbfly"):
             return self.cores  # one slice per tile
         return NucaLLC.banks_for_cores(self.cores)
 
     def llc(self) -> NucaLLC:
-        """The NUCA LLC object for this configuration."""
+        """The NUCA LLC object of this pod."""
         return NucaLLC(
             total_capacity_mb=self.llc_capacity_mb,
             num_banks=self.resolved_banks(),
@@ -129,31 +128,84 @@ class SystemConfig:
     def floorplan(self) -> Floorplan:
         """Floorplan of the core + LLC region used for distance-dependent delays."""
         catalog = ComponentCatalog(self.node)
-        core = self.resolved_core()
         return Floorplan(
             cores=self.cores,
-            core_area_mm2=catalog.core(core.name).area_mm2,
+            core_area_mm2=catalog.core(self.resolved_core().name).area_mm2,
             llc_area_mm2=catalog.llc_area_mm2(self.llc_capacity_mb),
+        )
+
+    # -------------------------------------------------------------- physical
+    def area_budget(self) -> AreaBudget:
+        """Itemized pod area: cores, LLC, and intra-pod interconnect."""
+        catalog = ComponentCatalog(self.node)
+        return AreaBudget(
+            cores_mm2=catalog.core(self.resolved_core().name).area_mm2 * self.cores,
+            llc_mm2=catalog.llc_area_mm2(self.llc_capacity_mb),
+            interconnect_mm2=self.resolved_interconnect().area_mm2(self.floorplan(), self.node),
+        )
+
+    @property
+    def area_mm2(self) -> float:
+        """Total pod area."""
+        return self.area_budget().total_mm2
+
+    @property
+    def power_w(self) -> float:
+        """Total pod power (cores + LLC + interconnect)."""
+        catalog = ComponentCatalog(self.node)
+        return (
+            catalog.core(self.resolved_core().name).power_w * self.cores
+            + catalog.llc_power_w(self.llc_capacity_mb)
+            + self.resolved_interconnect().power_w(self.floorplan(), self.node)
+        )
+
+    def bandwidth_demand_gbps(
+        self,
+        model: "AnalyticPerformanceModel | None" = None,
+        suite: "WorkloadSuite | None" = None,
+    ) -> float:
+        """Worst-case off-chip bandwidth demand of the pod across the suite."""
+        model = model or AnalyticPerformanceModel()
+        return model.worst_case_bandwidth_gbps(self, suite)
+
+    # ---------------------------------------------------------------- update
+    def scaled(self, core_factor: int, llc_factor: float) -> "Pod":
+        """Pod with core count and LLC capacity multiplied (used by 3D studies)."""
+        if core_factor < 1:
+            raise ValueError("core_factor must be >= 1")
+        if llc_factor <= 0:
+            raise ValueError("llc_factor must be positive")
+        return replace(
+            self,
+            cores=self.cores * core_factor,
+            llc_capacity_mb=self.llc_capacity_mb * llc_factor,
+        )
+
+    def describe(self) -> str:
+        """One-line human readable description."""
+        return (
+            f"{self.cores}x {self.core_type} cores, {self.llc_capacity_mb:g} MB LLC, "
+            f"{self.interconnect} interconnect @ {self.node.name}"
         )
 
 
 @dataclass(frozen=True)
 class PerformanceEstimate:
-    """Model output for one (workload, configuration) pair.
+    """Model output for one (workload, pod) pair.
 
     Attributes:
         workload: workload name.
-        config: the evaluated configuration.
+        pod: the evaluated pod.
         cpi: per-core CPI breakdown.
         llc_latency: decomposition of the LLC access latency.
         llc_mpki: off-chip misses per kilo-instruction at this LLC capacity.
         per_core_ipc: application instructions per cycle per core.
         aggregate_ipc: chip/pod throughput (sum of per-core IPC).
-        offchip_bandwidth_gbps: DRAM bandwidth demand of the configuration.
+        offchip_bandwidth_gbps: DRAM bandwidth demand of the pod.
     """
 
     workload: str
-    config: SystemConfig
+    pod: Pod
     cpi: CpiBreakdown
     llc_latency: LlcAccessLatency
     llc_mpki: float
@@ -165,33 +217,23 @@ class PerformanceEstimate:
 class AnalyticPerformanceModel:
     """Average-memory-access-time model of pod / chip throughput.
 
-    Args:
-        dram_channel: DRAM channel model used for the memory latency term; by
-            default the node's memory standard (DDR3 at 40nm, DDR4 at 20nm).
+    The memory latency term uses the node's DRAM standard (DDR3 at 40nm,
+    DDR4 at 20nm).
     """
-
-    def __init__(self, dram_channel: "DramChannel | None" = None):
-        self._dram_override = dram_channel
-
-    # ------------------------------------------------------------------ DRAM
-    def _dram(self, node: TechnologyNode) -> DramChannel:
-        if self._dram_override is not None:
-            return self._dram_override
-        return channel_for_standard(node.memory_standard)
 
     # ----------------------------------------------------------- LLC latency
     def llc_access_latency(
-        self, config: SystemConfig, accesses_per_cycle: float = 0.0
+        self, pod: Pod, accesses_per_cycle: float = 0.0
     ) -> LlcAccessLatency:
-        """Average LLC load-to-use latency for ``config``.
+        """Average LLC load-to-use latency for ``pod``.
 
         Args:
             accesses_per_cycle: aggregate LLC access rate used for the (mild)
                 bank-contention term; 0 disables contention.
         """
-        llc = config.llc()
-        floorplan = config.floorplan()
-        network = config.resolved_interconnect().latency_cycles(floorplan, config.node)
+        llc = pod.llc()
+        floorplan = pod.floorplan()
+        network = pod.resolved_interconnect().latency_cycles(floorplan, pod.node)
         contention = llc.queueing_delay_cycles(accesses_per_cycle) if accesses_per_cycle > 0 else 0.0
         return LlcAccessLatency(
             bank_cycles=float(llc.bank_access_latency_cycles),
@@ -203,27 +245,27 @@ class AnalyticPerformanceModel:
     def cpi_breakdown(
         self,
         workload: WorkloadProfile,
-        config: SystemConfig,
+        pod: Pod,
         llc_latency: "LlcAccessLatency | None" = None,
     ) -> CpiBreakdown:
-        """Per-core CPI decomposition for ``workload`` on ``config``."""
-        core = config.resolved_core()
+        """Per-core CPI decomposition for ``workload`` on ``pod``."""
+        core = pod.resolved_core()
         behavior = workload.behavior(core.name)
         i_mpki, d_mpki = workload.l1_mpki(core.name)
-        capacity = config.effective_llc_capacity_mb
-        data_miss_mpki = workload.llc_data_mpki(capacity, config.cores, core.name)
-        instr_miss_mpki = workload.llc_instruction_mpki(capacity, config.cores, core.name)
+        capacity = pod.effective_llc_capacity_mb
+        data_miss_mpki = workload.llc_data_mpki(capacity, pod.cores, core.name)
+        instr_miss_mpki = workload.llc_instruction_mpki(capacity, pod.cores, core.name)
 
         if llc_latency is None:
-            llc_latency = self.llc_access_latency(config)
+            llc_latency = self.llc_access_latency(pod)
         t_llc = llc_latency.total_cycles
-        dram = self._dram(config.node)
-        t_mem = t_llc + dram.access_latency_cycles(config.node)
+        dram = channel_for_standard(pod.node.memory_standard)
+        t_mem = t_llc + dram.access_latency_cycles(pod.node)
 
         # Instruction replication (R-NUCA) keeps instruction blocks at most one
         # network hop away from the requesting core; the bank and contention
         # latencies still apply.
-        if config.instruction_replication:
+        if pod.instruction_replication:
             t_fetch = llc_latency.bank_cycles + llc_latency.contention_cycles + 3.0
             t_fetch = min(t_fetch, t_llc)
         else:
@@ -245,43 +287,43 @@ class AnalyticPerformanceModel:
         )
 
     # -------------------------------------------------------------- estimate
-    def estimate(self, workload: WorkloadProfile, config: SystemConfig) -> PerformanceEstimate:
-        """Full performance estimate for one workload on one configuration.
+    def estimate(self, workload: WorkloadProfile, pod: Pod) -> PerformanceEstimate:
+        """Full performance estimate for one workload on one pod.
 
         The LLC contention term depends on the access rate, which depends on the
         IPC; one fixed-point refinement pass is ample given how mild the
         contention is in the provisioned designs.
         """
-        core = config.resolved_core()
+        core = pod.resolved_core()
         # First pass without contention.
-        latency = self.llc_access_latency(config)
-        cpi = self.cpi_breakdown(workload, config, latency)
+        latency = self.llc_access_latency(pod)
+        cpi = self.cpi_breakdown(workload, pod, latency)
 
         # Refine with bank contention based on the first-pass access rate.
         apki = workload.llc_accesses_per_kilo_instruction(core.name)
-        accesses_per_cycle = config.cores * cpi.ipc * apki / 1000.0
-        latency = self.llc_access_latency(config, accesses_per_cycle)
-        cpi = self.cpi_breakdown(workload, config, latency)
+        accesses_per_cycle = pod.cores * cpi.ipc * apki / 1000.0
+        latency = self.llc_access_latency(pod, accesses_per_cycle)
+        cpi = self.cpi_breakdown(workload, pod, latency)
 
         llc_mpki = workload.llc_mpki(
-            config.effective_llc_capacity_mb, config.cores, core.name
+            pod.effective_llc_capacity_mb, pod.cores, core.name
         )
         per_core_ipc = cpi.ipc
-        aggregate = per_core_ipc * config.cores
+        aggregate = per_core_ipc * pod.cores
         bytes_per_instr = workload.offchip_bytes_per_instruction(
-            config.effective_llc_capacity_mb, config.cores, core.name
+            pod.effective_llc_capacity_mb, pod.cores, core.name
         )
         bandwidth = (
             aggregate
-            * config.node.frequency_ghz
+            * pod.node.frequency_ghz
             * 1e9
             * bytes_per_instr
             / 1e9
-            * config.offchip_traffic_factor
+            * pod.offchip_traffic_factor
         )
         return PerformanceEstimate(
             workload=workload.name,
-            config=config,
+            pod=pod,
             cpi=cpi,
             llc_latency=latency,
             llc_mpki=llc_mpki,
@@ -292,29 +334,22 @@ class AnalyticPerformanceModel:
 
     # ------------------------------------------------------- suite averages
     def suite_estimates(
-        self, config: SystemConfig, suite: "WorkloadSuite | None" = None
+        self, pod: Pod, suite: "WorkloadSuite | None" = None
     ) -> "dict[str, PerformanceEstimate]":
         """Estimates for every workload in ``suite`` (default: the full CloudSuite)."""
         suite = suite or default_suite()
-        return {w.name: self.estimate(w, config) for w in suite}
-
-    def average_aggregate_ipc(
-        self, config: SystemConfig, suite: "WorkloadSuite | None" = None
-    ) -> float:
-        """Arithmetic-mean aggregate IPC across the suite (the paper's performance)."""
-        estimates = self.suite_estimates(config, suite)
-        return sum(e.aggregate_ipc for e in estimates.values()) / len(estimates)
+        return {w.name: self.estimate(w, pod) for w in suite}
 
     def average_per_core_ipc(
-        self, config: SystemConfig, suite: "WorkloadSuite | None" = None
+        self, pod: Pod, suite: "WorkloadSuite | None" = None
     ) -> float:
         """Arithmetic-mean per-core IPC across the suite."""
-        estimates = self.suite_estimates(config, suite)
+        estimates = self.suite_estimates(pod, suite)
         return sum(e.per_core_ipc for e in estimates.values()) / len(estimates)
 
     def worst_case_bandwidth_gbps(
-        self, config: SystemConfig, suite: "WorkloadSuite | None" = None
+        self, pod: Pod, suite: "WorkloadSuite | None" = None
     ) -> float:
         """Worst-case off-chip bandwidth demand across the suite (for provisioning)."""
-        estimates = self.suite_estimates(config, suite)
+        estimates = self.suite_estimates(pod, suite)
         return max(e.offchip_bandwidth_gbps for e in estimates.values())

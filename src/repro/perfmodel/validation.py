@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.workloads.profile import WorkloadProfile
 
 
@@ -62,13 +62,13 @@ class ValidationReport:
         return sum(finite) / len(finite)
 
 
-SimulatorFn = Callable[[WorkloadProfile, SystemConfig], float]
+SimulatorFn = Callable[[WorkloadProfile, Pod], float]
 
 
 def validate_against(
     simulate: SimulatorFn,
     workloads: Iterable[WorkloadProfile],
-    configs: Sequence[SystemConfig],
+    configs: Sequence[Pod],
     model: "AnalyticPerformanceModel | None" = None,
 ) -> ValidationReport:
     """Compare the analytic model against ``simulate`` over a set of design points.
@@ -78,7 +78,7 @@ def validate_against(
             (workload, config) -- typically a thin wrapper around
             :func:`repro.sim.system.simulate_system`.
         workloads: workload profiles to validate on.
-        configs: configurations (core counts, interconnects) to validate on.
+        configs: pods (core counts, interconnects) to validate on.
         model: analytic model instance (a default one is constructed if omitted).
     """
     model = model or AnalyticPerformanceModel()

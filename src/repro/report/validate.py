@@ -258,8 +258,7 @@ class ReportValidator:
         for claim in claims:
             spec = self.catalog.get(claim.experiment_id)
             overrides = self._job_overrides(spec, claim.parameters)
-            merged = spec.merged_kwargs(overrides)
-            key = result_key(spec.cache_token, merged)
+            key = result_key(spec.cache_token, overrides)
             if key not in jobs:
                 jobs[key] = (claim.experiment_id, overrides, [])
             jobs[key][2].append(claim)

@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` describes one reproducible artifact of the paper (a
 table or a figure): which chapter it belongs to, the function that regenerates
-its data, the default parameters, and a one-line description of what it
+its data, and a one-line description of what it
 produces.  Running a spec yields an :class:`ExperimentResult` -- the raw data
 plus provenance (which function ran, with which arguments), the wall-clock cost,
 and whether the result came from the cache.
@@ -11,7 +11,7 @@ and whether the result came from the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class ExperimentSpec:
             for beyond-paper experiments (e.g. the service-level studies), or
             ``"explore"`` for design-space explorations.
         function: callable that regenerates the data.
-        parameters: default keyword arguments applied before caller overrides.
         produces: one-line description of the artifact.
         version: bump when the experiment's output schema changes, so stale
             on-disk cache entries written by older code stop matching.
@@ -36,7 +35,6 @@ class ExperimentSpec:
     chapter: int
     kind: str
     function: Callable[..., object]
-    parameters: Mapping[str, object] = field(default_factory=dict)
     produces: str = ""
     version: int = 1
 
@@ -60,16 +58,9 @@ class ExperimentSpec:
             token += f"@v{self.version}"
         return token
 
-    def merged_kwargs(self, overrides: "Mapping[str, object] | None" = None) -> "dict[str, object]":
-        """Spec defaults overlaid with caller overrides."""
-        merged = dict(self.parameters)
-        if overrides:
-            merged.update(overrides)
-        return merged
-
     def run(self, **overrides: object) -> object:
-        """Execute the experiment function with defaults + overrides."""
-        return self.function(**self.merged_kwargs(overrides))
+        """Execute the experiment function with ``overrides`` as keyword arguments."""
+        return self.function(**overrides)
 
     def accepted_parameters(self) -> "tuple[str, ...] | None":
         """Keyword names the experiment function takes, in signature order.

@@ -60,7 +60,7 @@ def calibrate_chip(
 ) -> ServiceCapacity:
     """Derive ``workload``'s service capacity on ``chip`` from the perf model."""
     model = model or AnalyticPerformanceModel()
-    estimate = model.estimate(workload, chip.pod.config())
+    estimate = model.estimate(workload, chip.pod)
     frequency_hz = chip.node.frequency_ghz * 1e9
     unit_rate = (
         estimate.per_core_ipc * frequency_hz / workload.instructions_per_request

@@ -182,7 +182,6 @@ class SizingResult:
     design: str
     workload: str
     target_qps: float
-    sla_p99_s: float
     servers: int
     racks: int
     sockets_per_server: int
@@ -220,7 +219,6 @@ class RedundantSizingResult:
     design: str
     workload: str
     target_qps: float
-    sla_p99_s: float
     k: int
     base_servers: int
     servers: int
@@ -358,7 +356,6 @@ class ClusterSizer:
             design=chip.name,
             workload=capacity.workload,
             target_qps=target_qps,
-            sla_p99_s=sla_p99_s,
             servers=servers,
             racks=racks,
             sockets_per_server=server.sockets,
@@ -415,7 +412,6 @@ class ClusterSizer:
             design=chip.name,
             workload=capacity.workload,
             target_qps=target_qps,
-            sla_p99_s=sla_p99_s,
             k=k,
             base_servers=base.servers,
             servers=servers,

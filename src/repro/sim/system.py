@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cores.models import core_model
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import SystemConfig, require_count
+from repro.perfmodel.analytic import Pod, require_count
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.directory import Directory
 from repro.sim.memctrl import MemoryChannelSim
@@ -29,7 +29,7 @@ class SimulatedSystem:
 
     Args:
         workload: workload profile driving the synthetic traces.
-        config: system configuration (cores, core type, LLC, interconnect, node).
+        config: the simulated pod (cores, core type, LLC, interconnect, node).
         memory_channels: number of DRAM channels; defaults to one per eight cores.
         seed: RNG seed for trace generation.
     """
@@ -40,7 +40,7 @@ class SimulatedSystem:
     def __init__(
         self,
         workload: WorkloadProfile,
-        config: SystemConfig,
+        config: Pod,
         memory_channels: "int | None" = None,
         seed: int = 1,
     ):
@@ -366,7 +366,7 @@ def _added(total: float, step: float, times: int) -> float:
 
 def simulate_system(
     workload: WorkloadProfile,
-    config: SystemConfig,
+    config: Pod,
     instructions_per_core: int = 20_000,
     seed: int = 1,
     memory_channels: "int | None" = None,

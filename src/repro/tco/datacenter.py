@@ -18,7 +18,6 @@ from repro.tco.model import TcoBreakdown, TcoModel
 from repro.tco.params import DEFAULT_TCO_PARAMETERS, TcoParameters
 from repro.tco.pricing import ChipPricingModel
 from repro.tco.server import ServerConfig, ServerDesign
-from repro.workloads.suite import WorkloadSuite, default_suite
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,6 @@ class DatacenterResult:
 
     design: str
     memory_gb: int
-    processor_price: float
     sockets_per_server: int
     servers_per_rack: int
     racks: int
@@ -49,19 +47,21 @@ class DatacenterResult:
 
 
 class DatacenterDesign:
-    """Builds and evaluates a datacenter around one server-chip design."""
+    """Builds and evaluates a datacenter around one server-chip design.
+
+    A chip brings its own performance (:meth:`ScaleOutChip.performance`);
+    ``model`` is the analytic model the service-level sizer calibrates with.
+    """
 
     def __init__(
         self,
         params: TcoParameters = DEFAULT_TCO_PARAMETERS,
         pricing: "ChipPricingModel | None" = None,
         model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
     ):
         self.params = params
         self.pricing = pricing or ChipPricingModel()
         self.model = model or AnalyticPerformanceModel()
-        self.suite = suite or default_suite()
         self.tco_model = TcoModel(params)
 
     def build_server(self, chip: ScaleOutChip, memory_gb: int = 64) -> ServerDesign:
@@ -72,7 +72,6 @@ class DatacenterDesign:
         """
         return ServerDesign(
             chip=chip,
-            chip_performance=chip.performance(self.model, self.suite),
             config=ServerConfig(memory_gb=memory_gb),
             params=self.params,
         )
@@ -103,7 +102,6 @@ class DatacenterDesign:
         return DatacenterResult(
             design=chip.name,
             memory_gb=memory_gb,
-            processor_price=price,
             sockets_per_server=server.sockets,
             servers_per_rack=servers_per_rack,
             racks=racks,

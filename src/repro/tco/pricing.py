@@ -27,7 +27,6 @@ class ChipPriceEstimate:
 
     design: str
     die_area_mm2: float
-    volume_units: int
     nre_per_unit: float
     silicon_cost_per_unit: float
     margin: float
@@ -93,7 +92,6 @@ class ChipPricingModel:
         return ChipPriceEstimate(
             design=design,
             die_area_mm2=die_area_mm2,
-            volume_units=volume_units,
             nre_per_unit=nre_per_unit,
             silicon_cost_per_unit=silicon_cost + packaging_test,
             margin=self.margin,

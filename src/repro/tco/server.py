@@ -52,13 +52,11 @@ class ServerDesign:
 
     Attributes:
         chip: the processor design populating the server's sockets.
-        chip_performance: average aggregate IPC of one chip (pre-computed).
         config: memory/disk configuration.
         params: TCO parameters.
     """
 
     chip: ScaleOutChip
-    chip_performance: float
     config: ServerConfig = ServerConfig()
     params: TcoParameters = DEFAULT_TCO_PARAMETERS
 
@@ -97,7 +95,7 @@ class ServerDesign:
     @property
     def server_performance(self) -> float:
         """Aggregate IPC of one server (all sockets)."""
-        return self.sockets * self.chip_performance
+        return self.sockets * self.chip.performance()
 
     # ------------------------------------------------------------------- cost
     def hardware_cost(self, processor_price: float) -> float:

@@ -13,10 +13,9 @@ from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, fill_die
-from repro.core.pod import Pod
 from repro.memory.dram import DDR4_2133
 from repro.memory.provisioning import channels_required
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.three_d.stacking import StackedPod, stack_fixed_distance, stack_fixed_pod
 from repro.workloads.suite import WorkloadSuite, default_suite

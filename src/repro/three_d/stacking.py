@@ -6,9 +6,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.core.pod import Pod
 from repro.perfmodel.amat import LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.workloads.suite import WorkloadSuite, default_suite
 
 
@@ -78,7 +77,7 @@ class StackedPod:
         construction.
         """
         model = model or AnalyticPerformanceModel()
-        base_latency = model.llc_access_latency(self.base_pod.config()).network_cycles
+        base_latency = model.llc_access_latency(self.base_pod).network_cycles
         if self.strategy is StackingStrategy.FIXED_DISTANCE or self.num_dies == 1:
             return base_latency
         floor = 4.0
@@ -94,27 +93,19 @@ class StackedPod:
         """Average aggregate IPC of the stacked pod across the workload suite."""
         model = model or AnalyticPerformanceModel()
         suite = suite or default_suite()
-        config = self.pod.config()
+        pod = self.pod
         network = self.network_latency_cycles(model)
         total = 0.0
         for workload in suite:
-            base = model.llc_access_latency(config)
+            base = model.llc_access_latency(pod)
             latency = LlcAccessLatency(
                 bank_cycles=base.bank_cycles,
                 network_cycles=network,
                 contention_cycles=base.contention_cycles,
             )
-            cpi = model.cpi_breakdown(workload, config, latency)
-            total += cpi.ipc * config.cores
+            cpi = model.cpi_breakdown(workload, pod, latency)
+            total += cpi.ipc * pod.cores
         return total / len(suite)
-
-    def performance_density(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """3D performance density: throughput per footprint area per stacked die."""
-        return self.performance(model, suite) / (self.footprint_mm2 * self.num_dies)
 
     def bandwidth_demand_gbps(
         self,

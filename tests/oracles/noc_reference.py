@@ -208,8 +208,6 @@ def evaluate_reference(
                 NocSimulationResult(
                     topology=name,
                     workload=workload.name,
-                    average_request_latency=effective,
-                    average_packet_latency=network.average_latency(),
                     average_hops=network.average_hops(),
                     system_ipc=study.system_performance(workload, effective),
                     max_link_utilization=network.max_link_utilization(

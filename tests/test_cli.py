@@ -203,6 +203,12 @@ class TestRun:
                               "--set", f"instructions_per_core={value}")
         assert err == f"error: instructions_per_core must be an integer >= 1, got {value}"
 
+    def test_fractional_core_count_is_one_line_error(self, capsys):
+        """Regression: ``1.5`` ran and printed a 1.5-core row, exit 0."""
+        err = assert_rejected(capsys, "run", "figure_2_3", "--no-cache",
+                              "--set", "core_counts=(1.5, 2)")
+        assert err == "error: cores must be an integer >= 1, got 1.5"
+
     def test_heavily_degraded_links_run(self, capsys):
         """Regression: a 100,000x link latency overflowed the NoC's int16
         latency table and ended in an ``OverflowError`` traceback."""

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.composer import PodEvaluation
 from repro.core.designs import build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.core.pod import Pod
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import NODE_20NM, NODE_40NM
 from repro.three_d.designer import CONSTRAINTS_3D, ThreeDDesignStudy
 from repro.three_d.stacking import StackedPod, stack_fixed_distance, stack_fixed_pod
@@ -30,11 +29,12 @@ def _counting(monkeypatch, owner, attribute):
     return calls
 
 
-def test_pod_evaluation_matches_the_per_metric_model_calls():
+def test_pod_evaluation_matches_the_per_workload_estimates():
     pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4.0)
     suite = default_suite()
     evaluation = PodEvaluation.of(pod, MODEL, suite)
-    assert evaluation.performance == pod.performance(MODEL, suite)
+    estimates = [MODEL.estimate(workload, pod) for workload in suite]
+    assert evaluation.performance == sum(e.aggregate_ipc for e in estimates) / len(estimates)
     assert evaluation.bandwidth_gbps == pod.bandwidth_demand_gbps(MODEL, suite)
     assert evaluation.num_dies == 1
 

@@ -4,7 +4,7 @@
 composed chip's area, power or performance would pass it unnoticed.  Each
 test here hashes one record per composed chip -- name, pod, pod count,
 channels, dies and the ``repr`` of die area, power and
-``chip.performance(model, suite)`` -- and compares the SHA-256 against a
+``chip.performance()`` -- and compares the SHA-256 against a
 digest pinned before the composers were unified.  ``chip.performance`` is
 hashed rather than the ``pod_performance`` field, whose filling is free to
 change.
@@ -45,7 +45,7 @@ def _record(chip, model, suite):
             str(chip.num_dies),
             repr(chip.die_area_mm2),
             repr(chip.power_w),
-            repr(chip.performance(model, suite)),
+            repr(chip.performance()),
         )
     )
 

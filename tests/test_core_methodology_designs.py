@@ -163,7 +163,7 @@ class TestDesignComparison:
             build_scale_out("ooo", NODE_40NM, model, suite),
             build_ideal("ooo", NODE_40NM, model, suite),
         ]
-        return compare_designs(designs, model, suite)
+        return compare_designs(designs)
 
     def test_headline_ordering(self, comparison):
         # Table 3.2 ordering: conventional < tiled < LLC-optimal < Scale-Out <= ideal.

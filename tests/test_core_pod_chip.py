@@ -1,10 +1,13 @@
 """Tests for the Pod and ScaleOutChip abstractions."""
 
+import math
+
 import pytest
 
 from repro.core.chip import ScaleOutChip
-from repro.core.pod import Pod
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.core.composer import PodEvaluation, compose_chip
+from repro.memory.dram import DDR3_1667
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.technology.node import NODE_40NM
 from repro.workloads.suite import WorkloadSuite
 from repro.workloads import get_workload
@@ -41,11 +44,10 @@ class TestPod:
         assert budget.interconnect_mm2 > 0
         assert budget.total_mm2 == pytest.approx(pod.area_mm2)
 
-    def test_performance_and_density(self, model, small_suite):
+    def test_performance(self, model, small_suite):
         pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4)
-        perf = pod.performance(model, small_suite)
+        perf = PodEvaluation.of(pod, model, small_suite).performance
         assert perf > 8.0  # 16 cores at well under 1 IPC each would be broken
-        assert pod.performance_density(model, small_suite) == pytest.approx(perf / pod.area_mm2)
 
     def test_bandwidth_demand_positive(self, model, small_suite):
         pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4)
@@ -76,54 +78,66 @@ class TestScaleOutChip:
     def _pod(self) -> Pod:
         return Pod(cores=16, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
 
+    def _chip(self, **fields) -> ScaleOutChip:
+        fields = {"name": "test", "pod": self._pod(), "pod_performance": 10.0,
+                  "num_pods": 2, "memory_channels": 3, **fields}
+        return ScaleOutChip(**fields)
+
     def test_totals(self):
-        chip = ScaleOutChip(name="test", pod=self._pod(), num_pods=2, memory_channels=3)
+        chip = self._chip()
         assert chip.total_cores == 32
         assert chip.total_llc_mb == 8.0
         assert chip.node is NODE_40NM
 
     def test_area_includes_interfaces_and_soc(self):
-        chip = ScaleOutChip(name="test", pod=self._pod(), num_pods=2, memory_channels=3)
+        chip = self._chip()
         assert chip.die_area_mm2 == pytest.approx(2 * self._pod().area_mm2 + 36.0 + 42.0, rel=0.01)
 
     def test_power_includes_interfaces_and_soc(self):
-        chip = ScaleOutChip(name="test", pod=self._pod(), num_pods=2, memory_channels=3)
+        chip = self._chip()
         expected = 2 * self._pod().power_w + 3 * 5.7 + 5.0
         assert chip.power_w == pytest.approx(expected, rel=0.01)
 
-    def test_performance_scales_linearly_with_pods(self, model, small_suite):
-        one = ScaleOutChip(name="one", pod=self._pod(), num_pods=1, memory_channels=2)
-        two = ScaleOutChip(name="two", pod=self._pod(), num_pods=2, memory_channels=3)
-        assert two.performance(model, small_suite) == pytest.approx(
-            2 * one.performance(model, small_suite)
-        )
+    def test_composed_performance_scales_linearly_with_pods(self, model, small_suite):
+        evaluation = PodEvaluation.of(self._pod(), model, small_suite)
+        one = compose_chip(evaluation, 1, DDR3_1667, "one")
+        two = compose_chip(evaluation, 2, DDR3_1667, "two")
+        assert one.performance() == evaluation.performance
+        assert two.performance() == pytest.approx(2 * one.performance())
 
-    def test_cached_pod_performance_used(self, small_suite):
-        chip = ScaleOutChip(name="c", pod=self._pod(), num_pods=2, memory_channels=3, pod_performance=10.0)
-        assert chip.performance() == pytest.approx(20.0)
+    def test_performance_is_pod_performance_per_pod(self):
+        assert self._chip().performance() == pytest.approx(20.0)
 
     def test_constraint_checks(self):
-        chip = ScaleOutChip(name="c", pod=self._pod(), num_pods=2, memory_channels=3)
+        chip = self._chip()
         assert chip.satisfies()
-        huge = ScaleOutChip(name="huge", pod=self._pod(), num_pods=10, memory_channels=6)
+        huge = self._chip(name="huge", num_pods=10, memory_channels=6)
         assert not huge.satisfies()
         assert huge.limiting_constraint() in ("area", "power", "bandwidth")
 
-    def test_summary_keys(self, model, small_suite):
-        chip = ScaleOutChip(name="c", pod=self._pod(), num_pods=2, memory_channels=3)
-        summary = chip.summary(model, small_suite)
+    def test_summary_keys(self):
+        summary = self._chip().summary()
         for key in ("design", "cores", "llc_mb", "die_area_mm2", "power_w", "performance_density"):
             assert key in summary
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaleOutChip(name="bad", pod=self._pod(), num_pods=0, memory_channels=1)
-        with pytest.raises(ValueError):
-            ScaleOutChip(name="bad", pod=self._pod(), num_pods=1, memory_channels=0)
-        with pytest.raises(ValueError):
-            ScaleOutChip(name="bad", pod=self._pod(), num_pods=1, memory_channels=1, num_dies=0)
+        assert summary["performance"] == 20.0
 
     def test_multi_die_footprint_smaller(self):
-        chip_2d = ScaleOutChip(name="2d", pod=self._pod(), num_pods=2, memory_channels=3)
-        chip_3d = ScaleOutChip(name="3d", pod=self._pod(), num_pods=2, memory_channels=3, num_dies=2)
+        chip_2d = self._chip(name="2d")
+        chip_3d = self._chip(name="3d", num_dies=2)
         assert chip_3d.die_area_mm2 < chip_2d.die_area_mm2
+
+
+def _with_count(field, value):
+    if field == "cores":
+        return Pod(cores=value)
+    return ScaleOutChip(name="bad", pod=Pod(cores=4), pod_performance=1.0, **{field: value})
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, True, 0, -1])
+@pytest.mark.parametrize("field", ["cores", "num_pods", "memory_channels", "num_dies"])
+def test_counts_must_be_integers_of_at_least_one(field, value):
+    # 1.5 once built a 1.5-core pod, True a one-core pod, and NaN died with
+    # "cannot convert float NaN to integer" far from the input.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got ") as caught:
+        _with_count(field, value)
+    assert "\n" not in str(caught.value)

@@ -114,9 +114,9 @@ class TestDram:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DramChannel(standard="x", peak_bandwidth_gbps=0)
+            DramChannel(peak_bandwidth_gbps=0)
         with pytest.raises(ValueError):
-            DramChannel(standard="x", peak_bandwidth_gbps=10, effective_utilization=1.5)
+            DramChannel(peak_bandwidth_gbps=10, effective_utilization=1.5)
 
 
 class TestProvisioning:

@@ -14,7 +14,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 import check_dead_defs  # noqa: E402
-from check_dead_defs import TEST_ONLY, dead_definitions, main  # noqa: E402
+from check_dead_defs import TEST_ONLY, UNREAD_FIELDS, dead_definitions, main  # noqa: E402
 
 
 def test_src_has_no_dead_definitions():
@@ -33,6 +33,14 @@ def test_every_kept_test_only_name_is_defined():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.update(name for _, name in check_dead_defs._definitions(tree))
     assert set(TEST_ONLY) <= defined, sorted(set(TEST_ONLY) - defined)
+
+
+def test_every_kept_unread_field_is_a_field():
+    fields = set()
+    for path in (REPO / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields.update(name for _, name in check_dead_defs._fields(tree))
+    assert set(UNREAD_FIELDS) <= fields, sorted(set(UNREAD_FIELDS) - fields)
 
 
 def _audit(root, module, users=None, tests=None, init=None):
@@ -165,3 +173,57 @@ def test_init_modules_may_re_export(tmp_path):
         init="from pkg.mod import helper\n",
     )
     assert found == []
+
+
+#: A dataclass whose ``width`` field the fixtures below read or leave unread.
+_RECORD = (
+    "from dataclasses import dataclass\n"
+    "\n"
+    "@dataclass\n"
+    "class Record:\n"
+    "    width: int\n"
+    "    depth: int = 1\n"
+    "\n"
+    "print(Record(width=2).depth)\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("users", "tests", "expected"),
+    [
+        (None, None, ["src/pkg/mod.py:5 width (field nothing reads)"]),
+        ("from pkg.mod import Record\nprint(Record(2).width)\n", None, []),
+        (None, "from pkg.mod import Record\nassert Record(2).width == 2\n", []),
+        ("import pkg.mod\nprint(getattr(pkg.mod.Record(2), 'width'))\n", None, []),
+        ("rows = [{'width': 2}]\nprint(rows[0]['width'])\n", None, []),
+        (
+            "from pkg.mod import Record\n"
+            "record = Record(width=2)\n"
+            "record.width = 3\n"
+            "record.width += 1\n",
+            None,
+            ["src/pkg/mod.py:5 width (field nothing reads)"],
+        ),
+        (
+            "raise ValueError('width must be positive')\n",
+            None,
+            ["src/pkg/mod.py:5 width (field nothing reads)"],
+        ),
+        (
+            '"""Read ``width`` off a record."""\n',
+            None,
+            ["src/pkg/mod.py:5 width (field nothing reads)"],
+        ),
+    ],
+    ids=["unread", "attribute", "test-attribute", "getattr", "key", "set-only", "prose", "docstring"],
+)
+def test_a_field_counts_only_when_read(tmp_path, users, tests, expected):
+    assert _audit(tmp_path, _RECORD, users=users, tests=tests) == expected
+
+
+def test_unread_fields_keeps_a_field_only_while_it_is_unread(tmp_path, monkeypatch):
+    monkeypatch.setitem(UNREAD_FIELDS, "width", "compared as part of the whole record")
+    assert _audit(tmp_path / "a", _RECORD) == []
+    assert _audit(tmp_path / "b", _RECORD, tests="print(record.width)\n") == [
+        "src/pkg/mod.py:5 width (kept in UNREAD_FIELDS, but code reads it)"
+    ]

@@ -521,7 +521,7 @@ class TestNkSizing:
 
         suite = default_suite()
         chip = build_service_chip("Scale-Out (OoO)", suite)
-        return ClusterSizer(DatacenterDesign(suite=suite), memory_gb=64), chip, suite
+        return ClusterSizer(DatacenterDesign(), memory_gb=64), chip, suite
 
     def test_k0_reduces_to_base_sizing(self):
         sizer, chip, suite = self._sizer_and_chip()

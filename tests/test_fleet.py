@@ -418,7 +418,7 @@ class TestAutoscaling:
 
         suite = default_suite()
         chip = build_service_chip("Scale-Out (OoO)", suite)
-        sizer = ClusterSizer(DatacenterDesign(suite=suite), memory_gb=64)
+        sizer = ClusterSizer(DatacenterDesign(), memory_gb=64)
         sized = sizer.size_n_plus_k(
             chip, suite["Web Search"], target_qps=5e5, sla_p99_s=0.025, k=2
         )

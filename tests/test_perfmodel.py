@@ -5,12 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pod import Pod
 from repro.perfmodel import (
     AnalyticPerformanceModel,
     AreaBudget,
     PerformanceEstimate,
-    SystemConfig,
+    Pod,
     performance_density,
 )
 from repro.perfmodel.amat import CpiBreakdown, LlcAccessLatency
@@ -35,45 +34,39 @@ class TestCpiBreakdown:
         assert latency.total_cycles == 10
 
 
-class TestSystemConfig:
+class TestPodInputs:
     def test_default_banking_rules(self):
-        assert SystemConfig(cores=16, interconnect="crossbar").resolved_banks() == 4
-        assert SystemConfig(cores=16, interconnect="mesh").resolved_banks() == 16
-        assert SystemConfig(cores=16, llc_banks=2).resolved_banks() == 2
+        assert Pod(cores=16, interconnect="crossbar").resolved_banks() == 4
+        assert Pod(cores=16, interconnect="mesh").resolved_banks() == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SystemConfig(cores=0)
+            Pod(cores=0)
         with pytest.raises(ValueError):
-            SystemConfig(cores=1, llc_capacity_mb=0)
+            Pod(cores=1, llc_capacity_mb=0)
         with pytest.raises(ValueError):
-            SystemConfig(cores=1, effective_capacity_factor=0)
+            Pod(cores=1, effective_capacity_factor=0)
 
-    @pytest.mark.parametrize("cls", [SystemConfig, Pod], ids=lambda c: c.__name__)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, "4", None])
     @pytest.mark.parametrize(
         "field", ["llc_capacity_mb", "effective_capacity_factor", "offchip_traffic_factor"]
     )
-    def test_rejects_non_finite_or_non_positive(self, cls, field, value):
+    def test_rejects_non_finite_or_non_positive(self, field, value):
         # NaN passed the old ``<= 0`` checks: a NaN factor gave a NaN IPC and a
         # NaN or infinite capacity failed deep inside the LLC model.
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite") as caught:
-            cls(cores=2, **{field: value})
+            Pod(cores=2, **{field: value})
         assert "\n" not in str(caught.value)
 
-    def test_rejects_llc_banks_below_one_at_construction(self):
-        with pytest.raises(ValueError, match="llc_banks"):
-            SystemConfig(cores=4, llc_banks=0)
-
     def test_effective_capacity(self):
-        config = SystemConfig(cores=4, llc_capacity_mb=8, effective_capacity_factor=0.5)
+        config = Pod(cores=4, llc_capacity_mb=8, effective_capacity_factor=0.5)
         assert config.effective_llc_capacity_mb == pytest.approx(4.0)
 
 
 class TestEstimates:
     def test_estimate_fields(self, model):
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=16, core_type="ooo", llc_capacity_mb=4)
+        config = Pod(cores=16, core_type="ooo", llc_capacity_mb=4)
         estimate = model.estimate(workload, config)
         assert isinstance(estimate, PerformanceEstimate)
         assert estimate.per_core_ipc > 0
@@ -86,7 +79,7 @@ class TestEstimates:
         # Figure 2.1: only Media Streaming commits below 1 IPC on the aggressive
         # core; every workload commits at most ~2 IPC.
         workload = get_workload(workload_name)
-        config = SystemConfig(cores=4, core_type="conventional", llc_capacity_mb=4, interconnect="ideal")
+        config = Pod(cores=4, core_type="conventional", llc_capacity_mb=4, interconnect="ideal")
         ipc = model.estimate(workload, config).per_core_ipc
         assert 0.5 < ipc < 2.0
         if workload_name == "Media Streaming":
@@ -96,8 +89,9 @@ class TestEstimates:
         # Performance improves towards 4-16 MB and does not improve at 32 MB.
         suite = default_suite()
         def perf(llc):
-            cfg = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=llc, interconnect="crossbar")
-            return model.average_aggregate_ipc(cfg, suite)
+            cfg = Pod(cores=4, core_type="ooo", llc_capacity_mb=llc, interconnect="crossbar")
+            estimates = model.suite_estimates(cfg, suite).values()
+            return sum(e.aggregate_ipc for e in estimates) / len(estimates)
         p1, p8, p32 = perf(1), perf(8), perf(32)
         assert p8 > p1
         assert p32 <= p8 * 1.02
@@ -105,7 +99,7 @@ class TestEstimates:
     def test_figure_2_3_interconnect_gap_grows(self, model):
         suite = default_suite()
         def per_core(cores, interconnect):
-            cfg = SystemConfig(cores=cores, core_type="ooo", llc_capacity_mb=4, interconnect=interconnect)
+            cfg = Pod(cores=cores, core_type="ooo", llc_capacity_mb=4, interconnect=interconnect)
             return model.average_per_core_ipc(cfg, suite)
         gap_small = per_core(16, "ideal") / per_core(16, "mesh")
         gap_large = per_core(256, "ideal") / per_core(256, "mesh")
@@ -116,14 +110,14 @@ class TestEstimates:
 
     def test_smaller_cache_means_more_offchip_traffic(self, model):
         workload = get_workload("MapReduce-C")
-        small = model.estimate(workload, SystemConfig(cores=16, llc_capacity_mb=1))
-        large = model.estimate(workload, SystemConfig(cores=16, llc_capacity_mb=16))
+        small = model.estimate(workload, Pod(cores=16, llc_capacity_mb=1))
+        large = model.estimate(workload, Pod(cores=16, llc_capacity_mb=16))
         assert small.offchip_bandwidth_gbps > large.offchip_bandwidth_gbps
 
     def test_instruction_replication_helps_mesh_designs(self, model):
         workload = get_workload("Web Frontend")
-        base = SystemConfig(cores=64, core_type="ooo", llc_capacity_mb=8, interconnect="mesh")
-        with_ir = SystemConfig(
+        base = Pod(cores=64, core_type="ooo", llc_capacity_mb=8, interconnect="mesh")
+        with_ir = Pod(
             cores=64, core_type="ooo", llc_capacity_mb=8, interconnect="mesh",
             instruction_replication=True, effective_capacity_factor=0.85, offchip_traffic_factor=1.2,
         )
@@ -132,11 +126,11 @@ class TestEstimates:
     def test_inorder_slower_than_ooo_slower_than_conventional(self, model):
         workload = get_workload("Data Serving")
         def ipc(core):
-            return model.estimate(workload, SystemConfig(cores=8, core_type=core, llc_capacity_mb=4)).per_core_ipc
+            return model.estimate(workload, Pod(cores=8, core_type=core, llc_capacity_mb=4)).per_core_ipc
         assert ipc("conventional") > ipc("ooo") > ipc("inorder")
 
     def test_suite_helpers(self, model):
-        config = SystemConfig(cores=8, core_type="ooo", llc_capacity_mb=4)
+        config = Pod(cores=8, core_type="ooo", llc_capacity_mb=4)
         estimates = model.suite_estimates(config)
         assert len(estimates) == 7
         assert model.worst_case_bandwidth_gbps(config) == pytest.approx(
@@ -153,7 +147,7 @@ class TestEstimates:
     def test_estimates_always_physical(self, cores, llc, core_type, interconnect):
         model = AnalyticPerformanceModel()
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=cores, core_type=core_type, llc_capacity_mb=llc, interconnect=interconnect)
+        config = Pod(cores=cores, core_type=core_type, llc_capacity_mb=llc, interconnect=interconnect)
         estimate = model.estimate(workload, config)
         assert 0 < estimate.per_core_ipc <= 4.0
         assert estimate.cpi.total > 0
@@ -162,8 +156,8 @@ class TestEstimates:
     def test_memory_latency_uses_node_standard(self):
         workload = get_workload("Web Search")
         model = AnalyticPerformanceModel()
-        cfg40 = SystemConfig(cores=8, llc_capacity_mb=4, node=NODE_40NM)
-        cfg20 = SystemConfig(cores=8, llc_capacity_mb=4, node=NODE_20NM)
+        cfg40 = Pod(cores=8, llc_capacity_mb=4, node=NODE_40NM)
+        cfg20 = Pod(cores=8, llc_capacity_mb=4, node=NODE_20NM)
         # Both should produce sensible estimates; 20nm uses DDR4 timing.
         assert model.estimate(workload, cfg40).per_core_ipc > 0
         assert model.estimate(workload, cfg20).per_core_ipc > 0

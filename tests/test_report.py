@@ -365,14 +365,14 @@ class TestValidator:
 
         spec = ExperimentSpec(
             experiment_id="custom_exp", chapter=4, kind="study",
-            function=_custom_rows, parameters={"n": 2},
+            function=_custom_rows,
         )
         catalog = SpecCatalog([spec])
         catalog.attach_claims([
             PaperClaim(
                 claim_id="t-custom", experiment_id="custom_exp", source="s",
                 description="d", metric="rows[value=1].value", kind="relation",
-                op="==", expected=1,
+                op="==", expected=1, parameters={"n": 2},
             ),
         ])
         run = ReportValidator(catalog=catalog, cache=ResultCache()).validate()

@@ -80,16 +80,15 @@ class TestSpecCatalog:
         with pytest.raises(ValueError):
             catalog.register(spec)
 
-    def test_spec_parameter_defaults_and_overrides(self):
+    def test_spec_runs_with_function_defaults_and_overrides(self):
         spec = ExperimentSpec(
             experiment_id="table_2_1x",
             chapter=2,
             kind="table",
             function=chapter2.table_2_1_components,
-            parameters={},
         )
-        assert spec.merged_kwargs({"a": 1}) == {"a": 1}
         assert spec.run()  # defaults run cleanly
+        assert spec.run(node="20nm") != spec.run()
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

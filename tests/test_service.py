@@ -660,7 +660,7 @@ class TestSizing:
 
         suite = WorkloadSuite((WEB_SEARCH,))
         chip = build_service_chip("Scale-Out (OoO)", suite)
-        sizer = ClusterSizer(DatacenterDesign(suite=suite))
+        sizer = ClusterSizer(DatacenterDesign())
         return sizer, chip, WEB_SEARCH
 
     def test_sizing_meets_sla_at_minimum(self, sizer_setup):
@@ -718,7 +718,7 @@ class TestCalibration:
         chip = build_service_chip("Scale-Out (OoO)", suite)
         model = AnalyticPerformanceModel()
         capacity = calibrate_chip(chip, WEB_SEARCH, model)
-        estimate = model.estimate(WEB_SEARCH, chip.pod.config())
+        estimate = model.estimate(WEB_SEARCH, chip.pod)
         expected = (
             estimate.per_core_ipc
             * chip.node.frequency_ghz

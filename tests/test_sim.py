@@ -14,7 +14,7 @@ from oracles.sim_window import (
 )
 
 from repro.cores.models import OOO
-from repro.perfmodel.analytic import AnalyticPerformanceModel, SystemConfig
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.directory import Directory
 from repro.sim.engine import EventQueue
@@ -368,7 +368,7 @@ class TestDeferredInstall:
 
     @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
     def test_counts_match_oracle_before_any_set_is_built(self, workload):
-        config = SystemConfig(cores=8, llc_capacity_mb=8)
+        config = Pod(cores=8, llc_capacity_mb=8)
         bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
         generator = SyntheticTraceGenerator(workload, cores=8, seed=7, core_type=bulk.core.name)
         bulk.warm_caches(generator)
@@ -381,7 +381,7 @@ class TestDeferredInstall:
     def test_warm_caches_builds_no_set(self):
         # The catalog-default Figure 3.3 system: 2 cores, mesh, 4 MB LLC.
         workload = get_workload("Data Serving")
-        system = SimulatedSystem(workload, SystemConfig(cores=2, interconnect="mesh"), seed=7)
+        system = SimulatedSystem(workload, Pod(cores=2, interconnect="mesh"), seed=7)
         generator = SyntheticTraceGenerator(workload, cores=2, seed=7, core_type=system.core.name)
         system.warm_caches(generator)
         for bank in system.banks:
@@ -424,7 +424,7 @@ class TestWarmCaches:
     @pytest.mark.parametrize("cores, llc_mb", [(1, 1), (2, 4), (8, 8), (16, 8), (32, 0.25)])
     @pytest.mark.parametrize("workload", default_suite(), ids=lambda w: w.name)
     def test_matches_per_line_oracle(self, workload, cores, llc_mb):
-        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb)
+        config = Pod(cores=cores, llc_capacity_mb=llc_mb)
         bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
         generator = SyntheticTraceGenerator(workload, cores=cores, seed=7, core_type=bulk.core.name)
         bulk.warm_caches(generator)
@@ -436,7 +436,7 @@ class TestWarmCaches:
         # Each warmed region is one range per bank, so a bank warmed from R
         # regions holds at most 2R + 1 runs of identical sets.
         workload = get_workload("SAT Solver")
-        system = SimulatedSystem(workload, SystemConfig(cores=cores, llc_capacity_mb=llc_mb))
+        system = SimulatedSystem(workload, Pod(cores=cores, llc_capacity_mb=llc_mb))
         generator = SyntheticTraceGenerator(workload, cores=cores, seed=1, core_type=system.core.name)
         system.warm_caches(generator)
         for bank in system.banks:
@@ -445,7 +445,7 @@ class TestWarmCaches:
     def test_warm_up_that_evicts_matches_oracle(self):
         # Set conflicts between regions make this warm-up evict lines.
         workload = get_workload("SAT Solver")
-        config = SystemConfig(cores=8, llc_capacity_mb=8)
+        config = Pod(cores=8, llc_capacity_mb=8)
         bulk, oracle = (SimulatedSystem(workload, config, seed=7) for _ in range(2))
         generator = SyntheticTraceGenerator(workload, cores=8, seed=7, core_type=bulk.core.name)
         bulk.warm_caches(generator)
@@ -458,7 +458,7 @@ class TestWarmCaches:
         # A second run() warms banks the first run left occupied (some lines
         # dirty), so every set replays through fill.
         workload = get_workload("Data Serving")
-        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb)
+        config = Pod(cores=cores, llc_capacity_mb=llc_mb)
         bulk = SimulatedSystem(workload, config, seed=5)
         for _ in range(2):
             bulk.run(1500)
@@ -625,7 +625,7 @@ class TestWindowKernel:
     def test_matches_per_access_oracle(
         self, workload, cores, interconnect, llc_mb, channels, seed, warmup
     ):
-        config = SystemConfig(cores=cores, llc_capacity_mb=llc_mb, interconnect=interconnect)
+        config = Pod(cores=cores, llc_capacity_mb=llc_mb, interconnect=interconnect)
         kernel, oracle = (
             SimulatedSystem(workload, config, memory_channels=channels, seed=seed)
             for _ in range(2)
@@ -640,7 +640,7 @@ class TestWindowKernel:
         # The LLC size, interconnect and channel count rotate with the case,
         # so every core count meets every value of each.
         case = position + cores_index
-        config = SystemConfig(
+        config = Pod(
             cores=(1, 2, 4, 16)[cores_index],
             llc_capacity_mb=(1.0, 4.0)[case % 2],
             interconnect=("mesh", "crossbar")[case // 2 % 2],
@@ -657,7 +657,7 @@ class TestWindowKernel:
     def test_figure_4_3_catalog_size(self, workload):
         # Figure 4.3's catalog point: 16 cores, 8 MB, crossbar, 6,000
         # instructions per core, seed 11, two channels.
-        config = SystemConfig(cores=16, llc_capacity_mb=8.0, interconnect="crossbar")
+        config = Pod(cores=16, llc_capacity_mb=8.0, interconnect="crossbar")
         kernel, oracle = (SimulatedSystem(workload, config, seed=11) for _ in range(2))
         kernel.run(6000)
         run_per_access(oracle, 6000)
@@ -667,7 +667,7 @@ class TestWindowKernel:
         # The second run starts from the first one's banks, directory,
         # bank and channel clocks, and adds to its statistics.
         workload = get_workload("Data Serving")
-        config = SystemConfig(cores=4, llc_capacity_mb=1.0)
+        config = Pod(cores=4, llc_capacity_mb=1.0)
         kernel, oracle = (
             SimulatedSystem(workload, config, memory_channels=2, seed=5) for _ in range(2)
         )
@@ -682,7 +682,7 @@ class TestWindowKernel:
         # outstanding-miss window: the core stalls until its oldest miss
         # returns and issues the next one at exactly that time.
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=2, llc_capacity_mb=1.0)
+        config = Pod(cores=2, llc_capacity_mb=1.0)
         kernel, oracle = (SimulatedSystem(workload, config, seed=1) for _ in range(2))
         traces = [
             Trace.from_events(
@@ -705,7 +705,7 @@ class TestWindowKernel:
         # from a cold start: the fills evict lines the directory holds
         # state for, and each eviction drops that state.
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=2, llc_capacity_mb=1.0)
+        config = Pod(cores=2, llc_capacity_mb=1.0)
         kernel, oracle = (SimulatedSystem(workload, config, seed=1) for _ in range(2))
         assert kernel.num_banks == 1
         stride = kernel.banks[0].num_sets * 64
@@ -727,7 +727,7 @@ class TestWindowKernel:
 class TestSimulatedSystem:
     def test_end_to_end_stats(self):
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
+        config = Pod(cores=4, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
         stats = simulate_system(workload, config, instructions_per_core=4000, seed=3)
         assert stats.instructions >= 4 * 4000 * 0.9
         assert stats.aggregate_ipc > 0.5
@@ -738,7 +738,7 @@ class TestSimulatedSystem:
 
     def test_deterministic_given_seed(self):
         workload = get_workload("Data Serving")
-        config = SystemConfig(cores=2, core_type="ooo", llc_capacity_mb=2)
+        config = Pod(cores=2, core_type="ooo", llc_capacity_mb=2)
         a = simulate_system(workload, config, instructions_per_core=3000, seed=5)
         b = simulate_system(workload, config, instructions_per_core=3000, seed=5)
         assert a.aggregate_ipc == pytest.approx(b.aggregate_ipc)
@@ -746,24 +746,24 @@ class TestSimulatedSystem:
 
     def test_warmup_reduces_misses(self):
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=4, core_type="ooo", llc_capacity_mb=4)
+        config = Pod(cores=4, core_type="ooo", llc_capacity_mb=4)
         cold = SimulatedSystem(workload, config, seed=3).run(4000, warmup=False)
         warm = SimulatedSystem(workload, config, seed=3).run(4000, warmup=True)
         assert warm.llc_misses / warm.llc_accesses < cold.llc_misses / cold.llc_accesses
 
     def test_smaller_llc_misses_more(self):
         workload = get_workload("Web Search")
-        small = simulate_system(workload, SystemConfig(cores=4, llc_capacity_mb=1), 4000, seed=3)
-        large = simulate_system(workload, SystemConfig(cores=4, llc_capacity_mb=8), 4000, seed=3)
+        small = simulate_system(workload, Pod(cores=4, llc_capacity_mb=1), 4000, seed=3)
+        large = simulate_system(workload, Pod(cores=4, llc_capacity_mb=8), 4000, seed=3)
         assert small.llc_mpki > large.llc_mpki
 
     def test_mesh_slower_than_crossbar_at_many_cores(self):
         workload = get_workload("Web Frontend")
         mesh = simulate_system(
-            workload, SystemConfig(cores=16, llc_capacity_mb=4, interconnect="mesh"), 3000, seed=3
+            workload, Pod(cores=16, llc_capacity_mb=4, interconnect="mesh"), 3000, seed=3
         )
         crossbar = simulate_system(
-            workload, SystemConfig(cores=16, llc_capacity_mb=4, interconnect="crossbar"), 3000, seed=3
+            workload, Pod(cores=16, llc_capacity_mb=4, interconnect="crossbar"), 3000, seed=3
         )
         assert crossbar.aggregate_ipc > mesh.aggregate_ipc
 
@@ -771,7 +771,7 @@ class TestSimulatedSystem:
         # Figure 3.3: the analytic model follows the simulator's trends; the
         # reduced-fidelity reproduction keeps the two within ~40 %.
         workload = get_workload("Data Serving")
-        config = SystemConfig(cores=8, core_type="ooo", llc_capacity_mb=4)
+        config = Pod(cores=8, core_type="ooo", llc_capacity_mb=4)
         simulated = simulate_system(workload, config, instructions_per_core=5000, seed=7)
         predicted = AnalyticPerformanceModel().estimate(workload, config)
         ratio = predicted.aggregate_ipc / simulated.aggregate_ipc
@@ -780,7 +780,7 @@ class TestSimulatedSystem:
     @pytest.mark.parametrize("instructions", [0, -3, 1.5, True])
     def test_invalid_run_length(self, instructions):
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=2, llc_capacity_mb=2)
+        config = Pod(cores=2, llc_capacity_mb=2)
         with pytest.raises(ValueError, match="instructions_per_core must be an integer >= 1"):
             SimulatedSystem(workload, config).run(instructions)
 
@@ -790,7 +790,7 @@ class TestSimulatedSystem:
         # ZeroDivisionError in _channel_for on the first LLC miss; 1.5 and NaN
         # died in range() with a TypeError, and True built one channel.
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=2, llc_capacity_mb=2)
+        config = Pod(cores=2, llc_capacity_mb=2)
         with pytest.raises(ValueError, match="memory_channels must be an integer >= 1") as caught:
             simulate_system(workload, config, 1000, memory_channels=channels)
         assert "\n" not in str(caught.value)
@@ -800,7 +800,7 @@ class TestSimulatedSystem:
         # bank selection, so every line of a given bank hit one channel.  Lines
         # mapping to any single bank must now spread across all channels.
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=16, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
+        config = Pod(cores=16, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
         system = SimulatedSystem(workload, config, memory_channels=2, seed=3)
         assert len(system.channels) == 2 and system.num_banks % 2 == 0
         for bank in range(system.num_banks):
@@ -811,7 +811,7 @@ class TestSimulatedSystem:
     def test_memory_traffic_spreads_across_channels(self):
         # End to end: a cold run's DRAM requests must land on every channel.
         workload = get_workload("Web Search")
-        config = SystemConfig(cores=16, core_type="ooo", llc_capacity_mb=1, interconnect="crossbar")
+        config = Pod(cores=16, core_type="ooo", llc_capacity_mb=1, interconnect="crossbar")
         system = SimulatedSystem(workload, config, memory_channels=2, seed=3)
         system.run(2000, warmup=False)
         assert all(channel.requests > 0 for channel in system.channels)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.designs import build_conventional, build_scale_out, build_single_pod, build_tiled
-from repro.core.pod import Pod
-from repro.core.chip import ScaleOutChip
 from repro.tco.datacenter import DatacenterDesign
 from repro.tco.model import TcoModel
 from repro.tco.params import DEFAULT_TCO_PARAMETERS, TcoParameters
@@ -82,10 +80,8 @@ class TestPricing:
 
 
 class TestServerDesign:
-    def _server(self, chip, performance=20.0, memory_gb=64):
-        return ServerDesign(
-            chip=chip, chip_performance=performance, config=ServerConfig(memory_gb=memory_gb)
-        )
+    def _server(self, chip, memory_gb=64):
+        return ServerDesign(chip=chip, config=ServerConfig(memory_gb=memory_gb))
 
     def test_low_power_chips_get_more_sockets(self, chips):
         low_power = self._server(chips["single_pod_ooo"])
@@ -120,7 +116,7 @@ class TestServerDesign:
 
 class TestTcoModel:
     def test_breakdown_positive_and_sums(self, chips):
-        server = ServerDesign(chip=chips["scale_out_ooo"], chip_performance=20.0)
+        server = ServerDesign(chip=chips["scale_out_ooo"])
         breakdown = TcoModel().monthly_tco(server, num_servers=1000, num_racks=30, processor_price=370.0)
         as_dict = breakdown.as_dict()
         assert all(v > 0 for v in as_dict.values())
@@ -130,20 +126,20 @@ class TestTcoModel:
 
     def test_hardware_and_power_dominate(self, chips):
         # Section 5.1: server acquisition and power are the two largest categories.
-        server = ServerDesign(chip=chips["scale_out_ooo"], chip_performance=20.0)
+        server = ServerDesign(chip=chips["scale_out_ooo"])
         b = TcoModel().monthly_tco(server, num_servers=5000, num_racks=150, processor_price=370.0)
         assert b.hardware > b.maintenance
         assert b.hardware + b.power > b.infrastructure
 
     def test_invalid_counts(self, chips):
-        server = ServerDesign(chip=chips["scale_out_ooo"], chip_performance=20.0)
+        server = ServerDesign(chip=chips["scale_out_ooo"])
         with pytest.raises(ValueError):
             TcoModel().monthly_tco(server, 0, 1, 100.0)
 
 
 class TestDatacenter:
-    def test_evaluate_fields(self, chips, small_suite):
-        result = DatacenterDesign(suite=small_suite).evaluate(chips["scale_out_ooo"])
+    def test_evaluate_fields(self, chips):
+        result = DatacenterDesign().evaluate(chips["scale_out_ooo"])
         assert result.racks > 100
         assert result.servers == result.racks * result.servers_per_rack
         assert result.performance > 0
@@ -152,8 +148,8 @@ class TestDatacenter:
         assert result.performance_per_watt > 0
         assert result.total_power_w <= 20_000_000 * 1.35
 
-    def test_figure_5_1_scale_out_beats_conventional(self, chips, small_suite):
-        datacenter = DatacenterDesign(suite=small_suite)
+    def test_figure_5_1_scale_out_beats_conventional(self, chips):
+        datacenter = DatacenterDesign()
         comparison = datacenter.compare(
             [chips["conventional"], chips["tiled_ooo"], chips["scale_out_ooo"]]
         )
@@ -161,23 +157,23 @@ class TestDatacenter:
         assert comparison["Tiled (OoO)"]["performance"] > 1.5
         assert comparison["Conventional"]["performance"] == pytest.approx(1.0)
 
-    def test_figure_5_2_tco_differences_modest(self, chips, small_suite):
+    def test_figure_5_2_tco_differences_modest(self, chips):
         # Chapter 5: TCO differences across designs are far smaller than
         # performance differences.
-        datacenter = DatacenterDesign(suite=small_suite)
+        datacenter = DatacenterDesign()
         comparison = datacenter.compare([chips["conventional"], chips["scale_out_ooo"]])
         assert 0.6 < comparison["Scale-Out (OoO)"]["tco"] < 1.4
 
-    def test_figure_5_3_memory_capacity_trend(self, chips, small_suite):
+    def test_figure_5_3_memory_capacity_trend(self, chips):
         # More memory per server lowers performance/TCO (Section 5.3.2).
-        datacenter = DatacenterDesign(suite=small_suite)
+        datacenter = DatacenterDesign()
         small = datacenter.evaluate(chips["scale_out_ooo"], memory_gb=32)
         large = datacenter.evaluate(chips["scale_out_ooo"], memory_gb=128)
         assert small.performance_per_tco > large.performance_per_tco
 
-    def test_figure_5_5_price_sensitivity_smaller_for_big_chips(self, chips, small_suite):
+    def test_figure_5_5_price_sensitivity_smaller_for_big_chips(self, chips):
         # Small dies need more sockets per server, so their TCO reacts more to price.
-        datacenter = DatacenterDesign(suite=small_suite)
+        datacenter = DatacenterDesign()
         small_chip = chips["single_pod_ooo"]
         big_chip = chips["scale_out_ooo"]
         def sensitivity(chip):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.pod import Pod
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
 from repro.three_d.designer import CONSTRAINTS_3D, ThreeDDesignStudy
 from repro.three_d.stacking import (
     StackedPod,
@@ -61,9 +60,10 @@ class TestStackedPod:
 
     def test_3d_pd_improves_over_2d(self, base_pod, model, suite):
         # Section 6.6: stacking improves performance density (modestly).
-        pd_2d = stack_fixed_pod(base_pod, 1).performance_density(model, suite)
-        pd_fixed_pod = stack_fixed_pod(base_pod, 2).performance_density(model, suite)
-        pd_fixed_distance = stack_fixed_distance(base_pod, 2).performance_density(model, suite)
+        study = ThreeDDesignStudy(model=model, suite=suite)
+        pd_2d = study.evaluate(stack_fixed_pod(base_pod, 1)).performance_density
+        pd_fixed_pod = study.evaluate(stack_fixed_pod(base_pod, 2)).performance_density
+        pd_fixed_distance = study.evaluate(stack_fixed_distance(base_pod, 2)).performance_density
         assert pd_fixed_pod >= pd_2d * 0.999
         assert pd_fixed_distance >= pd_2d * 0.999
 

@@ -12,6 +12,15 @@ A definition that only :data:`TESTS` use is reported too, unless
 :data:`TEST_ONLY` keeps it with a reason; so is a definition that
 :data:`TEST_ONLY` keeps but shipped code uses.
 
+A field -- an annotated name in a class body -- is reported when no file
+under :data:`SEARCHED` or :data:`TESTS` reads it: loads it as an attribute,
+or holds a string literal (not a docstring) that is exactly its name, as in
+``getattr(x, "name")`` or ``row["name"]``.  Prose that mentions the name (an
+error message) and setting a field (a keyword argument, an assignment,
+``+=``) are not reads.
+:data:`UNREAD_FIELDS` keeps a field with a reason; a kept field that some
+code reads is reported too.
+
 The same run reports every unused import in ``src/`` modules other than
 ``__init__.py`` (where imports are re-exports): an imported name that the
 module never uses in code.  ``from __future__`` imports are exempt, and so
@@ -57,6 +66,12 @@ TEST_ONLY = {
     "FLASH_CROWD_24": "a load shape documented in docs/fleet.md",
 }
 
+#: Fields no code reads by name, each kept for the stated reason.
+UNREAD_FIELDS = {
+    "memory_reads": "the kernel==oracle checks compare whole SimulationStats, "
+    "so this count is held equal with the rest",
+}
+
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -85,29 +100,50 @@ def _prose_and_exports(tree: ast.Module) -> "set[int]":
     return skipped
 
 
-def _code_words(tree: ast.Module) -> "Counter[str]":
-    """Every name ``tree``'s code uses, counted once per occurrence."""
+def _string_words(tree: ast.Module) -> "Counter[str]":
+    """Every word in a string literal of ``tree`` that is not prose or an export."""
     skipped = _prose_and_exports(tree)
     words: "Counter[str]" = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            words[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            words[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in skipped:
                 words.update(_WORD.findall(node.value))
     return words
 
 
-def _words(root: Path, trees: "tuple[str, ...]") -> "Counter[str]":
-    """Code words of every file in ``trees`` but this checker (which names
-    the definitions :data:`TEST_ONLY` keeps)."""
-    words: "Counter[str]" = Counter()
-    for path in _python_files(root, trees):
-        if path.name != Path(__file__).name:
-            words.update(_code_words(ast.parse(path.read_text(encoding="utf-8"))))
+def _code_words(tree: ast.Module) -> "Counter[str]":
+    """Every name ``tree``'s code uses, counted once per occurrence."""
+    words = _string_words(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            words[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            words[node.attr] += 1
     return words
+
+
+def _reads(tree: ast.Module) -> "Counter[str]":
+    """Every attribute ``tree``'s code loads, and every string literal that
+    is one bare name (``getattr(x, "name")``, ``row["name"]``)."""
+    skipped = _prose_and_exports(tree)
+    words: "Counter[str]" = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            words[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skipped and _WORD.fullmatch(node.value):
+                words[node.value] += 1
+    return words
+
+
+def _parsed(root: Path, trees: "tuple[str, ...]") -> "list[ast.Module]":
+    """Every file in ``trees`` but this checker (which names the definitions
+    :data:`TEST_ONLY` and the fields :data:`UNREAD_FIELDS` keep)."""
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in _python_files(root, trees)
+        if path.name != Path(__file__).name
+    ]
 
 
 def _definitions(tree: ast.Module) -> "list[tuple[int, str]]":
@@ -125,6 +161,16 @@ def _definitions(tree: ast.Module) -> "list[tuple[int, str]]":
     return [
         (line, name) for line, name in found
         if not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def _fields(tree: ast.Module) -> "list[tuple[int, str]]":
+    """``(line, name)`` of every annotated name in a class body of ``tree``."""
+    return [
+        (statement.lineno, statement.target.id)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
     ]
 
 
@@ -167,10 +213,15 @@ def dead_definitions(root: Path = REPO) -> "list[str]":
     """``path:line name`` of every finding under ``root``, sorted.
 
     A finding is a dead definition, a test-only definition :data:`TEST_ONLY`
-    does not keep, a shipped one it does keep, or an unused import.
+    does not keep, a shipped one it does keep, a field that nothing reads
+    and :data:`UNREAD_FIELDS` does not keep, a read one it does keep, or an
+    unused import.
     """
-    shipped = _words(root, SEARCHED)
-    tested = _words(root, (TESTS,))
+    shipped_trees = _parsed(root, SEARCHED)
+    tested_trees = _parsed(root, (TESTS,))
+    shipped = sum(map(_code_words, shipped_trees), Counter())
+    tested = sum(map(_code_words, tested_trees), Counter())
+    read = sum(map(_reads, shipped_trees + tested_trees), Counter())
     found: "list[tuple[str, int, str]]" = []
     for path in _python_files(root, (AUDITED,)):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -182,6 +233,11 @@ def dead_definitions(root: Path = REPO) -> "list[str]":
                 found.append((label, line, f"{name} (only tests use it)"))
             elif shipped[name] > 0 and name in TEST_ONLY:
                 found.append((label, line, f"{name} (kept in TEST_ONLY, but shipped code uses it)"))
+        for line, name in _fields(tree):
+            if read[name] == 0 and name not in UNREAD_FIELDS:
+                found.append((label, line, f"{name} (field nothing reads)"))
+            elif read[name] > 0 and name in UNREAD_FIELDS:
+                found.append((label, line, f"{name} (kept in UNREAD_FIELDS, but code reads it)"))
         if path.name != "__init__.py":
             found.extend(
                 (label, line, f"{name} (unused import)")
