@@ -9,7 +9,7 @@ Run with ``python examples/workload_characterization.py``.
 
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.experiments.formatting import format_table
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, estimate
 from repro.sim.system import simulate_system
 from repro.workloads.cloudsuite import _behaviors  # reuse the calibrated core constants
 from repro.workloads.missrate import CaptureCurve, MissRatioCurve
@@ -40,18 +40,17 @@ def build_custom_workload() -> WorkloadProfile:
 
 def main() -> None:
     workload = build_custom_workload()
-    model = AnalyticPerformanceModel()
 
     rows = []
     for llc_mb in (1, 2, 4, 8, 16):
         pod = Pod(cores=4, core_type="ooo", llc_capacity_mb=llc_mb, interconnect="crossbar")
-        estimate = model.estimate(workload, pod)
+        point = estimate(workload, pod)
         rows.append(
             {
                 "llc_mb": llc_mb,
-                "per_core_ipc": round(estimate.per_core_ipc, 3),
-                "llc_mpki": round(estimate.llc_mpki, 2),
-                "offchip_gbps": round(estimate.offchip_bandwidth_gbps, 1),
+                "per_core_ipc": round(point.per_core_ipc, 3),
+                "llc_mpki": round(point.llc_mpki, 2),
+                "offchip_gbps": round(point.offchip_bandwidth_gbps, 1),
             }
         )
     print(format_table(rows, title="KV Store: LLC capacity sensitivity (4 OoO cores)"))
@@ -59,7 +58,7 @@ def main() -> None:
 
     pod = Pod(cores=8, core_type="ooo", llc_capacity_mb=4, interconnect="crossbar")
     sim = simulate_system(workload, pod, instructions_per_core=8000, seed=5)
-    predicted = model.estimate(workload, pod)
+    predicted = estimate(workload, pod)
     print(
         "Model vs simulation at 8 cores / 4 MB: "
         f"model {predicted.aggregate_ipc:.2f} IPC, simulated {sim.aggregate_ipc:.2f} IPC"

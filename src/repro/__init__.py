@@ -25,7 +25,7 @@ from repro.core import (
     ScaleOutDesignMethodology,
     design_scale_out_processor,
 )
-from repro.perfmodel import AnalyticPerformanceModel, PerformanceEstimate, performance_density
+from repro.perfmodel import PerformanceEstimate, performance_density
 from repro.workloads import CLOUDSUITE, default_suite, get_workload
 
 __version__ = "1.0.0"
@@ -35,7 +35,6 @@ __all__ = [
     "ScaleOutChip",
     "ScaleOutDesignMethodology",
     "design_scale_out_processor",
-    "AnalyticPerformanceModel",
     "PerformanceEstimate",
     "performance_density",
     "CLOUDSUITE",

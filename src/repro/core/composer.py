@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.core.chip import ScaleOutChip
 from repro.memory.dram import DramChannel
 from repro.memory.provisioning import channels_required
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, suite_estimates
 from repro.technology.node import ChipConstraints
 from repro.workloads.suite import WorkloadSuite
 
@@ -38,16 +38,14 @@ class PodEvaluation:
     num_dies: int = 1
 
     @classmethod
-    def of(
-        cls, pod: Pod, model: AnalyticPerformanceModel, suite: WorkloadSuite
-    ) -> "PodEvaluation":
+    def of(cls, pod: Pod, suite: WorkloadSuite) -> "PodEvaluation":
         """Evaluate ``pod`` with one pass of suite estimates.
 
         The bandwidth matches
-        :meth:`AnalyticPerformanceModel.worst_case_bandwidth_gbps` term for
+        :func:`~repro.perfmodel.analytic.worst_case_bandwidth_gbps` term for
         term, so the figure is bit-identical to it.
         """
-        estimates = model.suite_estimates(pod, suite)
+        estimates = suite_estimates(pod, suite)
         return cls(
             pod=pod,
             performance=sum(e.aggregate_ipc for e in estimates.values()) / len(estimates),

@@ -29,7 +29,7 @@ from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, compose_chip
 from repro.core.methodology import ScaleOutDesignMethodology
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
 
@@ -94,12 +94,10 @@ class DesignSizer:
     def __init__(
         self,
         node: TechnologyNode = NODE_40NM,
-        model: "AnalyticPerformanceModel | None" = None,
         suite: "WorkloadSuite | None" = None,
         constraints: "ChipConstraints | None" = None,
     ):
         self.node = node
-        self.model = model or AnalyticPerformanceModel()
         self.suite = suite or default_suite()
         self.constraints = constraints or node.constraints
         self.channel = channel_for_standard(node.memory_standard)
@@ -123,7 +121,7 @@ class DesignSizer:
             effective_capacity_factor=spec.effective_capacity_factor,
             offchip_traffic_factor=spec.offchip_traffic_factor,
         )
-        evaluation = PodEvaluation.of(pod, self.model, self.suite)
+        evaluation = PodEvaluation.of(pod, self.suite)
         chip = compose_chip(evaluation, 1, self.channel, spec.name)
         if spec.channels_per_core is None:
             return chip
@@ -159,7 +157,6 @@ def _label(core_type: str) -> str:
 
 def build_conventional(
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """Conventional server processor: few aggressive cores, 2 MB LLC per core."""
@@ -170,13 +167,12 @@ def build_conventional(
         llc_mb_per_core=2.0,
         channels_per_core=0.25,
     )
-    return DesignSizer(node, model, suite).size(spec)
+    return DesignSizer(node, suite).size(spec)
 
 
 def build_tiled(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """Tiled processor: mesh of tiles, each a core plus a large LLC slice."""
@@ -193,13 +189,12 @@ def build_tiled(
         llc_mb_per_core=llc_per_core,
         requires_square_grid=True,
     )
-    return DesignSizer(node, model, suite).size(spec)
+    return DesignSizer(node, suite).size(spec)
 
 
 def build_llc_optimal_tiled(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
     instruction_replication: bool = False,
 ) -> ScaleOutChip:
@@ -216,29 +211,27 @@ def build_llc_optimal_tiled(
         effective_capacity_factor=0.85 if instruction_replication else 1.0,
         offchip_traffic_factor=1.2 if instruction_replication else 1.0,
     )
-    return DesignSizer(node, model, suite).size(spec)
+    return DesignSizer(node, suite).size(spec)
 
 
 def build_llc_optimal_tiled_ir(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """LLC-optimal tiled processor with R-NUCA-style instruction replication."""
     return build_llc_optimal_tiled(
-        core_type, node, model, suite, instruction_replication=True
+        core_type, node, suite, instruction_replication=True
     )
 
 
 def build_ideal(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """Ideal processor: the LLC-optimal core/cache budget with a 4-cycle interconnect."""
-    reference = build_llc_optimal_tiled(core_type, node, model, suite)
+    reference = build_llc_optimal_tiled(core_type, node, suite)
     pod = Pod(
         cores=reference.total_cores,
         core_type=core_type,
@@ -246,9 +239,9 @@ def build_ideal(
         interconnect="ideal",
         node=node,
     )
-    sizer = DesignSizer(node, model, suite)
+    sizer = DesignSizer(node, suite)
     return compose_chip(
-        PodEvaluation.of(pod, sizer.model, sizer.suite),
+        PodEvaluation.of(pod, sizer.suite),
         1,
         sizer.channel,
         f"Ideal ({_label(core_type)})",
@@ -259,11 +252,10 @@ def build_ideal(
 def build_scale_out(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """Scale-Out Processor: the multi-pod design produced by the methodology."""
-    methodology = ScaleOutDesignMethodology(node=node, model=model, suite=suite)
+    methodology = ScaleOutDesignMethodology(node=node, suite=suite)
     return methodology.design(
         core_type=core_type, name=f"Scale-Out ({_label(core_type)})"
     )
@@ -272,11 +264,10 @@ def build_scale_out(
 def build_single_pod(
     core_type: str = "ooo",
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
 ) -> ScaleOutChip:
     """1-pod chip: a die carrying a single PD-optimal pod (Chapter 5's "1Pod")."""
-    methodology = ScaleOutDesignMethodology(node=node, model=model, suite=suite)
+    methodology = ScaleOutDesignMethodology(node=node, suite=suite)
     point = methodology.pd_optimal_pod(core_type=core_type)
     return compose_chip(
         point.evaluation,
@@ -289,21 +280,19 @@ def build_single_pod(
 
 def standard_designs(
     node: TechnologyNode = NODE_40NM,
-    model: "AnalyticPerformanceModel | None" = None,
     suite: "WorkloadSuite | None" = None,
     include_ideal: bool = True,
     include_scale_out: bool = True,
 ) -> "list[ScaleOutChip]":
     """All designs of Table 3.2, in the paper's presentation order."""
-    model = model or AnalyticPerformanceModel()
     suite = suite or default_suite()
-    designs: "list[ScaleOutChip]" = [build_conventional(node, model, suite)]
+    designs: "list[ScaleOutChip]" = [build_conventional(node, suite)]
     for core_type in ("ooo", "inorder"):
-        designs.append(build_tiled(core_type, node, model, suite))
-        designs.append(build_llc_optimal_tiled(core_type, node, model, suite))
-        designs.append(build_llc_optimal_tiled_ir(core_type, node, model, suite))
+        designs.append(build_tiled(core_type, node, suite))
+        designs.append(build_llc_optimal_tiled(core_type, node, suite))
+        designs.append(build_llc_optimal_tiled_ir(core_type, node, suite))
         if include_scale_out:
-            designs.append(build_scale_out(core_type, node, model, suite))
+            designs.append(build_scale_out(core_type, node, suite))
         if include_ideal:
-            designs.append(build_ideal(core_type, node, model, suite))
+            designs.append(build_ideal(core_type, node, suite))
     return designs

@@ -22,7 +22,7 @@ from typing import Sequence
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, fill_die
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.workloads.suite import WorkloadSuite, default_suite
 
@@ -84,7 +84,6 @@ class ScaleOutDesignMethodology:
 
     Args:
         node: technology node to design for.
-        model: analytic performance model (a default instance if omitted).
         suite: workload suite used for evaluation (the full CloudSuite by default).
         constraints: chip-level budgets; defaults to the node's constraints.
     """
@@ -92,12 +91,10 @@ class ScaleOutDesignMethodology:
     def __init__(
         self,
         node: TechnologyNode = NODE_40NM,
-        model: "AnalyticPerformanceModel | None" = None,
         suite: "WorkloadSuite | None" = None,
         constraints: "ChipConstraints | None" = None,
     ):
         self.node = node
-        self.model = model or AnalyticPerformanceModel()
         self.suite = suite or default_suite()
         self.constraints = constraints or node.constraints
         self.channel = channel_for_standard(node.memory_standard)
@@ -105,7 +102,7 @@ class ScaleOutDesignMethodology:
     # ------------------------------------------------------------- the sweep
     def evaluate_pod(self, pod: Pod) -> PodSweepPoint:
         """Evaluate one pod configuration."""
-        evaluation = PodEvaluation.of(pod, self.model, self.suite)
+        evaluation = PodEvaluation.of(pod, self.suite)
         area = pod.area_mm2
         return PodSweepPoint(
             evaluation=evaluation,
@@ -171,7 +168,7 @@ class ScaleOutDesignMethodology:
         cannot be supported within the budgets, a one-pod chip is returned (and
         callers can check :meth:`ScaleOutChip.satisfies`).
         """
-        evaluation = PodEvaluation.of(pod, self.model, self.suite)
+        evaluation = PodEvaluation.of(pod, self.suite)
         return self._fill_die(evaluation, name or f"Scale-Out ({pod.core_type})")
 
     def _fill_die(self, evaluation: PodEvaluation, name: str) -> ScaleOutChip:

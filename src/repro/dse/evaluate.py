@@ -25,7 +25,7 @@ from typing import Mapping
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, compose_chip
 from repro.memory.dram import channel_for_standard
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod
 from repro.service.calibration import calibrate_chip
 from repro.service.sizing import ClusterSizer, MmkQueue, SlaInfeasibleError
 from repro.tco.datacenter import DatacenterDesign
@@ -76,8 +76,7 @@ def candidate_label(params: "Mapping[str, object]") -> str:
     return "/".join(parts) if parts else repr(dict(params))
 
 
-def _build_chip(params: "Mapping[str, object]", suite: WorkloadSuite,
-                model: AnalyticPerformanceModel) -> ScaleOutChip:
+def _build_chip(params: "Mapping[str, object]", suite: WorkloadSuite) -> ScaleOutChip:
     """The candidate's chip: pod x pods-per-chip with demand-provisioned channels."""
     node = get_node(str(params.get("node", "40nm")))
     pod = Pod(
@@ -88,7 +87,7 @@ def _build_chip(params: "Mapping[str, object]", suite: WorkloadSuite,
         node=node,
     )
     return compose_chip(
-        PodEvaluation.of(pod, model, suite),
+        PodEvaluation.of(pod, suite),
         int(params.get("pods_per_chip", 1)),  # type: ignore[arg-type]
         channel_for_standard(node.memory_standard),
         _design_label(params),
@@ -109,16 +108,15 @@ def evaluate_chip_candidate(params: "Mapping[str, object]") -> "dict[str, object
         performance density, perf/watt, perf/TCO (x1000), reference p99 (ms),
         and budget feasibility (``fits_budgets`` / ``limiting_constraint``).
     """
-    model = AnalyticPerformanceModel()
     suite = suite_for(str(params.get("suite", "default")))
-    chip = _build_chip(params, suite, model)
+    chip = _build_chip(params, suite)
     performance = chip.performance()
-    datacenter = DatacenterDesign(model=model)
+    datacenter = DatacenterDesign()
     dc_result = datacenter.evaluate(chip)
 
     workload = suite[str(params.get("workload", "Web Search"))]
     utilization = float(params.get("reference_utilization", 0.8))  # type: ignore[arg-type]
-    capacity = calibrate_chip(chip, workload, model)
+    capacity = calibrate_chip(chip, workload)
     queue = MmkQueue(
         servers=capacity.units_per_chip,
         service_rate_rps=capacity.unit_rate_rps,
@@ -157,9 +155,8 @@ def evaluate_sizing_candidate(params: "Mapping[str, object]") -> "dict[str, obje
         be met at any cluster size the sizing metrics are ``None`` and
         ``sla_feasible`` is ``False``.
     """
-    model = AnalyticPerformanceModel()
     suite = suite_for(str(params.get("suite", "default")))
-    chip = _build_chip(params, suite, model)
+    chip = _build_chip(params, suite)
     workload = suite[str(params.get("workload", "Web Search"))]
     target_qps = float(params["target_qps"])  # type: ignore[arg-type]
     sla_p99_s = float(params["sla_p99_ms"]) / 1e3  # type: ignore[arg-type]
@@ -172,7 +169,7 @@ def evaluate_sizing_candidate(params: "Mapping[str, object]") -> "dict[str, obje
         "power_w": round(chip.power_w, 2),
         "fits_budgets": chip.satisfies(chip.node.constraints),
     }
-    sizer = ClusterSizer(DatacenterDesign(model=model), memory_gb=memory_gb)
+    sizer = ClusterSizer(DatacenterDesign(), memory_gb=memory_gb)
     try:
         result = sizer.size(chip, workload, target_qps=target_qps, sla_p99_s=sla_p99_s)
     except SlaInfeasibleError as error:

@@ -22,7 +22,6 @@ import math
 from typing import Mapping
 
 from repro.dse.evaluate import EVALUATORS, _build_chip, suite_for
-from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.service.calibration import calibrate_chip
 from repro.service.sizing import _EXP_P99_FACTOR, MmkQueue
 from repro.tco.datacenter import DatacenterDesign
@@ -51,9 +50,8 @@ def chip_proxy(params: "Mapping[str, object]", fidelity: int) -> "dict[str, obje
     reports performance, density, perf/watt, and budget feasibility; the TCO
     and reference-latency stages of the full evaluator are skipped entirely.
     """
-    model = AnalyticPerformanceModel()
     suite = _partial_suite(params, fidelity)
-    chip = _build_chip(params, suite, model)
+    chip = _build_chip(params, suite)
     performance = chip.performance()
     return {
         "performance": performance,
@@ -71,9 +69,8 @@ def sizing_proxy(params: "Mapping[str, object]", fidelity: int) -> "dict[str, ob
     and one closed-form monthly-TCO evaluation.  SLA feasibility is judged
     from the zero-load p99 (the same condition the real sizer raises on).
     """
-    model = AnalyticPerformanceModel()
     suite = _partial_suite(params, fidelity)
-    chip = _build_chip(params, suite, model)
+    chip = _build_chip(params, suite)
     full_suite = suite_for(str(params.get("suite", "default")))
     workload = full_suite[str(params.get("workload", "Web Search"))]
     target_qps = float(params["target_qps"])  # type: ignore[arg-type]
@@ -83,13 +80,13 @@ def sizing_proxy(params: "Mapping[str, object]", fidelity: int) -> "dict[str, ob
     metrics: "dict[str, object]" = {
         "fits_budgets": chip.satisfies(chip.node.constraints),
     }
-    capacity = calibrate_chip(chip, workload, model)
+    capacity = calibrate_chip(chip, workload)
     zero_load_p99 = _EXP_P99_FACTOR / capacity.unit_rate_rps
     if zero_load_p99 > sla_p99_s:
         metrics.update(sla_feasible=False, monthly_tco_usd=None, p99_ms=None)
         return metrics
 
-    datacenter = DatacenterDesign(model=model)
+    datacenter = DatacenterDesign()
     server = datacenter.build_server(chip, memory_gb=memory_gb)
     units = capacity.units_per_chip * server.sockets
     per_server_capacity = units * capacity.unit_rate_rps

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.core.comparison import compare_designs
 from repro.core.designs import standard_designs
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, average_per_core_ipc, estimate
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
 from repro.technology.components import ComponentCatalog
 from repro.technology.node import NODE_20NM, NODE_40NM, TechnologyNode, coerce_node
@@ -20,28 +20,25 @@ from repro.workloads.suite import WorkloadSuite, default_suite
 
 
 def _per_core_ipc_point(
-    model: AnalyticPerformanceModel,
     suite: WorkloadSuite,
     llc_mb: float,
     interconnect: str,
     cores: int,
 ) -> float:
     pod = Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_mb, interconnect=interconnect)
-    return model.average_per_core_ipc(pod, suite)
+    return average_per_core_ipc(pod, suite)
 
 
 def figure_2_1_application_ipc(
     suite: "WorkloadSuite | None" = None,
-    model: "AnalyticPerformanceModel | None" = None,
 ) -> "list[dict[str, object]]":
     """Application IPC of each workload on an aggressive 4-wide OoO core."""
     suite = suite or default_suite()
-    model = model or AnalyticPerformanceModel()
     pod = Pod(cores=4, core_type="conventional", llc_capacity_mb=4, interconnect="ideal")
     rows = []
     for workload in suite:
-        estimate = model.estimate(workload, pod)
-        rows.append({"workload": workload.name, "application_ipc": round(estimate.per_core_ipc, 2)})
+        per_core_ipc = estimate(workload, pod).per_core_ipc
+        rows.append({"workload": workload.name, "application_ipc": round(per_core_ipc, 2)})
     return rows
 
 
@@ -49,19 +46,17 @@ def figure_2_2_llc_sensitivity(
     llc_sizes_mb: Sequence[float] = (1, 2, 4, 8, 16, 32),
     cores: int = 4,
     suite: "WorkloadSuite | None" = None,
-    model: "AnalyticPerformanceModel | None" = None,
 ) -> "list[dict[str, object]]":
     """Performance versus LLC size for 4-core systems, normalized to 1 MB."""
     suite = suite or default_suite()
-    model = model or AnalyticPerformanceModel()
     rows = []
     for workload in suite:
-        base = model.estimate(
+        base = estimate(
             workload, Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc_sizes_mb[0], interconnect="crossbar")
         ).aggregate_ipc
         row: "dict[str, object]" = {"workload": workload.name}
         for llc in llc_sizes_mb:
-            est = model.estimate(
+            est = estimate(
                 workload, Pod(cores=cores, core_type="ooo", llc_capacity_mb=llc, interconnect="crossbar")
             )
             row[f"{llc:g}MB"] = round(est.aggregate_ipc / base, 3)
@@ -73,21 +68,19 @@ def figure_2_3_core_scaling(
     core_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
     llc_mb: float = 4.0,
     suite: "WorkloadSuite | None" = None,
-    model: "AnalyticPerformanceModel | None" = None,
     executor: "SweepExecutor | None" = None,
 ) -> "list[dict[str, object]]":
     """Per-core and aggregate performance versus core count, ideal versus mesh."""
     suite = suite or default_suite()
-    model = model or AnalyticPerformanceModel()
     executor = executor or SERIAL_EXECUTOR
     interconnects = ("ideal", "mesh")
     baselines: "dict[str, float]" = {}
     for interconnect in interconnects:
-        baselines[interconnect] = _per_core_ipc_point(model, suite, llc_mb, interconnect, 1)
+        baselines[interconnect] = _per_core_ipc_point(suite, llc_mb, interconnect, 1)
     per_core_ipcs = executor.map(
         _per_core_ipc_point,
         [
-            (model, suite, llc_mb, interconnect, cores)
+            (suite, llc_mb, interconnect, cores)
             for cores in core_counts
             for interconnect in interconnects
         ],
@@ -131,8 +124,7 @@ def table_2_3_designs_40nm(
 ) -> "list[dict[str, object]]":
     """Design comparison at 40nm (conventional, tiled, LLC-optimal, IR, ideal)."""
     suite = suite or default_suite()
-    model = AnalyticPerformanceModel()
-    designs = standard_designs(NODE_40NM, model, suite, include_scale_out=False)
+    designs = standard_designs(NODE_40NM, suite, include_scale_out=False)
     return compare_designs(designs).as_dicts()
 
 
@@ -141,6 +133,5 @@ def table_2_4_designs_20nm(
 ) -> "list[dict[str, object]]":
     """Design comparison projected to 20nm."""
     suite = suite or default_suite()
-    model = AnalyticPerformanceModel()
-    designs = standard_designs(NODE_20NM, model, suite, include_scale_out=False)
+    designs = standard_designs(NODE_20NM, suite, include_scale_out=False)
     return compare_designs(designs).as_dicts()

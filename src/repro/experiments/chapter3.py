@@ -12,7 +12,7 @@ from typing import Sequence
 from repro.core.comparison import compare_designs
 from repro.core.designs import standard_designs
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod
 from repro.perfmodel.validation import validate_against
 from repro.runtime.executor import SweepExecutor
 from repro.sim.system import simulate_system
@@ -158,6 +158,5 @@ def table_3_2_design_comparison(
 ) -> "list[dict[str, object]]":
     """Full design comparison including Scale-Out Processors (Table 3.2)."""
     suite = suite or default_suite()
-    model = AnalyticPerformanceModel()
-    designs = standard_designs(coerce_node(node), model, suite)
+    designs = standard_designs(coerce_node(node), suite)
     return compare_designs(designs).as_dicts()

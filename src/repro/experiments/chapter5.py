@@ -17,7 +17,6 @@ from repro.core.designs import (
     build_single_pod,
     build_tiled,
 )
-from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
 from repro.tco.datacenter import DatacenterDesign, DatacenterResult
 from repro.tco.params import DEFAULT_TCO_PARAMETERS
@@ -40,15 +39,14 @@ def chapter5_chip_set(
 ) -> "list[ScaleOutChip]":
     """The seven server chips of Table 5.1 (all at 40nm)."""
     suite = suite or default_suite()
-    model = AnalyticPerformanceModel()
     return [
-        build_conventional(NODE_40NM, model, suite),
-        build_tiled("ooo", NODE_40NM, model, suite),
-        build_single_pod("ooo", NODE_40NM, model, suite),
-        build_scale_out("ooo", NODE_40NM, model, suite),
-        build_tiled("inorder", NODE_40NM, model, suite),
-        build_single_pod("inorder", NODE_40NM, model, suite),
-        build_scale_out("inorder", NODE_40NM, model, suite),
+        build_conventional(NODE_40NM, suite),
+        build_tiled("ooo", NODE_40NM, suite),
+        build_single_pod("ooo", NODE_40NM, suite),
+        build_scale_out("ooo", NODE_40NM, suite),
+        build_tiled("inorder", NODE_40NM, suite),
+        build_single_pod("inorder", NODE_40NM, suite),
+        build_scale_out("inorder", NODE_40NM, suite),
     ]
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.core.chip import ScaleOutChip
 from repro.core.designs import build_conventional, build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel, require_positive_finite
+from repro.perfmodel.analytic import require_positive_finite
 from repro.runtime.executor import SweepExecutor
 from repro.service.cluster import BALANCER_POLICIES
 from repro.service.calibration import ServiceCapacity, calibrate_chip
@@ -41,14 +41,12 @@ SERVICE_DESIGNS = ("Conventional", "Scale-Out (OoO)", "Scale-Out 3D (OoO)")
 def build_service_chip(
     design: str,
     suite: "WorkloadSuite | None" = None,
-    model: "AnalyticPerformanceModel | None" = None,
 ) -> ScaleOutChip:
     """Build one of the named server-chip designs the service studies compare."""
     suite = suite or default_suite()
-    model = model or AnalyticPerformanceModel()
     name = design.lower()
     if name.startswith("conventional"):
-        return build_conventional(NODE_40NM, model, suite)
+        return build_conventional(NODE_40NM, suite)
     if "3d" in name:
         methodology = ScaleOutDesignMethodology(suite=suite)
         base_pod = methodology.pd_optimal_pod(core_type="ooo").pod
@@ -57,7 +55,7 @@ def build_service_chip(
         chip = study.compose_chip(best.stacked_pod, name="Scale-Out 3D (OoO)")
         return chip
     if name.startswith("scale-out"):
-        return build_scale_out("ooo", NODE_40NM, model, suite)
+        return build_scale_out("ooo", NODE_40NM, suite)
     raise ValueError(f"unknown service design {design!r}; known: {SERVICE_DESIGNS}")
 
 

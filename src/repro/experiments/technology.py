@@ -32,7 +32,6 @@ from repro.core.designs import (
     build_single_pod,
 )
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.runtime.executor import SERIAL_EXECUTOR, SweepExecutor
 from repro.tco.datacenter import DatacenterDesign
 from repro.technology.cacti import SramModel
@@ -109,10 +108,9 @@ def node_design_scaling(
     metrics, so cross-node comparisons never silently skip a node.
     """
     suite = suite or default_suite()
-    model = AnalyticPerformanceModel()
     rows = []
     for node in _resolve_nodes(nodes):
-        datacenter = DatacenterDesign(model=model)
+        datacenter = DatacenterDesign()
         for name, builder, extra in _SCALING_DESIGNS:
             row: "dict[str, object]" = {
                 "node": node.name,
@@ -120,7 +118,7 @@ def node_design_scaling(
                 "calibrated": not DEFAULT_FAMILY.is_extrapolated(node),
             }
             try:
-                chip = builder(*extra, node=node, model=model, suite=suite)
+                chip = builder(*extra, node=node, suite=suite)
             except ValueError as error:
                 row.update(
                     feasible=False,

@@ -26,10 +26,8 @@ INTERCONNECTS = {
 }
 
 
-def interconnect_model(name: "str | InterconnectModel") -> InterconnectModel:
-    """Instantiate an interconnect model from its name (or pass one through)."""
-    if isinstance(name, InterconnectModel):
-        return name
+def interconnect_model(name: str) -> InterconnectModel:
+    """Instantiate an interconnect model from its name."""
     try:
         return INTERCONNECTS[name.lower()]()
     except KeyError:

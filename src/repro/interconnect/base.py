@@ -29,27 +29,17 @@ class InterconnectModel(abc.ABC):
 
     # ------------------------------------------------------------------ area
     @abc.abstractmethod
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Silicon area of routers, buffers, and link repeaters."""
 
     # ----------------------------------------------------------------- power
-    def power_w(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def power_w(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Interconnect power; the paper bounds it below 5 W for all organizations.
 
         The default implementation scales a 2 W nominal figure by relative area,
         capped at the paper's 5 W budget (Table 2.1, Section 4.4.4).
         """
-        area = self.area_mm2(floorplan, node, link_width_bits)
+        area = self.area_mm2(floorplan, node)
         return min(5.0, 0.4 + 0.35 * area)
 
     # ------------------------------------------------------------------ misc

@@ -24,17 +24,10 @@ class CrossbarInterconnect(InterconnectModel):
     #: Latency table from the paper (cores -> cycles); interpolated beyond 64.
     _LATENCY_TABLE = {1: 4, 2: 4, 4: 4, 8: 4, 16: 5, 32: 7, 64: 11}
 
-    def __init__(self, ports_per_switch_interface: int = 1):
-        if ports_per_switch_interface < 1:
-            raise ValueError("ports_per_switch_interface must be >= 1")
-        #: Cores can share a switch interface (Section 3.4.3 pairs in-order cores)
-        #: to reduce effective port count at negligible performance cost.
-        self.ports_per_switch_interface = ports_per_switch_interface
-
     # --------------------------------------------------------------- latency
     def latency_cycles(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Crossbar traversal latency as a function of the number of ports."""
-        ports = max(1, math.ceil(floorplan.cores / self.ports_per_switch_interface))
+        ports = floorplan.cores
         if ports <= 8:
             return 4.0
         # Two extra cycles per doubling beyond 8 ports, matching 16 -> 5 is a
@@ -46,15 +39,9 @@ class CrossbarInterconnect(InterconnectModel):
         return 11.0 + 4.0 * doublings
 
     # ------------------------------------------------------------------ area
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
-        """Crossbar switch area: quadratic in port count, linear in link width."""
-        ports = max(1, math.ceil(floorplan.cores / self.ports_per_switch_interface))
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
+        """Crossbar switch area (128-bit links): quadratic in port count."""
         banks = max(1, floorplan.cores // 4)
-        total_ports = ports + banks
-        area_40nm = 0.0009 * total_ports**2 * (link_width_bits / 128.0)
+        total_ports = floorplan.cores + banks
+        area_40nm = 0.0009 * total_ports**2
         return max(0.2, area_40nm * node.logic_area_scale)

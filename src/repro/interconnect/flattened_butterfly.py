@@ -37,12 +37,7 @@ class FlattenedButterflyInterconnect(InterconnectModel):
         average_hops = 1.6  # some traffic needs one hop, most needs two
         return average_hops * (self.ROUTER_PIPELINE_CYCLES + link_cycles)
 
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Area of many-ported routers plus the quadratic link budget.
 
         Calibrated to ~23 mm^2 for an 8x8 tiled network with 128-bit links at
@@ -54,7 +49,7 @@ class FlattenedButterflyInterconnect(InterconnectModel):
         radix = (rows - 1) + (cols - 1) + 1
         # Reference: 64 tiles, radix 15 -> 23 mm^2 at 32nm.
         reference = 23.0
-        scale = (tiles / 64.0) * (radix / 15.0) * (link_width_bits / 128.0)
+        scale = (tiles / 64.0) * (radix / 15.0)
         area_32nm = reference * scale
         area_40nm = area_32nm / 0.64
         return max(0.2, area_40nm * node.logic_area_scale)

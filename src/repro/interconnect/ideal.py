@@ -17,20 +17,10 @@ class IdealInterconnect(InterconnectModel):
 
     name = "ideal"
 
-    def __init__(self, latency: float = 4.0):
-        if latency <= 0:
-            raise ValueError("latency must be positive")
-        self._latency = latency
-
     def latency_cycles(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Fixed latency regardless of the number of connected components."""
-        return self._latency
+        return 4.0
 
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Idealized wiring is charged a nominal area floor (Table 2.1 lower bound)."""
         return 0.2

@@ -18,26 +18,19 @@ class MeshInterconnect(InterconnectModel):
 
     name = "mesh"
 
-    def __init__(self, cycles_per_hop: float = 3.0):
-        if cycles_per_hop <= 0:
-            raise ValueError("cycles_per_hop must be positive")
-        self.cycles_per_hop = cycles_per_hop
+    #: Router plus channel delay of one hop (Table 2.2).
+    CYCLES_PER_HOP = 3.0
 
     def latency_cycles(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Average zero-load latency: cycles/hop times the average hop count."""
-        return self.cycles_per_hop * max(1.0, floorplan.average_mesh_hops())
+        return self.CYCLES_PER_HOP * max(1.0, floorplan.average_mesh_hops())
 
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """Mesh area: one 5-port router plus four short links per tile.
 
         Calibrated to the Chapter 4 measurement of ~3.5 mm^2 for a 64-tile mesh
         with 128-bit links at 32nm (Figure 4.7).
         """
-        per_tile_area_32nm = 3.5 / 64.0 * (link_width_bits / 128.0)
+        per_tile_area_32nm = 3.5 / 64.0
         per_tile_area_40nm = per_tile_area_32nm / 0.64
         return max(0.2, per_tile_area_40nm * floorplan.cores * node.logic_area_scale)

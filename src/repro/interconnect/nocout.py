@@ -43,12 +43,7 @@ class NocOutInterconnect(InterconnectModel):
         llc_hops = 1.0
         return tree_depth * self.TREE_HOP_CYCLES + llc_hops * self.LLC_ROUTER_CYCLES
 
-    def area_mm2(
-        self,
-        floorplan: Floorplan,
-        node: TechnologyNode = NODE_40NM,
-        link_width_bits: int = 128,
-    ) -> float:
+    def area_mm2(self, floorplan: Floorplan, node: TechnologyNode = NODE_40NM) -> float:
         """NOC-Out area: trivially simple tree nodes plus a small LLC network.
 
         Calibrated to the 2.5 mm^2 reported for the 64-core pod with 128-bit links
@@ -58,6 +53,6 @@ class NocOutInterconnect(InterconnectModel):
         llc_tiles = max(1, int(math.ceil(floorplan.cores / self.CORES_PER_LLC_TILE)))
         tree_area_32nm = 2.5 * 0.36 * (floorplan.cores / 64.0)
         llc_net_area_32nm = 2.5 * 0.64 * (llc_tiles / 8.0) ** 2
-        area_32nm = (tree_area_32nm + llc_net_area_32nm) * (link_width_bits / 128.0)
+        area_32nm = tree_area_32nm + llc_net_area_32nm
         area_40nm = area_32nm / 0.64
         return max(0.2, area_40nm * node.logic_area_scale)

@@ -19,8 +19,7 @@ from repro.noc.metrics import NocAreaBreakdown, NocAreaModel
 from repro.noc.network import NocConfig, NocNetwork
 from repro.noc.topology import NocTopology, TOPOLOGY_BUILDERS
 from repro.noc.traffic import bilateral_injection_rate, generate_bilateral_batch
-from repro.perfmodel.amat import LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod, require_count
+from repro.perfmodel.analytic import Pod, aggregate_ipcs_at_network_latency, require_count
 from repro.runtime.executor import SweepExecutor
 from repro.technology.node import NODE_32NM, TechnologyNode
 from repro.workloads.profile import WorkloadProfile
@@ -93,8 +92,8 @@ class NocPointSpec:
     """Everything a pool worker needs to evaluate one NoC sweep point.
 
     A frozen value object shipped to workers instead of pickling the whole
-    :class:`PodNocStudy` (whose workload suite and analytic model dominated the
-    per-point IPC payload); :meth:`PodNocStudy.from_spec` reconstitutes an
+    :class:`PodNocStudy` (whose workload suite dominated the per-point IPC
+    payload); :meth:`PodNocStudy.from_spec` reconstitutes an
     equivalent study on the other side.
     """
 
@@ -155,7 +154,6 @@ class PodNocStudy:
         self.config = config or NocConfig()
         self.duration_cycles = duration_cycles
         self.seed = seed
-        self.model = AnalyticPerformanceModel()
 
     @property
     def suite(self) -> WorkloadSuite:
@@ -258,22 +256,14 @@ class PodNocStudy:
 
     def system_performance(self, workload: WorkloadProfile, network_latency: float) -> float:
         """Aggregate pod IPC for ``workload`` given a measured network latency."""
-        active = self.active_cores_for(workload)
         pod = Pod(
-            cores=active,
+            cores=self.active_cores_for(workload),
             core_type="ooo",
             llc_capacity_mb=self.llc_mb,
             interconnect="ideal",
             node=self.node,
         )
-        base_latency = self.model.llc_access_latency(pod)
-        latency = LlcAccessLatency(
-            bank_cycles=base_latency.bank_cycles,
-            network_cycles=network_latency,
-            contention_cycles=base_latency.contention_cycles,
-        )
-        cpi = self.model.cpi_breakdown(workload, pod, latency)
-        return cpi.ipc * active
+        return aggregate_ipcs_at_network_latency((workload,), pod, network_latency)[0]
 
     # ------------------------------------------------------------- evaluation
     def evaluate(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from repro.caches.nuca import NucaLLC
 from repro.cores.models import CoreModel, core_model
@@ -159,15 +160,6 @@ class Pod:
             + self.resolved_interconnect().power_w(self.floorplan(), self.node)
         )
 
-    def bandwidth_demand_gbps(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """Worst-case off-chip bandwidth demand of the pod across the suite."""
-        model = model or AnalyticPerformanceModel()
-        return model.worst_case_bandwidth_gbps(self, suite)
-
     # ---------------------------------------------------------------- update
     def scaled(self, core_factor: int, llc_factor: float) -> "Pod":
         """Pod with core count and LLC capacity multiplied (used by 3D studies)."""
@@ -195,7 +187,6 @@ class PerformanceEstimate:
 
     Attributes:
         workload: workload name.
-        pod: the evaluated pod.
         cpi: per-core CPI breakdown.
         llc_latency: decomposition of the LLC access latency.
         llc_mpki: off-chip misses per kilo-instruction at this LLC capacity.
@@ -205,7 +196,6 @@ class PerformanceEstimate:
     """
 
     workload: str
-    pod: Pod
     cpi: CpiBreakdown
     llc_latency: LlcAccessLatency
     llc_mpki: float
@@ -214,142 +204,154 @@ class PerformanceEstimate:
     offchip_bandwidth_gbps: float
 
 
-class AnalyticPerformanceModel:
-    """Average-memory-access-time model of pod / chip throughput.
+# ------------------------------------------------------------------ LLC latency
+def llc_access_latency(pod: Pod, accesses_per_cycle: float = 0.0) -> LlcAccessLatency:
+    """Average LLC load-to-use latency for ``pod``.
+
+    Args:
+        accesses_per_cycle: aggregate LLC access rate used for the (mild)
+            bank-contention term; 0 disables contention.
+    """
+    llc = pod.llc()
+    floorplan = pod.floorplan()
+    network = pod.resolved_interconnect().latency_cycles(floorplan, pod.node)
+    contention = llc.queueing_delay_cycles(accesses_per_cycle) if accesses_per_cycle > 0 else 0.0
+    return LlcAccessLatency(
+        bank_cycles=float(llc.bank_access_latency_cycles),
+        network_cycles=float(network),
+        contention_cycles=float(contention),
+    )
+
+
+# -------------------------------------------------------------------------- CPI
+def cpi_breakdown(
+    workload: WorkloadProfile,
+    pod: Pod,
+    llc_latency: "LlcAccessLatency | None" = None,
+) -> CpiBreakdown:
+    """Per-core CPI decomposition for ``workload`` on ``pod``.
 
     The memory latency term uses the node's DRAM standard (DDR3 at 40nm,
     DDR4 at 20nm).
     """
+    core = pod.resolved_core()
+    behavior = workload.behavior(core.name)
+    i_mpki, d_mpki = workload.l1_mpki(core.name)
+    capacity = pod.effective_llc_capacity_mb
+    data_miss_mpki = workload.llc_data_mpki(capacity, pod.cores, core.name)
+    instr_miss_mpki = workload.llc_instruction_mpki(capacity, pod.cores, core.name)
 
-    # ----------------------------------------------------------- LLC latency
-    def llc_access_latency(
-        self, pod: Pod, accesses_per_cycle: float = 0.0
-    ) -> LlcAccessLatency:
-        """Average LLC load-to-use latency for ``pod``.
+    if llc_latency is None:
+        llc_latency = llc_access_latency(pod)
+    t_llc = llc_latency.total_cycles
+    dram = channel_for_standard(pod.node.memory_standard)
+    t_mem = t_llc + dram.access_latency_cycles(pod.node)
 
-        Args:
-            accesses_per_cycle: aggregate LLC access rate used for the (mild)
-                bank-contention term; 0 disables contention.
-        """
-        llc = pod.llc()
-        floorplan = pod.floorplan()
-        network = pod.resolved_interconnect().latency_cycles(floorplan, pod.node)
-        contention = llc.queueing_delay_cycles(accesses_per_cycle) if accesses_per_cycle > 0 else 0.0
-        return LlcAccessLatency(
-            bank_cycles=float(llc.bank_access_latency_cycles),
-            network_cycles=float(network),
-            contention_cycles=float(contention),
-        )
+    # Instruction replication (R-NUCA) keeps instruction blocks at most one
+    # network hop away from the requesting core; the bank and contention
+    # latencies still apply.
+    if pod.instruction_replication:
+        t_fetch = llc_latency.bank_cycles + llc_latency.contention_cycles + 3.0
+        t_fetch = min(t_fetch, t_llc)
+    else:
+        t_fetch = t_llc
 
-    # ------------------------------------------------------------------- CPI
-    def cpi_breakdown(
-        self,
-        workload: WorkloadProfile,
-        pod: Pod,
-        llc_latency: "LlcAccessLatency | None" = None,
-    ) -> CpiBreakdown:
-        """Per-core CPI decomposition for ``workload`` on ``pod``."""
-        core = pod.resolved_core()
-        behavior = workload.behavior(core.name)
-        i_mpki, d_mpki = workload.l1_mpki(core.name)
-        capacity = pod.effective_llc_capacity_mb
-        data_miss_mpki = workload.llc_data_mpki(capacity, pod.cores, core.name)
-        instr_miss_mpki = workload.llc_instruction_mpki(capacity, pod.cores, core.name)
+    # Instruction-footprint misses that spill past the LLC stall the front end
+    # for the full memory latency (no overlap); data misses overlap per the
+    # workload's memory-level parallelism.
+    memory_cpi = (
+        data_miss_mpki / 1000.0 * t_mem / behavior.memory_mlp
+        + instr_miss_mpki / 1000.0 * t_mem
+    )
 
-        if llc_latency is None:
-            llc_latency = self.llc_access_latency(pod)
-        t_llc = llc_latency.total_cycles
-        dram = channel_for_standard(pod.node.memory_standard)
-        t_mem = t_llc + dram.access_latency_cycles(pod.node)
+    return CpiBreakdown(
+        base=behavior.base_cpi,
+        instruction_fetch=i_mpki / 1000.0 * t_fetch,
+        data_llc=d_mpki / 1000.0 * t_llc / behavior.data_mlp,
+        memory=memory_cpi,
+    )
 
-        # Instruction replication (R-NUCA) keeps instruction blocks at most one
-        # network hop away from the requesting core; the bank and contention
-        # latencies still apply.
-        if pod.instruction_replication:
-            t_fetch = llc_latency.bank_cycles + llc_latency.contention_cycles + 3.0
-            t_fetch = min(t_fetch, t_llc)
-        else:
-            t_fetch = t_llc
 
-        # Instruction-footprint misses that spill past the LLC stall the front end
-        # for the full memory latency (no overlap); data misses overlap per the
-        # workload's memory-level parallelism.
-        memory_cpi = (
-            data_miss_mpki / 1000.0 * t_mem / behavior.memory_mlp
-            + instr_miss_mpki / 1000.0 * t_mem
-        )
+def aggregate_ipcs_at_network_latency(
+    workloads: "Iterable[WorkloadProfile]", pod: Pod, network_cycles: float
+) -> "list[float]":
+    """Aggregate IPC of ``pod`` per workload with the network term fixed.
 
-        return CpiBreakdown(
-            base=behavior.base_cpi,
-            instruction_fetch=i_mpki / 1000.0 * t_fetch,
-            data_llc=d_mpki / 1000.0 * t_llc / behavior.data_mlp,
-            memory=memory_cpi,
-        )
+    The bank and contention terms come from :func:`llc_access_latency`; the
+    network term is ``network_cycles`` (a stacked pod's shortened wires or a
+    packet-level NoC measurement).
+    """
+    base = llc_access_latency(pod)
+    latency = LlcAccessLatency(
+        bank_cycles=base.bank_cycles,
+        network_cycles=network_cycles,
+        contention_cycles=base.contention_cycles,
+    )
+    return [cpi_breakdown(workload, pod, latency).ipc * pod.cores for workload in workloads]
 
-    # -------------------------------------------------------------- estimate
-    def estimate(self, workload: WorkloadProfile, pod: Pod) -> PerformanceEstimate:
-        """Full performance estimate for one workload on one pod.
 
-        The LLC contention term depends on the access rate, which depends on the
-        IPC; one fixed-point refinement pass is ample given how mild the
-        contention is in the provisioned designs.
-        """
-        core = pod.resolved_core()
-        # First pass without contention.
-        latency = self.llc_access_latency(pod)
-        cpi = self.cpi_breakdown(workload, pod, latency)
+# --------------------------------------------------------------------- estimate
+def estimate(workload: WorkloadProfile, pod: Pod) -> PerformanceEstimate:
+    """Full performance estimate for one workload on one pod.
 
-        # Refine with bank contention based on the first-pass access rate.
-        apki = workload.llc_accesses_per_kilo_instruction(core.name)
-        accesses_per_cycle = pod.cores * cpi.ipc * apki / 1000.0
-        latency = self.llc_access_latency(pod, accesses_per_cycle)
-        cpi = self.cpi_breakdown(workload, pod, latency)
+    The LLC contention term depends on the access rate, which depends on the
+    IPC; one fixed-point refinement pass is ample given how mild the
+    contention is in the provisioned designs.
+    """
+    core = pod.resolved_core()
+    # First pass without contention.
+    latency = llc_access_latency(pod)
+    cpi = cpi_breakdown(workload, pod, latency)
 
-        llc_mpki = workload.llc_mpki(
-            pod.effective_llc_capacity_mb, pod.cores, core.name
-        )
-        per_core_ipc = cpi.ipc
-        aggregate = per_core_ipc * pod.cores
-        bytes_per_instr = workload.offchip_bytes_per_instruction(
-            pod.effective_llc_capacity_mb, pod.cores, core.name
-        )
-        bandwidth = (
-            aggregate
-            * pod.node.frequency_ghz
-            * 1e9
-            * bytes_per_instr
-            / 1e9
-            * pod.offchip_traffic_factor
-        )
-        return PerformanceEstimate(
-            workload=workload.name,
-            pod=pod,
-            cpi=cpi,
-            llc_latency=latency,
-            llc_mpki=llc_mpki,
-            per_core_ipc=per_core_ipc,
-            aggregate_ipc=aggregate,
-            offchip_bandwidth_gbps=bandwidth,
-        )
+    # Refine with bank contention based on the first-pass access rate.
+    apki = workload.llc_accesses_per_kilo_instruction(core.name)
+    accesses_per_cycle = pod.cores * cpi.ipc * apki / 1000.0
+    latency = llc_access_latency(pod, accesses_per_cycle)
+    cpi = cpi_breakdown(workload, pod, latency)
 
-    # ------------------------------------------------------- suite averages
-    def suite_estimates(
-        self, pod: Pod, suite: "WorkloadSuite | None" = None
-    ) -> "dict[str, PerformanceEstimate]":
-        """Estimates for every workload in ``suite`` (default: the full CloudSuite)."""
-        suite = suite or default_suite()
-        return {w.name: self.estimate(w, pod) for w in suite}
+    llc_mpki = workload.llc_mpki(
+        pod.effective_llc_capacity_mb, pod.cores, core.name
+    )
+    per_core_ipc = cpi.ipc
+    aggregate = per_core_ipc * pod.cores
+    bytes_per_instr = workload.offchip_bytes_per_instruction(
+        pod.effective_llc_capacity_mb, pod.cores, core.name
+    )
+    bandwidth = (
+        aggregate
+        * pod.node.frequency_ghz
+        * 1e9
+        * bytes_per_instr
+        / 1e9
+        * pod.offchip_traffic_factor
+    )
+    return PerformanceEstimate(
+        workload=workload.name,
+        cpi=cpi,
+        llc_latency=latency,
+        llc_mpki=llc_mpki,
+        per_core_ipc=per_core_ipc,
+        aggregate_ipc=aggregate,
+        offchip_bandwidth_gbps=bandwidth,
+    )
 
-    def average_per_core_ipc(
-        self, pod: Pod, suite: "WorkloadSuite | None" = None
-    ) -> float:
-        """Arithmetic-mean per-core IPC across the suite."""
-        estimates = self.suite_estimates(pod, suite)
-        return sum(e.per_core_ipc for e in estimates.values()) / len(estimates)
 
-    def worst_case_bandwidth_gbps(
-        self, pod: Pod, suite: "WorkloadSuite | None" = None
-    ) -> float:
-        """Worst-case off-chip bandwidth demand across the suite (for provisioning)."""
-        estimates = self.suite_estimates(pod, suite)
-        return max(e.offchip_bandwidth_gbps for e in estimates.values())
+# --------------------------------------------------------------- suite figures
+def suite_estimates(
+    pod: Pod, suite: "WorkloadSuite | None" = None
+) -> "dict[str, PerformanceEstimate]":
+    """Estimates for every workload in ``suite`` (default: the full CloudSuite)."""
+    suite = suite or default_suite()
+    return {w.name: estimate(w, pod) for w in suite}
+
+
+def average_per_core_ipc(pod: Pod, suite: "WorkloadSuite | None" = None) -> float:
+    """Arithmetic-mean per-core IPC across the suite."""
+    estimates = suite_estimates(pod, suite)
+    return sum(e.per_core_ipc for e in estimates.values()) / len(estimates)
+
+
+def worst_case_bandwidth_gbps(pod: Pod, suite: "WorkloadSuite | None" = None) -> float:
+    """Worst-case off-chip bandwidth demand across the suite (for provisioning)."""
+    estimates = suite_estimates(pod, suite)
+    return max(e.offchip_bandwidth_gbps for e in estimates.values())

@@ -3,9 +3,10 @@
 The paper validates its analytic model against cycle-accurate simulation before
 using it for the design-space sweep, reporting excellent accuracy up to 16 cores
 and divergence at 32--64 cores on workloads with poor software scalability.  This
-module computes the same comparison between :class:`AnalyticPerformanceModel`
-predictions and measurements from the reduced-fidelity simulator in
-:mod:`repro.sim` (or any other callable producing aggregate IPC).
+module computes the same comparison between the predictions of
+:func:`~repro.perfmodel.analytic.estimate` and measurements from the
+reduced-fidelity simulator in :mod:`repro.sim` (or any other callable
+producing aggregate IPC).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, estimate
 from repro.workloads.profile import WorkloadProfile
 
 
@@ -69,7 +70,6 @@ def validate_against(
     simulate: SimulatorFn,
     workloads: Iterable[WorkloadProfile],
     configs: Sequence[Pod],
-    model: "AnalyticPerformanceModel | None" = None,
 ) -> ValidationReport:
     """Compare the analytic model against ``simulate`` over a set of design points.
 
@@ -79,13 +79,11 @@ def validate_against(
             :func:`repro.sim.system.simulate_system`.
         workloads: workload profiles to validate on.
         configs: pods (core counts, interconnects) to validate on.
-        model: analytic model instance (a default one is constructed if omitted).
     """
-    model = model or AnalyticPerformanceModel()
     points: "list[ValidationPoint]" = []
     for workload in workloads:
         for config in configs:
-            predicted = model.estimate(workload, config).aggregate_ipc
+            predicted = estimate(workload, config).aggregate_ipc
             measured = simulate(workload, config)
             points.append(
                 ValidationPoint(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.chip import ScaleOutChip
-from repro.perfmodel.analytic import AnalyticPerformanceModel
+from repro.perfmodel.analytic import estimate
 from repro.workloads.profile import WorkloadProfile
 
 
@@ -53,24 +53,17 @@ class ServiceCapacity:
         return 1.0 / self.unit_rate_rps
 
 
-def calibrate_chip(
-    chip: ScaleOutChip,
-    workload: WorkloadProfile,
-    model: "AnalyticPerformanceModel | None" = None,
-) -> ServiceCapacity:
+def calibrate_chip(chip: ScaleOutChip, workload: WorkloadProfile) -> ServiceCapacity:
     """Derive ``workload``'s service capacity on ``chip`` from the perf model."""
-    model = model or AnalyticPerformanceModel()
-    estimate = model.estimate(workload, chip.pod)
+    per_core_ipc = estimate(workload, chip.pod).per_core_ipc
     frequency_hz = chip.node.frequency_ghz * 1e9
-    unit_rate = (
-        estimate.per_core_ipc * frequency_hz / workload.instructions_per_request
-    )
+    unit_rate = per_core_ipc * frequency_hz / workload.instructions_per_request
     units_per_pod = min(chip.pod.cores, workload.max_cores)
     return ServiceCapacity(
         design=chip.name,
         workload=workload.name,
         units_per_chip=units_per_pod * chip.num_pods,
         unit_rate_rps=unit_rate,
-        per_core_ipc=estimate.per_core_ipc,
+        per_core_ipc=per_core_ipc,
         instructions_per_request=workload.instructions_per_request,
     )

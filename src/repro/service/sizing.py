@@ -345,7 +345,7 @@ class ClusterSizer:
             raise ValueError("target_qps must be positive")
         if sla_p99_s <= 0:
             raise ValueError("sla_p99_s must be positive")
-        capacity = calibrate_chip(chip, workload, self.datacenter.model)
+        capacity = calibrate_chip(chip, workload)
         server = self.datacenter.build_server(chip, memory_gb=self.memory_gb)
         servers = self.minimum_servers(capacity, server.sockets, target_qps, sla_p99_s)
         queue = self.server_queue(capacity, server.sockets, target_qps / servers)
@@ -401,7 +401,7 @@ class ClusterSizer:
             raise ValueError("server_mtbf_h must be positive and server_mttr_h >= 0")
         base = self.size(chip, workload, target_qps, sla_p99_s)
         servers = base.servers + k
-        capacity = calibrate_chip(chip, workload, self.datacenter.model)
+        capacity = calibrate_chip(chip, workload)
         server = self.datacenter.build_server(chip, memory_gb=self.memory_gb)
         nominal = self.server_queue(capacity, server.sockets, target_qps / servers)
         racks = max(1, math.ceil(servers / server.servers_per_rack()))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.chip import ScaleOutChip
-from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.tco.model import TcoBreakdown, TcoModel
 from repro.tco.params import DEFAULT_TCO_PARAMETERS, TcoParameters
 from repro.tco.pricing import ChipPricingModel
@@ -49,19 +48,16 @@ class DatacenterResult:
 class DatacenterDesign:
     """Builds and evaluates a datacenter around one server-chip design.
 
-    A chip brings its own performance (:meth:`ScaleOutChip.performance`);
-    ``model`` is the analytic model the service-level sizer calibrates with.
+    A chip brings its own performance (:meth:`ScaleOutChip.performance`).
     """
 
     def __init__(
         self,
         params: TcoParameters = DEFAULT_TCO_PARAMETERS,
         pricing: "ChipPricingModel | None" = None,
-        model: "AnalyticPerformanceModel | None" = None,
     ):
         self.params = params
         self.pricing = pricing or ChipPricingModel()
-        self.model = model or AnalyticPerformanceModel()
         self.tco_model = TcoModel(params)
 
     def build_server(self, chip: ScaleOutChip, memory_gb: int = 64) -> ServerDesign:

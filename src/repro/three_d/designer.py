@@ -15,7 +15,7 @@ from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, fill_die
 from repro.memory.dram import DDR4_2133
 from repro.memory.provisioning import channels_required
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, worst_case_bandwidth_gbps
 from repro.technology.node import NODE_40NM, ChipConstraints, TechnologyNode
 from repro.three_d.stacking import StackedPod, stack_fixed_distance, stack_fixed_pod
 from repro.workloads.suite import WorkloadSuite, default_suite
@@ -48,19 +48,17 @@ class ThreeDDesignStudy:
     def __init__(
         self,
         node: TechnologyNode = NODE_40NM,
-        model: "AnalyticPerformanceModel | None" = None,
         suite: "WorkloadSuite | None" = None,
         constraints: ChipConstraints = CONSTRAINTS_3D,
     ):
         self.node = node
-        self.model = model or AnalyticPerformanceModel()
         self.suite = suite or default_suite()
         self.constraints = constraints
 
     # ------------------------------------------------------------------ sweep
     def evaluate(self, stacked_pod: StackedPod) -> ThreeDDesignPoint:
         """Evaluate one stacked-pod configuration."""
-        performance = stacked_pod.performance(self.model, self.suite)
+        performance = stacked_pod.performance(self.suite)
         return ThreeDDesignPoint(
             stacked_pod=stacked_pod,
             performance=performance,
@@ -115,7 +113,7 @@ class ThreeDDesignStudy:
         candidates = []
         for strategy_builder in (stack_fixed_pod, stack_fixed_distance):
             stacked = strategy_builder(base_pod, num_dies)
-            demand = stacked.bandwidth_demand_gbps(self.model, self.suite)
+            demand = worst_case_bandwidth_gbps(stacked.pod, self.suite)
             channels = channels_required(demand, DDR4_2133)
             if channels > self.constraints.max_memory_channels:
                 continue
@@ -131,8 +129,8 @@ class ThreeDDesignStudy:
         label = name or f"3D Scale-Out ({stacked_pod.base_pod.core_type}, L={stacked_pod.num_dies})"
         evaluation = PodEvaluation(
             pod=stacked_pod.pod,
-            performance=stacked_pod.performance(self.model, self.suite),
-            bandwidth_gbps=stacked_pod.bandwidth_demand_gbps(self.model, self.suite),
+            performance=stacked_pod.performance(self.suite),
+            bandwidth_gbps=worst_case_bandwidth_gbps(stacked_pod.pod, self.suite),
             num_dies=stacked_pod.num_dies,
         )
         return fill_die(evaluation, self.constraints, DDR4_2133, label, MAX_PODS_3D)
@@ -147,9 +145,7 @@ class ThreeDDesignStudy:
         if base_pod is None:
             from repro.core.methodology import ScaleOutDesignMethodology
 
-            methodology = ScaleOutDesignMethodology(
-                node=self.node, model=self.model, suite=self.suite
-            )
+            methodology = ScaleOutDesignMethodology(node=self.node, suite=self.suite)
             base_pod = methodology.pd_optimal_pod(core_type=core_type).pod
         rows: "list[dict[str, float | int | str]]" = []
         for dies in die_counts:

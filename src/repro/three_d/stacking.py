@@ -6,8 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.perfmodel.amat import LlcAccessLatency
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, aggregate_ipcs_at_network_latency, llc_access_latency
 from repro.workloads.suite import WorkloadSuite, default_suite
 
 
@@ -67,7 +66,7 @@ class StackedPod:
         return self.base_pod.area_mm2
 
     # ----------------------------------------------------------------- timing
-    def network_latency_cycles(self, model: "AnalyticPerformanceModel | None" = None) -> float:
+    def network_latency_cycles(self) -> float:
         """Average core-to-LLC network latency of the stacked pod.
 
         Vertical (TSV) hops are free; the horizontal wire-distance component of
@@ -76,8 +75,7 @@ class StackedPod:
         fixed-distance the latency equals the base (single-die) pod's latency by
         construction.
         """
-        model = model or AnalyticPerformanceModel()
-        base_latency = model.llc_access_latency(self.base_pod).network_cycles
+        base_latency = llc_access_latency(self.base_pod).network_cycles
         if self.strategy is StackingStrategy.FIXED_DISTANCE or self.num_dies == 1:
             return base_latency
         floor = 4.0
@@ -85,35 +83,14 @@ class StackedPod:
         return floor + excess / math.sqrt(self.num_dies)
 
     # ------------------------------------------------------------ performance
-    def performance(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
+    def performance(self, suite: "WorkloadSuite | None" = None) -> float:
         """Average aggregate IPC of the stacked pod across the workload suite."""
-        model = model or AnalyticPerformanceModel()
         suite = suite or default_suite()
-        pod = self.pod
-        network = self.network_latency_cycles(model)
-        total = 0.0
-        for workload in suite:
-            base = model.llc_access_latency(pod)
-            latency = LlcAccessLatency(
-                bank_cycles=base.bank_cycles,
-                network_cycles=network,
-                contention_cycles=base.contention_cycles,
-            )
-            cpi = model.cpi_breakdown(workload, pod, latency)
-            total += cpi.ipc * pod.cores
+        ipcs = aggregate_ipcs_at_network_latency(suite, self.pod, self.network_latency_cycles())
+        total = 0.0  # a plain loop: sum() compensates on Python >= 3.12
+        for ipc in ipcs:
+            total += ipc
         return total / len(suite)
-
-    def bandwidth_demand_gbps(
-        self,
-        model: "AnalyticPerformanceModel | None" = None,
-        suite: "WorkloadSuite | None" = None,
-    ) -> float:
-        """Worst-case off-chip demand of the stacked pod."""
-        return self.pod.bandwidth_demand_gbps(model, suite)
 
     def describe(self) -> str:
         """Short label used in Figure 6.5 / 6.7 style outputs."""

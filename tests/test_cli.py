@@ -89,6 +89,9 @@ class TestRun:
         ("run", "table_4_1", "--set", "bogus_key=1"),
         ("run", "figure_4_7", "--set", "bogus_key=1"),
         ("sweep", "figure_2_2", "--set", "bogus_key=1,2"),
+        # The Chapter 2 figures once took an analytic-model object, so
+        # ``model=1`` reached it as an int: an AttributeError traceback, exit 1.
+        ("run", "figure_2_1", "--no-cache", "--set", "model=1"),
     ])
     def test_unknown_set_key_rejected_before_running(self, capsys, monkeypatch, argv):
         from repro.experiments import registry
@@ -99,10 +102,12 @@ class TestRun:
         accepted = {
             "table_4_1": "none",
             "figure_4_7": "suite",
-            "figure_2_2": "llc_sizes_mb, cores, suite, model",
+            "figure_2_1": "suite",
+            "figure_2_2": "llc_sizes_mb, cores, suite",
         }[argv[1]]
+        key = argv[-1].split("=")[0]
         assert err == (
-            f"error: {argv[1]} takes no parameter 'bogus_key'; accepted: {accepted}"
+            f"error: {argv[1]} takes no parameter '{key}'; accepted: {accepted}"
         )
         assert calls == []
 

@@ -3,17 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import composer
 from repro.core.composer import PodEvaluation
 from repro.core.designs import build_scale_out
 from repro.core.methodology import ScaleOutDesignMethodology
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, estimate, worst_case_bandwidth_gbps
 from repro.technology.node import NODE_20NM, NODE_40NM
 from repro.three_d.designer import CONSTRAINTS_3D, ThreeDDesignStudy
 from repro.three_d.stacking import StackedPod, stack_fixed_distance, stack_fixed_pod
 from repro.workloads import WorkloadSuite, default_suite, get_workload
 
 SMALL_SUITE = WorkloadSuite((get_workload("Web Search"), get_workload("MapReduce-C")))
-MODEL = AnalyticPerformanceModel()
 
 
 def _counting(monkeypatch, owner, attribute):
@@ -21,9 +21,9 @@ def _counting(monkeypatch, owner, attribute):
     calls = []
     original = getattr(owner, attribute)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attribute, counted)
     return calls
@@ -32,16 +32,16 @@ def _counting(monkeypatch, owner, attribute):
 def test_pod_evaluation_matches_the_per_workload_estimates():
     pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4.0)
     suite = default_suite()
-    evaluation = PodEvaluation.of(pod, MODEL, suite)
-    estimates = [MODEL.estimate(workload, pod) for workload in suite]
+    evaluation = PodEvaluation.of(pod, suite)
+    estimates = [estimate(workload, pod) for workload in suite]
     assert evaluation.performance == sum(e.aggregate_ipc for e in estimates) / len(estimates)
-    assert evaluation.bandwidth_gbps == pod.bandwidth_demand_gbps(MODEL, suite)
+    assert evaluation.bandwidth_gbps == worst_case_bandwidth_gbps(pod, suite)
     assert evaluation.num_dies == 1
 
 
 @pytest.mark.parametrize("core_type", ["ooo", "inorder"])
 def test_build_scale_out_makes_one_suite_pass_per_distinct_pod(monkeypatch, core_type):
-    calls = _counting(monkeypatch, AnalyticPerformanceModel, "suite_estimates")
+    calls = _counting(monkeypatch, composer, "suite_estimates")
     build_scale_out(core_type, NODE_40NM)
     # The sweep's 9 core counts x 4 LLC sizes; composing reuses those passes.
     assert len(calls) == 36
@@ -79,7 +79,7 @@ _pods = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(pod=_pods)
 def test_planar_fill_returns_multi_pod_chips_within_budgets(pod):
-    methodology = ScaleOutDesignMethodology(pod.node, MODEL, SMALL_SUITE)
+    methodology = ScaleOutDesignMethodology(pod.node, SMALL_SUITE)
     chip = methodology.compose_chip(pod)
     if chip.num_pods > 1:
         assert chip.satisfies(methodology.constraints)
@@ -92,7 +92,7 @@ def test_planar_fill_returns_multi_pod_chips_within_budgets(pod):
     stack=st.sampled_from((stack_fixed_pod, stack_fixed_distance)),
 )
 def test_three_d_fill_returns_multi_pod_chips_within_budgets(pod, num_dies, stack):
-    study = ThreeDDesignStudy(node=pod.node, model=MODEL, suite=SMALL_SUITE)
+    study = ThreeDDesignStudy(node=pod.node, suite=SMALL_SUITE)
     chip = study.compose_chip(stack(pod, num_dies))
     if chip.num_pods > 1:
         assert chip.satisfies(CONSTRAINTS_3D)

@@ -15,14 +15,8 @@ from repro.core.designs import (
     build_tiled,
 )
 from repro.core.methodology import ScaleOutDesignMethodology, design_scale_out_processor
-from repro.perfmodel.analytic import AnalyticPerformanceModel
 from repro.technology.node import NODE_20NM, NODE_40NM
 from repro.workloads import default_suite
-
-
-@pytest.fixture(scope="module")
-def model():
-    return AnalyticPerformanceModel()
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +25,8 @@ def suite():
 
 
 @pytest.fixture(scope="module")
-def methodology(model, suite):
-    return ScaleOutDesignMethodology(NODE_40NM, model, suite)
+def methodology(suite):
+    return ScaleOutDesignMethodology(NODE_40NM, suite)
 
 
 class TestMethodology:
@@ -93,8 +87,8 @@ class TestMethodology:
 
 
 class TestDesignBuilders:
-    def test_conventional_matches_paper(self, model, suite):
-        chip = build_conventional(NODE_40NM, model, suite)
+    def test_conventional_matches_paper(self, suite):
+        chip = build_conventional(NODE_40NM, suite)
         # Table 2.3: 6 conventional cores, 12 MB LLC, power-limited, ~276 mm^2.
         assert chip.total_cores == 6
         assert chip.total_llc_mb == pytest.approx(12.0)
@@ -102,44 +96,44 @@ class TestDesignBuilders:
         assert chip.die_area_mm2 == pytest.approx(276.0, rel=0.02)
         assert chip.power_w <= 95.0
 
-    def test_tiled_ooo_matches_paper(self, model, suite):
-        chip = build_tiled("ooo", NODE_40NM, model, suite)
+    def test_tiled_ooo_matches_paper(self, suite):
+        chip = build_tiled("ooo", NODE_40NM, suite)
         # Table 2.3: ~20 cores with 1 MB per tile.
         assert 16 <= chip.total_cores <= 25
         assert chip.total_llc_mb == pytest.approx(chip.total_cores * 1.0)
 
-    def test_tiled_inorder_keeps_area_ratio(self, model, suite):
-        chip = build_tiled("inorder", NODE_40NM, model, suite)
+    def test_tiled_inorder_keeps_area_ratio(self, suite):
+        chip = build_tiled("inorder", NODE_40NM, suite)
         assert 56 <= chip.total_cores <= 81
         per_tile_mb = chip.total_llc_mb / chip.total_cores
         assert per_tile_mb == pytest.approx(1.0 * 1.3 / 4.5, rel=0.01)
 
-    def test_llc_optimal_small_cache(self, model, suite):
-        chip = build_llc_optimal_tiled("ooo", NODE_40NM, model, suite)
+    def test_llc_optimal_small_cache(self, suite):
+        chip = build_llc_optimal_tiled("ooo", NODE_40NM, suite)
         assert chip.total_llc_mb / chip.total_cores == pytest.approx(0.25)
-        assert chip.total_cores > build_tiled("ooo", NODE_40NM, model, suite).total_cores
+        assert chip.total_cores > build_tiled("ooo", NODE_40NM, suite).total_cores
 
-    def test_ir_variant_flags_set(self, model, suite):
-        chip = build_llc_optimal_tiled_ir("ooo", NODE_40NM, model, suite)
+    def test_ir_variant_flags_set(self, suite):
+        chip = build_llc_optimal_tiled_ir("ooo", NODE_40NM, suite)
         assert chip.pod.instruction_replication
         assert chip.pod.offchip_traffic_factor > 1.0
 
-    def test_ideal_uses_llc_optimal_budget(self, model, suite):
-        ideal = build_ideal("ooo", NODE_40NM, model, suite)
-        reference = build_llc_optimal_tiled("ooo", NODE_40NM, model, suite)
+    def test_ideal_uses_llc_optimal_budget(self, suite):
+        ideal = build_ideal("ooo", NODE_40NM, suite)
+        reference = build_llc_optimal_tiled("ooo", NODE_40NM, suite)
         assert ideal.total_cores == reference.total_cores
         assert ideal.total_llc_mb == pytest.approx(reference.total_llc_mb)
         assert ideal.pod.interconnect == "ideal"
 
-    def test_single_pod_smaller_than_scale_out(self, model, suite):
-        single = build_single_pod("ooo", NODE_40NM, model, suite)
-        multi = build_scale_out("ooo", NODE_40NM, model, suite)
+    def test_single_pod_smaller_than_scale_out(self, suite):
+        single = build_single_pod("ooo", NODE_40NM, suite)
+        multi = build_scale_out("ooo", NODE_40NM, suite)
         assert single.num_pods == 1
         assert single.die_area_mm2 < multi.die_area_mm2 + 1e-6
         assert single.total_cores <= multi.total_cores
 
-    def test_sizer_rejects_impossible_spec(self, model, suite):
-        sizer = DesignSizer(NODE_40NM, model, suite)
+    def test_sizer_rejects_impossible_spec(self, suite):
+        sizer = DesignSizer(NODE_40NM, suite)
         spec = DesignSpec(name="huge", core_type="conventional", interconnect="crossbar", llc_mb_per_core=100.0)
         with pytest.raises(ValueError):
             sizer.size(spec)
@@ -155,13 +149,13 @@ class TestDesignBuilders:
 
 class TestDesignComparison:
     @pytest.fixture(scope="class")
-    def comparison(self, model, suite):
+    def comparison(self, suite):
         designs = [
-            build_conventional(NODE_40NM, model, suite),
-            build_tiled("ooo", NODE_40NM, model, suite),
-            build_llc_optimal_tiled("ooo", NODE_40NM, model, suite),
-            build_scale_out("ooo", NODE_40NM, model, suite),
-            build_ideal("ooo", NODE_40NM, model, suite),
+            build_conventional(NODE_40NM, suite),
+            build_tiled("ooo", NODE_40NM, suite),
+            build_llc_optimal_tiled("ooo", NODE_40NM, suite),
+            build_scale_out("ooo", NODE_40NM, suite),
+            build_ideal("ooo", NODE_40NM, suite),
         ]
         return compare_designs(designs)
 

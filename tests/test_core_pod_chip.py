@@ -7,15 +7,10 @@ import pytest
 from repro.core.chip import ScaleOutChip
 from repro.core.composer import PodEvaluation, compose_chip
 from repro.memory.dram import DDR3_1667
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, worst_case_bandwidth_gbps
 from repro.technology.node import NODE_40NM
 from repro.workloads.suite import WorkloadSuite
 from repro.workloads import get_workload
-
-
-@pytest.fixture(scope="module")
-def model():
-    return AnalyticPerformanceModel()
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +39,14 @@ class TestPod:
         assert budget.interconnect_mm2 > 0
         assert budget.total_mm2 == pytest.approx(pod.area_mm2)
 
-    def test_performance(self, model, small_suite):
+    def test_performance(self, small_suite):
         pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4)
-        perf = PodEvaluation.of(pod, model, small_suite).performance
+        perf = PodEvaluation.of(pod, small_suite).performance
         assert perf > 8.0  # 16 cores at well under 1 IPC each would be broken
 
-    def test_bandwidth_demand_positive(self, model, small_suite):
+    def test_bandwidth_demand_positive(self, small_suite):
         pod = Pod(cores=16, core_type="ooo", llc_capacity_mb=4)
-        assert pod.bandwidth_demand_gbps(model, small_suite) > 1.0
+        assert worst_case_bandwidth_gbps(pod, small_suite) > 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,8 +93,8 @@ class TestScaleOutChip:
         expected = 2 * self._pod().power_w + 3 * 5.7 + 5.0
         assert chip.power_w == pytest.approx(expected, rel=0.01)
 
-    def test_composed_performance_scales_linearly_with_pods(self, model, small_suite):
-        evaluation = PodEvaluation.of(self._pod(), model, small_suite)
+    def test_composed_performance_scales_linearly_with_pods(self, small_suite):
+        evaluation = PodEvaluation.of(self._pod(), small_suite)
         one = compose_chip(evaluation, 1, DDR3_1667, "one")
         two = compose_chip(evaluation, 2, DDR3_1667, "two")
         assert one.performance() == evaluation.performance

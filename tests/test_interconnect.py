@@ -61,9 +61,7 @@ class TestInterconnectFactory:
     def test_lookup(self, name, cls):
         assert isinstance(interconnect_model(name), cls)
 
-    def test_pass_through_and_unknown(self):
-        model = MeshInterconnect()
-        assert interconnect_model(model) is model
+    def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             interconnect_model("torus")
 
@@ -80,12 +78,6 @@ class TestLatencies:
         assert crossbar.latency_cycles(floorplan_for(16)) == pytest.approx(5.0)
         assert crossbar.latency_cycles(floorplan_for(32)) == pytest.approx(7.0)
         assert crossbar.latency_cycles(floorplan_for(64)) == pytest.approx(11.0)
-
-    def test_crossbar_switch_sharing_reduces_latency(self):
-        shared = CrossbarInterconnect(ports_per_switch_interface=2)
-        assert shared.latency_cycles(floorplan_for(32)) <= CrossbarInterconnect().latency_cycles(
-            floorplan_for(32)
-        )
 
     def test_mesh_latency_grows_with_cores(self):
         mesh = MeshInterconnect()

@@ -712,13 +712,12 @@ class TestSizing:
 class TestCalibration:
     def test_rate_follows_ipc_clock_and_request_cost(self):
         from repro.experiments.service import build_service_chip
-        from repro.perfmodel.analytic import AnalyticPerformanceModel
+        from repro.perfmodel.analytic import estimate as analytic_estimate
 
         suite = WorkloadSuite((WEB_SEARCH,))
         chip = build_service_chip("Scale-Out (OoO)", suite)
-        model = AnalyticPerformanceModel()
-        capacity = calibrate_chip(chip, WEB_SEARCH, model)
-        estimate = model.estimate(WEB_SEARCH, chip.pod)
+        capacity = calibrate_chip(chip, WEB_SEARCH)
+        estimate = analytic_estimate(WEB_SEARCH, chip.pod)
         expected = (
             estimate.per_core_ipc
             * chip.node.frequency_ghz

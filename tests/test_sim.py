@@ -14,7 +14,7 @@ from oracles.sim_window import (
 )
 
 from repro.cores.models import OOO
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod, estimate
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.directory import Directory
 from repro.sim.engine import EventQueue
@@ -773,7 +773,7 @@ class TestSimulatedSystem:
         workload = get_workload("Data Serving")
         config = Pod(cores=8, core_type="ooo", llc_capacity_mb=4)
         simulated = simulate_system(workload, config, instructions_per_core=5000, seed=7)
-        predicted = AnalyticPerformanceModel().estimate(workload, config)
+        predicted = estimate(workload, config)
         ratio = predicted.aggregate_ipc / simulated.aggregate_ipc
         assert 0.6 < ratio < 1.4
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perfmodel.analytic import AnalyticPerformanceModel, Pod
+from repro.perfmodel.analytic import Pod
 from repro.three_d.designer import CONSTRAINTS_3D, ThreeDDesignStudy
 from repro.three_d.stacking import (
     StackedPod,
@@ -16,11 +16,6 @@ from repro.workloads import WorkloadSuite, get_workload
 @pytest.fixture(scope="module")
 def suite():
     return WorkloadSuite((get_workload("Web Search"), get_workload("MapReduce-C")))
-
-
-@pytest.fixture(scope="module")
-def model():
-    return AnalyticPerformanceModel()
 
 
 @pytest.fixture(scope="module")
@@ -41,26 +36,26 @@ class TestStackedPod:
         assert stacked.llc_capacity_mb == pytest.approx(4 * base_pod.llc_capacity_mb)
         assert stacked.footprint_mm2 == pytest.approx(base_pod.area_mm2)
 
-    def test_single_die_equivalent_for_both_strategies(self, base_pod, model, suite):
+    def test_single_die_equivalent_for_both_strategies(self, base_pod, suite):
         fixed = stack_fixed_pod(base_pod, 1)
         distance = stack_fixed_distance(base_pod, 1)
-        assert fixed.performance(model, suite) == pytest.approx(distance.performance(model, suite))
+        assert fixed.performance(suite) == pytest.approx(distance.performance(suite))
         assert fixed.footprint_mm2 == pytest.approx(distance.footprint_mm2)
 
-    def test_fixed_pod_latency_shrinks_with_dies(self, base_pod, model):
-        one = stack_fixed_pod(base_pod, 1).network_latency_cycles(model)
-        four = stack_fixed_pod(base_pod, 4).network_latency_cycles(model)
+    def test_fixed_pod_latency_shrinks_with_dies(self, base_pod):
+        one = stack_fixed_pod(base_pod, 1).network_latency_cycles()
+        four = stack_fixed_pod(base_pod, 4).network_latency_cycles()
         assert four <= one
         assert four >= 4.0
 
-    def test_fixed_distance_latency_constant(self, base_pod, model):
-        one = stack_fixed_distance(base_pod, 1).network_latency_cycles(model)
-        four = stack_fixed_distance(base_pod, 4).network_latency_cycles(model)
+    def test_fixed_distance_latency_constant(self, base_pod):
+        one = stack_fixed_distance(base_pod, 1).network_latency_cycles()
+        four = stack_fixed_distance(base_pod, 4).network_latency_cycles()
         assert four == pytest.approx(one)
 
-    def test_3d_pd_improves_over_2d(self, base_pod, model, suite):
+    def test_3d_pd_improves_over_2d(self, base_pod, suite):
         # Section 6.6: stacking improves performance density (modestly).
-        study = ThreeDDesignStudy(model=model, suite=suite)
+        study = ThreeDDesignStudy(suite=suite)
         pd_2d = study.evaluate(stack_fixed_pod(base_pod, 1)).performance_density
         pd_fixed_pod = study.evaluate(stack_fixed_pod(base_pod, 2)).performance_density
         pd_fixed_distance = study.evaluate(stack_fixed_distance(base_pod, 2)).performance_density
